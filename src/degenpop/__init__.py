@@ -9,16 +9,13 @@ gluing.
 
 from .coeffs import (CarlemanWeights, DegeneracyReport, HypothesisReport,
                      PowerLaw, Tabulated, VitalRates, build_carleman_weights,
-                     classify_degeneracy, eval_theta, eval_weights,
-                     validate_hypotheses)
+                     classify_degeneracy, eval_theta, validate_hypotheses)
 from .control import (ControlError, ControlSolution, HUMConfig,
-                      compose_delay_control, control_bound_report,
-                      forward_defect, glue_two_sided, hum_control,
-                      scheme_consistency_error)
+                      compose_delay_control, forward_defect, glue_two_sided,
+                      hum_control, scheme_consistency_error)
 from .discretize import (Field2, Field3, Grid, integrate_nodes,
-                         random_final_data, read_field_csv, read_field_raw,
-                         sine_mode_data, spawn_rng, weighted_norm,
-                         write_field_csv, write_field_raw)
+                         random_final_data, read_field_csv, sine_mode_data,
+                         spawn_rng, weighted_norm, write_field_csv)
 from .inequalities import (CutoffFamily, InequalityReport, caccioppoli_audit,
                            carleman_audit_deg0, carleman_audit_deg1,
                            carleman_audit_nondeg, carleman_local_audit,

@@ -13,26 +13,15 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .coeffs import build_carleman_weights, classify_degeneracy
-from .control import (ControlError, ControlSolution, compose_delay_control,
-                      glue_two_sided, hum_control)
+from .coeffs import DEFAULT_S_SWEEP
+from .control import ControlSolution, glue_two_sided, hum_control
 from .discretize import Field2, random_final_data, write_field_csv
-from .inequalities import (caccioppoli_audit, carleman_audit_deg0,
-                           carleman_audit_deg1, carleman_local_audit,
-                           hardy_ratio, hardy_ratio_at_zero,
-                           manufactured_family, observability_ratio)
-from .scenarios import (ConfigError, Scenario, classify_growth,
+from .scenarios import (AUDITS, ConfigError, Scenario, classify_growth,
                         load_scenario, net_reproduction_rate, preset,
-                        preset_names, run_scenario, _hardy_functions)
-from .solver import lattice_norm, solve_adjoint, solve_forward
+                        preset_names, run_scenario)
+from .solver import solve_adjoint, solve_forward
 
 __all__ = ["main"]
-
-
-class _NumericalFailure(RuntimeError):
-    pass
 
 
 def _load(args) -> Scenario:
@@ -65,9 +54,9 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
-def _sweep(args) -> tuple[float, ...] | None:
+def _sweep(args) -> tuple[float, ...]:
     if args.s_sweep is None:
-        return None
+        return DEFAULT_S_SWEEP
     try:
         values = tuple(float(tok) for tok in args.s_sweep.split(","))
     except ValueError:
@@ -79,11 +68,7 @@ def _sweep(args) -> tuple[float, ...] | None:
 
 
 def _cmd_validate(args) -> int:
-    if args.config is not None:
-        scenario = load_scenario(args.config)
-    else:
-        scenario = preset(args.preset)
-    report = scenario.hypothesis_report()
+    report = _load(args).hypothesis_report()
     for line in report.lines():
         print(line)
     if args.out is not None:
@@ -116,92 +101,20 @@ def _cmd_adjoint(args) -> int:
     return 0
 
 
-def _emit_report(report, out: Path, stem: str) -> None:
-    report.write_csv(out / f"{stem}.csv")
-    report.write_summary(out / f"{stem}.json")
-    const = report.empirical_constant
-    flag = " (s-unstable)" if report.unstable_s else ""
-    print(f"{report.name}: empirical constant "
-          f"{'n/a' if const is None else f'{const:.6g}'}{flag}")
-
-
-def _cmd_hardy(args) -> int:
+def _cmd_audit(args) -> int:
     scenario = _load(args)
+    reports = AUDITS[args.audit](scenario, **args.audit_params(args))
+    if not reports:
+        raise ConfigError(f"{args.audit} audit: nothing to audit for this "
+                          f"coefficient")
     out = _out_dir(args)
-    spec = scenario.spec
-    deg = classify_degeneracy(spec.k)
-    ran = False
-    if deg.degenerate_at_one and deg.theta1 is not None \
-            and abs(deg.theta1 - 1.0) > 1e-9:
-        theta = float(deg.theta1)
-        case = "HP1" if theta < 1.0 else "HP2"
-        fns = _hardy_functions(1.0, theta, args.count, scenario.seed)
-        _emit_report(hardy_ratio(spec.k, theta, case, fns),
-                     out, "hardy_at_one")
-        ran = True
-    if deg.degenerate_at_zero and deg.theta0 is not None \
-            and abs(deg.theta0 - 1.0) > 1e-9:
-        theta = float(deg.theta0)
-        case = "HP1" if theta < 1.0 else "HP2"
-        fns = _hardy_functions(0.0, theta, args.count, scenario.seed)
-        _emit_report(hardy_ratio_at_zero(spec.k, theta, case, fns),
-                     out, "hardy_at_zero")
-        ran = True
-    if not ran:
-        raise ConfigError("coefficient has no degenerate endpoint with a "
-                          "usable exponent; nothing to audit")
-    return 0
-
-
-def _cmd_carleman(args) -> int:
-    scenario = _load(args)
-    out = _out_dir(args)
-    spec = scenario.spec
-    sweep = _sweep(args)
-    samples = manufactured_family(spec, args.count, scenario.seed)
-    weights = build_carleman_weights(
-        spec.grid, spec.k,
-        **({"s_sweep": sweep} if sweep is not None else {}))
-    deg = classify_degeneracy(spec.k)
-    if deg.degenerate_at_one and not deg.degenerate_at_zero:
-        _emit_report(carleman_audit_deg1(samples, weights), out,
-                     "carleman_deg1")
-    else:
-        _emit_report(carleman_audit_deg0(samples, weights), out,
-                     "carleman_deg0")
-    if deg.degenerate_at_zero != deg.degenerate_at_one:
-        _emit_report(
-            carleman_local_audit(samples, spec.omega, sweep, coef=spec.k),
-            out, "carleman_local")
-    return 0
-
-
-def _cmd_caccioppoli(args) -> int:
-    scenario = _load(args)
-    out = _out_dir(args)
-    spec = scenario.spec
-    samples = manufactured_family(spec, args.count, scenario.seed)
-    lo, hi = spec.omega
-    shrink = 0.25 * (hi - lo)
-    psi = lambda x: -(1.0 + 4.0 * np.asarray(x, dtype=float)
-                      * (1.0 - np.asarray(x, dtype=float)))
-    sweep = _sweep(args)
-    s = float(sweep[0]) if sweep else 1.0
-    _emit_report(caccioppoli_audit(samples, (lo + shrink, hi - shrink),
-                                   spec.omega, psi, s=s),
-                 out, "caccioppoli")
-    return 0
-
-
-def _cmd_observability(args) -> int:
-    scenario = _load(args)
-    out = _out_dir(args)
-    grid = scenario.spec.grid
-    ensemble = [random_final_data(grid, seed=scenario.seed, stream=i + 1)
-                for i in range(args.count)]
-    report = observability_ratio(scenario.spec, ensemble,
-                                 scenario.hum.delta)
-    _emit_report(report, out, "observability")
+    for stem, report in reports:
+        report.write_csv(out / f"{stem}.csv")
+        report.write_summary(out / f"{stem}.json")
+        const = report.empirical_constant
+        flag = " (s-unstable)" if report.unstable_s else ""
+        print(f"{report.name}: empirical constant "
+              f"{'n/a' if const is None else f'{const:.6g}'}{flag}")
     return 0
 
 
@@ -237,10 +150,7 @@ def _cmd_glue(args) -> int:
 
 
 def _cmd_r0(args) -> int:
-    if args.config is not None:
-        scenario = load_scenario(args.config)
-    else:
-        scenario = preset(args.preset)
+    scenario = _load(args)
     r0 = net_reproduction_rate(scenario.spec.rates, scenario.spec.grid.A)
     label = classify_growth(r0)
     line = f"R0 = {r0:.6g} ({label})"
@@ -295,7 +205,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--count", type=int, default=100,
                    help="number of random test functions")
-    p.set_defaults(handler=_cmd_hardy)
+    p.set_defaults(handler=_cmd_audit, audit="hardy", audit_params=lambda a: {
+        "count": a.count, "n_quad": 400_001})
 
     p = sub.add_parser("carleman-audit",
                        help="weighted Carleman inequality report")
@@ -303,7 +214,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=3,
                    help="number of manufactured samples")
     p.add_argument("--s-sweep", help="comma separated s values")
-    p.set_defaults(handler=_cmd_carleman)
+    p.set_defaults(handler=_cmd_audit, audit="carleman",
+                   audit_params=lambda a: {"count": a.count,
+                                           "s_sweep": _sweep(a)})
 
     p = sub.add_parser("caccioppoli-audit",
                        help="interior gradient bound report")
@@ -311,12 +224,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=3,
                    help="number of manufactured samples")
     p.add_argument("--s-sweep", help="comma separated s values (first used)")
-    p.set_defaults(handler=_cmd_caccioppoli)
+    p.set_defaults(handler=_cmd_audit, audit="caccioppoli",
+                   audit_params=lambda a: {"count": a.count,
+                                           "s": _sweep(a)[0]})
 
     p = sub.add_parser("observability", help="empirical observability ratios")
     common(p)
     p.add_argument("--count", type=int, default=20, help="ensemble size")
-    p.set_defaults(handler=_cmd_observability)
+    p.set_defaults(handler=_cmd_audit, audit="observability",
+                   audit_params=lambda a: {"count": a.count})
 
     p = sub.add_parser("hum", help="penalized HUM control solve")
     common(p)
@@ -349,16 +265,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ControlError, ArithmeticError, FloatingPointError) as exc:
+    except (RuntimeError, ArithmeticError) as exc:  # ControlError included
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-
 
 if __name__ == "__main__":
     raise SystemExit(main())

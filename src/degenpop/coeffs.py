@@ -28,7 +28,6 @@ __all__ = [
     "CarlemanWeights",
     "build_carleman_weights",
     "eval_theta",
-    "eval_weights",
     "HypothesisCheck",
     "HypothesisReport",
     "validate_hypotheses",
@@ -300,11 +299,9 @@ def _cumulative_integral(fn, nodes: np.ndarray, refine: int = 32,
 class CarlemanWeights:
     """Cached spatial profiles for the weighted audit integrals.
 
-    p is the primitive of y/k(y) from 0 (degeneracy at 0), p_bar the one of
-    (y-1)/k(y); sigma and Psi are the non-degenerate profiles built from
-    frak_d = sup|k'| and are only available when k is strictly positive on
-    the grid span.  The stored phi_bar normalization is Theta*(p_bar -
-    ||p_bar||_inf), the exact x -> 1-x mirror of phi = Theta*(p - 2||p||_inf).
+    p is the primitive of y/k(y) from 0 (degeneracy at 0); sigma and Psi
+    are the non-degenerate profiles built from frak_d = sup|k'| and are
+    only available when k is strictly positive on the grid span.
     """
 
     grid: Grid
@@ -313,9 +310,7 @@ class CarlemanWeights:
     frak_d: float | None = None
     s_sweep: tuple[float, ...] = DEFAULT_S_SWEEP
     p: np.ndarray = field(init=False)
-    p_bar: np.ndarray = field(init=False)
     p_inf: float = field(init=False)
-    p_bar_inf: float = field(init=False)
     sigma: np.ndarray | None = field(init=False, default=None)
     sigma_max: float = field(init=False, default=0.0)
     Psi: np.ndarray | None = field(init=False, default=None)
@@ -332,13 +327,9 @@ class CarlemanWeights:
             self.p = np.power(xs, 2.0 - a0) / (2.0 - a0)
         else:
             self.p = _cumulative_integral(
-                lambda y: _safe_ratio(y, self.coef, offset=0.0),
+                lambda y: _safe_ratio(y, self.coef),
                 xs, singular_lo=(lo == 0.0), singular_hi=(hi == 1.0))
-        self.p_bar = _cumulative_integral(
-            lambda y: _safe_ratio(y, self.coef, offset=1.0),
-            xs, singular_lo=(lo == 0.0), singular_hi=(hi == 1.0))
         self.p_inf = float(np.max(np.abs(self.p)))
-        self.p_bar_inf = float(np.max(np.abs(self.p_bar)))
 
         kv = self.coef.k(xs)
         if np.all(kv > 0.0):
@@ -357,9 +348,6 @@ class CarlemanWeights:
         """Negative spatial part of phi: phi = Theta * phi_profile."""
         return self.p - 2.0 * self.p_inf
 
-    def phi_bar_profile(self) -> np.ndarray:
-        return self.p_bar - self.p_bar_inf
-
     def require_nondeg(self) -> None:
         if self.Psi is None:
             raise ValueError(
@@ -367,12 +355,11 @@ class CarlemanWeights:
                 "on the grid span with frak_d = sup|k'| > 0 (pass frak_d to override)")
 
 
-def _safe_ratio(y: np.ndarray, coef: DegenerateCoefficient, offset: float) -> np.ndarray:
-    """(y - offset)/k(y) with sign conventions used by the primitives."""
+def _safe_ratio(y: np.ndarray, coef: DegenerateCoefficient) -> np.ndarray:
+    """y/k(y), infinite or NaN where k vanishes."""
     y = np.asarray(y, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = (y - offset) / coef.k(y)
-    return out
+        return y / coef.k(y)
 
 
 def build_carleman_weights(grid: Grid, coef: DegenerateCoefficient, *,
@@ -390,39 +377,6 @@ def eval_theta(t, a, T: float):
         out = np.where(denom > 0.0, 1.0 / np.where(denom > 0.0, denom, 1.0), np.inf)
     if out.ndim == 0:
         return float(out)
-    return out
-
-
-def eval_weights(weights: CarlemanWeights, s: float, t, a, x) -> dict:
-    """Pointwise weight values with exponentials evaluated in log space.
-
-    Returns phi, phi_bar, Phi (None without non-degenerate profiles) and
-    the exponentials exp(2 s phi), exp(2 s Phi); exponents below the
-    representable floor come out as exactly 0.0.
-    """
-    th = eval_theta(t, a, weights.grid.T)
-    th = np.asarray(th, dtype=float)
-    xs = np.asarray(x, dtype=float)
-    prof = np.interp(xs, weights.grid.x_nodes, weights.phi_profile())
-    prof_bar = np.interp(xs, weights.grid.x_nodes, weights.phi_bar_profile())
-    with np.errstate(invalid="ignore"):
-        phi = np.where(np.isinf(th), -np.inf, th * prof)
-        phi_bar = np.where(np.isinf(th), -np.inf, th * prof_bar)
-
-    def _exp2s(values):
-        if s == 0.0:
-            return np.ones_like(values)
-        with np.errstate(over="ignore"):
-            return np.exp(2.0 * s * values)
-
-    out = {"phi": phi, "phi_bar": phi_bar, "Phi": None,
-           "exp2s_phi": _exp2s(phi), "exp2s_Phi": None}
-    if weights.Psi is not None:
-        psi_prof = np.interp(xs, weights.grid.x_nodes, weights.Psi)
-        with np.errstate(invalid="ignore"):
-            Phi = np.where(np.isinf(th), -np.inf, th * psi_prof)
-        out["Phi"] = Phi
-        out["exp2s_Phi"] = _exp2s(Phi)
     return out
 
 

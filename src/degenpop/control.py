@@ -30,7 +30,6 @@ __all__ = [
     "hum_control",
     "compose_delay_control",
     "glue_two_sided",
-    "control_bound_report",
     "forward_defect",
     "scheme_consistency_error",
 ]
@@ -552,22 +551,3 @@ def glue_two_sided(spec: ProblemSpec, config: HUMConfig, alpha_bar: float,
                      "alpha_bar": float(xs[i_a]), "beta_bar": float(xs[i_b]),
                      "sub_residuals": [sol1.final_residual,
                                        sol2.final_residual]})
-
-
-# ---------------------------------------------------------------------------
-# ensemble reporting
-
-
-def control_bound_report(solutions) -> dict:
-    """Tabulate bound_ratio over an ensemble and assert finiteness."""
-    if not solutions:
-        raise ValueError("empty solution list")
-    rows = []
-    for i, sol in enumerate(solutions):
-        if not math.isfinite(sol.bound_ratio):
-            raise ArithmeticError(f"solution {i} has non-finite bound_ratio")
-        rows.append({"run": i, "control_norm": sol.control_norm,
-                     "final_residual": sol.final_residual,
-                     "bound_ratio": sol.bound_ratio})
-    ratios = [r["bound_ratio"] for r in rows if r["bound_ratio"] > 0.0]
-    return {"rows": rows, "max_ratio": max(ratios) if ratios else None}

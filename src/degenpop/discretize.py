@@ -1,4 +1,4 @@
-"""Grids, nodal fields, quadrature, random data and snapshot I/O.
+"""Grids, nodal fields, quadrature, random data and CSV snapshots.
 
 Everything downstream works on a closed tensor grid over time t in [0, T],
 age a in [0, A] and space x in an interval (default (0, 1)).  Fields store
@@ -11,8 +11,7 @@ diffusion factors) can be integrated without special-casing callers.
 from __future__ import annotations
 
 import csv
-import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,12 +28,7 @@ __all__ = [
     "spawn_rng",
     "write_field_csv",
     "read_field_csv",
-    "write_field_raw",
-    "read_field_raw",
-    "RAW_FORMAT_VERSION",
 ]
-
-RAW_FORMAT_VERSION = 1
 
 _REL_TOL = 1e-12
 
@@ -43,11 +37,10 @@ _REL_TOL = 1e-12
 class Grid:
     """Tensor grid over [0, T] x [0, A] x [x_lo, x_hi] with Nt/Na/Nx cells.
 
-    When ``dt_equals_da`` is set (the default, and required by the
-    evolution solvers) the time and age spacings must agree exactly, so
-    that the transport part of the dynamics advects one age cell per time
-    step.  ``x_span`` defaults to (0, 1); subinterval grids are used by the
-    two-sided gluing construction and keep the parent spacing.
+    The time and age spacings must agree exactly, so that the transport
+    part of the dynamics advects one age cell per time step.  ``x_span``
+    defaults to (0, 1); subinterval grids are used by the two-sided gluing
+    construction and keep the parent spacing.
     """
 
     T: float
@@ -55,7 +48,6 @@ class Grid:
     Nt: int
     Na: int
     Nx: int
-    dt_equals_da: bool = True
     x_span: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self) -> None:
@@ -66,12 +58,10 @@ class Grid:
         lo, hi = self.x_span
         if not hi > lo:
             raise ValueError("x_span must be an increasing pair")
-        if self.dt_equals_da:
-            dt, da = self.T / self.Nt, self.A / self.Na
-            if abs(dt - da) > _REL_TOL * max(dt, da):
-                raise ValueError(
-                    f"dt_equals_da grid needs T/Nt == A/Na, got dt={dt!r}, da={da!r}"
-                )
+        dt, da = self.T / self.Nt, self.A / self.Na
+        if abs(dt - da) > _REL_TOL * max(dt, da):
+            raise ValueError(
+                f"grid needs T/Nt == A/Na, got dt={dt!r}, da={da!r}")
 
     @classmethod
     def aligned(cls, T: float, A: float, Nt: int, Nx: int,
@@ -176,33 +166,25 @@ class Field3:
 
 @dataclass
 class Field2:
-    """Nodal field over two of the grid axes (default (a, x))."""
+    """Nodal field over the (a, x) grid, shape (Na+1, Nx+1)."""
 
     grid: Grid
     values: np.ndarray
-    axes: tuple[str, str] = ("a", "x")
 
     def __post_init__(self) -> None:
-        self.axes = tuple(self.axes)  # type: ignore[assignment]
-        if len(self.axes) != 2 or len(set(self.axes)) != 2:
-            raise ValueError(f"axes must be two distinct names, got {self.axes}")
-        shape = tuple(len(self.grid.axis_nodes(ax)) for ax in self.axes)
+        shape = (self.grid.Na + 1, self.grid.Nx + 1)
         self.values = _check_values(self.values, shape, "Field2 values")
 
     @classmethod
-    def zeros(cls, grid: Grid, axes: tuple[str, str] = ("a", "x")) -> "Field2":
-        shape = tuple(len(grid.axis_nodes(ax)) for ax in axes)
-        return cls(grid, np.zeros(shape), axes)
+    def zeros(cls, grid: Grid) -> "Field2":
+        return cls(grid, np.zeros((grid.Na + 1, grid.Nx + 1)))
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn, axes: tuple[str, str] = ("a", "x")) -> "Field2":
-        u = grid.axis_nodes(axes[0])[:, None]
-        v = grid.axis_nodes(axes[1])[None, :]
-        shape = (u.size, v.size)
-        return cls(grid, np.broadcast_to(fn(u, v), shape).astype(float).copy(), axes)
+    @property
+    def axes(self) -> tuple[str, str]:
+        return ("a", "x")
 
     def copy(self) -> "Field2":
-        return Field2(self.grid, self.values.copy(), self.axes)
+        return Field2(self.grid, self.values.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +338,7 @@ def sine_mode_data(grid: Grid, coeffs: np.ndarray) -> Field2:
             vals += c[m, n] * np.outer(sa, np.sin((n + 1) * np.pi * xhat))
     vals *= ((grid.A - a) / grid.A)[:, None]
     vals[-1, :] = 0.0
-    return Field2(grid, vals, ("a", "x"))
+    return Field2(grid, vals)
 
 
 def random_final_data(grid: Grid, seed: int, modes: int = 4, stream: int = 0,
@@ -373,8 +355,6 @@ def random_final_data(grid: Grid, seed: int, modes: int = 4, stream: int = 0,
 
 # ---------------------------------------------------------------------------
 # snapshots
-
-_AXIS_ORDER = ("t", "a", "x")
 
 
 def write_field_csv(fld: Field2 | Field3, path) -> None:
@@ -398,35 +378,13 @@ def read_field_csv(path, grid: Grid):
         header = next(reader)
         axes = tuple(header[:-1])
         data = np.array([[float(v) for v in row] for row in reader])
+    if axes not in (("t", "a", "x"), ("a", "x")):
+        raise ValueError(
+            f"snapshot axes must be (t, a, x) or (a, x), got {axes}")
     shape = tuple(len(grid.axis_nodes(ax)) for ax in axes)
     if data.shape[0] != int(np.prod(shape)):
         raise ValueError("snapshot row count does not match grid")
     values = data[:, -1].reshape(shape)
     if len(axes) == 3:
         return Field3(grid, values)
-    return Field2(grid, values, axes)  # type: ignore[arg-type]
-
-
-def write_field_raw(fld: Field2 | Field3, path) -> None:
-    """Raw snapshot: 4 little-endian int64 (Nt, Na, Nx, version; -1 marks an
-    absent axis) followed by the float64 values, row-major."""
-    counts = {ax: len(fld.grid.axis_nodes(ax)) - 1 for ax in fld.axes}
-    header = [counts.get(ax, -1) for ax in _AXIS_ORDER] + [RAW_FORMAT_VERSION]
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4q", *header))
-        fh.write(np.ascontiguousarray(fld.values, dtype="<f8").tobytes())
-
-
-def read_field_raw(path, grid: Grid):
-    with open(path, "rb") as fh:
-        nt, na, nx, version = struct.unpack("<4q", fh.read(32))
-        payload = np.frombuffer(fh.read(), dtype="<f8")
-    if version != RAW_FORMAT_VERSION:
-        raise ValueError(f"unsupported raw snapshot version {version}")
-    counts = dict(zip(_AXIS_ORDER, (nt, na, nx)))
-    axes = tuple(ax for ax in _AXIS_ORDER if counts[ax] >= 0)
-    shape = tuple(counts[ax] + 1 for ax in axes)
-    values = payload.reshape(shape).astype(float)
-    if len(axes) == 3:
-        return Field3(grid, values)
-    return Field2(grid, values, axes)  # type: ignore[arg-type]
+    return Field2(grid, values)

@@ -156,9 +156,8 @@ class CutoffFamily:
 
     xi is 1 left of q1 = (2*alpha+rho)/3 and 0 right of the midpoint m of
     [q1, q2]; eta mirrors it (0 left of m, 1 right of q2 = (alpha+2*rho)/3);
-    phi_cut = 1 - xi - eta is the interior bump; tau plateaus at 1 on
-    [q1, q2] and vanishes outside (alpha_tilde, rho_tilde).  All
-    derivatives are supported strictly inside omega = (alpha, rho).
+    phi_cut = 1 - xi - eta is the interior bump.  All derivatives are
+    supported strictly inside omega = (alpha, rho).
     """
 
     alpha: float
@@ -180,14 +179,6 @@ class CutoffFamily:
     def mid(self) -> float:
         return 0.5 * (self.q1 + self.q2)
 
-    @property
-    def alpha_tilde(self) -> float:
-        return 0.5 * (self.alpha + self.q1)
-
-    @property
-    def rho_tilde(self) -> float:
-        return 0.5 * (self.q2 + self.rho)
-
     def xi(self, x, derivative: int = 0):
         val = _ramp(x, self.q1, self.mid, derivative)
         return (1.0 - val) if derivative == 0 else -val
@@ -198,11 +189,6 @@ class CutoffFamily:
     def phi_cut(self, x, derivative: int = 0):
         base = 1.0 if derivative == 0 else 0.0
         return base - self.xi(x, derivative) - self.eta(x, derivative)
-
-    def tau(self, x, derivative: int = 0):
-        rise = _ramp(x, self.alpha_tilde, self.q1, derivative)
-        fall = _ramp(x, self.q2, self.rho_tilde, derivative)
-        return rise - fall
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +536,8 @@ def carleman_audit_deg1(samples, weights: CarlemanWeights,
                         s_sweep=None) -> InequalityReport:
     """Mirror audit (degeneracy at x = 1, boundary observation at x = 0).
 
-    Implemented literally as the reflection x -> 1-x of the deg0 audit:
-    the stored phi_bar normalization equals the reflected phi exactly, so
-    the two audits agree to round-off on mirror-symmetric inputs.
+    Implemented literally as the reflection x -> 1-x of the deg0 audit,
+    so the two audits agree to round-off on mirror-symmetric inputs.
     """
     _check_samples(samples)
     grid = weights.grid
@@ -616,7 +601,6 @@ def carleman_audit_nondeg(samples, weights: CarlemanWeights,
 def _subgrid_from(grid: Grid, i0: int, i1: int) -> Grid:
     xs = grid.x_nodes
     return Grid(T=grid.T, A=grid.A, Nt=grid.Nt, Na=grid.Na, Nx=i1 - i0,
-                dt_equals_da=grid.dt_equals_da,
                 x_span=(float(xs[i0]), float(xs[i1])))
 
 

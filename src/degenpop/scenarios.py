@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,9 +22,10 @@ from .coeffs import (DEFAULT_S_SWEEP, PowerLaw, Tabulated, VitalRates,
 from .control import HUMConfig, compose_delay_control
 from .discretize import Field2, Grid, random_final_data, write_field_csv
 from .inequalities import (caccioppoli_audit, carleman_audit_deg0,
-                           carleman_local_audit, hardy_ratio,
-                           hardy_ratio_at_zero, manufactured_family,
-                           observability_ratio, random_hardy_test_functions)
+                           carleman_audit_deg1, carleman_local_audit,
+                           hardy_ratio, hardy_ratio_at_zero,
+                           manufactured_family, observability_ratio,
+                           random_hardy_test_functions)
 from .solver import ProblemSpec, control_norm, lattice_norm, solve_forward
 
 __all__ = [
@@ -37,10 +39,9 @@ __all__ = [
     "load_scenario",
     "scenario_from_config",
     "run_scenario",
+    "AUDITS",
     "AUDIT_NAMES",
 ]
-
-AUDIT_NAMES = ("hardy", "carleman", "caccioppoli", "observability")
 
 
 class ConfigError(ValueError):
@@ -165,12 +166,7 @@ def rate_profile(entry: dict, path: str = "rate"):
             -((np.asarray(a, dtype=float) - center) / width) ** 2)
 
     if form == "table":
-        points = _want(entry, "points", path, list)
-        try:
-            arr = np.asarray(points, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f'key "{path}.points" must be [[age, value], ...]') from None
+        arr = _want_array(entry, "points", path)
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2 \
                 or np.any(np.diff(arr[:, 0]) <= 0):
             raise ConfigError(
@@ -310,9 +306,35 @@ def _want(mapping: dict, key: str, path: str, kind, *,
     if kind == (int, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f'key "{dotted}" must be a number')
+        if not _is_finite(value):
+            raise ConfigError(f'key "{dotted}" must be a finite number')
     elif not isinstance(value, kind):
         raise ConfigError(f'key "{dotted}" must be {_KIND_NAMES[kind]}')
     return value
+
+
+def _is_finite(value) -> bool:
+    """False for NaN, infinities and integers beyond the float range, all
+    of which json accepts."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _want_array(mapping: dict, key: str, path: str, *,
+                required: bool = True) -> np.ndarray | None:
+    """A list (or table of rows) of finite numbers as a float array."""
+    raw = _want(mapping, key, path, list, required=required)
+    if raw is None:
+        return None
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or not np.all(np.isfinite(arr)):
+        raise ConfigError(f'key "{path}.{key}" must hold finite numbers only')
+    return arr
 
 
 def _reject_unknown(mapping: dict, allowed, path: str) -> None:
@@ -335,12 +357,12 @@ def _coefficient_from(entry: dict, path: str):
             raise ConfigError(f'key "{path}": {exc}') from None
     if form == "table":
         _reject_unknown(entry, {"form", "x", "k", "kprime"}, path)
-        xs = np.asarray(_want(entry, "x", path, list), dtype=float)
-        kv = np.asarray(_want(entry, "k", path, list), dtype=float)
-        kp_raw = _want(entry, "kprime", path, list, required=False)
+        xs = _want_array(entry, "x", path)
+        kv = _want_array(entry, "k", path)
+        kp = _want_array(entry, "kprime", path, required=False)
         try:
-            kp = (np.gradient(kv, xs, edge_order=2) if kp_raw is None
-                  else np.asarray(kp_raw, dtype=float))
+            if kp is None:
+                kp = np.gradient(kv, xs, edge_order=2)
             return Tabulated(xs, kv, kp)
         except ValueError as exc:
             raise ConfigError(f'key "{path}": {exc}') from None
@@ -376,7 +398,7 @@ def scenario_from_config(cfg: dict, *, name: str = "scenario") -> Scenario:
     omega_raw = _want(model, "omega", "model", list)
     if len(omega_raw) != 2 or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in omega_raw):
+            and _is_finite(v) for v in omega_raw):
         raise ConfigError('key "model.omega" must be a pair of numbers')
     omega = (float(omega_raw[0]), float(omega_raw[1]))
 
@@ -453,64 +475,82 @@ def _hardy_functions(vanish_at: float, theta: float, count: int, seed: int):
     return random_hardy_test_functions(case, count, seed)
 
 
-def _run_audit(name: str, scenario: Scenario, out: Path) -> list:
-    spec, seed = scenario.spec, scenario.seed
-    grid = spec.grid
-    written = []
-
-    def emit(report, stem):
-        report.write_csv(out / f"{stem}.csv")
-        report.write_summary(out / f"{stem}.json")
-        written.extend([f"{stem}.csv", f"{stem}.json"])
-
-    if name == "hardy":
-        deg = classify_degeneracy(spec.k)
-        if deg.degenerate_at_one and deg.theta1 is not None \
-                and abs(deg.theta1 - 1.0) > 1e-9:
-            theta = float(deg.theta1)
+def _hardy_audit(scenario: Scenario, *, count: int, n_quad: int) -> list:
+    """Hardy ratios at each degenerate endpoint with exponent theta != 1."""
+    k, seed = scenario.spec.k, scenario.seed
+    deg = classify_degeneracy(k)
+    reports = []
+    for stem, degenerate, theta, vanish_at, ratio in (
+            ("hardy_at_one", deg.degenerate_at_one, deg.theta1, 1.0,
+             hardy_ratio),
+            ("hardy_at_zero", deg.degenerate_at_zero, deg.theta0, 0.0,
+             hardy_ratio_at_zero)):
+        if degenerate and theta is not None and abs(theta - 1.0) > 1e-9:
+            theta = float(theta)
             case = "HP1" if theta < 1.0 else "HP2"
-            fns = _hardy_functions(1.0, theta, 40, seed)
-            emit(hardy_ratio(spec.k, theta, case, fns, n_quad=100_001),
-                 "audit_hardy_at_one")
-        if deg.degenerate_at_zero and deg.theta0 is not None \
-                and abs(deg.theta0 - 1.0) > 1e-9:
-            theta = float(deg.theta0)
-            case = "HP1" if theta < 1.0 else "HP2"
-            fns = _hardy_functions(0.0, theta, 40, seed)
-            emit(hardy_ratio_at_zero(spec.k, theta, case, fns,
-                                     n_quad=100_001),
-                 "audit_hardy_at_zero")
-        return written
+            fns = _hardy_functions(vanish_at, theta, count, seed)
+            reports.append((stem, ratio(k, theta, case, fns, n_quad=n_quad)))
+    return reports
 
-    if name == "carleman":
-        samples = manufactured_family(spec, 3, seed)
-        weights = build_carleman_weights(grid, spec.k)
-        emit(carleman_audit_deg0(samples, weights), "audit_carleman")
-        deg = classify_degeneracy(spec.k)
-        if deg.degenerate_at_zero and not deg.degenerate_at_one:
-            emit(carleman_local_audit(samples, spec.omega, coef=spec.k),
-                 "audit_carleman_local")
-        return written
 
-    if name == "caccioppoli":
-        samples = manufactured_family(spec, 3, seed)
-        lo, hi = spec.omega
-        shrink = 0.25 * (hi - lo)
-        psi = lambda x: -(1.0 + 4.0 * np.asarray(x, dtype=float)
-                          * (1.0 - np.asarray(x, dtype=float)))
-        emit(caccioppoli_audit(samples, (lo + shrink, hi - shrink),
-                               spec.omega, psi, s=float(DEFAULT_S_SWEEP[0])),
-             "audit_caccioppoli")
-        return written
+def _carleman_audit(scenario: Scenario, *, count: int,
+                    s_sweep: tuple[float, ...]) -> list:
+    """Carleman estimate observed at the end opposite a one-sided
+    degeneracy (x = 1 for two-sided k), plus the omega-local estimate when
+    exactly one end degenerates."""
+    spec = scenario.spec
+    samples = manufactured_family(spec, count, scenario.seed)
+    weights = build_carleman_weights(spec.grid, spec.k, s_sweep=s_sweep)
+    deg = classify_degeneracy(spec.k)
+    if deg.degenerate_at_one and not deg.degenerate_at_zero:
+        reports = [("carleman_deg1", carleman_audit_deg1(samples, weights))]
+    else:
+        reports = [("carleman_deg0", carleman_audit_deg0(samples, weights))]
+    if deg.degenerate_at_zero != deg.degenerate_at_one:
+        reports.append(("carleman_local", carleman_local_audit(
+            samples, spec.omega, s_sweep, coef=spec.k)))
+    return reports
 
-    if name == "observability":
-        ensemble = [random_final_data(grid, seed=seed, stream=i + 1)
-                    for i in range(20)]
-        emit(observability_ratio(spec, ensemble, scenario.hum.delta),
-             "audit_observability")
-        return written
 
-    raise ValueError(f"unknown audit {name!r}")
+def _caccioppoli_audit(scenario: Scenario, *, count: int, s: float) -> list:
+    """Interior gradient bound on the middle half of omega."""
+    spec = scenario.spec
+    samples = manufactured_family(spec, count, scenario.seed)
+    lo, hi = spec.omega
+    shrink = 0.25 * (hi - lo)
+    psi = lambda x: -(1.0 + 4.0 * np.asarray(x, dtype=float)
+                      * (1.0 - np.asarray(x, dtype=float)))
+    return [("caccioppoli", caccioppoli_audit(
+        samples, (lo + shrink, hi - shrink), spec.omega, psi, s=s))]
+
+
+def _observability_audit(scenario: Scenario, *, count: int) -> list:
+    """Observability ratios over ``count`` random final data."""
+    grid = scenario.spec.grid
+    ensemble = [random_final_data(grid, seed=scenario.seed, stream=i + 1)
+                for i in range(count)]
+    return [("observability", observability_ratio(
+        scenario.spec, ensemble, scenario.hum.delta))]
+
+
+# name -> fn(scenario, **params) -> [(stem, InequalityReport)], shared by
+# the CLI's audit subcommands and run_scenario; callers pass every parameter
+AUDITS = {
+    "hardy": _hardy_audit,
+    "carleman": _carleman_audit,
+    "caccioppoli": _caccioppoli_audit,
+    "observability": _observability_audit,
+}
+AUDIT_NAMES = tuple(AUDITS)
+
+# run_scenario's fixed audit sizes; the Hardy ones are smaller than the
+# CLI's so that a whole pipeline stays within seconds
+_RUN_AUDIT_PARAMS = {
+    "hardy": {"count": 40, "n_quad": 100_001},
+    "carleman": {"count": 3, "s_sweep": DEFAULT_S_SWEEP},
+    "caccioppoli": {"count": 3, "s": DEFAULT_S_SWEEP[0]},
+    "observability": {"count": 20},
+}
 
 
 def run_scenario(scenario: Scenario, out_dir) -> dict:
@@ -536,7 +576,13 @@ def run_scenario(scenario: Scenario, out_dir) -> dict:
     written.extend(["energy.csv", "final_state.csv"])
 
     for audit in scenario.audits:
-        written.extend(_run_audit(audit, scenario, out))
+        for stem, report in AUDITS[audit](scenario, **_RUN_AUDIT_PARAMS[audit]):
+            # one artifact name per audit, whichever end Carleman observes
+            stem = "audit_carleman" if stem.startswith("carleman_deg") \
+                else f"audit_{stem}"
+            report.write_csv(out / f"{stem}.csv")
+            report.write_summary(out / f"{stem}.json")
+            written.extend([f"{stem}.csv", f"{stem}.json"])
 
     control = compose_delay_control(spec, scenario.hum)
     control.write_cg_csv(out / "control_cg.csv")

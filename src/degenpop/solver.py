@@ -29,7 +29,6 @@ __all__ = [
     "Trajectory",
     "solve_forward",
     "solve_adjoint",
-    "characteristic_gamma",
     "characteristic_consistency",
     "ConsistencyReport",
     "energy_audit",
@@ -123,8 +122,6 @@ class _Propagator:
 
     def __init__(self, spec: ProblemSpec, t_offset: float = 0.0):
         grid = spec.grid
-        if not grid.dt_equals_da:
-            raise ValueError("solver requires a grid with dt equal to da")
         self.spec = spec
         self.grid = grid
         self.t_offset = t_offset
@@ -310,12 +307,6 @@ def solve_adjoint(spec: ProblemSpec, v_T: Field2, *, source: Field3 | None = Non
     return Trajectory(state=Field3(grid, values), kind="adjoint",
                       t_offset=t_offset, norms=norms, fluxes=fluxes,
                       observation=Field3(grid, obs))
-
-
-def characteristic_gamma(t: float, a: float, T_tilde: float, a_bar: float,
-                         A: float) -> float:
-    """Age-room along the backward characteristic: min(a_bar, A-a+t-T_tilde)."""
-    return min(a_bar, A - a + t - T_tilde)
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,29 @@ class TestExitCodes:
         assert cli.main(["hum", "--config", str(tiny_config),
                          "--out", str(tmp_path / "o")]) == 3
 
+    def test_runtime_error_maps_to_3(self, tiny_config, tmp_path, monkeypatch,
+                                     capsys):
+        def boom(spec):
+            raise RuntimeError("tridiagonal solve failed")
+        monkeypatch.setattr(cli, "solve_forward", boom)
+        assert cli.main(["simulate", "--config", str(tiny_config),
+                         "--out", str(tmp_path / "o")]) == 3
+        assert "tridiagonal solve failed" in capsys.readouterr().err
+
+    def test_unwritable_out_maps_to_2(self, tiny_config, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli.main(["simulate", "--config", str(tiny_config),
+                         "--out", str(blocker / "sub")]) == 2
+
+    def test_non_finite_config_maps_to_2(self, tmp_path, capsys):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["model"]["mu"]["value"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(cfg))  # writes a bare NaN token
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert '"model.mu.value"' in capsys.readouterr().err
+
 
 class TestCommands:
     def test_validate_prints_report(self, tiny_config, capsys):
@@ -186,3 +209,41 @@ class TestCommands:
                          "--out", str(out_b), "--seed", "2"]) == 0
         assert (out_a / "final_state.csv").read_bytes() != \
             (out_b / "final_state.csv").read_bytes()
+
+
+class TestAuditParity:
+    """The audit subcommands at their defaults and ``run`` share one
+    implementation, so they write the same reports byte for byte."""
+
+    @pytest.mark.parametrize("alpha0,alpha1", [(0.5, 0.5), (0.5, 0.0),
+                                               (0.0, 0.5)])
+    def test_cli_and_run_write_identical_reports(self, tmp_path, alpha0,
+                                                 alpha1):
+        cfg = json.loads(json.dumps(TINY))
+        cfg["model"]["k"] = {"form": "power", "alpha0": alpha0,
+                             "alpha1": alpha1}
+        cfg["audits"] = ["carleman", "caccioppoli", "observability"]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(cfg))
+        commands = ("carleman-audit", "caccioppoli-audit", "observability")
+        for command in (*commands, "run"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == 0
+
+        # (subcommand, CLI stem) -> run stem
+        carleman = "carleman_deg1" if alpha0 == 0.0 else "carleman_deg0"
+        pairs = {("carleman-audit", carleman): "audit_carleman",
+                 ("caccioppoli-audit", "caccioppoli"): "audit_caccioppoli",
+                 ("observability", "observability"): "audit_observability"}
+        if (alpha0 == 0.0) != (alpha1 == 0.0):
+            pairs[("carleman-audit", "carleman_local")] = \
+                "audit_carleman_local"
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert {n for n in manifest["artifacts"] if n.startswith("audit_")} \
+            == {stem + ext for stem in pairs.values() for ext in (".csv", ".json")}
+        assert {(c, p.name) for c in commands for p in (tmp_path / c).iterdir()} \
+            == {(c, stem + ext) for c, stem in pairs for ext in (".csv", ".json")}
+        for (command, stem), run_stem in pairs.items():
+            for ext in (".csv", ".json"):
+                assert (tmp_path / command / (stem + ext)).read_bytes() == \
+                    (tmp_path / "run" / (run_stem + ext)).read_bytes()

@@ -6,8 +6,7 @@ import pytest
 
 from degenpop.coeffs import PowerLaw, VitalRates
 from degenpop.control import (ControlError, HUMConfig, compose_delay_control,
-                              control_bound_report, forward_defect,
-                              glue_two_sided, hum_control,
+                              forward_defect, glue_two_sided, hum_control,
                               scheme_consistency_error)
 from degenpop.discretize import Field2, Field3, Grid, random_final_data
 from degenpop.solver import ProblemSpec, lattice_norm, solve_forward
@@ -251,21 +250,3 @@ class TestGlueTwoSided:
         with pytest.raises(ValueError, match="y0"):
             glue_two_sided(bare, CONFIG, 3.0 / 16.0, 14.0 / 16.0)
 
-
-class TestBoundReport:
-    def test_tabulates_solutions(self):
-        spec = make_spec()
-        sols = [hum_control(spec, CONFIG),
-                hum_control(spec, CONFIG, y0=Field2.zeros(spec.grid))]
-        report = control_bound_report(sols)
-        assert len(report["rows"]) == 2
-        assert report["max_ratio"] == sols[0].bound_ratio
-
-    def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(ValueError, match="empty"):
-            control_bound_report([])
-        spec = make_spec()
-        sol = hum_control(spec, CONFIG)
-        broken = dataclasses.replace(sol, bound_ratio=math.inf)
-        with pytest.raises(ArithmeticError, match="non-finite"):
-            control_bound_report([broken])

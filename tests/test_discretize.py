@@ -5,9 +5,8 @@ from scipy import integrate as sp_integrate
 
 from degenpop.discretize import (Field2, Field3, Grid, axis_weights,
                                  integrate_nodes, random_final_data,
-                                 read_field_csv, read_field_raw,
-                                 sine_mode_data, spawn_rng, weighted_norm,
-                                 write_field_csv, write_field_raw)
+                                 read_field_csv, sine_mode_data, spawn_rng,
+                                 weighted_norm, write_field_csv)
 
 
 def make_grid(Nt=6, Nx=8):
@@ -153,19 +152,3 @@ class TestSnapshotIO:
         back = read_field_csv(path, g)
         np.testing.assert_array_equal(back.values, fld.values)
         assert back.axes == ("a", "x")
-
-    def test_raw_round_trip_field3(self, tmp_path):
-        g = make_grid(3, 4)
-        fld = Field3(g, spawn_rng(6).standard_normal(
-            (g.Nt + 1, g.Na + 1, g.Nx + 1)))
-        path = tmp_path / "snap.raw"
-        write_field_raw(fld, path)
-        back = read_field_raw(path, g)
-        np.testing.assert_array_equal(back.values, fld.values)
-
-    def test_raw_version_guard(self, tmp_path):
-        path = tmp_path / "bad.raw"
-        import struct
-        path.write_bytes(struct.pack("<4q", 3, 4, 5, 99))
-        with pytest.raises(ValueError, match="version"):
-            read_field_raw(path, make_grid())

@@ -287,20 +287,16 @@ class TestCutoffFamily:
         assert np.all(cut.xi(mid) == 0.0)
         assert np.all(cut.eta(right) == 1.0)
         assert np.all(cut.eta(np.linspace(0.0, cut.mid, 50)) == 0.0)
-        plateau = np.linspace(cut.q1, cut.q2, 50)
-        assert np.all(cut.tau(plateau) == 1.0)
-        assert np.all(cut.tau(np.linspace(0.0, cut.alpha_tilde, 20)) == 0.0)
-        assert np.all(cut.tau(np.linspace(cut.rho_tilde, 1.0, 20)) == 0.0)
 
     def test_derivatives_supported_inside_window(self):
         cut = CutoffFamily(0.3, 0.7)
         outside = np.concatenate([np.linspace(0.0, 0.3, 40),
                                   np.linspace(0.7, 1.0, 40)])
-        for fn in (cut.xi, cut.eta, cut.phi_cut, cut.tau):
+        for fn in (cut.xi, cut.eta, cut.phi_cut):
             assert np.all(fn(outside, derivative=1) == 0.0)
             assert np.all(fn(outside, derivative=2) == 0.0)
 
-    @pytest.mark.parametrize("name", ["xi", "eta", "phi_cut", "tau"])
+    @pytest.mark.parametrize("name", ["xi", "eta", "phi_cut"])
     def test_derivative_formulas_match_finite_differences(self, name):
         cut = CutoffFamily(0.25, 0.8)
         fn = getattr(cut, name)

@@ -219,6 +219,24 @@ class TestScenarioFromConfig:
         with pytest.raises(ConfigError, match="pair of numbers"):
             scenario_from_config(cfg)
 
+    @pytest.mark.parametrize("key,entry,dotted", [
+        ("T", float("inf"), "model.T"),
+        ("delta", 10 ** 400, "model.delta"),
+        ("mu", {"form": "constant", "value": float("nan")}, "model.mu.value"),
+        ("mu", {"form": "table", "points": [[0.0, 0.2], [2.0, float("inf")]]},
+         "model.mu.points"),
+        ("k", {"form": "table", "x": [0.0, 0.5, 1.0],
+               "k": [0.0, float("nan"), 0.0]}, "model.k.k"),
+        ("k", {"form": "table", "x": [0.0, 0.5, 1.0], "k": [0.0, 0.25, 0.0],
+               "kprime": [float("inf"), 0.0, -1.0]}, "model.k.kprime"),
+        ("omega", [0.3, float("nan")], "model.omega"),
+    ])
+    def test_non_finite_numbers_rejected(self, key, entry, dotted):
+        cfg = config()
+        cfg["model"][key] = entry
+        with pytest.raises(ConfigError, match=f'"{dotted}"'):
+            scenario_from_config(cfg)
+
     def test_grid_mismatch_wrapped(self):
         cfg = config(grid={"Nt": 8, "Na": 15, "Nx": 10})
         with pytest.raises(ConfigError, match='key "grid"'):

@@ -6,9 +6,9 @@ from degenpop.coeffs import PowerLaw, VitalRates
 from degenpop.discretize import (Field2, Field3, Grid, random_final_data,
                                  sine_mode_data, spawn_rng)
 from degenpop.solver import (ProblemSpec, characteristic_consistency,
-                             characteristic_gamma, control_inner,
-                             control_norm, energy_audit, lattice_inner,
-                             lattice_norm, solve_adjoint, solve_forward)
+                             control_inner, control_norm, energy_audit,
+                             lattice_inner, lattice_norm, solve_adjoint,
+                             solve_forward)
 
 
 def beta_ramp(a, x):
@@ -265,14 +265,6 @@ class TestManufacturedConvergence:
 
 
 class TestCharacteristics:
-    @pytest.mark.parametrize("t,a,T_tilde,a_bar,A,expected", [
-        (2.0, 1.0, 1.0, 1.0, 1.0, 1.0),   # min(1, 1-1+2-1) = 1
-        (1.0, 1.0, 1.0, 0.5, 1.0, 0.0),   # A = a, t = T_tilde
-        (1.0, 1.5, 0.5, 1.0, 2.0, 1.0),   # tie: both equal 1
-    ])
-    def test_gamma_examples(self, t, a, T_tilde, a_bar, A, expected):
-        assert characteristic_gamma(t, a, T_tilde, a_bar, A) == expected
-
     def test_consistency_requires_no_fertility(self):
         spec = make_spec()
         with pytest.raises(ValueError, match="beta == 0"):
