@@ -16,9 +16,9 @@ from pathlib import Path
 from .coeffs import DEFAULT_S_SWEEP
 from .control import ControlSolution, glue_two_sided, hum_control
 from .discretize import Field2, random_final_data, write_field_csv
-from .scenarios import (AUDITS, ConfigError, Scenario, classify_growth,
-                        load_scenario, net_reproduction_rate, preset,
-                        preset_names, run_scenario)
+from .scenarios import (AUDITS, ConfigError, Scenario, _HypothesisError,
+                        classify_growth, load_scenario, net_reproduction_rate,
+                        preset, preset_names, run_scenario)
 from .solver import solve_adjoint, solve_forward
 
 __all__ = ["main"]
@@ -68,13 +68,16 @@ def _sweep(args) -> tuple[float, ...]:
 
 
 def _cmd_validate(args) -> int:
-    report = _load(args).hypothesis_report()
+    try:
+        report = _load(args).hypothesis_report()
+    except _HypothesisError as exc:
+        report = exc.report
     for line in report.lines():
         print(line)
     if args.out is not None:
         out = _out_dir(args)
         (out / "hypotheses.txt").write_text("\n".join(report.lines()) + "\n")
-    return 0
+    return 0 if report.passed else 2
 
 
 def _cmd_simulate(args) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .coeffs import classify_degeneracy
 from .discretize import Field2, Field3, Grid, window_mask
-from .inequalities import CutoffFamily, nodal_gradient_x
+from .inequalities import CutoffFamily
 from .solver import (ProblemSpec, Trajectory, _Propagator, control_norm,
                      lattice_inner, lattice_norm, solve_adjoint, solve_forward)
 
@@ -346,10 +346,9 @@ def forward_defect(spec: ProblemSpec, state: Field3, source: Field3 | None,
     vals = state.values
     worst = 0.0
     for n in range(grid.Nt):
-        rhs = vals[n][:-1, 1:-1].copy()
-        if source is not None:
-            rhs += grid.dt * source.values[n + 1][1:, 1:-1]
-        defect = prop.apply_diffusion(n + 1, vals[n + 1][1:, 1:-1]) - rhs
+        src = None if source is None else source.values[n + 1]
+        defect = (prop.apply_diffusion(n + 1, vals[n + 1][1:, 1:-1])
+                  - prop.forward_rhs(vals[n], src))
         worst = max(worst, lattice_norm(defect, grid) / grid.dt)
     return worst
 
@@ -530,10 +529,7 @@ def glue_two_sided(spec: ProblemSpec, config: HUMConfig, alpha_bar: float,
         renewal_defect = max(renewal_defect,
                              float(np.max(np.abs(y_vals[n][0] - predicted))))
 
-    norms = np.array([lattice_norm(y_vals[n], grid)
-                      for n in range(grid.Nt + 1)])
-    fluxes = np.array([prop.flux_form(y_vals[n])
-                       for n in range(grid.Nt + 1)])
+    norms, fluxes = prop.energy_records(y_vals)
     traj = Trajectory(state=Field3(grid, y_vals), kind="glued",
                       norms=norms, fluxes=fluxes, control=f)
 

@@ -23,7 +23,6 @@ from .coeffs import (CarlemanWeights, DegenerateCoefficient, PowerLaw,
                      Tabulated, build_carleman_weights, classify_degeneracy,
                      eval_theta)
 from .discretize import (
-    Field2,
     Field3,
     Grid,
     integrate_nodes,
@@ -340,11 +339,8 @@ def manufactured_adjoint(spec: ProblemSpec, profile, *,
     prop = _Propagator(spec)
     f = np.zeros_like(vals)
     for n in range(grid.Nt):
-        target = vals[n + 1][1:, 1:-1].copy()
-        if renewal_coupling:
-            coupling = (prop.age_weights[:, None] * prop.renewal_c[None, :]
-                        * prop.beta[1:] * vals[n + 1][0][None, :])
-            target += coupling[:, 1:-1]
+        target = prop.adjoint_rhs(vals[n + 1],
+                                  renewal_coupling=renewal_coupling)
         m_rows = vals[n][:-1, 1:-1]
         f[n + 1][1:, 1:-1] = (target - prop.apply_diffusion(n + 1, m_rows)) / grid.dt
     return v, Field3(grid, f)

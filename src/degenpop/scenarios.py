@@ -48,6 +48,15 @@ class ConfigError(ValueError):
     """Configuration rejected; the message names the offending key."""
 
 
+class _HypothesisError(ValueError):
+    """A scenario breaks a structural hypothesis; carries the full report."""
+
+    def __init__(self, report):
+        lines = "; ".join(f"{c.name}: {c.detail}" for c in report.failures())
+        super().__init__(f"scenario violates structural hypotheses ({lines})")
+        self.report = report
+
+
 # ---------------------------------------------------------------------------
 # net reproduction rate
 
@@ -218,9 +227,7 @@ class Scenario:
                                  f"expected one of {AUDIT_NAMES}")
         report = self.hypothesis_report()
         if not report.passed:
-            lines = "; ".join(f"{c.name}: {c.detail}"
-                              for c in report.failures())
-            raise ValueError(f"scenario violates structural hypotheses ({lines})")
+            raise _HypothesisError(report)
 
     def hypothesis_report(self):
         grid = self.spec.grid
@@ -301,15 +308,14 @@ def _want(mapping: dict, key: str, path: str, kind, *,
             raise ConfigError(f'missing key "{dotted}"')
         return default
     value = mapping[key]
-    if kind is int and isinstance(value, bool):
-        raise ConfigError(f'key "{dotted}" must be an integer')
     if kind == (int, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f'key "{dotted}" must be a number')
-        if not _is_finite(value):
-            raise ConfigError(f'key "{dotted}" must be a finite number')
-    elif not isinstance(value, kind):
+    elif not isinstance(value, kind) \
+            or (kind is int and isinstance(value, bool)):
         raise ConfigError(f'key "{dotted}" must be {_KIND_NAMES[kind]}')
+    if kind in (int, (int, float)) and not _is_finite(value):
+        raise ConfigError(f'key "{dotted}" must be a finite number')
     return value
 
 

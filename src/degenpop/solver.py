@@ -83,102 +83,128 @@ def control_norm(f: Field3) -> float:
     return math.sqrt(control_inner(f, f))
 
 
-def _thomas(diag: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-            rhs: np.ndarray) -> np.ndarray:
-    """Solve the batched tridiagonal systems diag[r]*x = rhs[r].
+def _thomas(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the batched symmetric tridiagonal systems diag[r]*x = rhs[r].
 
-    diag and rhs have shape (rows, N); lower/upper hold the (N-1,)
-    off-diagonals shared by every row.  No pivoting: the diffusion
-    matrices are strictly diagonally dominant M-matrices.
+    diag and rhs have shape (rows, N); off holds the (N-1,) off-diagonal
+    shared by every row, the same below and above the diagonal.
     """
+    # No pivoting and no pivot check.  With r = dt/dx^2 and finite k, mu >= 0
+    # (checked by _Propagator) the diagonal is 1 + dt*mu_i + r*(k_{i-1/2} +
+    # k_{i+1/2}) and the off-diagonal -r*k_{i+1/2}.  If the previous pivot
+    # is >= 1 + r*k_{i-1/2}, then p_i >= d_i - r*k_{i-1/2} >= 1 + r*k_{i+1/2},
+    # so by induction every pivot is at least 1.
     rows, n = rhs.shape
     cp = np.empty((rows, max(n - 1, 0)))
     xs = np.empty_like(rhs)
-    piv = diag[:, 0].copy()
-    _check_pivot(piv, 0)
+    piv = diag[:, 0]
     sol = np.empty_like(rhs)
     sol[:, 0] = rhs[:, 0] / piv
     for i in range(1, n):
-        cp[:, i - 1] = upper[i - 1] / piv
-        piv = diag[:, i] - lower[i - 1] * cp[:, i - 1]
-        _check_pivot(piv, i)
-        sol[:, i] = (rhs[:, i] - lower[i - 1] * sol[:, i - 1]) / piv
+        cp[:, i - 1] = off[i - 1] / piv
+        piv = diag[:, i] - off[i - 1] * cp[:, i - 1]
+        sol[:, i] = (rhs[:, i] - off[i - 1] * sol[:, i - 1]) / piv
     xs[:, n - 1] = sol[:, n - 1]
     for i in range(n - 2, -1, -1):
         xs[:, i] = sol[:, i] - cp[:, i] * xs[:, i + 1]
     return xs
 
 
-def _check_pivot(piv: np.ndarray, column: int) -> None:
-    bad = np.abs(piv) < 1e-300
-    if np.any(bad):
-        row = int(np.argmax(bad))
-        raise RuntimeError(
-            f"tridiagonal solve failed at age level {row + 1} (column {column})")
+def _checked(values, what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"non-finite {what} on the grid")
+    if np.any(values < 0.0):
+        raise ValueError(f"negative {what} on the grid")
+    return values
 
 
 class _Propagator:
-    """Cached per-problem arrays shared by every forward/adjoint march."""
+    """The one-step map of the scheme and its transpose, for one problem.
+
+    Every forward march, adjoint march and defect check builds its steps
+    from these pieces and nothing else, which keeps the adjoint the exact
+    transpose of the forward step.  Levels are time levels 1..Nt; the
+    implicit solve acts on age rows 1..Na and interior x nodes.
+    """
 
     def __init__(self, spec: ProblemSpec, t_offset: float = 0.0):
         grid = spec.grid
-        self.spec = spec
         self.grid = grid
-        self.t_offset = t_offset
-        self.k_faces = np.asarray(spec.k.face_values(grid.x_nodes), dtype=float)
-        if np.any(self.k_faces < 0.0):
-            raise ValueError("negative face diffusivity")
-        self.beta = spec.rates.beta_grid(grid)
-        if np.any(self.beta < 0.0):
-            raise ValueError("negative fertility on the grid")
+        self.k_faces = _checked(spec.k.face_values(grid.x_nodes),
+                               "face diffusivity")
+        self.beta = _checked(spec.rates.beta_grid(grid), "fertility")
         denom = 1.0 - 0.5 * grid.da * self.beta[0]
         if np.any(denom <= 0.0):
             raise ValueError(
                 "renewal quadrature factor nonpositive: da * beta(0,x) >= 2")
-        self.renewal_c = 1.0 / denom
+        self._renewal_c = 1.0 / denom
         w = np.full(grid.Na, grid.da)
         w[-1] = 0.5 * grid.da
-        self.age_weights = w  # trapezoid weights for rows 1..Na
-        lo, hi = spec.omega
-        xs = grid.x_nodes
-        self.omega_mask = window_mask(xs, lo, hi).astype(float)
-        self.mu = np.stack([spec.rates.mu_grid(t_offset + n * grid.dt, grid)
-                            for n in range(grid.Nt + 1)])
-        if np.any(self.mu < 0.0):
-            raise ValueError("negative mortality on the grid")
+        self._age_weights = w  # trapezoid weights for rows 1..Na
+        # transpose of the renewal row: w_j * c * beta_j, interior x
+        self._coupling = (w[:, None] * self._renewal_c[None, :]
+                          * self.beta[1:])[:, 1:-1]
+        self.omega_mask = window_mask(grid.x_nodes, *spec.omega).astype(float)
+        mu = _checked(np.stack([spec.rates.mu_grid(t_offset + n * grid.dt, grid)
+                               for n in range(grid.Nt + 1)]), "mortality")
         ratio = grid.dt / grid.dx ** 2
         # off-diagonal between interior nodes i and i+1 is the interior
         # face coupling -dt*k_{i+1/2}/dx^2, identical on both sides
         self.offdiag = -ratio * self.k_faces[1:-1]
-        self.diag_flux = ratio * (self.k_faces[:-1] + self.k_faces[1:])
+        diag_flux = ratio * (self.k_faces[:-1] + self.k_faces[1:])
+        # implicit diagonal per time level, rows 1..Na
+        self._diag = 1.0 + grid.dt * mu[:, 1:, 1:-1] + diag_flux
 
-    def _diag(self, level: int) -> np.ndarray:
-        """Diagonal of the implicit matrix at a time level, rows 1..Na."""
-        return (1.0 + self.grid.dt * self.mu[level][1:, 1:-1]
-                + self.diag_flux[None, :])
+    def forward_rhs(self, old: np.ndarray,
+                    source: np.ndarray | None = None) -> np.ndarray:
+        """Old level shifted one age row up, plus dt * source (rows 1..Na)."""
+        rhs = old[:-1, 1:-1].copy()
+        if source is not None:
+            rhs += self.grid.dt * source[1:, 1:-1]
+        return rhs
 
-    def solve_diffusion(self, level: int, rhs_rows: np.ndarray) -> np.ndarray:
-        """Apply D^{-1} at ``level`` to interior-x data for rows 1..Na."""
-        return _thomas(self._diag(level), self.offdiag, self.offdiag, rhs_rows)
+    def adjoint_rhs(self, new: np.ndarray, source: np.ndarray | None = None,
+                    renewal_coupling: bool = True) -> np.ndarray:
+        """Transposed right side: new level plus w_j c beta_j v(a=0), minus
+        dt * source (rows 1..Na)."""
+        q = new[1:, 1:-1].copy()
+        if renewal_coupling:
+            q += self._coupling * new[0][None, 1:-1]
+        if source is not None:
+            q -= self.grid.dt * source[1:, 1:-1]
+        return q
+
+    def solve_diffusion(self, level: int, rhs_rows: np.ndarray,
+                        rows: slice = slice(None)) -> np.ndarray:
+        """Apply D^{-1} at ``level`` to interior-x data for rows 1..Na, or
+        for the slice ``rows`` of them."""
+        return _thomas(self._diag[level][rows], self.offdiag, rhs_rows)
 
     def apply_diffusion(self, level: int, rows: np.ndarray) -> np.ndarray:
         """Apply D at ``level`` to interior-x data for rows 1..Na."""
-        out = self._diag(level) * rows
+        out = self._diag[level] * rows
         out[:, 1:] += self.offdiag[None, :] * rows[:, :-1]
         out[:, :-1] += self.offdiag[None, :] * rows[:, 1:]
         return out
 
     def renewal_row(self, values: np.ndarray) -> np.ndarray:
         """Trapezoid renewal integral from rows 1..Na of ``values``."""
-        integral = np.einsum("j,ji->i", self.age_weights,
+        integral = np.einsum("j,ji->i", self._age_weights,
                              self.beta[1:] * values[1:])
-        return self.renewal_c * integral
+        return self._renewal_c * integral
 
     def flux_form(self, level_values: np.ndarray) -> float:
         """Discrete int int k y_x^2 over (a, x) at one time level."""
         diff = np.diff(level_values, axis=1)
         return float(self.grid.da / self.grid.dx
                      * np.sum(self.k_faces[None, :] * diff ** 2))
+
+    def energy_records(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lattice norm and flux form of every time level of ``values``."""
+        norms = np.array([lattice_norm(level, self.grid) for level in values])
+        fluxes = np.array([self.flux_form(level) for level in values])
+        return norms, fluxes
 
 
 @dataclass
@@ -213,12 +239,6 @@ class Trajectory:
                                  repr(float(self.fluxes[n]))])
 
 
-def _control_slice(control: Field3 | None, prop: _Propagator, level: int) -> np.ndarray | None:
-    if control is None:
-        return None
-    return control.values[level] * prop.omega_mask[None, :]
-
-
 def solve_forward(spec: ProblemSpec, control: Field3 | None = None, *,
                   y0: Field2 | None = None, t_offset: float = 0.0) -> Trajectory:
     """March the population model forward from y0 with optional control.
@@ -237,21 +257,14 @@ def solve_forward(spec: ProblemSpec, control: Field3 | None = None, *,
     grid = spec.grid
     values = np.zeros((grid.Nt + 1, grid.Na + 1, grid.Nx + 1))
     values[0] = data.values
-    norms = np.zeros(grid.Nt + 1)
-    fluxes = np.zeros(grid.Nt + 1)
-    norms[0] = lattice_norm(values[0], grid)
-    fluxes[0] = prop.flux_form(values[0])
     for n in range(grid.Nt):
-        rhs = values[n][:-1, 1:-1].copy()
-        f_slice = _control_slice(control, prop, n + 1)
-        if f_slice is not None:
-            rhs += grid.dt * f_slice[1:, 1:-1]
-        level = np.zeros((grid.Na + 1, grid.Nx + 1))
-        level[1:, 1:-1] = prop.solve_diffusion(n + 1, rhs)
+        f = None if control is None \
+            else control.values[n + 1] * prop.omega_mask[None, :]
+        level = values[n + 1]
+        level[1:, 1:-1] = prop.solve_diffusion(n + 1,
+                                               prop.forward_rhs(values[n], f))
         level[0] = prop.renewal_row(level)
-        values[n + 1] = level
-        norms[n + 1] = lattice_norm(level, grid)
-        fluxes[n + 1] = prop.flux_form(level)
+    norms, fluxes = prop.energy_records(values)
     return Trajectory(state=Field3(grid, values), kind="forward",
                       t_offset=t_offset, norms=norms, fluxes=fluxes,
                       control=control)
@@ -283,27 +296,14 @@ def solve_adjoint(spec: ProblemSpec, v_T: Field2, *, source: Field3 | None = Non
     values = np.zeros((grid.Nt + 1, grid.Na + 1, grid.Nx + 1))
     values[grid.Nt] = v_T.values
     obs = np.zeros_like(values)
-    norms = np.zeros(grid.Nt + 1)
-    fluxes = np.zeros(grid.Nt + 1)
-    norms[grid.Nt] = lattice_norm(v_T.values, grid)
-    fluxes[grid.Nt] = prop.flux_form(v_T.values)
     for n in range(grid.Nt - 1, -1, -1):
-        w = values[n + 1]
-        q = w[1:, 1:-1].copy()
-        if renewal_coupling:
-            coupling = (prop.age_weights[:, None] * prop.renewal_c[None, :]
-                        * prop.beta[1:] * w[0][None, :])
-            q += coupling[:, 1:-1]
-        if source is not None:
-            q -= grid.dt * source.values[n + 1][1:, 1:-1]
+        src = None if source is None else source.values[n + 1]
+        q = prop.adjoint_rhs(values[n + 1], src, renewal_coupling)
         m = np.zeros((grid.Na + 1, grid.Nx + 1))
         m[1:, 1:-1] = prop.solve_diffusion(n + 1, q)
         obs[n + 1] = prop.omega_mask[None, :] * m
-        level = np.zeros_like(m)
-        level[:-1] = m[1:]
-        values[n] = level
-        norms[n] = lattice_norm(level, grid)
-        fluxes[n] = prop.flux_form(level)
+        values[n][:-1] = m[1:]
+    norms, fluxes = prop.energy_records(values)
     return Trajectory(state=Field3(grid, values), kind="adjoint",
                       t_offset=t_offset, norms=norms, fluxes=fluxes,
                       observation=Field3(grid, obs))
@@ -345,11 +345,9 @@ def characteristic_consistency(spec: ProblemSpec, v_T: Field2, *,
             else:
                 ref = v_T.values[target, 1:-1].copy()
                 for m in range(grid.Nt - 1, n - 1, -1):
-                    row = j + (m - n) + 1
-                    diag = (1.0 + grid.dt * prop.mu[m + 1][row, 1:-1]
-                            + prop.diag_flux)
-                    ref = _thomas(diag[None, :], prop.offdiag, prop.offdiag,
-                                  ref[None, :])[0]
+                    row = j + (m - n)  # index of age row j+m-n+1 in 1..Na
+                    ref = prop.solve_diffusion(m + 1, ref[None, :],
+                                               slice(row, row + 1))[0]
             defect = float(np.max(np.abs(values[n, j, 1:-1] - ref)))
             worst = max(worst, defect)
             count += 1

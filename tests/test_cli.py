@@ -89,6 +89,21 @@ class TestExitCodes:
         assert cli.main(["simulate", "--config", str(tiny_config),
                          "--out", str(blocker / "sub")]) == 2
 
+    def test_failing_hypotheses_print_report_and_exit_2(self, tmp_path,
+                                                        capsys):
+        cfg = json.loads(json.dumps(TINY))
+        # fertility active from age 0 violates the support hypothesis
+        cfg["model"]["beta"] = {"form": "constant", "value": 3.0}
+        path = tmp_path / "fertile_newborns.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "v"
+        assert cli.main(["validate", "--config", str(path),
+                         "--out", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert "[FAIL] fertility support" in printed
+        assert "[ok]" in printed
+        assert (out / "hypotheses.txt").read_text() == printed
+
     def test_non_finite_config_maps_to_2(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(TINY))
         cfg["model"]["mu"]["value"] = float("nan")

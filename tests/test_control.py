@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from degenpop.coeffs import PowerLaw, VitalRates
-from degenpop.control import (ControlError, HUMConfig, compose_delay_control,
-                              forward_defect, glue_two_sided, hum_control,
+from degenpop.control import (HUMConfig, _Gramian, _target_rows,
+                              compose_delay_control, forward_defect,
+                              glue_two_sided, hum_control,
                               scheme_consistency_error)
 from degenpop.discretize import Field2, Field3, Grid, random_final_data
 from degenpop.solver import ProblemSpec, lattice_norm, solve_forward
@@ -48,6 +49,26 @@ class TestHUMConfig:
         with pytest.raises(ValueError, match="refine the grid"):
             coarse = make_spec(Nt=2, Nx=6)
             hum_control(coarse, HUMConfig(delta=1.8))
+
+
+class TestGramian:
+    def test_symmetric_and_positive_with_time_dependent_mortality(self):
+        grid = Grid.aligned(T=1.0, A=2.0, Nt=6, Nx=10)
+        rates = VitalRates(
+            beta=beta_window, a_bar=0.5,
+            mu=lambda t, a, x: 0.2 + 0.1 * a + 2.0 * t * (1.0 + np.sin(5 * x)))
+        spec = ProblemSpec(k=PowerLaw(0.5, 0.0), rates=rates, grid=grid,
+                           omega=(0.3, 0.7))
+        rows = _target_rows(grid, 1.25)
+        op = _Gramian(spec, rows, t_start=0.25)
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            u, v = rng.standard_normal((2, rows.size, grid.Nx - 1))
+            lu, lv = op.apply(u), op.apply(v)
+            nu, nv, nlu, nlv = (lattice_norm(w, grid) for w in (u, v, lu, lv))
+            assert abs(op.inner(lu, v) - op.inner(u, lv)) \
+                <= 1e-13 * (nlu * nv + nu * nlv)
+            assert op.inner(lu, u) >= -1e-13 * nlu * nu
 
 
 class TestHUMControl:

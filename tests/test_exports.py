@@ -30,3 +30,31 @@ def test_package_reexports_resolve():
             assert alias.name in module.__all__, f"{node.module}.{alias.name}"
             assert getattr(degenpop, alias.asname or alias.name) \
                 is getattr(module, alias.name)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:  # names re-exported through __all__ are used
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}"
+            for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_no_unused_imports():
+    # the package __init__ imports only to re-export, checked above
+    files = sorted(set(Path(degenpop.__file__).parent.glob("*.py"))
+                   - {Path(degenpop.__file__)}) \
+        + sorted(Path(__file__).parent.glob("*.py"))
+    assert [hit for path in files for hit in _unused_imports(path)] == []

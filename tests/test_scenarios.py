@@ -230,10 +230,12 @@ class TestScenarioFromConfig:
         ("k", {"form": "table", "x": [0.0, 0.5, 1.0], "k": [0.0, 0.25, 0.0],
                "kprime": [float("inf"), 0.0, -1.0]}, "model.k.kprime"),
         ("omega", [0.3, float("nan")], "model.omega"),
+        ("grid.Nt", 10 ** 400, "grid.Nt"),
     ])
     def test_non_finite_numbers_rejected(self, key, entry, dotted):
         cfg = config()
-        cfg["model"][key] = entry
+        section, _, key = key.rpartition(".")
+        cfg[section or "model"][key] = entry
         with pytest.raises(ConfigError, match=f'"{dotted}"'):
             scenario_from_config(cfg)
 

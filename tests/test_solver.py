@@ -284,6 +284,19 @@ class TestCharacteristics:
         assert report.max_abs_defect == 0.0
 
 
+class TestRateChecks:
+    @pytest.mark.parametrize("which,name", [("mu", "mortality"),
+                                            ("beta", "fertility")])
+    def test_non_finite_rate_rejected(self, which, name):
+        def rate_with_nan(*args):
+            a = np.asarray(args[-2], dtype=float)
+            return np.where(a > 1.0, np.nan, 0.1) \
+                * np.ones_like(np.asarray(args[-1], dtype=float))
+        spec = make_spec(**{which: rate_with_nan})
+        with pytest.raises(ValueError, match=f"non-finite {name}"):
+            solve_forward(spec, y0=random_final_data(spec.grid, seed=0))
+
+
 class TestControlPairing:
     def test_slice_zero_excluded(self):
         grid = Grid.aligned(T=1.0, A=2.0, Nt=4, Nx=6)
