@@ -9,13 +9,12 @@ a numerical stage breaks down.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .coeffs import DEFAULT_S_SWEEP
 from .control import ControlSolution, glue_two_sided, hum_control
-from .discretize import Field2, random_final_data, write_field_csv
+from .discretize import Field2, random_final_data, write_field_csv, write_json
 from .scenarios import (AUDITS, ConfigError, Scenario, _HypothesisError,
                         classify_growth, load_scenario, net_reproduction_rate,
                         preset, preset_names, run_scenario)
@@ -46,12 +45,6 @@ def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def _sweep(args) -> tuple[float, ...]:
@@ -161,9 +154,9 @@ def _cmd_r0(args) -> int:
         line += f"; reference value {scenario.r0_target:g}"
     print(line)
     if args.out is not None:
-        _write_json(_out_dir(args) / "r0.json",
-                    {"r0": r0, "growth": label,
-                     "r0_target": scenario.r0_target})
+        write_json(_out_dir(args) / "r0.json",
+                   {"r0": r0, "growth": label,
+                    "r0_target": scenario.r0_target})
     return 0
 
 

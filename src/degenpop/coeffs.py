@@ -300,17 +300,18 @@ class CarlemanWeights:
     """Cached spatial profiles for the weighted audit integrals.
 
     p is the primitive of y/k(y) from 0 (degeneracy at 0); sigma and Psi
-    are the non-degenerate profiles built from frak_d = sup|k'| and are
-    only available when k is strictly positive on the grid span.
+    are the non-degenerate profiles built from frak_d = sup|k'| over the
+    x nodes and are only available when k is strictly positive on the grid
+    span.  s_sweep is the s sweep of every audit that takes these weights.
     """
 
     grid: Grid
     coef: DegenerateCoefficient
     kappa: float = 1.0
-    frak_d: float | None = None
     s_sweep: tuple[float, ...] = DEFAULT_S_SWEEP
     p: np.ndarray = field(init=False)
     p_inf: float = field(init=False)
+    frak_d: float | None = field(init=False, default=None)
     sigma: np.ndarray | None = field(init=False, default=None)
     sigma_max: float = field(init=False, default=0.0)
     Psi: np.ndarray | None = field(init=False, default=None)
@@ -333,9 +334,7 @@ class CarlemanWeights:
 
         kv = self.coef.k(xs)
         if np.all(kv > 0.0):
-            d = self.frak_d
-            if d is None:
-                d = float(np.max(np.abs(self.coef.kprime(xs))))
+            d = float(np.max(np.abs(self.coef.kprime(xs))))
             if d > 0.0 and np.isfinite(d):
                 self.frak_d = d
                 tail = _cumulative_integral(lambda y: d / self.coef.k(y), xs)
@@ -352,7 +351,7 @@ class CarlemanWeights:
         if self.Psi is None:
             raise ValueError(
                 "non-degenerate weights unavailable: k must be strictly positive "
-                "on the grid span with frak_d = sup|k'| > 0 (pass frak_d to override)")
+                "on the grid span with frak_d = sup|k'| > 0")
 
 
 def _safe_ratio(y: np.ndarray, coef: DegenerateCoefficient) -> np.ndarray:
@@ -363,9 +362,9 @@ def _safe_ratio(y: np.ndarray, coef: DegenerateCoefficient) -> np.ndarray:
 
 
 def build_carleman_weights(grid: Grid, coef: DegenerateCoefficient, *,
-                           kappa: float = 1.0, frak_d: float | None = None,
+                           kappa: float = 1.0,
                            s_sweep: tuple[float, ...] = DEFAULT_S_SWEEP) -> CarlemanWeights:
-    return CarlemanWeights(grid=grid, coef=coef, kappa=kappa, frak_d=frak_d, s_sweep=s_sweep)
+    return CarlemanWeights(grid=grid, coef=coef, kappa=kappa, s_sweep=s_sweep)
 
 
 def eval_theta(t, a, T: float):

@@ -10,7 +10,6 @@ estimates.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeffs import classify_degeneracy
-from .discretize import Field2, Field3, Grid, window_mask
+from .discretize import Field2, Field3, Grid, window_mask, write_json
 from .inequalities import CutoffFamily
 from .solver import (ProblemSpec, Trajectory, _Propagator, control_norm,
                      lattice_inner, lattice_norm, solve_adjoint, solve_forward)
@@ -101,9 +100,7 @@ class ControlSolution:
             **{k: v for k, v in self.diagnostics.items()
                if isinstance(v, (int, float, str, bool, list))},
         }
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(path, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +289,15 @@ def compose_delay_control(spec: ProblemSpec, config: HUMConfig, *,
     n_tilde = grid.Nt - n_ctrl
     t_tilde = n_tilde * grid.dt
 
-    free = solve_forward(spec, y0=data)
+    if data.grid != grid:
+        raise ValueError("initial data grid does not match the problem grid")
+    # only levels 0..n_tilde of the free march are read (at least one step
+    # is marched, for a_bar = T)
+    n_free = max(n_tilde, 1)
+    free_grid = grid.with_time(n_free * grid.dt, n_free)
+    free = solve_forward(ProblemSpec(k=spec.k, rates=spec.rates, grid=free_grid,
+                                     omega=spec.omega),
+                         y0=Field2(free_grid, data.values))
     window_grid = grid.with_time(grid.T - t_tilde, n_ctrl)
     switch_state = Field2(window_grid, free.state.values[n_tilde].copy())
     switch_norm = lattice_norm(switch_state.values, grid)

@@ -1,4 +1,5 @@
-"""Grids, nodal fields, quadrature, random data and CSV snapshots.
+"""Grids, nodal fields, quadrature, random data, CSV snapshots and JSON
+artifacts.
 
 Everything downstream works on a closed tensor grid over time t in [0, T],
 age a in [0, A] and space x in an interval (default (0, 1)).  Fields store
@@ -11,6 +12,7 @@ diffusion factors) can be integrated without special-casing callers.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +30,7 @@ __all__ = [
     "spawn_rng",
     "write_field_csv",
     "read_field_csv",
+    "write_json",
 ]
 
 _REL_TOL = 1e-12
@@ -217,26 +220,22 @@ def _trap_1d(g: np.ndarray, h: float) -> np.ndarray:
 
 
 def weighted_norm(values: np.ndarray, nodes: tuple[np.ndarray, ...],
-                  weight=None, weight_values: np.ndarray | None = None) -> float:
+                  weight=None) -> float:
     """Integral of weight * field**2 over the tensor domain of ``nodes``.
 
     ``weight`` is a callable of the axis coordinates (broadcasting
-    numpy-style); ``weight_values`` may supply precomputed nodal weights
-    instead.  Endpoint cells of the *last* axis where the nodal weight is
-    non-finite are integrated on a geometric subdivision toward the
-    endpoint (Simpson per sub-cell, field interpolated linearly), which
-    resolves any integrable power singularity of the weight.  Returns the
+    numpy-style), 1 when omitted.  Endpoint cells of the *last* axis where
+    the nodal weight is non-finite are integrated on a geometric
+    subdivision toward the endpoint (Simpson per sub-cell, field
+    interpolated linearly), which resolves any integrable power
+    singularity of the weight.  Returns the
     squared weighted L2 norm.
     """
     f = np.asarray(values, dtype=float)
     if f.ndim != len(nodes):
         raise ValueError("one node array per field axis required")
     mesh = np.meshgrid(*nodes, indexing="ij", sparse=True)
-    if weight_values is not None:
-        w = np.broadcast_to(np.asarray(weight_values, dtype=float), f.shape)
-        if not np.all(np.isfinite(w)):
-            raise ValueError("precomputed weight values must be finite")
-    elif weight is None:
+    if weight is None:
         w = np.ones_like(f)
     else:
         w = np.broadcast_to(np.asarray(weight(*mesh), dtype=float), f.shape)
@@ -248,7 +247,7 @@ def weighted_norm(values: np.ndarray, nodes: tuple[np.ndarray, ...],
     # trapezoid over the remaining axes.
     h = hs[-1]
     cells = 0.5 * h * (g[..., :-1] + g[..., 1:])
-    if weight is not None and weight_values is None:
+    if weight is not None:
         wl = np.asarray(w[..., 0], dtype=float)
         wr = np.asarray(w[..., -1], dtype=float)
         xs = nodes[-1]
@@ -369,6 +368,13 @@ def write_field_csv(fld: Field2 | Field3, path) -> None:
         coords = [g.reshape(-1) for g in grids]
         for row in zip(*coords, flat):
             writer.writerow([repr(float(v)) for v in row])
+
+
+def write_json(path, payload: dict) -> None:
+    """JSON artifact: two-space indent, sorted keys, trailing newline."""
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def read_field_csv(path, grid: Grid):

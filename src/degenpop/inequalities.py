@@ -12,7 +12,6 @@ instead of NaN.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -29,6 +28,7 @@ from .discretize import (
     spawn_rng,
     weighted_norm,
     window_mask,
+    write_json,
 )
 from .solver import ProblemSpec, _Propagator, solve_adjoint
 
@@ -101,9 +101,7 @@ class InequalityReport:
         }
 
     def write_summary(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.summary(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(path, self.summary())
 
 
 def _finish_report(name, rows, sweep, meta) -> InequalityReport:
@@ -413,27 +411,37 @@ def _exponent(theta, log_theta, s, theta_power, profile_x, log_geom_x):
 
 def _weighted_square(grid: Grid, log_weight: np.ndarray,
                      values: np.ndarray) -> float:
-    """Trapezoid integral of exp(log_weight) * values^2 over Q."""
+    """Trapezoid integral of exp(log_weight) * values^2 over Q, or over the
+    (t, a) rectangle when both arrays hold a single x column (2-D)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_i = np.where(values == 0.0, -np.inf,
                          log_weight + 2.0 * np.log(np.abs(values)))
         integrand = np.exp(log_i)
-    return integrate_nodes(integrand, (grid.dt, grid.da, grid.dx))
+    return integrate_nodes(integrand,
+                           (grid.dt, grid.da, grid.dx)[:integrand.ndim])
 
 
-def _weighted_square_ta(grid: Grid, log_weight: np.ndarray,
-                        values: np.ndarray) -> float:
-    """Same as _weighted_square over the (t, a) rectangle only."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_i = np.where(values == 0.0, -np.inf,
-                         log_weight + 2.0 * np.log(np.abs(values)))
-        integrand = np.exp(log_i)
-    return integrate_nodes(integrand, (grid.dt, grid.da))
+def _carleman_lhs(grid: Grid, theta, log_theta, profile_x, log_geom_vx,
+                  log_geom_v):
+    """(s, v, v_x) -> s int_Q Theta e^{geom_vx} v_x^2 e^{2s Theta profile}
+    + s^3 int_Q Theta^3 e^{geom_v} v^2 e^{2s Theta profile}, the left side
+    of every Carleman audit."""
+    def lhs(s, v, vx):
+        return (s * _weighted_square(grid, _exponent(
+                    theta, log_theta, s, 1.0, profile_x, log_geom_vx), vx)
+                + s ** 3 * _weighted_square(grid, _exponent(
+                    theta, log_theta, s, 3.0, profile_x, log_geom_v), v))
+    return lhs
 
 
-def _log_k_nodes(coef: DegenerateCoefficient, x: np.ndarray) -> np.ndarray:
+def _degenerate_lhs(weights: CarlemanWeights, theta, log_theta):
+    """int_Q (s Theta k v_x^2 + s^3 Theta^3 (x^2/k) v^2) e^{2s phi}."""
+    coef, xs = weights.coef, weights.grid.x_nodes
     with np.errstate(divide="ignore"):
-        return np.asarray(coef.log_k(x), dtype=float)
+        log_k = np.asarray(coef.log_k(xs), dtype=float)
+    return _carleman_lhs(weights.grid, theta, log_theta,
+                         weights.phi_profile(), log_k,
+                         _log_x2_over_k(coef, xs))
 
 
 def _log_x2_over_k(coef: DegenerateCoefficient, x: np.ndarray) -> np.ndarray:
@@ -467,6 +475,15 @@ def reflect_field(f: Field3) -> Field3:
     return Field3(f.grid, f.values[:, :, ::-1].copy())
 
 
+def _reflect(samples, weights: CarlemanWeights):
+    """Samples and weights of the x -> 1-x reflected problem."""
+    return ([(reflect_field(v), reflect_field(f)) for v, f in samples],
+            build_carleman_weights(weights.grid,
+                                   reflect_coefficient(weights.coef),
+                                   kappa=weights.kappa,
+                                   s_sweep=weights.s_sweep))
+
+
 def _check_samples(samples) -> None:
     if not samples:
         raise ValueError("empty sample list")
@@ -475,82 +492,78 @@ def _check_samples(samples) -> None:
         raise ValueError("all samples are zero; no informative ratios")
 
 
-# ---------------------------------------------------------------------------
-# Carleman audits
-
-
-def carleman_audit_deg0(samples, weights: CarlemanWeights,
-                        s_sweep=None) -> InequalityReport:
-    """Weighted estimate with boundary observation at x = 1.
-
-    LHS: int_Q (s Theta k v_x^2 + s^3 Theta^3 (x^2/k) v^2) e^{2s phi};
-    RHS: int_Q f^2 e^{2s phi} + s int int Theta [k v_x^2 e^{2s phi}](x=1).
-    """
-    _check_samples(samples)
-    sweep = tuple(s_sweep) if s_sweep is not None else weights.s_sweep
-    grid = weights.grid
-    coef = weights.coef
-    xs = grid.x_nodes
-    theta, log_theta = _log_theta_grid(grid)
-    prof = weights.phi_profile()
-    log_k = _log_k_nodes(coef, xs)
-    log_geom = _log_x2_over_k(coef, xs)
-    zeros = np.zeros_like(xs)
-    k_edge = float(coef.k(xs[-1]))
-    rows = []
-    for idx, (v, f) in enumerate(samples):
-        if v.grid != grid or f.grid != grid:
-            raise ValueError("sample grid does not match the weight grid")
-        vx = nodal_gradient_x(v.values, grid.dx)
-        for s in sweep:
-            lhs = (_weighted_square(grid, _exponent(theta, log_theta, s, 1.0,
-                                                    prof, log_k), vx)
-                   * s
-                   + _weighted_square(grid, _exponent(theta, log_theta, s, 3.0,
-                                                      prof, log_geom), v.values)
-                   * s ** 3)
-            fterm = _weighted_square(grid, _exponent(theta, log_theta, s, 0.0,
-                                                     prof, zeros), f.values)
-            with np.errstate(invalid="ignore"):
-                log_bt = log_theta + 2.0 * s * theta * prof[-1]
-                log_bt = np.where(np.isinf(theta), -np.inf, log_bt)
-            bterm = 0.0 if k_edge == 0.0 else k_edge * _weighted_square_ta(
-                grid, log_bt, vx[:, :, -1])
-            rhs = fterm + s * bterm
-            rows.append(_make_row(idx, s, lhs, rhs))
-    return _finish_report("carleman_deg0", rows, sweep,
-                          {"kappa": weights.kappa})
-
-
 def _make_row(idx: int, s: float, lhs: float, rhs: float) -> ReportRow:
     if lhs == 0.0 and rhs == 0.0:
         return ReportRow(idx, s, lhs, rhs, None)
     return ReportRow(idx, s, lhs, rhs, lhs / rhs if rhs != 0.0 else math.inf)
 
 
-def carleman_audit_deg1(samples, weights: CarlemanWeights,
-                        s_sweep=None) -> InequalityReport:
+def _sample_rows(samples, grid: Grid, sweep, sides) -> list[ReportRow]:
+    """One report row per sample and s.
+
+    ``sides(v, f, v_x)`` receives one sample's nodal values and its nodal
+    x-gradient, does the work that does not depend on s, and returns the
+    map s -> (lhs, rhs).
+    """
+    rows = []
+    for idx, (v, f) in enumerate(samples):
+        if v.grid != grid or f.grid != grid:
+            raise ValueError("sample grid does not match the weight grid")
+        at_s = sides(v.values, f.values, nodal_gradient_x(v.values, grid.dx))
+        rows.extend(_make_row(idx, s, *at_s(s)) for s in sweep)
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# Carleman audits
+
+
+def carleman_audit_deg0(samples, weights: CarlemanWeights) -> InequalityReport:
+    """Weighted estimate with boundary observation at x = 1, for every s of
+    ``weights.s_sweep``.
+
+    LHS: int_Q (s Theta k v_x^2 + s^3 Theta^3 (x^2/k) v^2) e^{2s phi};
+    RHS: int_Q f^2 e^{2s phi} + s int int Theta [k v_x^2 e^{2s phi}](x=1).
+    """
+    _check_samples(samples)
+    grid = weights.grid
+    theta, log_theta = _log_theta_grid(grid)
+    prof = weights.phi_profile()
+    lhs = _degenerate_lhs(weights, theta, log_theta)
+    zeros = np.zeros_like(grid.x_nodes)
+    k_edge = float(weights.coef.k(grid.x_nodes[-1]))
+
+    def sides(v, f, vx):
+        def at_s(s):
+            fterm = _weighted_square(grid, _exponent(theta, log_theta, s, 0.0,
+                                                     prof, zeros), f)
+            log_bt = _exponent(theta, log_theta, s, 1.0, prof[[-1]],
+                               zeros[[-1]])[:, :, 0]
+            bterm = 0.0 if k_edge == 0.0 else k_edge * _weighted_square(
+                grid, log_bt, vx[:, :, -1])
+            return lhs(s, v, vx), fterm + s * bterm
+        return at_s
+
+    rows = _sample_rows(samples, grid, weights.s_sweep, sides)
+    return _finish_report("carleman_deg0", rows, weights.s_sweep,
+                          {"kappa": weights.kappa})
+
+
+def carleman_audit_deg1(samples, weights: CarlemanWeights) -> InequalityReport:
     """Mirror audit (degeneracy at x = 1, boundary observation at x = 0).
 
     Implemented literally as the reflection x -> 1-x of the deg0 audit,
     so the two audits agree to round-off on mirror-symmetric inputs.
     """
     _check_samples(samples)
-    grid = weights.grid
-    reflected_coef = reflect_coefficient(weights.coef)
-    reflected_weights = build_carleman_weights(
-        grid, reflected_coef, kappa=weights.kappa, s_sweep=weights.s_sweep)
-    reflected_samples = [(reflect_field(v), reflect_field(f))
-                         for v, f in samples]
-    report = carleman_audit_deg0(reflected_samples, reflected_weights,
-                                 s_sweep=s_sweep)
+    report = carleman_audit_deg0(*_reflect(samples, weights))
     report.name = "carleman_deg1"
     return report
 
 
-def carleman_audit_nondeg(samples, weights: CarlemanWeights,
-                          s_sweep=None) -> InequalityReport:
-    """Non-degenerate estimate with the exponential-of-sigma weights.
+def carleman_audit_nondeg(samples, weights: CarlemanWeights) -> InequalityReport:
+    """Non-degenerate estimate with the exponential-of-sigma weights, for
+    every s of ``weights.s_sweep``.
 
     LHS: int_Q (s^3 phi^3 z^2 + s phi z_x^2) e^{2s Phi} with
     phi = Theta e^{kappa sigma}; RHS: int_Q f^2 e^{2s Phi} minus the
@@ -558,39 +571,31 @@ def carleman_audit_nondeg(samples, weights: CarlemanWeights,
     """
     _check_samples(samples)
     weights.require_nondeg()
-    sweep = tuple(s_sweep) if s_sweep is not None else weights.s_sweep
     grid = weights.grid
-    xs = grid.x_nodes
     theta, log_theta = _log_theta_grid(grid)
     psi = weights.Psi
     kappa_sigma = weights.kappa * weights.sigma
-    zeros = np.zeros_like(xs)
-    kv = np.asarray(weights.coef.k(xs), dtype=float)
-    rows = []
-    for idx, (v, f) in enumerate(samples):
-        if v.grid != grid or f.grid != grid:
-            raise ValueError("sample grid does not match the weight grid")
-        vx = nodal_gradient_x(v.values, grid.dx)
-        for s in sweep:
-            log_w1 = _exponent(theta, log_theta, s, 3.0, psi,
-                               3.0 * kappa_sigma)
-            log_w2 = _exponent(theta, log_theta, s, 1.0, psi, kappa_sigma)
-            lhs = (s ** 3 * _weighted_square(grid, log_w1, v.values)
-                   + s * _weighted_square(grid, log_w2, vx))
+    lhs = _carleman_lhs(grid, theta, log_theta, psi, kappa_sigma,
+                        3.0 * kappa_sigma)
+    zeros = np.zeros_like(grid.x_nodes)
+    kv = np.asarray(weights.coef.k(grid.x_nodes), dtype=float)
+
+    def sides(v, f, vx):
+        def at_s(s):
             fterm = _weighted_square(grid, _exponent(theta, log_theta, s, 0.0,
-                                                     psi, zeros), f.values)
+                                                     psi, zeros), f)
 
             def edge(i: int) -> float:
-                with np.errstate(invalid="ignore"):
-                    log_e = (log_theta + 2.0 * s * theta * psi[i]
-                             + kappa_sigma[i])
-                    log_e = np.where(np.isinf(theta), -np.inf, log_e)
-                return kv[i] * _weighted_square_ta(grid, log_e, vx[:, :, i])
+                log_e = _exponent(theta, log_theta, s, 1.0, psi[[i]],
+                                  kappa_sigma[[i]])[:, :, 0]
+                return kv[i] * _weighted_square(grid, log_e, vx[:, :, i])
 
             bracket = edge(-1) - edge(0)
-            rhs = fterm - s * weights.kappa * bracket
-            rows.append(_make_row(idx, s, lhs, rhs))
-    return _finish_report("carleman_nondeg", rows, sweep,
+            return lhs(s, v, vx), fterm - s * weights.kappa * bracket
+        return at_s
+
+    rows = _sample_rows(samples, grid, weights.s_sweep, sides)
+    return _finish_report("carleman_nondeg", rows, weights.s_sweep,
                           {"kappa": weights.kappa, "frak_d": weights.frak_d})
 
 
@@ -601,10 +606,9 @@ def _subgrid_from(grid: Grid, i0: int, i1: int) -> Grid:
 
 
 def carleman_local_audit(samples, omega: tuple[float, float],
-                         s_sweep=None, *, kappa: float = 1.0,
-                         coef: DegenerateCoefficient | None = None,
-                         weights: CarlemanWeights | None = None) -> InequalityReport:
-    """Omega-local estimate: degenerate LHS against source plus window terms.
+                         weights: CarlemanWeights) -> InequalityReport:
+    """Omega-local estimate: degenerate LHS against source plus window terms,
+    for every s of ``weights.s_sweep``.
 
     LHS is the degenerate-audit left side; RHS combines int_Q f^2 e^{2s Phi}
     (Phi from non-degenerate weights built away from the degeneracy and
@@ -613,10 +617,6 @@ def carleman_local_audit(samples, omega: tuple[float, float],
     the whole setup onto the x = 0 machinery.
     """
     _check_samples(samples)
-    if weights is None:
-        if coef is None:
-            raise ValueError("pass either prebuilt weights or a coefficient")
-        weights = build_carleman_weights(samples[0][0].grid, coef, kappa=kappa)
     grid = weights.grid
     coef = weights.coef
     lo, hi = omega
@@ -627,61 +627,51 @@ def carleman_local_audit(samples, omega: tuple[float, float],
         raise ValueError("local audit needs one-sided degeneracy; "
                          "use the gluing construction for two-sided k")
     if report_cls.degenerate_at_one:
+        reflected_samples, reflected_weights = _reflect(samples, weights)
         reflected = carleman_local_audit(
-            [(reflect_field(v), reflect_field(f)) for v, f in samples],
-            (1.0 - hi, 1.0 - lo), s_sweep, kappa=kappa,
-            coef=reflect_coefficient(coef))
+            reflected_samples, (1.0 - hi, 1.0 - lo), reflected_weights)
         reflected.name = "carleman_local_deg1"
         reflected.meta["omega"] = [lo, hi]
         return reflected
 
-    sweep = tuple(s_sweep) if s_sweep is not None else weights.s_sweep
     xs = grid.x_nodes
     theta, log_theta = _log_theta_grid(grid)
-    prof = weights.phi_profile()
-    log_k = _log_k_nodes(coef, xs)
-    log_geom = _log_x2_over_k(coef, xs)
+    lhs = _degenerate_lhs(weights, theta, log_theta)
     zeros = np.zeros_like(xs)
 
     # nondegenerate profile on (alpha_bar, 1), constant left of alpha_bar
     i0 = int(np.searchsorted(xs, 0.5 * lo, side="left"))
     i0 = max(1, min(i0, grid.Nx - 2))
     sub = _subgrid_from(grid, i0, grid.Nx)
-    sub_weights = build_carleman_weights(sub, coef, kappa=kappa)
+    sub_weights = build_carleman_weights(sub, coef, kappa=weights.kappa)
     sub_weights.require_nondeg()
     psi_ext = np.empty_like(xs)
     psi_ext[i0:] = sub_weights.Psi
     psi_ext[:i0] = sub_weights.Psi[0]
 
     sel = window_mask(xs, lo, hi)
-    rows = []
-    for idx, (v, f) in enumerate(samples):
-        if v.grid != grid or f.grid != grid:
-            raise ValueError("sample grid does not match the weight grid")
-        vx = nodal_gradient_x(v.values, grid.dx)
-        window = integrate_nodes(v.values[:, :, sel] ** 2,
-                                 (grid.dt, grid.da, grid.dx))
-        for s in sweep:
-            lhs = (s * _weighted_square(grid, _exponent(theta, log_theta, s,
-                                                        1.0, prof, log_k), vx)
-                   + s ** 3 * _weighted_square(
-                       grid, _exponent(theta, log_theta, s, 3.0, prof,
-                                       log_geom), v.values))
+
+    def sides(v, f, vx):
+        window = integrate_nodes(v[:, :, sel] ** 2, (grid.dt, grid.da, grid.dx))
+
+        def at_s(s):
             fterm = _weighted_square(grid, _exponent(theta, log_theta, s, 0.0,
-                                                     psi_ext, zeros), f.values)
-            rhs = fterm + window
-            rows.append(_make_row(idx, s, lhs, rhs))
-    return _finish_report("carleman_local_deg0", rows, sweep,
-                          {"kappa": kappa, "omega": [lo, hi]})
+                                                     psi_ext, zeros), f)
+            return lhs(s, v, vx), fterm + window
+        return at_s
+
+    rows = _sample_rows(samples, grid, weights.s_sweep, sides)
+    return _finish_report("carleman_local_deg0", rows, weights.s_sweep,
+                          {"kappa": weights.kappa, "omega": [lo, hi]})
 
 
 def caccioppoli_audit(samples, omega_prime: tuple[float, float],
-                      omega: tuple[float, float], psi_weights,
+                      omega: tuple[float, float], psi,
                       s: float) -> InequalityReport:
     """Interior gradient bound: weighted v_x^2 on omega' by v^2 on omega.
 
-    psi_weights supplies the strictly negative spatial profile Psi (either
-    a CarlemanWeights with non-degenerate profiles or a plain callable).
+    ``psi`` is a callable giving the strictly negative spatial profile Psi
+    at the x nodes.  Every sample must live on the first sample's grid.
     """
     _check_samples(samples)
     lo_p, hi_p = omega_prime
@@ -690,34 +680,21 @@ def caccioppoli_audit(samples, omega_prime: tuple[float, float],
         raise ValueError("need omega' strictly inside omega strictly inside (0,1)")
     grid = samples[0][0].grid
     xs = grid.x_nodes
-    if isinstance(psi_weights, CarlemanWeights):
-        psi_weights.require_nondeg()
-        if psi_weights.grid != grid:
-            raise ValueError("weight grid does not match the sample grid")
-        psi = psi_weights.Psi
-    else:
-        psi = np.asarray(psi_weights(xs), dtype=float)
-    if np.any(psi >= 0.0):
+    psi_x = np.asarray(psi(xs), dtype=float)
+    if np.any(psi_x >= 0.0):
         raise ValueError("Psi must be strictly negative on [0,1]")
     theta, log_theta = _log_theta_grid(grid)
     sel_p = window_mask(xs, lo_p, hi_p)
     sel = window_mask(xs, lo, hi)
-    zeros = np.zeros_like(xs)
-    log_w = _exponent(theta, log_theta, s, 0.0, psi, zeros)
-    rows = []
-    for idx, (v, f) in enumerate(samples):
-        vx = nodal_gradient_x(v.values, grid.dx)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_i = np.where(vx == 0.0, -np.inf,
-                             log_w + 2.0 * np.log(np.abs(vx)))
-            integrand = np.exp(log_i)
-        lhs = integrate_nodes(integrand[:, :, sel_p],
-                              (grid.dt, grid.da, grid.dx))
-        window = integrate_nodes(v.values[:, :, sel] ** 2,
-                                 (grid.dt, grid.da, grid.dx))
-        fterm = _weighted_square(grid, log_w, f.values)
-        rhs = window + fterm
-        rows.append(_make_row(idx, s, lhs, rhs))
+    log_w = _exponent(theta, log_theta, s, 0.0, psi_x, np.zeros_like(xs))
+
+    def sides(v, f, vx):
+        window = integrate_nodes(v[:, :, sel] ** 2, (grid.dt, grid.da, grid.dx))
+        lhs = _weighted_square(grid, log_w[:, :, sel_p], vx[:, :, sel_p])
+        rhs = window + _weighted_square(grid, log_w, f)
+        return lambda _: (lhs, rhs)
+
+    rows = _sample_rows(samples, grid, (s,), sides)
     return _finish_report("caccioppoli", rows, (s,),
                           {"omega": [lo, hi], "omega_prime": [lo_p, hi_p]})
 

@@ -20,7 +20,8 @@ from .coeffs import (DEFAULT_S_SWEEP, PowerLaw, Tabulated, VitalRates,
                      build_carleman_weights, classify_degeneracy,
                      validate_hypotheses)
 from .control import HUMConfig, compose_delay_control
-from .discretize import Field2, Grid, random_final_data, write_field_csv
+from .discretize import (Field2, Grid, random_final_data, write_field_csv,
+                         write_json)
 from .inequalities import (caccioppoli_audit, carleman_audit_deg0,
                            carleman_audit_deg1, carleman_local_audit,
                            hardy_ratio, hardy_ratio_at_zero,
@@ -514,7 +515,7 @@ def _carleman_audit(scenario: Scenario, *, count: int,
         reports = [("carleman_deg0", carleman_audit_deg0(samples, weights))]
     if deg.degenerate_at_zero != deg.degenerate_at_one:
         reports.append(("carleman_local", carleman_local_audit(
-            samples, spec.omega, s_sweep, coef=spec.k)))
+            samples, spec.omega, weights)))
     return reports
 
 
@@ -612,9 +613,7 @@ def run_scenario(scenario: Scenario, out_dir) -> dict:
         "final_residual": control.final_residual,
         "certificate": control.certificate,
     }
-    with open(out / "summary.json", "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(out / "summary.json", summary)
     written.append("summary.json")
 
     manifest = {
@@ -622,7 +621,5 @@ def run_scenario(scenario: Scenario, out_dir) -> dict:
         "seed": scenario.seed,
         "artifacts": {name: _sha256(out / name) for name in sorted(written)},
     }
-    with open(out / "manifest.json", "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(out / "manifest.json", manifest)
     return manifest

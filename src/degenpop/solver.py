@@ -147,13 +147,13 @@ class _Propagator:
                           * self.beta[1:])[:, 1:-1]
         self.omega_mask = window_mask(grid.x_nodes, *spec.omega).astype(float)
         mu = _checked(np.stack([spec.rates.mu_grid(t_offset + n * grid.dt, grid)
-                               for n in range(grid.Nt + 1)]), "mortality")
+                               for n in range(1, grid.Nt + 1)]), "mortality")
         ratio = grid.dt / grid.dx ** 2
         # off-diagonal between interior nodes i and i+1 is the interior
         # face coupling -dt*k_{i+1/2}/dx^2, identical on both sides
         self.offdiag = -ratio * self.k_faces[1:-1]
         diag_flux = ratio * (self.k_faces[:-1] + self.k_faces[1:])
-        # implicit diagonal per time level, rows 1..Na
+        # implicit diagonal of time levels 1..Nt (entry n - 1), rows 1..Na
         self._diag = 1.0 + grid.dt * mu[:, 1:, 1:-1] + diag_flux
 
     def forward_rhs(self, old: np.ndarray,
@@ -179,11 +179,11 @@ class _Propagator:
                         rows: slice = slice(None)) -> np.ndarray:
         """Apply D^{-1} at ``level`` to interior-x data for rows 1..Na, or
         for the slice ``rows`` of them."""
-        return _thomas(self._diag[level][rows], self.offdiag, rhs_rows)
+        return _thomas(self._diag[level - 1][rows], self.offdiag, rhs_rows)
 
     def apply_diffusion(self, level: int, rows: np.ndarray) -> np.ndarray:
         """Apply D at ``level`` to interior-x data for rows 1..Na."""
-        out = self._diag[level] * rows
+        out = self._diag[level - 1] * rows
         out[:, 1:] += self.offdiag[None, :] * rows[:, :-1]
         out[:, :-1] += self.offdiag[None, :] * rows[:, 1:]
         return out

@@ -202,24 +202,24 @@ class TestCarlemanAudits:
 
     def test_local_audit_deg0(self):
         spec = small_spec(k=PowerLaw(0.5, 0.0))
-        report = carleman_local_audit(self._samples(spec), (0.3, 0.7),
-                                      S_SMALL, coef=spec.k)
+        weights = build_carleman_weights(spec.grid, spec.k, s_sweep=S_SMALL)
+        report = carleman_local_audit(self._samples(spec), (0.3, 0.7), weights)
         assert report.name == "carleman_local_deg0"
         assert report.empirical_constant is not None
         assert report.meta["omega"] == [0.3, 0.7]
 
     def test_local_audit_reflects_deg1(self):
         spec = small_spec(k=PowerLaw(0.0, 0.5))
-        report = carleman_local_audit(self._samples(spec), (0.3, 0.7),
-                                      S_SMALL, coef=spec.k)
+        weights = build_carleman_weights(spec.grid, spec.k, s_sweep=S_SMALL)
+        report = carleman_local_audit(self._samples(spec), (0.3, 0.7), weights)
         assert report.name == "carleman_local_deg1"
         assert report.meta["omega"] == [0.3, 0.7]
 
     def test_local_audit_rejects_two_sided(self):
         spec = small_spec(k=PowerLaw(0.5, 0.5))
+        weights = build_carleman_weights(spec.grid, spec.k, s_sweep=S_SMALL)
         with pytest.raises(ValueError, match="gluing"):
-            carleman_local_audit(self._samples(spec), (0.3, 0.7), S_SMALL,
-                                 coef=spec.k)
+            carleman_local_audit(self._samples(spec), (0.3, 0.7), weights)
 
     def test_empty_and_zero_samples_rejected(self):
         spec = small_spec()
@@ -236,6 +236,48 @@ class TestCarlemanAudits:
         weights = build_carleman_weights(other.grid, spec.k, s_sweep=S_SMALL)
         with pytest.raises(ValueError, match="grid"):
             carleman_audit_deg0(self._samples(spec), weights)
+
+
+class TestPinnedConstants:
+    """Empirical constants of the Carleman-type audits on the small grid,
+    pinned so that a change to the weighted quadrature cannot pass
+    unnoticed; three manufactured samples at seed 11."""
+
+    NODES = np.linspace(0.0, 1.0, 101)
+    # case -> (k, audit, arguments between samples and weights, constant)
+    CASES = {
+        "deg0": (PowerLaw(0.5, 0.0), carleman_audit_deg0, (),
+                 0.05438943988687022),
+        "deg1": (PowerLaw(0.0, 0.5), carleman_audit_deg1, (),
+                 0.04061584468541728),
+        "nondeg": (Tabulated(x=NODES, k_values=1.0 + 0.5 * NODES,
+                             kprime_values=np.full(NODES.shape, 0.5)),
+                   carleman_audit_nondeg, (), 0.059677172641265146),
+        "local_deg0": (PowerLaw(0.5, 0.0), carleman_local_audit, ((0.3, 0.7),),
+                       0.23543763965874526),
+        "local_deg1": (PowerLaw(0.0, 0.5), carleman_local_audit, ((0.3, 0.7),),
+                       0.23217414296827268),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_carleman_constants(self, case):
+        k, audit, args, expected = self.CASES[case]
+        spec = small_spec(k=k)
+        samples = manufactured_family(spec, 3, seed=11)
+        weights = build_carleman_weights(spec.grid, k, s_sweep=S_SMALL)
+        assert audit(samples, *args, weights).empirical_constant == \
+            pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_caccioppoli_constant(self):
+        spec = small_spec(k=PowerLaw(0.5, 0.0))
+        samples = manufactured_family(spec, 3, seed=11)
+        psi = lambda x: -(1.0 + 4.0 * x * (1.0 - x))
+        report = caccioppoli_audit(samples, (0.35, 0.65), (0.25, 0.75), psi,
+                                   s=1.0)
+        # abs=0: approx's default absolute tolerance of 1e-12 would
+        # accept any value this small
+        assert report.empirical_constant == pytest.approx(
+            2.5205657747846396e-38, rel=1e-12, abs=0.0)
 
 
 class TestCaccioppoli:
@@ -255,6 +297,20 @@ class TestCaccioppoli:
         psi = lambda x: -np.ones_like(np.asarray(x, dtype=float))
         with pytest.raises(ValueError, match="strictly inside"):
             caccioppoli_audit(samples, (0.2, 0.8), (0.3, 0.7), psi, s=1.0)
+
+    def test_samples_on_another_grid_rejected(self):
+        # same 8x16x10 node counts, so the arrays alone cannot tell the
+        # grids apart; the second sample would be integrated with the
+        # first one's spacings and Theta
+        samples = []
+        for T in (1.0, 0.5):
+            grid = Grid(T=T, A=2.0 * T, Nt=8, Na=16, Nx=10)
+            spec = ProblemSpec(k=PowerLaw(0.5, 0.0), rates=small_spec().rates,
+                               grid=grid, omega=(0.3, 0.7))
+            samples += manufactured_family(spec, 1, seed=4)
+        psi = lambda x: -np.ones_like(np.asarray(x, dtype=float))
+        with pytest.raises(ValueError, match="grid"):
+            caccioppoli_audit(samples, (0.35, 0.65), (0.25, 0.75), psi, s=1.0)
 
     def test_psi_sign_validated(self):
         spec = small_spec()
