@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -123,13 +123,13 @@ class _Gramian:
     xi holds nodal adjoint final data on the target rows (interior x
     columns); the map is adjoint solve -> forward solve from zero ->
     final-state restriction, self-adjoint and positive semidefinite in the
-    lattice inner product by the discrete duality identity.
+    lattice inner product by the discrete duality identity.  Both solves
+    run on ``spec`` as given, from its t = 0.
     """
 
-    def __init__(self, spec: ProblemSpec, rows: np.ndarray, t_start: float):
+    def __init__(self, spec: ProblemSpec, rows: np.ndarray):
         self.spec = spec
         self.rows = rows
-        self.t_start = t_start
         self.grid = spec.grid
         self._zero_y0 = Field2.zeros(spec.grid)
 
@@ -142,14 +142,12 @@ class _Gramian:
         return final_values[self.rows][:, 1:-1].copy()
 
     def observation(self, xi: np.ndarray) -> Field3:
-        traj = solve_adjoint(self.spec, self.embed(xi),
-                             renewal_coupling=True, t_offset=self.t_start)
+        traj = solve_adjoint(self.spec, self.embed(xi), renewal_coupling=True)
         return traj.observation
 
     def apply(self, xi: np.ndarray) -> np.ndarray:
         obs = self.observation(xi)
-        traj = solve_forward(self.spec, control=obs, y0=self._zero_y0,
-                             t_offset=self.t_start)
+        traj = solve_forward(self.spec, control=obs, y0=self._zero_y0)
         return self.restrict(traj.final_level())
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
@@ -216,29 +214,31 @@ def _conjugate_gradient(op: _Gramian, b: np.ndarray, epsilon: float,
 
 
 def hum_control(spec: ProblemSpec, config: HUMConfig, *,
-                y0: Field2 | None = None, t_start: float = 0.0) -> ControlSolution:
+                y0: Field2 | None = None) -> ControlSolution:
     """Penalized-HUM control steering the target age rows toward zero.
 
     Minimizes J_eps over adjoint final data supported on the rows
     delta < a < A (interior x columns, so v_T(A,.) = 0 and the Dirichlet
     rows hold), using conjugate gradient on the gradient map
     xi -> Gramian(xi) + eps*xi + b.  The control is the masked adjoint
-    observation of the minimizer.
+    observation of the minimizer.  The control acts over the whole of
+    ``spec``'s horizon; to control a later window only, solve on that
+    window's own problem (see :func:`compose_delay_control`).
     """
     grid = spec.grid
     data = y0 if y0 is not None else spec.y0
     if data is None:
         raise ValueError("no initial data: set spec.y0 or pass y0")
     rows = _target_rows(grid, config.delta)
-    op = _Gramian(spec, rows, t_start)
+    op = _Gramian(spec, rows)
 
-    free = solve_forward(spec, y0=data, t_offset=t_start)
+    free = solve_forward(spec, y0=data)
     b = op.restrict(free.final_level())
     xi, residuals, functionals = _conjugate_gradient(
         op, b, config.epsilon, config.cg_tol, config.cg_max_iter)
 
     f = op.observation(xi) if np.any(xi) else Field3.zeros(grid)
-    traj = solve_forward(spec, control=f, y0=data, t_offset=t_start)
+    traj = solve_forward(spec, control=f, y0=data)
     final_residual = lattice_norm(op.restrict(traj.final_level()), grid)
     f_norm = control_norm(f)
     j_star = 0.5 * f_norm ** 2 + final_residual ** 2 / (2.0 * config.epsilon)
@@ -254,12 +254,27 @@ def hum_control(spec: ProblemSpec, config: HUMConfig, *,
         epsilon=config.epsilon, j_star=j_star, certificate=certificate,
         cg_iterations=len(residuals) - 1,
         cg_residuals=tuple(residuals), cg_functionals=tuple(functionals),
-        diagnostics={"duality_gap": j_star + functionals[-1],
-                     "t_start": t_start})
+        diagnostics={"duality_gap": j_star + functionals[-1]})
 
 
 # ---------------------------------------------------------------------------
 # delay composition
+
+
+def _time_window(spec: ProblemSpec, start: int, steps: int,
+                 y0_values: np.ndarray) -> ProblemSpec:
+    """The problem on time levels start..start+steps, as a problem of its own.
+
+    The window keeps the step of ``spec`` (its grid spans steps * dt from
+    t = 0), starts from ``y0_values`` and reads mortality on the clock of
+    ``spec``, so window level n is level start + n of the whole horizon.
+    """
+    dt = spec.grid.dt
+    grid = spec.grid.with_time(steps * dt, steps)
+    mu = spec.rates.mu
+    rates = replace(spec.rates, mu=lambda t, a, x: mu(start * dt + t, a, x))
+    return ProblemSpec(k=spec.k, rates=rates, grid=grid, omega=spec.omega,
+                       y0=Field2(grid, y0_values))
 
 
 def compose_delay_control(spec: ProblemSpec, config: HUMConfig, *,
@@ -267,8 +282,9 @@ def compose_delay_control(spec: ProblemSpec, config: HUMConfig, *,
     """Control vanishing before T_tilde = T - a_bar, active afterwards.
 
     Phase one lets the population evolve freely to T_tilde; phase two runs
-    hum_control on the remaining window from the reached state.  a_bar is
-    snapped to the time lattice with a warning when off it.  The reported
+    hum_control on the remaining window, a problem of its own (see
+    ``_time_window``) starting from the reached state.  a_bar is snapped
+    to the time lattice with a warning when off it.  The reported
     intermediate bound is the discrete renewal-growth estimate
     ||u(T_tilde)||^2 <= exp(C*T)*||y0||^2 with C = A * max(beta)^2.
     """
@@ -293,22 +309,15 @@ def compose_delay_control(spec: ProblemSpec, config: HUMConfig, *,
         raise ValueError("initial data grid does not match the problem grid")
     # only levels 0..n_tilde of the free march are read (at least one step
     # is marched, for a_bar = T)
-    n_free = max(n_tilde, 1)
-    free_grid = grid.with_time(n_free * grid.dt, n_free)
-    free = solve_forward(ProblemSpec(k=spec.k, rates=spec.rates, grid=free_grid,
-                                     omega=spec.omega),
-                         y0=Field2(free_grid, data.values))
-    window_grid = grid.with_time(grid.T - t_tilde, n_ctrl)
-    switch_state = Field2(window_grid, free.state.values[n_tilde].copy())
-    switch_norm = lattice_norm(switch_state.values, grid)
+    free = solve_forward(_time_window(spec, 0, max(n_tilde, 1), data.values))
+    window = _time_window(spec, n_tilde, n_ctrl, free.state.values[n_tilde])
+    switch_norm = lattice_norm(window.y0.values, grid)
     beta_max = float(np.max(spec.rates.beta_grid(grid)))
     growth = grid.A * beta_max ** 2
     switch_bound = math.exp(0.5 * growth * grid.T) * lattice_norm(
         data.values, grid)
 
-    window_spec = ProblemSpec(k=spec.k, rates=spec.rates, grid=window_grid,
-                              omega=spec.omega)
-    inner = hum_control(window_spec, config, y0=switch_state, t_start=t_tilde)
+    inner = hum_control(window, config)
 
     f_vals = np.zeros((grid.Nt + 1, grid.Na + 1, grid.Nx + 1))
     f_vals[n_tilde + 1:] = inner.f.values[1:]
@@ -317,8 +326,8 @@ def compose_delay_control(spec: ProblemSpec, config: HUMConfig, *,
                              inner.y.state.values[1:]], axis=0)
     norms = np.concatenate([free.norms[:n_tilde + 1], inner.y.norms[1:]])
     fluxes = np.concatenate([free.fluxes[:n_tilde + 1], inner.y.fluxes[1:]])
-    traj = Trajectory(state=Field3(grid, y_vals), kind="delay-composed",
-                      norms=norms, fluxes=fluxes, control=f)
+    traj = Trajectory(state=Field3(grid, y_vals), norms=norms, fluxes=fluxes,
+                      control=f)
 
     y0_norm = lattice_norm(data.values, grid)
     return ControlSolution(
@@ -337,8 +346,8 @@ def compose_delay_control(spec: ProblemSpec, config: HUMConfig, *,
 # discrete residual of a (state, source) pair
 
 
-def forward_defect(spec: ProblemSpec, state: Field3, source: Field3 | None,
-                   *, t_offset: float = 0.0) -> float:
+def forward_defect(spec: ProblemSpec, state: Field3,
+                   source: Field3 | None) -> float:
     """Worst per-step defect of the forward scheme, in equation units.
 
     For each step the implicit operator is applied to the stored new level
@@ -347,7 +356,7 @@ def forward_defect(spec: ProblemSpec, state: Field3, source: Field3 | None,
     source enters unmasked (callers restrict support themselves).
     """
     grid = spec.grid
-    prop = _Propagator(spec, t_offset=t_offset)
+    prop = _Propagator(spec)
     vals = state.values
     worst = 0.0
     for n in range(grid.Nt):
@@ -358,8 +367,8 @@ def forward_defect(spec: ProblemSpec, state: Field3, source: Field3 | None,
     return worst
 
 
-def scheme_consistency_error(spec: ProblemSpec, *, amplitude: float = 1.0,
-                             t_offset: float = 0.0) -> float:
+def scheme_consistency_error(spec: ProblemSpec, *,
+                             amplitude: float = 1.0) -> float:
     """Defect of a smooth closed-form state with its symbolic source.
 
     The yardstick for assembly checks: a manufactured solution
@@ -392,8 +401,7 @@ def scheme_consistency_error(spec: ProblemSpec, *, amplitude: float = 1.0,
         mu = np.asarray(spec.rates.mu(t, a, x), dtype=float)
         return y_t + y_a - diff + mu * amp_t * q * sin_part
 
-    state = Field3.from_function(
-        grid, lambda t, a, x: y_star(t + t_offset, a, x))
+    state = Field3.from_function(grid, y_star)
     # k' can blow up at a degenerate endpoint; the defect only reads the
     # source at interior x nodes, so evaluate it there and leave the
     # boundary columns at zero.
@@ -402,9 +410,9 @@ def scheme_consistency_error(spec: ProblemSpec, *, amplitude: float = 1.0,
     x = grid.x_nodes[None, None, 1:-1]
     src_vals = np.zeros(state.values.shape)
     src_vals[:, :, 1:-1] = np.broadcast_to(
-        source(t + t_offset, a, x), src_vals[:, :, 1:-1].shape)
+        source(t, a, x), src_vals[:, :, 1:-1].shape)
     src = Field3(grid, src_vals)
-    return forward_defect(spec, state, src, t_offset=t_offset)
+    return forward_defect(spec, state, src)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +543,8 @@ def glue_two_sided(spec: ProblemSpec, config: HUMConfig, alpha_bar: float,
                              float(np.max(np.abs(y_vals[n][0] - predicted))))
 
     norms, fluxes = prop.energy_records(y_vals)
-    traj = Trajectory(state=Field3(grid, y_vals), kind="glued",
-                      norms=norms, fluxes=fluxes, control=f)
+    traj = Trajectory(state=Field3(grid, y_vals), norms=norms, fluxes=fluxes,
+                      control=f)
 
     rows = _target_rows(grid, config.delta)
     final_residual = lattice_norm(y_vals[-1][rows][:, 1:-1], grid)

@@ -214,90 +214,57 @@ def integrate_nodes(values: np.ndarray, spacings: tuple[float, ...]) -> float:
     return float(arr)
 
 
-def _trap_1d(g: np.ndarray, h: float) -> np.ndarray:
-    """Trapezoid along the last axis of ``g``."""
-    return h * (g.sum(axis=-1) - 0.5 * (g[..., 0] + g[..., -1]))
+def weighted_norm(values: np.ndarray, x: np.ndarray, weight=None) -> float:
+    """Integral of weight(x) * values**2 over the equispaced nodes ``x``.
 
-
-def weighted_norm(values: np.ndarray, nodes: tuple[np.ndarray, ...],
-                  weight=None) -> float:
-    """Integral of weight * field**2 over the tensor domain of ``nodes``.
-
-    ``weight`` is a callable of the axis coordinates (broadcasting
-    numpy-style), 1 when omitted.  Endpoint cells of the *last* axis where
-    the nodal weight is non-finite are integrated on a geometric
-    subdivision toward the endpoint (Simpson per sub-cell, field
-    interpolated linearly), which resolves any integrable power
-    singularity of the weight.  Returns the
-    squared weighted L2 norm.
+    ``weight`` is a callable of x (broadcasting numpy-style), 1 when
+    omitted.  An end cell where the nodal weight is non-finite is
+    integrated on a geometric subdivision toward the endpoint (Simpson per
+    sub-cell, field interpolated linearly), which resolves any integrable
+    power singularity of the weight.  Returns the squared weighted L2 norm.
     """
     f = np.asarray(values, dtype=float)
-    if f.ndim != len(nodes):
-        raise ValueError("one node array per field axis required")
-    mesh = np.meshgrid(*nodes, indexing="ij", sparse=True)
+    x = np.asarray(x, dtype=float)
+    if f.ndim != 1 or f.shape != x.shape:
+        raise ValueError("values and nodes must be 1-D arrays of one length")
     if weight is None:
         w = np.ones_like(f)
     else:
-        w = np.broadcast_to(np.asarray(weight(*mesh), dtype=float), f.shape)
-
-    hs = [float(n[1] - n[0]) for n in nodes]
+        w = np.broadcast_to(np.asarray(weight(x), dtype=float), f.shape)
+    h = float(x[1] - x[0])
     g = np.where(np.isfinite(w), w, 0.0) * f * f
-
-    # Integrate the last axis cell by cell (end cells singular-aware), then
-    # trapezoid over the remaining axes.
-    h = hs[-1]
-    cells = 0.5 * h * (g[..., :-1] + g[..., 1:])
-    if weight is not None:
-        wl = np.asarray(w[..., 0], dtype=float)
-        wr = np.asarray(w[..., -1], dtype=float)
-        xs = nodes[-1]
-        if np.any(~np.isfinite(wl)):
-            sing_l = _singular_cell(weight, mesh, xs, h, f, side="lo")
-            cells[..., 0] = np.where(np.isfinite(wl), cells[..., 0], sing_l)
-        if np.any(~np.isfinite(wr)):
-            sing_r = _singular_cell(weight, mesh, xs, h, f, side="hi")
-            cells[..., -1] = np.where(np.isfinite(wr), cells[..., -1], sing_r)
-    total = cells.sum(axis=-1)
-    for h_prev in reversed(hs[:-1]):
-        total = _trap_1d(total, h_prev)
-    return float(total)
+    cells = 0.5 * h * (g[:-1] + g[1:])
+    if not np.isfinite(w[0]):
+        cells[0] = _singular_cell(weight, x[0], 1.0, h, f[0], f[1])
+    if not np.isfinite(w[-1]):
+        cells[-1] = _singular_cell(weight, x[-1], -1.0, h, f[-1], f[-2])
+    return float(cells.sum())
 
 
-def _weight_at(weight, sparse_mesh, x_value: float) -> np.ndarray:
-    args = [m[..., :1] for m in sparse_mesh[:-1]] + [np.asarray(x_value)]
-    out = np.asarray(weight(*args), dtype=float)
-    return out[..., 0] if out.ndim == len(sparse_mesh) else out
+def _singular_cell(weight, x_s: float, orient: float, h: float,
+                   f_sing: float, f_reg: float) -> float:
+    """End cell of ``weighted_norm`` with the weight singular at x_s.
 
-
-def _singular_cell(weight, sparse_mesh, xs: np.ndarray, h: float,
-                   f: np.ndarray, side: str) -> np.ndarray:
-    """End cell of ``weighted_norm`` with the weight singular at one node.
-
-    The cell is split geometrically toward the singular endpoint and each
-    sub-cell integrated by Simpson with the exact weight and the field
-    interpolated linearly between the two cell nodes; the untouched sliver
-    next to the endpoint carries O((2^-60)^(1-gamma)) of the cell mass for
-    a |x - x_s|^(-gamma) weight, negligible for every integrable gamma.
+    The cell (x_s toward x_s + orient * h) is split geometrically toward
+    x_s and each sub-cell integrated by Simpson with the exact weight and
+    the field interpolated linearly between the two cell nodes; the
+    untouched sliver next to the endpoint carries O((2^-60)^(1-gamma)) of
+    the cell mass for a |x - x_s|^(-gamma) weight, negligible for every
+    integrable gamma.
     """
-    if side == "lo":
-        x_s, f_sing, f_reg = xs[0], f[..., 0], f[..., 1]
-        orient = 1.0
-    else:
-        x_s, f_sing, f_reg = xs[-1], f[..., -1], f[..., -2]
-        orient = -1.0
     dist = h * 0.5 ** np.arange(61)
     keep = dist > 8.0 * np.finfo(float).eps * max(1.0, abs(x_s))
     dist = dist[keep]
     if dist.size < 2:
-        return np.zeros_like(f_sing)
+        return 0.0
 
-    def g_at(d: float) -> np.ndarray:
-        wv = _weight_at(weight, sparse_mesh, x_s + orient * d)
-        wv = np.where(np.isfinite(wv), wv, 0.0)
+    def g_at(d: float) -> float:
+        wv = float(weight(np.asarray(x_s + orient * d)))
+        wv = wv if np.isfinite(wv) else 0.0
         fv = f_sing + (d / h) * (f_reg - f_sing)
         return wv * fv * fv
 
-    total = np.zeros_like(f_sing, dtype=float)
+    total = 0.0
     g_hi = g_at(dist[0])
     for j in range(dist.size - 1):
         d_hi, d_lo = dist[j], dist[j + 1]

@@ -24,6 +24,7 @@ from .coeffs import (CarlemanWeights, DegenerateCoefficient, PowerLaw,
 from .discretize import (
     Field3,
     Grid,
+    axis_weights,
     integrate_nodes,
     spawn_rng,
     weighted_norm,
@@ -248,7 +249,7 @@ def hardy_ratio(k, theta: float, case: str, test_functions, *,
             wpv = np.gradient(wv, nodes, edge_order=2)
         else:
             wpv = np.asarray(wp(nodes), dtype=float)
-        lhs = weighted_norm(wv, (nodes,), weight=weight_lhs)
+        lhs = weighted_norm(wv, nodes, weight=weight_lhs)
         rhs = integrate_nodes(kv * wpv ** 2, (float(nodes[1] - nodes[0]),))
         if lhs == 0.0 and rhs == 0.0:
             rows.append(ReportRow(idx, 0.0, 0.0, 0.0, None))
@@ -734,8 +735,7 @@ def observability_ratio(spec: ProblemSpec, ensemble, delta: float, *,
     if abs(steps_back - round(steps_back)) > 1e-9:
         warnings.warn("a_bar is not a multiple of dt; sampling the nearest level")
     n_star = min(max(n_star, 0), grid.Nt)
-    t_weights = np.full(grid.Nt + 1, grid.dt)
-    t_weights[0] = t_weights[-1] = 0.5 * grid.dt
+    t_weights = axis_weights(grid.Nt + 1, grid.dt)
     a_nodes = grid.a_nodes
     rows = []
     for idx, v_T in enumerate(ensemble):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import DegenerateCoefficient, VitalRates
-from .discretize import Field2, Field3, Grid, window_mask
+from .discretize import Field2, Field3, Grid, axis_weights, window_mask
 
 __all__ = [
     "ProblemSpec",
@@ -128,7 +128,7 @@ class _Propagator:
     implicit solve acts on age rows 1..Na and interior x nodes.
     """
 
-    def __init__(self, spec: ProblemSpec, t_offset: float = 0.0):
+    def __init__(self, spec: ProblemSpec):
         grid = spec.grid
         self.grid = grid
         self.k_faces = _checked(spec.k.face_values(grid.x_nodes),
@@ -139,14 +139,13 @@ class _Propagator:
             raise ValueError(
                 "renewal quadrature factor nonpositive: da * beta(0,x) >= 2")
         self._renewal_c = 1.0 / denom
-        w = np.full(grid.Na, grid.da)
-        w[-1] = 0.5 * grid.da
+        w = axis_weights(grid.Na + 1, grid.da)[1:]
         self._age_weights = w  # trapezoid weights for rows 1..Na
         # transpose of the renewal row: w_j * c * beta_j, interior x
         self._coupling = (w[:, None] * self._renewal_c[None, :]
                           * self.beta[1:])[:, 1:-1]
         self.omega_mask = window_mask(grid.x_nodes, *spec.omega).astype(float)
-        mu = _checked(np.stack([spec.rates.mu_grid(t_offset + n * grid.dt, grid)
+        mu = _checked(np.stack([spec.rates.mu_grid(n * grid.dt, grid)
                                for n in range(1, grid.Nt + 1)]), "mortality")
         ratio = grid.dt / grid.dx ** 2
         # off-diagonal between interior nodes i and i+1 is the interior
@@ -212,8 +211,6 @@ class Trajectory:
     """A stored space-age field per time level plus energy records."""
 
     state: Field3
-    kind: str
-    t_offset: float = 0.0
     norms: np.ndarray | None = None
     fluxes: np.ndarray | None = None
     control: Field3 | None = None
@@ -234,17 +231,20 @@ class Trajectory:
             writer = csv.writer(handle)
             writer.writerow(["step", "t", "supnorm", "flux"])
             for n in range(grid.Nt + 1):
-                writer.writerow([n, repr(self.t_offset + n * grid.dt),
+                writer.writerow([n, repr(n * grid.dt),
                                  repr(float(self.norms[n])),
                                  repr(float(self.fluxes[n]))])
 
 
 def solve_forward(spec: ProblemSpec, control: Field3 | None = None, *,
-                  y0: Field2 | None = None, t_offset: float = 0.0) -> Trajectory:
+                  y0: Field2 | None = None) -> Trajectory:
     """March the population model forward from y0 with optional control.
 
     The control field is read one slice per step (slice n+1 drives the
-    step n -> n+1) and is masked to the control window before use.
+    step n -> n+1) and is masked to the control window before use.  Level
+    n sits at t = n * dt on the problem's own clock; a later time window is
+    a problem of its own whose rates read the outer clock (see
+    ``control.compose_delay_control``).
     """
     data = y0 if y0 is not None else spec.y0
     if data is None:
@@ -253,7 +253,7 @@ def solve_forward(spec: ProblemSpec, control: Field3 | None = None, *,
         raise ValueError("initial data grid does not match the problem grid")
     if control is not None and control.grid != spec.grid:
         raise ValueError("control grid does not match the problem grid")
-    prop = _Propagator(spec, t_offset)
+    prop = _Propagator(spec)
     grid = spec.grid
     values = np.zeros((grid.Nt + 1, grid.Na + 1, grid.Nx + 1))
     values[0] = data.values
@@ -265,13 +265,12 @@ def solve_forward(spec: ProblemSpec, control: Field3 | None = None, *,
                                                prop.forward_rhs(values[n], f))
         level[0] = prop.renewal_row(level)
     norms, fluxes = prop.energy_records(values)
-    return Trajectory(state=Field3(grid, values), kind="forward",
-                      t_offset=t_offset, norms=norms, fluxes=fluxes,
+    return Trajectory(state=Field3(grid, values), norms=norms, fluxes=fluxes,
                       control=control)
 
 
 def solve_adjoint(spec: ProblemSpec, v_T: Field2, *, source: Field3 | None = None,
-                  renewal_coupling: bool = True, t_offset: float = 0.0) -> Trajectory:
+                  renewal_coupling: bool = True) -> Trajectory:
     """March the exact discrete transpose backward from final data v_T.
 
     One backward step from level n+1 to n is
@@ -286,12 +285,13 @@ def solve_adjoint(spec: ProblemSpec, v_T: Field2, *, source: Field3 | None = Non
     returned observation field stores chi_omega * m at slices 1..Nt: this
     is the integrand pairing with a forward control in the duality
     identity, hence the natural control sample of the adjoint state.
+    Levels run on the problem's own clock, as in :func:`solve_forward`.
     """
     if v_T.grid != spec.grid:
         raise ValueError("final data grid does not match the problem grid")
     if source is not None and source.grid != spec.grid:
         raise ValueError("source grid does not match the problem grid")
-    prop = _Propagator(spec, t_offset)
+    prop = _Propagator(spec)
     grid = spec.grid
     values = np.zeros((grid.Nt + 1, grid.Na + 1, grid.Nx + 1))
     values[grid.Nt] = v_T.values
@@ -304,8 +304,7 @@ def solve_adjoint(spec: ProblemSpec, v_T: Field2, *, source: Field3 | None = Non
         obs[n + 1] = prop.omega_mask[None, :] * m
         values[n][:-1] = m[1:]
     norms, fluxes = prop.energy_records(values)
-    return Trajectory(state=Field3(grid, values), kind="adjoint",
-                      t_offset=t_offset, norms=norms, fluxes=fluxes,
+    return Trajectory(state=Field3(grid, values), norms=norms, fluxes=fluxes,
                       observation=Field3(grid, obs))
 
 

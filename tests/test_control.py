@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from degenpop import control
 from degenpop.coeffs import PowerLaw, VitalRates
 from degenpop.control import (HUMConfig, _Gramian, _target_rows,
                               compose_delay_control, forward_defect,
@@ -54,13 +55,15 @@ class TestHUMConfig:
 class TestGramian:
     def test_symmetric_and_positive_with_time_dependent_mortality(self):
         grid = Grid.aligned(T=1.0, A=2.0, Nt=6, Nx=10)
+        # a window starting at t = 0.25: mortality reads the outer clock
         rates = VitalRates(
             beta=beta_window, a_bar=0.5,
-            mu=lambda t, a, x: 0.2 + 0.1 * a + 2.0 * t * (1.0 + np.sin(5 * x)))
+            mu=lambda t, a, x: 0.2 + 0.1 * a
+            + 2.0 * (0.25 + t) * (1.0 + np.sin(5 * x)))
         spec = ProblemSpec(k=PowerLaw(0.5, 0.0), rates=rates, grid=grid,
                            omega=(0.3, 0.7))
         rows = _target_rows(grid, 1.25)
-        op = _Gramian(spec, rows, t_start=0.25)
+        op = _Gramian(spec, rows)
         rng = np.random.default_rng(11)
         for _ in range(4):
             u, v = rng.standard_normal((2, rows.size, grid.Nx - 1))
@@ -200,6 +203,33 @@ class TestDelayComposition:
         plain = hum_control(spec, CONFIG)
         assert np.array_equal(delayed.f.values, plain.f.values)
         assert np.array_equal(delayed.y.state.values, plain.y.state.values)
+
+    def test_window_keeps_the_problem_step(self, monkeypatch):
+        # dt = 0.2 and a window of 2 steps: fl(T - 3*dt) / 2 is one ulp
+        # below dt, (2*dt) / 2 is dt
+        grid = Grid(T=1.0, A=2.0, Nt=5, Na=10, Nx=10)
+        rates = VitalRates(beta=beta_window,
+                           mu=lambda t, a, x: 0.2 + 0.0 * a * x, a_bar=0.4)
+        spec = ProblemSpec(k=PowerLaw(0.5, 0.0), rates=rates, grid=grid,
+                           omega=(0.3, 0.7), y0=random_final_data(grid, seed=0))
+        windows = []
+
+        def spy(window, config, **kwargs):
+            windows.append(window)
+            return hum_control(window, config, **kwargs)
+
+        monkeypatch.setattr(control, "hum_control", spy)
+        compose_delay_control(spec, CONFIG)
+        assert [w.grid.dt for w in windows] == [grid.dt]
+
+    def test_window_reads_mortality_on_the_outer_clock(self):
+        spec = make_spec(a_bar=0.5)
+        rates = dataclasses.replace(
+            spec.rates,
+            mu=lambda t, a, x: 0.2 + 0.1 * a + 2.0 * t * (1.0 + np.sin(5 * x)))
+        spec = dataclasses.replace(spec, rates=rates)
+        sol = compose_delay_control(spec, CONFIG)
+        assert forward_defect(spec, sol.y.state, sol.f) < 1e-10
 
     def test_off_lattice_a_bar_warns(self):
         spec = make_spec(a_bar=0.26)

@@ -57,20 +57,20 @@ class TestQuadrature:
     def test_weighted_norm_polynomial_oracle(self):
         # int_0^1 x^2 dx = 1/3
         nodes = np.linspace(0.0, 1.0, 20_001)
-        val = weighted_norm(nodes, (nodes,))
+        val = weighted_norm(nodes, nodes)
         assert val == pytest.approx(1.0 / 3.0, rel=1e-8)
 
     def test_weighted_norm_singular_endpoint(self):
         # int_0^1 x^(-1/2) dx = 2.  The weight blows up at the left edge,
         # so the regular cells next to it converge at O(sqrt(h)) only.
         nodes = np.linspace(0.0, 1.0, 100_001)
-        val = weighted_norm(np.ones_like(nodes), (nodes,),
+        val = weighted_norm(np.ones_like(nodes), nodes,
                             weight=lambda x: np.where(x > 0, x, np.inf) ** -0.5)
         assert val == pytest.approx(2.0, rel=5e-3)
 
     def test_weighted_norm_rejects_mismatched_axes(self):
         with pytest.raises(ValueError):
-            weighted_norm(np.ones((3, 3)), (np.linspace(0, 1, 3),))
+            weighted_norm(np.ones((3, 3)), np.linspace(0, 1, 3))
 
     def test_axis_weights_sum(self):
         w = axis_weights(11, 0.1)

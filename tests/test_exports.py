@@ -1,8 +1,11 @@
 """Every exported name resolves, so a deleted function cannot linger in an
-``__all__`` list or in the package's re-exports."""
+``__all__`` list or in the package's re-exports, and every span name the
+benchmark derives a per-layer metric from is still a callable."""
 
 import ast
 import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +61,37 @@ def test_no_unused_imports():
                    - {Path(degenpop.__file__)}) \
         + sorted(Path(__file__).parent.glob("*.py"))
     assert [hit for path in files for hit in _unused_imports(path)] == []
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _traced_names(monkeypatch) -> set:
+    """Span names of every per-layer metric in perfbench/layers.py."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # layers imports spans
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_layers", PERFBENCH / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    names = {layers.FORWARD, layers.ADJOINT, *layers.HUM, *layers.HARDY,
+             *layers.ANNOTATORS}
+    for table in (layers.INCLUSIVE, layers.SELF, layers.CALLS):
+        for group in table.values():
+            names |= group
+    return names
+
+
+def test_traced_span_names_resolve(monkeypatch):
+    # a renamed function would silently read 0 in its per-layer metric
+    names = _traced_names(monkeypatch)
+    assert len(names) >= 25
+    missing = []
+    for name in sorted(names):
+        module, *path = name.split(".")
+        target = importlib.import_module(f"degenpop.{module}")
+        for attr in path:
+            target = getattr(target, attr, None)
+        if not callable(target):
+            missing.append(name)
+    assert missing == []
