@@ -80,7 +80,7 @@ def _cmd_simulate(args) -> int:
     traj.write_energy_csv(out / "energy.csv")
     write_field_csv(Field2(scenario.spec.grid, traj.final_level()),
                     out / "final_state.csv")
-    print(f"forward solve done; final sup norm {traj.norms[-1]:.6g}")
+    print(f"forward solve done; final L2 norm {traj.norms[-1]:.6g}")
     return 0
 
 
@@ -93,7 +93,7 @@ def _cmd_adjoint(args) -> int:
     traj.write_energy_csv(out / "adjoint_energy.csv")
     write_field_csv(Field2(grid, traj.state.values[0]),
                     out / "adjoint_initial_state.csv")
-    print(f"adjoint solve done; sup norm at t=0 is {traj.norms[0]:.6g}")
+    print(f"adjoint solve done; L2 norm at t=0 is {traj.norms[0]:.6g}")
     return 0
 
 

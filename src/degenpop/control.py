@@ -19,8 +19,8 @@ import numpy as np
 from .coeffs import classify_degeneracy
 from .discretize import Field2, Field3, Grid, window_mask, write_json
 from .inequalities import CutoffFamily
-from .solver import (ProblemSpec, Trajectory, _Propagator, control_norm,
-                     lattice_inner, lattice_norm, solve_adjoint, solve_forward)
+from .solver import (ProblemSpec, Trajectory, control_norm, lattice_inner,
+                     lattice_norm, solve_adjoint, solve_forward)
 
 __all__ = [
     "HUMConfig",
@@ -324,9 +324,7 @@ def compose_delay_control(spec: ProblemSpec, config: HUMConfig, *,
     f = Field3(grid, f_vals)
     y_vals = np.concatenate([free.state.values[:n_tilde + 1],
                              inner.y.state.values[1:]], axis=0)
-    norms = np.concatenate([free.norms[:n_tilde + 1], inner.y.norms[1:]])
-    fluxes = np.concatenate([free.fluxes[:n_tilde + 1], inner.y.fluxes[1:]])
-    traj = Trajectory(state=Field3(grid, y_vals), norms=norms, fluxes=fluxes,
+    traj = Trajectory(state=Field3(grid, y_vals), k_faces=inner.y.k_faces,
                       control=f)
 
     y0_norm = lattice_norm(data.values, grid)
@@ -356,7 +354,7 @@ def forward_defect(spec: ProblemSpec, state: Field3,
     source enters unmasked (callers restrict support themselves).
     """
     grid = spec.grid
-    prop = _Propagator(spec)
+    prop = spec._propagator
     vals = state.values
     worst = 0.0
     for n in range(grid.Nt):
@@ -510,7 +508,7 @@ def glue_two_sided(spec: ProblemSpec, config: HUMConfig, alpha_bar: float,
         + f_lv * phi[None, None, :] * u3
     y_vals[0] = spec.y0.values.copy()
 
-    prop = _Propagator(spec)
+    prop = spec._propagator
     k_faces = prop.k_faces
     f_vals = xi[None, None, :] * h1 + eta[None, None, :] * h2
     # -(1/T) phi u3 evaluated at the foot of the characteristic (previous
@@ -542,9 +540,7 @@ def glue_two_sided(spec: ProblemSpec, config: HUMConfig, alpha_bar: float,
         renewal_defect = max(renewal_defect,
                              float(np.max(np.abs(y_vals[n][0] - predicted))))
 
-    norms, fluxes = prop.energy_records(y_vals)
-    traj = Trajectory(state=Field3(grid, y_vals), norms=norms, fluxes=fluxes,
-                      control=f)
+    traj = Trajectory(state=Field3(grid, y_vals), k_faces=k_faces, control=f)
 
     rows = _target_rows(grid, config.delta)
     final_residual = lattice_norm(y_vals[-1][rows][:, 1:-1], grid)

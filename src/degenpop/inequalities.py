@@ -31,7 +31,7 @@ from .discretize import (
     window_mask,
     write_json,
 )
-from .solver import ProblemSpec, _Propagator, solve_adjoint
+from .solver import ProblemSpec, solve_adjoint
 
 __all__ = [
     "InequalityReport",
@@ -335,7 +335,7 @@ def manufactured_adjoint(spec: ProblemSpec, profile, *,
     vals[:, :, 0] = 0.0
     vals[:, :, -1] = 0.0
     vals[:, -1, :] = 0.0
-    prop = _Propagator(spec)
+    prop = spec._propagator
     f = np.zeros_like(vals)
     for n in range(grid.Nt):
         target = prop.adjoint_rhs(vals[n + 1],

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,12 @@ class ProblemSpec:
         if self.y0 is not None and self.y0.grid != self.grid:
             raise ValueError("initial data grid does not match the problem grid")
 
+    @cached_property
+    def _propagator(self) -> _Propagator:
+        """The one-step map of this problem, built and factored on first
+        use and shared by every march and check on it."""
+        return _Propagator(self)
+
 
 def lattice_inner(u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
     """Uniform-lattice inner product over (a, x): da*dx*sum(u*v)."""
@@ -83,31 +90,54 @@ def control_norm(f: Field3) -> float:
     return math.sqrt(control_inner(f, f))
 
 
-def _thomas(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the batched symmetric tridiagonal systems diag[r]*x = rhs[r].
+def _thomas_factor(diag: np.ndarray, off: np.ndarray) -> tuple:
+    """Factor the batched symmetric tridiagonal systems diag[r]*x = rhs[r].
 
-    diag and rhs have shape (rows, N); off holds the (N-1,) off-diagonal
-    shared by every row, the same below and above the diagonal.
+    diag has shape (rows, N); off holds the (N-1,) off-diagonal shared by
+    every row, the same below and above the diagonal.  Returns the N-1
+    off-diagonal entries, the N pivots and the N-1 multipliers as one
+    (rows,) array per x node (an array operand is cheaper than a scalar
+    one for numpy's small calls), the last two computed in the order an
+    unfactored Thomas sweep would.
     """
     # No pivoting and no pivot check.  With r = dt/dx^2 and finite k, mu >= 0
     # (checked by _Propagator) the diagonal is 1 + dt*mu_i + r*(k_{i-1/2} +
     # k_{i+1/2}) and the off-diagonal -r*k_{i+1/2}.  If the previous pivot
     # is >= 1 + r*k_{i-1/2}, then p_i >= d_i - r*k_{i-1/2} >= 1 + r*k_{i+1/2},
     # so by induction every pivot is at least 1.
-    rows, n = rhs.shape
-    cp = np.empty((rows, max(n - 1, 0)))
-    xs = np.empty_like(rhs)
-    piv = diag[:, 0]
-    sol = np.empty_like(rhs)
-    sol[:, 0] = rhs[:, 0] / piv
+    rows, n = diag.shape
+    piv = [diag[:, 0].copy()]
+    mult = []
     for i in range(1, n):
-        cp[:, i - 1] = off[i - 1] / piv
-        piv = diag[:, i] - off[i - 1] * cp[:, i - 1]
-        sol[:, i] = (rhs[:, i] - off[i - 1] * sol[:, i - 1]) / piv
-    xs[:, n - 1] = sol[:, n - 1]
-    for i in range(n - 2, -1, -1):
-        xs[:, i] = sol[:, i] - cp[:, i] * xs[:, i + 1]
-    return xs
+        mult.append(off[i - 1] / piv[i - 1])
+        piv.append(diag[:, i] - off[i - 1] * mult[i - 1])
+    return [np.full(rows, o) for o in off], piv, mult
+
+
+def _thomas_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Solve with the factors of :func:`_thomas_factor`; rhs is (rows, N).
+
+    The forward sweep still divides by each pivot, so the result is
+    bitwise that of the unfactored sweep.  It runs in place on an x-major
+    copy of rhs, whose rows are contiguous.
+    """
+    off, piv, mult = factors
+    sol = rhs.T.copy()
+    nodes = list(sol)
+    tmp = np.empty(sol.shape[1])
+    mul, sub, div = np.multiply, np.subtract, np.divide
+    prev = nodes[0]
+    div(prev, piv[0], prev)
+    for cur, o, p in zip(nodes[1:], off, piv[1:]):
+        mul(o, prev, tmp)
+        sub(cur, tmp, cur)
+        div(cur, p, cur)
+        prev = cur
+    for cur, m in zip(nodes[-2::-1], mult[::-1]):
+        mul(m, prev, tmp)
+        sub(cur, tmp, cur)
+        prev = cur
+    return sol.T
 
 
 def _checked(values, what: str) -> np.ndarray:
@@ -125,7 +155,8 @@ class _Propagator:
     Every forward march, adjoint march and defect check builds its steps
     from these pieces and nothing else, which keeps the adjoint the exact
     transpose of the forward step.  Levels are time levels 1..Nt; the
-    implicit solve acts on age rows 1..Na and interior x nodes.
+    implicit solve acts on age rows 1..Na and interior x nodes.  Build it
+    through ``ProblemSpec._propagator``, which keeps one per problem.
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -145,15 +176,23 @@ class _Propagator:
         self._coupling = (w[:, None] * self._renewal_c[None, :]
                           * self.beta[1:])[:, 1:-1]
         self.omega_mask = window_mask(grid.x_nodes, *spec.omega).astype(float)
-        mu = _checked(np.stack([spec.rates.mu_grid(n * grid.dt, grid)
-                               for n in range(1, grid.Nt + 1)]), "mortality")
         ratio = grid.dt / grid.dx ** 2
         # off-diagonal between interior nodes i and i+1 is the interior
         # face coupling -dt*k_{i+1/2}/dx^2, identical on both sides
         self.offdiag = -ratio * self.k_faces[1:-1]
         diag_flux = ratio * (self.k_faces[:-1] + self.k_faces[1:])
-        # implicit diagonal of time levels 1..Nt (entry n - 1), rows 1..Na
-        self._diag = 1.0 + grid.dt * mu[:, 1:, 1:-1] + diag_flux
+        # implicit diagonal of time levels 1..Nt (entry n - 1), rows 1..Na,
+        # and its factors; a level equal to the one before shares both
+        self._diag, self._factors = [], []
+        for n in range(1, grid.Nt + 1):
+            mu = _checked(spec.rates.mu_grid(n * grid.dt, grid), "mortality")
+            diag = 1.0 + grid.dt * mu[1:, 1:-1] + diag_flux
+            if self._diag and np.array_equal(diag, self._diag[-1]):
+                self._diag.append(self._diag[-1])
+                self._factors.append(self._factors[-1])
+            else:
+                self._diag.append(diag)
+                self._factors.append(_thomas_factor(diag, self.offdiag))
 
     def forward_rhs(self, old: np.ndarray,
                     source: np.ndarray | None = None) -> np.ndarray:
@@ -178,7 +217,10 @@ class _Propagator:
                         rows: slice = slice(None)) -> np.ndarray:
         """Apply D^{-1} at ``level`` to interior-x data for rows 1..Na, or
         for the slice ``rows`` of them."""
-        return _thomas(self._diag[level - 1][rows], self.offdiag, rhs_rows)
+        factors = self._factors[level - 1]
+        if rows != slice(None):
+            factors = [[node[rows] for node in part] for part in factors]
+        return _thomas_solve(factors, rhs_rows)
 
     def apply_diffusion(self, level: int, rows: np.ndarray) -> np.ndarray:
         """Apply D at ``level`` to interior-x data for rows 1..Na."""
@@ -193,26 +235,14 @@ class _Propagator:
                              self.beta[1:] * values[1:])
         return self._renewal_c * integral
 
-    def flux_form(self, level_values: np.ndarray) -> float:
-        """Discrete int int k y_x^2 over (a, x) at one time level."""
-        diff = np.diff(level_values, axis=1)
-        return float(self.grid.da / self.grid.dx
-                     * np.sum(self.k_faces[None, :] * diff ** 2))
-
-    def energy_records(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lattice norm and flux form of every time level of ``values``."""
-        norms = np.array([lattice_norm(level, self.grid) for level in values])
-        fluxes = np.array([self.flux_form(level) for level in values])
-        return norms, fluxes
-
 
 @dataclass
 class Trajectory:
-    """A stored space-age field per time level plus energy records."""
+    """A stored space-age field per time level; its energy records are
+    computed on first read."""
 
     state: Field3
-    norms: np.ndarray | None = None
-    fluxes: np.ndarray | None = None
+    k_faces: np.ndarray  # face diffusivities the flux records weigh with
     control: Field3 | None = None
     observation: Field3 | None = None
 
@@ -220,16 +250,29 @@ class Trajectory:
     def grid(self) -> Grid:
         return self.state.grid
 
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """Lattice L2 norm of every time level."""
+        return np.array([lattice_norm(level, self.grid)
+                         for level in self.state.values])
+
+    @cached_property
+    def fluxes(self) -> np.ndarray:
+        """Discrete int int k y_x^2 over (a, x) of every time level."""
+        grid = self.grid
+        return np.array([
+            float(grid.da / grid.dx * np.sum(
+                self.k_faces[None, :] * np.diff(level, axis=1) ** 2))
+            for level in self.state.values])
+
     def final_level(self) -> np.ndarray:
         return self.state.values[-1]
 
     def write_energy_csv(self, path) -> None:
-        if self.norms is None or self.fluxes is None:
-            raise ValueError("trajectory has no energy records")
         grid = self.grid
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["step", "t", "supnorm", "flux"])
+            writer.writerow(["step", "t", "l2norm", "flux"])
             for n in range(grid.Nt + 1):
                 writer.writerow([n, repr(n * grid.dt),
                                  repr(float(self.norms[n])),
@@ -253,7 +296,7 @@ def solve_forward(spec: ProblemSpec, control: Field3 | None = None, *,
         raise ValueError("initial data grid does not match the problem grid")
     if control is not None and control.grid != spec.grid:
         raise ValueError("control grid does not match the problem grid")
-    prop = _Propagator(spec)
+    prop = spec._propagator
     grid = spec.grid
     values = np.zeros((grid.Nt + 1, grid.Na + 1, grid.Nx + 1))
     values[0] = data.values
@@ -264,8 +307,7 @@ def solve_forward(spec: ProblemSpec, control: Field3 | None = None, *,
         level[1:, 1:-1] = prop.solve_diffusion(n + 1,
                                                prop.forward_rhs(values[n], f))
         level[0] = prop.renewal_row(level)
-    norms, fluxes = prop.energy_records(values)
-    return Trajectory(state=Field3(grid, values), norms=norms, fluxes=fluxes,
+    return Trajectory(state=Field3(grid, values), k_faces=prop.k_faces,
                       control=control)
 
 
@@ -291,7 +333,7 @@ def solve_adjoint(spec: ProblemSpec, v_T: Field2, *, source: Field3 | None = Non
         raise ValueError("final data grid does not match the problem grid")
     if source is not None and source.grid != spec.grid:
         raise ValueError("source grid does not match the problem grid")
-    prop = _Propagator(spec)
+    prop = spec._propagator
     grid = spec.grid
     values = np.zeros((grid.Nt + 1, grid.Na + 1, grid.Nx + 1))
     values[grid.Nt] = v_T.values
@@ -303,8 +345,7 @@ def solve_adjoint(spec: ProblemSpec, v_T: Field2, *, source: Field3 | None = Non
         m[1:, 1:-1] = prop.solve_diffusion(n + 1, q)
         obs[n + 1] = prop.omega_mask[None, :] * m
         values[n][:-1] = m[1:]
-    norms, fluxes = prop.energy_records(values)
-    return Trajectory(state=Field3(grid, values), norms=norms, fluxes=fluxes,
+    return Trajectory(state=Field3(grid, values), k_faces=prop.k_faces,
                       observation=Field3(grid, obs))
 
 
@@ -326,7 +367,7 @@ def characteristic_consistency(spec: ProblemSpec, v_T: Field2, *,
     through a = A).  Both paths use the same tridiagonal stepper, so the
     defect is pure round-off; it is reported relative to max|v_T|.
     """
-    prop = _Propagator(spec)
+    prop = spec._propagator
     if np.any(prop.beta != 0.0):
         raise ValueError("characteristic consistency requires beta == 0")
     grid = spec.grid
@@ -370,8 +411,6 @@ def energy_audit(traj: Trajectory, spec: ProblemSpec) -> EnergyAudit:
     C = exp(A ||beta||_inf^2 T) * (1 + T): the Gronwall rate of the
     renewal Jensen estimate composed with the source square completion.
     """
-    if traj.norms is None or traj.fluxes is None:
-        raise ValueError("trajectory has no energy records")
     grid = traj.grid
     beta_max = float(np.max(np.abs(
         spec.rates.beta_grid(grid))))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from degenpop import control
+from degenpop import control, solver
 from degenpop.coeffs import PowerLaw, VitalRates
 from degenpop.control import (HUMConfig, _Gramian, _target_rows,
                               compose_delay_control, forward_defect,
@@ -301,3 +301,37 @@ class TestGlueTwoSided:
         with pytest.raises(ValueError, match="y0"):
             glue_two_sided(bare, CONFIG, 3.0 / 16.0, 14.0 / 16.0)
 
+
+class TestPropagatorBuilds:
+    """Each problem builds its one-step map once, however often it marches."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        seen = []
+        build = solver._Propagator.__init__
+
+        def counting(prop, spec):
+            seen.append(spec)
+            build(prop, spec)
+
+        monkeypatch.setattr(solver._Propagator, "__init__", counting)
+        return seen
+
+    def test_hum_builds_once(self, builds):
+        spec = make_spec()
+        sol = hum_control(spec, CONFIG)
+        assert sol.cg_iterations > 1
+        assert len(builds) == 1 and builds[0] is spec
+
+    def test_delay_builds_once_per_window(self, builds):
+        sol = compose_delay_control(make_spec(), CONFIG)
+        assert sol.cg_iterations > 1
+        # the free march and the control window: two problems, one build each
+        assert len(builds) == len({id(spec) for spec in builds}) == 2
+
+    def test_glue_builds_once_per_problem(self, builds):
+        spec = make_spec(k=PowerLaw(0.5, 0.5))
+        glue_two_sided(spec, CONFIG, 3.0 / 16.0, 14.0 / 16.0)
+        # the whole problem, and each side's free march and control window
+        assert len(builds) == len({id(spec) for spec in builds}) == 5
+        assert sum(b is spec for b in builds) == 1

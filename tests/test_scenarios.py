@@ -324,6 +324,18 @@ class TestRunScenario:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("name", preset_names())
+    def test_rerun_on_a_warm_scenario(self, name, tmp_path):
+        # the second run finds the problem's one-step map already built
+        scenario = preset(name)
+        first = run_scenario(scenario, tmp_path / "first")
+        prop = scenario.spec._propagator
+        second = run_scenario(scenario, tmp_path / "second")
+        assert scenario.spec._propagator is prop
+        fresh = run_scenario(preset(name), tmp_path / "fresh")
+        assert first == fresh
+        assert second == fresh
+
     def test_audits_write_reports(self, tmp_path):
         cfg = config(audits=["caccioppoli"])
         scenario = scenario_from_config(cfg, name="tiny")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from degenpop.coeffs import PowerLaw, VitalRates
 from degenpop.discretize import (Field2, Field3, Grid, random_final_data,
                                  sine_mode_data, spawn_rng)
-from degenpop.solver import (ProblemSpec, characteristic_consistency,
-                             control_inner, control_norm, energy_audit,
-                             lattice_inner, lattice_norm, solve_adjoint,
-                             solve_forward)
+from degenpop.solver import (ProblemSpec, _thomas_factor, _thomas_solve,
+                             characteristic_consistency, control_inner,
+                             control_norm, energy_audit, lattice_inner,
+                             lattice_norm, solve_adjoint, solve_forward)
 
 
 def beta_ramp(a, x):
@@ -25,6 +27,32 @@ def mu_mild(t, a, x):
 def zero_rate(*args):
     return 0.0 * np.asarray(args[-2], dtype=float) \
         * np.ones_like(np.asarray(args[-1], dtype=float))
+
+
+def mu_seasonal(t, a, x):
+    # depends on t, so every time level has a diagonal of its own
+    return 0.2 + 0.1 * np.asarray(a, dtype=float) \
+        + 2.0 * t * (1.0 + np.sin(5.0 * np.asarray(x, dtype=float)))
+
+
+def thomas_reference(diag, off, rhs):
+    """The unfactored Thomas sweep, pivots computed inside the loop: the
+    solver's level solve before it stored its factors, kept as the oracle
+    that the factored solve matches bit for bit."""
+    rows, n = rhs.shape
+    cp = np.empty((rows, max(n - 1, 0)))
+    xs = np.empty_like(rhs)
+    piv = diag[:, 0]
+    sol = np.empty_like(rhs)
+    sol[:, 0] = rhs[:, 0] / piv
+    for i in range(1, n):
+        cp[:, i - 1] = off[i - 1] / piv
+        piv = diag[:, i] - off[i - 1] * cp[:, i - 1]
+        sol[:, i] = (rhs[:, i] - off[i - 1] * sol[:, i - 1]) / piv
+    xs[:, n - 1] = sol[:, n - 1]
+    for i in range(n - 2, -1, -1):
+        xs[:, i] = sol[:, i] - cp[:, i] * xs[:, i + 1]
+    return xs
 
 
 def make_spec(Nt=8, Nx=12, k=None, beta=beta_ramp, mu=mu_mild,
@@ -88,7 +116,62 @@ class TestForwardBasics:
         path = tmp_path / "energy.csv"
         traj.write_energy_csv(path)
         header = path.read_text().splitlines()[0]
-        assert header == "step,t,supnorm,flux"
+        assert header == "step,t,l2norm,flux"
+
+
+class TestFactoredSolve:
+    """The stored factors reproduce the unfactored sweep bit for bit."""
+
+    @given(st.integers(min_value=0, max_value=10 ** 6),
+           st.integers(min_value=1, max_value=9),
+           st.integers(min_value=1, max_value=12))
+    @settings(max_examples=40, deadline=None)
+    def test_random_systems(self, seed, rows, n):
+        rng = np.random.default_rng(seed)
+        off = -rng.uniform(0.0, 50.0, n - 1)
+        pad = np.abs(np.concatenate([[0.0], off])) \
+            + np.abs(np.concatenate([off, [0.0]]))
+        diag = 1.0 + rng.uniform(0.0, 5.0, (rows, n)) + pad
+        rhs = rng.standard_normal((rows, n))
+        np.testing.assert_array_equal(
+            _thomas_solve(_thomas_factor(diag, off), rhs),
+            thomas_reference(diag, off, rhs))
+
+    def _check_levels(self, spec, rows=slice(None)):
+        prop = spec._propagator
+        rng = spawn_rng(29)
+        for level in range(1, spec.grid.Nt + 1):
+            diag = prop._diag[level - 1][rows]
+            rhs = rng.standard_normal(diag.shape)
+            np.testing.assert_array_equal(
+                prop.solve_diffusion(level, rhs, rows),
+                thomas_reference(diag, prop.offdiag, rhs))
+        return prop
+
+    def test_equal_levels_share_one_factorisation(self):
+        prop = self._check_levels(make_spec(Nt=6, Nx=10))
+        assert len({id(f) for f in prop._factors}) == 1
+        assert len({id(d) for d in prop._diag}) == 1
+
+    def test_row_slice(self):
+        spec = make_spec(Nt=6, Nx=10)
+        for rows in (slice(3, 4), slice(2, 7)):
+            self._check_levels(spec, rows)
+
+    def test_time_dependent_mortality_factors_each_level(self):
+        spec = make_spec(Nt=6, Nx=10, mu=mu_seasonal)
+        prop = self._check_levels(spec)
+        assert len({id(f) for f in prop._factors}) == spec.grid.Nt
+        self._check_levels(spec, slice(1, 3))
+
+    def test_one_propagator_per_problem(self):
+        spec = make_spec()
+        prop = spec._propagator
+        solve_forward(spec, y0=random_final_data(spec.grid, seed=1))
+        solve_adjoint(spec, random_final_data(spec.grid, seed=2))
+        assert spec._propagator is prop
+        other = dataclasses.replace(spec, y0=None)
+        assert other._propagator is not prop
 
 
 class TestTransposeOracle:
@@ -166,6 +249,62 @@ class TestDuality:
         both = solve_forward(
             spec, y0=Field2(grid, a.values + b.values)).state.values
         np.testing.assert_allclose(both, ya + yb, atol=1e-12, rtol=1e-10)
+
+
+class TestTimeDependentDuality:
+    """Duality and the exact transpose where every level has its own
+    factors, a path no preset takes (their mortality ignores t)."""
+
+    @staticmethod
+    def _spec(grid, seed):
+        rng = np.random.default_rng(seed)
+        m0, m1, m2, b0 = rng.uniform(0.0, 1.0, 4)
+        freq = rng.uniform(1.0, 8.0)
+        rates = VitalRates(
+            beta=lambda a, x: b0 + np.asarray(a) * (1.0 - np.asarray(x)),
+            mu=lambda t, a, x: m0 + m1 * np.asarray(a)
+            + (0.5 + 2.0 * m2) * t * (1.0 + np.sin(freq * np.asarray(x))),
+            a_bar=0.2)
+        return ProblemSpec(k=PowerLaw(0.5, 0.5), rates=rates, grid=grid,
+                           omega=(0.3, 0.7))
+
+    @given(st.integers(min_value=0, max_value=10 ** 6),
+           st.integers(min_value=2, max_value=6),
+           st.integers(min_value=4, max_value=14))
+    @settings(max_examples=15, deadline=None)
+    def test_identity(self, seed, Nt, Nx):
+        grid = Grid.aligned(T=1.0, A=1.0, Nt=Nt, Nx=Nx)
+        spec = self._spec(grid, seed)
+        assert len({id(f) for f in spec._propagator._factors}) == Nt
+        y0 = random_final_data(grid, seed=seed, stream=0)
+        v_T = random_final_data(grid, seed=seed, stream=1)
+        f = Field3(grid, np.random.default_rng(seed).standard_normal(
+            (grid.Nt + 1, grid.Na + 1, grid.Nx + 1)))
+        forward = solve_forward(spec, control=f, y0=y0)
+        adjoint = solve_adjoint(spec, v_T)
+        lhs = lattice_inner(forward.final_level(), v_T.values, grid)
+        rhs = lattice_inner(y0.values, adjoint.state.values[0], grid) \
+            + control_inner(f, adjoint.observation)
+        scale = max(abs(lhs), abs(rhs), 1e-30)
+        assert abs(lhs - rhs) / scale < 1e-10
+
+    @given(st.integers(min_value=0, max_value=10 ** 6),
+           st.integers(min_value=2, max_value=3))
+    @settings(max_examples=8, deadline=None)
+    def test_exact_transpose(self, seed, Nt):
+        grid = Grid(T=0.2 * Nt, A=1.0, Nt=Nt, Na=5, Nx=5)
+        spec = self._spec(grid, seed)
+        dim = (grid.Na + 1) * (grid.Nx + 1)
+        fwd = np.zeros((dim, dim))
+        adj = np.zeros((dim, dim))
+        for i in range(dim):
+            shaped = np.zeros(dim)
+            shaped[i] = 1.0
+            shaped = Field2(grid, shaped.reshape(grid.Na + 1, grid.Nx + 1))
+            fwd[:, i] = solve_forward(spec, y0=shaped).final_level().ravel()
+            adj[:, i] = solve_adjoint(spec, shaped).state.values[0].ravel()
+        scale = np.max(np.abs(fwd))
+        np.testing.assert_allclose(adj, fwd.T, atol=1e-13 * scale)
 
 
 class TestDecayAndEnergy:
