@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .coeffs import DEFAULT_S_SWEEP
@@ -29,15 +30,11 @@ def _load(args) -> Scenario:
     else:
         scenario = preset(args.preset)
     if getattr(args, "epsilon", None) is not None:
-        from dataclasses import replace
         scenario.hum = replace(scenario.hum, epsilon=args.epsilon)
     if getattr(args, "seed", None) is not None:
         scenario.seed = args.seed
-        grid = scenario.spec.grid
-        scenario.spec = type(scenario.spec)(
-            k=scenario.spec.k, rates=scenario.spec.rates, grid=grid,
-            omega=scenario.spec.omega,
-            y0=random_final_data(grid, seed=args.seed, stream=0))
+        scenario.spec = replace(scenario.spec, y0=random_final_data(
+            scenario.spec.grid, seed=args.seed, stream=0))
     return scenario
 
 

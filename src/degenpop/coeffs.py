@@ -43,18 +43,10 @@ class PowerLaw:
 
     alpha0: float
     alpha1: float = 0.0
-    M1: float | None = None
-    M2: float | None = None
-    theta0: float | None = None
-    theta1: float | None = None
 
     def __post_init__(self) -> None:
         if self.alpha0 < 0 or self.alpha1 < 0:
             raise ValueError("power-law exponents must be nonnegative")
-        for name in ("M1", "M2"):
-            m = getattr(self, name)
-            if m is not None and not 0.0 < m < 2.0:
-                raise ValueError(f"{name} must lie in (0, 2)")
 
     def k(self, x):
         x = np.asarray(x, dtype=float)
@@ -104,10 +96,6 @@ class Tabulated:
     x: np.ndarray
     k_values: np.ndarray
     kprime_values: np.ndarray
-    M1: float | None = None
-    M2: float | None = None
-    theta0: float | None = None
-    theta1: float | None = None
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=float)
@@ -120,10 +108,6 @@ class Tabulated:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "k_values", kv)
         object.__setattr__(self, "kprime_values", kp)
-        for name in ("M1", "M2"):
-            m = getattr(self, name)
-            if m is not None and not 0.0 < m < 2.0:
-                raise ValueError(f"{name} must lie in (0, 2)")
 
     def k(self, x):
         return np.interp(np.asarray(x, dtype=float), self.x, self.k_values)
@@ -177,14 +161,15 @@ class DegeneracyReport:
         return self.weak_at_one or self.strong_at_one
 
 
-def _theta_certificate(slope_ratio, side: str, start: float = 0.05) -> float:
+def _theta_certificate(slope_ratio, side: str) -> float:
     """Largest sampled-valid monotonicity exponent near an endpoint.
 
     k/x**theta nondecreasing near 0 is equivalent to theta <= x k'/k on a
     neighborhood; the mirrored condition at 1 reads theta <= (x-1) k'/k.
-    The infimum over a shrinking neighborhood certifies a valid theta.
+    The infimum over a neighborhood shrinking from width 0.05 certifies a
+    valid theta.
     """
-    nb = start
+    nb = 0.05
     for _ in range(40):
         pts = np.linspace(nb * 1e-3, nb, 64)
         xs = pts if side == "zero" else 1.0 - pts
@@ -195,11 +180,14 @@ def _theta_certificate(slope_ratio, side: str, start: float = 0.05) -> float:
     raise ValueError(f"could not certify a monotonicity exponent near {side}")
 
 
-def classify_degeneracy(coef: DegenerateCoefficient, n_samples: int = 2001) -> DegeneracyReport:
+def classify_degeneracy(coef: DegenerateCoefficient) -> DegeneracyReport:
     """Classify the endpoint degeneracy of ``coef`` and certify M, theta.
 
-    Raises if the certified M at either end reaches 2 (excluded range) or
-    if the coefficient is nonpositive somewhere in the open interval.
+    The coefficient classes carry no exponents; these are the only ones.
+    A tabulated coefficient is sampled at the interior nodes of a
+    2000-cell lattice of [0, 1].  Raises if the certified M at either end
+    reaches 2 (excluded range) or if the coefficient is nonpositive
+    somewhere in the open interval.
     """
     if isinstance(coef, PowerLaw):
         deg0 = coef.alpha0 > 0.0
@@ -207,7 +195,7 @@ def classify_degeneracy(coef: DegenerateCoefficient, n_samples: int = 2001) -> D
         m1 = coef.alpha0 if deg0 else None
         m2 = coef.alpha1 if deg1 else None
     else:
-        xs = np.linspace(0.0, 1.0, n_samples)[1:-1]
+        xs = np.linspace(0.0, 1.0, 2001)[1:-1]
         kv = coef.k(xs)
         if np.any(kv <= 0.0):
             bad = xs[int(np.argmin(kv))]
@@ -239,16 +227,15 @@ def classify_degeneracy(coef: DegenerateCoefficient, n_samples: int = 2001) -> D
 class VitalRates:
     """Fertility beta(a, x), mortality mu(t, a, x), fertility onset a_bar.
 
-    ``beta_age``/``mu_age`` hold the pure age profiles when the rates do
-    not vary in space (and, for mu, in time); the net reproduction rate is
-    only defined in that case.  Callables must broadcast over numpy arrays.
+    Callables must broadcast over numpy arrays.  The age profiles behind
+    the net reproduction rate are probed from these same callables (see
+    ``scenarios.net_reproduction_rate``), so R0 describes the rates the
+    solver marches.
     """
 
     beta: object
     mu: object
     a_bar: float
-    beta_age: object | None = None
-    mu_age: object | None = None
 
     def __post_init__(self) -> None:
         if self.a_bar < 0:
@@ -271,18 +258,18 @@ class VitalRates:
 # weight profiles
 
 
-def _cumulative_integral(fn, nodes: np.ndarray, refine: int = 32,
-                         singular_lo: bool = False, singular_hi: bool = False) -> np.ndarray:
+def _cumulative_integral(fn, nodes: np.ndarray, singular_lo: bool = False,
+                         singular_hi: bool = False) -> np.ndarray:
     """Cumulative integral of ``fn`` from nodes[0] along ``nodes``.
 
-    Each cell is subdivided ``refine`` times and integrated by trapezoid;
+    Each cell is subdivided 32 times and integrated by trapezoid;
     the first/last sub-cell switches to the midpoint rule when the
     integrand is singular (but integrable) at the corresponding endpoint.
     """
     out = np.zeros(nodes.size)
     acc = 0.0
     for i in range(nodes.size - 1):
-        sub = np.linspace(nodes[i], nodes[i + 1], refine + 1)
+        sub = np.linspace(nodes[i], nodes[i + 1], 33)
         vals = np.asarray(fn(sub), dtype=float)
         h = sub[1] - sub[0]
         cells = 0.5 * h * (vals[:-1] + vals[1:])
@@ -409,14 +396,14 @@ class HypothesisReport:
 
 def validate_hypotheses(coef: DegenerateCoefficient, rates: VitalRates,
                         T: float, A: float, omega: tuple[float, float],
-                        delta: float | None = None,
-                        n_samples: int = 801) -> HypothesisReport:
+                        delta: float | None = None) -> HypothesisReport:
     """Check every structural hypothesis and report, without raising.
 
     Covers the horizon ordering, fertility onset, control window geometry,
     coefficient positivity, the certified slope bounds M and theta side
     conditions, rate sign conditions and the vanishing of beta before the
-    onset age.  Failed checks carry a witness point where available.
+    onset age, sampling k at the interior nodes of an 800-cell lattice
+    of [0, 1].  Failed checks carry a witness point where available.
     """
     checks: list[HypothesisCheck] = []
 
@@ -433,7 +420,7 @@ def validate_hypotheses(coef: DegenerateCoefficient, rates: VitalRates,
     add("control window", 0.0 < lo < hi < 1.0,
         f"omega = ({lo:.6g}, {hi:.6g}) (need 0 < lo < hi < 1)")
 
-    xs = np.linspace(0.0, 1.0, n_samples)[1:-1]
+    xs = np.linspace(0.0, 1.0, 801)[1:-1]
     kv = coef.k(xs)
     bad = kv <= 0.0
     add("interior positivity", not np.any(bad),

@@ -19,8 +19,9 @@ import numpy as np
 from .coeffs import classify_degeneracy
 from .discretize import Field2, Field3, Grid, window_mask, write_json
 from .inequalities import CutoffFamily
-from .solver import (ProblemSpec, Trajectory, control_norm, lattice_inner,
-                     lattice_norm, solve_adjoint, solve_forward)
+from .solver import (ProblemSpec, Trajectory, _switch_level, control_norm,
+                     lattice_inner, lattice_norm, solve_adjoint,
+                     solve_forward)
 
 __all__ = [
     "HUMConfig",
@@ -213,32 +214,30 @@ def _conjugate_gradient(op: _Gramian, b: np.ndarray, epsilon: float,
     return xi, residuals, functionals
 
 
-def hum_control(spec: ProblemSpec, config: HUMConfig, *,
-                y0: Field2 | None = None) -> ControlSolution:
+def hum_control(spec: ProblemSpec, config: HUMConfig) -> ControlSolution:
     """Penalized-HUM control steering the target age rows toward zero.
 
-    Minimizes J_eps over adjoint final data supported on the rows
-    delta < a < A (interior x columns, so v_T(A,.) = 0 and the Dirichlet
-    rows hold), using conjugate gradient on the gradient map
+    Starts from ``spec.y0``.  Minimizes J_eps over adjoint final data
+    supported on the rows delta < a < A (interior x columns, so
+    v_T(A,.) = 0 and the Dirichlet rows hold), using conjugate gradient on the gradient map
     xi -> Gramian(xi) + eps*xi + b.  The control is the masked adjoint
     observation of the minimizer.  The control acts over the whole of
     ``spec``'s horizon; to control a later window only, solve on that
     window's own problem (see :func:`compose_delay_control`).
     """
     grid = spec.grid
-    data = y0 if y0 is not None else spec.y0
-    if data is None:
-        raise ValueError("no initial data: set spec.y0 or pass y0")
+    if spec.y0 is None:
+        raise ValueError("no initial data: set spec.y0")
     rows = _target_rows(grid, config.delta)
     op = _Gramian(spec, rows)
 
-    free = solve_forward(spec, y0=data)
+    free = solve_forward(spec)
     b = op.restrict(free.final_level())
     xi, residuals, functionals = _conjugate_gradient(
         op, b, config.epsilon, config.cg_tol, config.cg_max_iter)
 
     f = op.observation(xi) if np.any(xi) else Field3.zeros(grid)
-    traj = solve_forward(spec, control=f, y0=data)
+    traj = solve_forward(spec, control=f)
     final_residual = lattice_norm(op.restrict(traj.final_level()), grid)
     f_norm = control_norm(f)
     j_star = 0.5 * f_norm ** 2 + final_residual ** 2 / (2.0 * config.epsilon)
@@ -247,7 +246,7 @@ def hum_control(spec: ProblemSpec, config: HUMConfig, *,
         raise ControlError(
             "final residual exceeds the epsilon certificate; "
             "internal consistency lost", residuals)
-    y0_norm = lattice_norm(data.values, grid)
+    y0_norm = lattice_norm(spec.y0.values, grid)
     return ControlSolution(
         f=f, y=traj, final_residual=final_residual, control_norm=f_norm,
         bound_ratio=f_norm / y0_norm if y0_norm > 0.0 else 0.0,
@@ -265,48 +264,38 @@ def _time_window(spec: ProblemSpec, start: int, steps: int,
                  y0_values: np.ndarray) -> ProblemSpec:
     """The problem on time levels start..start+steps, as a problem of its own.
 
-    The window keeps the step of ``spec`` (its grid spans steps * dt from
-    t = 0), starts from ``y0_values`` and reads mortality on the clock of
-    ``spec``, so window level n is level start + n of the whole horizon.
+    The window keeps the age lattice of ``spec``, hence its step dt = da
+    (its grid spans steps * dt from t = 0), starts from ``y0_values`` and
+    reads mortality on the clock of ``spec``, so window level n is level
+    start + n of the whole horizon.
     """
     dt = spec.grid.dt
-    grid = spec.grid.with_time(steps * dt, steps)
+    grid = replace(spec.grid, T=steps * dt, Nt=steps)
     mu = spec.rates.mu
     rates = replace(spec.rates, mu=lambda t, a, x: mu(start * dt + t, a, x))
     return ProblemSpec(k=spec.k, rates=rates, grid=grid, omega=spec.omega,
                        y0=Field2(grid, y0_values))
 
 
-def compose_delay_control(spec: ProblemSpec, config: HUMConfig, *,
-                          y0: Field2 | None = None) -> ControlSolution:
+def compose_delay_control(spec: ProblemSpec, config: HUMConfig) -> ControlSolution:
     """Control vanishing before T_tilde = T - a_bar, active afterwards.
 
-    Phase one lets the population evolve freely to T_tilde; phase two runs
-    hum_control on the remaining window, a problem of its own (see
-    ``_time_window``) starting from the reached state.  a_bar is snapped
-    to the time lattice with a warning when off it.  The reported
+    Phase one lets the population evolve freely from ``spec.y0`` to
+    T_tilde; phase two runs hum_control on the remaining window, a problem
+    of its own (see ``_time_window``) starting from the reached state.
+    T_tilde is the lattice level of ``solver._switch_level``, moved back
+    to T - dt when a_bar is below half a step.  The reported
     intermediate bound is the discrete renewal-growth estimate
     ||u(T_tilde)||^2 <= exp(C*T)*||y0||^2 with C = A * max(beta)^2.
     """
     grid = spec.grid
-    data = y0 if y0 is not None else spec.y0
+    data = spec.y0
     if data is None:
-        raise ValueError("no initial data: set spec.y0 or pass y0")
-    a_bar = spec.rates.a_bar
-    if not 0.0 < a_bar <= grid.T:
-        raise ValueError("need 0 < a_bar <= T for the delay construction")
-    steps = a_bar / grid.dt
-    n_ctrl = int(round(steps))
-    if abs(steps - n_ctrl) > 1e-9 * max(1.0, steps):
-        warnings.warn(
-            f"a_bar = {a_bar:g} is not a multiple of dt; snapping to "
-            f"{n_ctrl * grid.dt:g}")
-    n_ctrl = min(max(n_ctrl, 1), grid.Nt)
+        raise ValueError("no initial data: set spec.y0")
+    n_ctrl = max(grid.Nt - _switch_level(grid, spec.rates.a_bar), 1)
     n_tilde = grid.Nt - n_ctrl
     t_tilde = n_tilde * grid.dt
 
-    if data.grid != grid:
-        raise ValueError("initial data grid does not match the problem grid")
     # only levels 0..n_tilde of the free march are read (at least one step
     # is marched, for a_bar = T)
     free = solve_forward(_time_window(spec, 0, max(n_tilde, 1), data.values))
@@ -476,16 +465,12 @@ def glue_two_sided(spec: ProblemSpec, config: HUMConfig, alpha_bar: float,
         raise ValueError("snapped cut points collide with the control window")
 
     xs = grid.x_nodes
-    grid1 = Grid(T=grid.T, A=grid.A, Nt=grid.Nt, Na=grid.Na, Nx=i_b,
-                 x_span=(0.0, float(xs[i_b])))
-    grid2 = Grid(T=grid.T, A=grid.A, Nt=grid.Nt, Na=grid.Na, Nx=grid.Nx - i_a,
-                 x_span=(float(xs[i_a]), 1.0))
-    y0_1 = Field2(grid1, spec.y0.values[:, :i_b + 1].copy())
-    y0_2 = Field2(grid2, spec.y0.values[:, i_a:].copy())
-    spec1 = ProblemSpec(k=spec.k, rates=spec.rates, grid=grid1,
-                        omega=spec.omega, y0=y0_1)
-    spec2 = ProblemSpec(k=spec.k, rates=spec.rates, grid=grid2,
-                        omega=spec.omega, y0=y0_2)
+    grid1 = replace(grid, Nx=i_b, x_span=(0.0, float(xs[i_b])))
+    grid2 = replace(grid, Nx=grid.Nx - i_a, x_span=(float(xs[i_a]), 1.0))
+    spec1 = replace(spec, grid=grid1, y0=Field2(
+        grid1, spec.y0.values[:, :i_b + 1].copy()))
+    spec2 = replace(spec, grid=grid2, y0=Field2(
+        grid2, spec.y0.values[:, i_a:].copy()))
 
     sol1 = compose_delay_control(spec1, config)
     sol2 = compose_delay_control(spec2, config)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,9 +40,11 @@ _REL_TOL = 1e-12
 class Grid:
     """Tensor grid over [0, T] x [0, A] x [x_lo, x_hi] with Nt/Na/Nx cells.
 
-    The time and age spacings must agree exactly, so that the transport
-    part of the dynamics advects one age cell per time step.  ``x_span``
-    defaults to (0, 1); subinterval grids are used by the two-sided gluing
+    The time and age spacings must agree, so that the transport part of
+    the dynamics advects one age cell per time step: T/Nt must match A/Na
+    to 1e-12, and the step ``dt`` is ``da``, so grids that share the age
+    lattice share the step however T was rounded.  ``x_span`` defaults to
+    (0, 1); subinterval grids are used by the two-sided gluing
     construction and keep the parent spacing.
     """
 
@@ -67,18 +69,18 @@ class Grid:
                 f"grid needs T/Nt == A/Na, got dt={dt!r}, da={da!r}")
 
     @classmethod
-    def aligned(cls, T: float, A: float, Nt: int, Nx: int,
-                x_span: tuple[float, float] = (0.0, 1.0)) -> "Grid":
-        """Build a dt == da grid from (T, Nt), deriving the age cell count."""
+    def aligned(cls, T: float, A: float, Nt: int, Nx: int) -> "Grid":
+        """Build a dt == da grid on x in (0, 1) from (T, Nt), deriving the
+        age cell count."""
         na = (A / T) * Nt
         na_int = int(round(na))
         if abs(na - na_int) > 1e-9 or na_int < 1:
             raise ValueError(f"A/T * Nt = {na} is not a positive integer")
-        return cls(T=T, A=A, Nt=Nt, Na=na_int, Nx=Nx, x_span=x_span)
+        return cls(T=T, A=A, Nt=Nt, Na=na_int, Nx=Nx)
 
     @property
     def dt(self) -> float:
-        return self.T / self.Nt
+        return self.da
 
     @property
     def da(self) -> float:
@@ -107,10 +109,6 @@ class Grid:
             return {"t": self.t_nodes, "a": self.a_nodes, "x": self.x_nodes}[name]
         except KeyError:
             raise ValueError(f"unknown axis {name!r}") from None
-
-    def with_time(self, T: float, Nt: int) -> "Grid":
-        """Same age/space lattice over a different time window."""
-        return replace(self, T=T, Nt=Nt)
 
 
 def window_mask(nodes: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -307,15 +305,13 @@ def sine_mode_data(grid: Grid, coeffs: np.ndarray) -> Field2:
     return Field2(grid, vals)
 
 
-def random_final_data(grid: Grid, seed: int, modes: int = 4, stream: int = 0,
-                      amplitude: float = 1.0) -> Field2:
-    """Random truncated double sine series, deterministic in (seed, stream)."""
-    if modes < 1:
-        raise ValueError("modes must be >= 1")
+def random_final_data(grid: Grid, seed: int, stream: int = 0) -> Field2:
+    """Random 4x4 double sine series with coefficients N(0, 1)/(m n),
+    deterministic in (seed, stream)."""
     rng = spawn_rng(seed, stream)
-    m = np.arange(1, modes + 1)
-    scale = amplitude / np.outer(m, m)
-    coeffs = rng.standard_normal((modes, modes)) * scale
+    m = np.arange(1, 5)
+    scale = 1.0 / np.outer(m, m)
+    coeffs = rng.standard_normal((4, 4)) * scale
     return sine_mode_data(grid, coeffs)
 
 

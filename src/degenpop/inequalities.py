@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,7 @@ from .discretize import (
     window_mask,
     write_json,
 )
-from .solver import ProblemSpec, solve_adjoint
+from .solver import ProblemSpec, _switch_level, solve_adjoint
 
 __all__ = [
     "InequalityReport",
@@ -289,14 +288,14 @@ def hardy_ratio_at_zero(k, theta: float, case: str, test_functions, *,
     return report
 
 
-def random_hardy_test_functions(case: str, count: int, seed: int, *,
-                                degree: int = 6):
-    """Smooth random polynomials satisfying the case's vanishing condition."""
+def random_hardy_test_functions(case: str, count: int, seed: int):
+    """Random degree-7 polynomials satisfying the case's vanishing
+    condition: an edge factor times a degree-6 polynomial."""
     rng = spawn_rng(seed, stream=11)
     pairs = []
     vanish_at_one = case in ("HP1", "HP1p")
     for _ in range(count):
-        poly = np.polynomial.Polynomial(rng.standard_normal(degree + 1))
+        poly = np.polynomial.Polynomial(rng.standard_normal(7))
         edge = np.polynomial.Polynomial([1.0, -1.0]) if vanish_at_one \
             else np.polynomial.Polynomial([0.0, 1.0])
         w = edge * poly
@@ -345,9 +344,9 @@ def manufactured_adjoint(spec: ProblemSpec, profile, *,
     return v, Field3(grid, f)
 
 
-def random_adjoint_profiles(T: float, A: float, count: int, seed: int, *,
-                            modes: int = 2):
-    """Smooth random closures vanishing at a = A and on the x-boundary.
+def random_adjoint_profiles(T: float, A: float, count: int, seed: int):
+    """Smooth random closures vanishing at a = A and on the x-boundary,
+    each a 2x2 sine series in (x, a) with a time-modulated amplitude.
 
     Returned callables are grid-free, so the same family can be evaluated
     on several resolutions for refinement studies.
@@ -355,8 +354,8 @@ def random_adjoint_profiles(T: float, A: float, count: int, seed: int, *,
     rng = spawn_rng(seed, stream=23)
     profiles = []
     for _ in range(count):
-        coeffs = rng.standard_normal((modes, modes))
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=(modes, modes))
+        coeffs = rng.standard_normal((2, 2))
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=(2, 2))
 
         def profile(t, a, x, *, coeffs=coeffs, phases=phases):
             total = 0.0
@@ -464,12 +463,9 @@ def _log_x2_over_k(coef: DegenerateCoefficient, x: np.ndarray) -> np.ndarray:
 def reflect_coefficient(coef: DegenerateCoefficient) -> DegenerateCoefficient:
     """The coefficient of the x -> 1-x reflected problem."""
     if isinstance(coef, PowerLaw):
-        return PowerLaw(coef.alpha1, coef.alpha0, M1=coef.M2, M2=coef.M1,
-                        theta0=coef.theta1, theta1=coef.theta0)
+        return PowerLaw(coef.alpha1, coef.alpha0)
     return Tabulated(x=1.0 - coef.x[::-1], k_values=coef.k_values[::-1],
-                     kprime_values=-coef.kprime_values[::-1],
-                     M1=coef.M2, M2=coef.M1,
-                     theta0=coef.theta1, theta1=coef.theta0)
+                     kprime_values=-coef.kprime_values[::-1])
 
 
 def reflect_field(f: Field3) -> Field3:
@@ -705,38 +701,27 @@ def caccioppoli_audit(samples, omega_prime: tuple[float, float],
 
 
 def observability_ratio(spec: ProblemSpec, ensemble, delta: float, *,
-                        mode: str = "standard",
                         omega: tuple[float, float] | None = None) -> InequalityReport:
     """Empirical constant of the intermediate-time observability bound.
 
     For each final datum the renewal-coupled adjoint is solved and
 
-        int int v^2(T - a_bar)  <=  C (int_{a<delta} v_T^2 + window term)
+        int int v^2(T - a_bar)  <=  C (int_{a<=delta} v_T^2 + window term)
 
-    is evaluated; ``mode`` selects the right side: "standard" keeps the
-    final-datum term, "zero_final" drops it (each v_T must then vanish
-    for a < delta), and "band" adds the age-band integral of v^2 while
-    widening the final-datum term, matching the variant statement.
-    The window integral uses ``omega`` (default: the problem's own), so
-    ratios for nested windows can reuse identical adjoint solves.
+    is evaluated, with T - a_bar the lattice level of
+    ``solver._switch_level``.  The window integral uses ``omega``
+    (default: the problem's own); each call solves its adjoints afresh.
     """
     if not ensemble:
         raise ValueError("empty ensemble")
-    if mode not in ("standard", "zero_final", "band"):
-        raise ValueError(f"unknown mode {mode!r}")
     grid = spec.grid
     if not grid.T < delta < grid.A:
         raise ValueError("delta must lie in (T, A)")
     lo, hi = omega if omega is not None else spec.omega
-    xs = grid.x_nodes
-    sel = window_mask(xs, lo, hi)
-    steps_back = spec.rates.a_bar / grid.dt
-    n_star = grid.Nt - int(round(steps_back))
-    if abs(steps_back - round(steps_back)) > 1e-9:
-        warnings.warn("a_bar is not a multiple of dt; sampling the nearest level")
-    n_star = min(max(n_star, 0), grid.Nt)
+    sel = window_mask(grid.x_nodes, lo, hi)
+    n_star = _switch_level(grid, spec.rates.a_bar)
     t_weights = axis_weights(grid.Nt + 1, grid.dt)
-    a_nodes = grid.a_nodes
+    early = grid.a_nodes <= delta
     rows = []
     for idx, v_T in enumerate(ensemble):
         if v_T.grid != grid:
@@ -749,24 +734,7 @@ def observability_ratio(spec: ProblemSpec, ensemble, delta: float, *,
         lhs = grid.da * grid.dx * float(np.sum(vals[n_star] ** 2))
         window = float(np.sum(
             t_weights[:, None, None] * vals[:, :, sel] ** 2)) * grid.da * grid.dx
-        if mode == "zero_final":
-            early = v_T.values[a_nodes < delta]
-            if np.max(np.abs(early), initial=0.0) > 0.0:
-                raise ValueError(
-                    f"mode 'zero_final' requires v_T = 0 on (0, delta); "
-                    f"member {idx} violates it")
-            rhs = window
-        elif mode == "standard":
-            final_term = grid.da * grid.dx * float(
-                np.sum(v_T.values[a_nodes <= delta] ** 2))
-            rhs = final_term + window
-        else:
-            final_term = grid.da * grid.dx * float(
-                np.sum(v_T.values[a_nodes <= grid.T] ** 2))
-            band = float(np.sum(
-                t_weights[:, None, None]
-                * vals[:, a_nodes <= delta, :] ** 2)) * grid.da * grid.dx
-            rhs = final_term + window + band
-        rows.append(_make_row(idx, 0.0, lhs, rhs))
+        final_term = grid.da * grid.dx * float(np.sum(v_T.values[early] ** 2))
+        rows.append(_make_row(idx, 0.0, lhs, final_term + window))
     return _finish_report("observability", rows, (),
-                          {"delta": delta, "mode": mode, "omega": [lo, hi]})
+                          {"delta": delta, "omega": [lo, hi]})

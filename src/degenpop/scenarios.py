@@ -67,45 +67,38 @@ def _probe_age_only(rates: VitalRates, A: float):
     a_probe = np.linspace(0.0, A, 17)[:, None]
     x_probe = np.array([0.19, 0.5, 0.83])[None, :]
 
-    if rates.beta_age is not None:
-        beta_age = rates.beta_age
-    else:
-        vals = np.broadcast_to(
-            np.asarray(rates.beta(a_probe, x_probe), dtype=float), (17, 3))
-        spread = float(np.max(np.ptp(vals, axis=1)))
-        if spread > 1e-10 * max(1.0, float(np.max(np.abs(vals)))):
-            raise ValueError(
-                "beta varies in space; no single net reproduction rate")
-        beta_age = lambda a: np.asarray(rates.beta(a, 0.5), dtype=float)
+    vals = np.broadcast_to(
+        np.asarray(rates.beta(a_probe, x_probe), dtype=float), (17, 3))
+    spread = float(np.max(np.ptp(vals, axis=1)))
+    if spread > 1e-10 * max(1.0, float(np.max(np.abs(vals)))):
+        raise ValueError(
+            "beta varies in space; no single net reproduction rate")
 
-    if rates.mu_age is not None:
-        mu_age = rates.mu_age
-    else:
-        stack = [np.broadcast_to(
-            np.asarray(rates.mu(t, a_probe, x_probe), dtype=float), (17, 3))
-            for t in (0.0, 0.37 * A, A)]
-        vals = np.stack(stack)
-        spread = max(float(np.max(np.ptp(vals, axis=2))),
-                     float(np.max(np.ptp(vals, axis=0))))
-        if spread > 1e-10 * max(1.0, float(np.max(np.abs(vals)))):
-            raise ValueError(
-                "mu varies in space or time; no single net reproduction rate")
-        mu_age = lambda a: np.asarray(rates.mu(0.0, a, 0.5), dtype=float)
+    stack = [np.broadcast_to(
+        np.asarray(rates.mu(t, a_probe, x_probe), dtype=float), (17, 3))
+        for t in (0.0, 0.37 * A, A)]
+    vals = np.stack(stack)
+    spread = max(float(np.max(np.ptp(vals, axis=2))),
+                 float(np.max(np.ptp(vals, axis=0))))
+    if spread > 1e-10 * max(1.0, float(np.max(np.abs(vals)))):
+        raise ValueError(
+            "mu varies in space or time; no single net reproduction rate")
 
-    return beta_age, mu_age
+    return (lambda a: np.asarray(rates.beta(a, 0.5), dtype=float),
+            lambda a: np.asarray(rates.mu(0.0, a, 0.5), dtype=float))
 
 
-def net_reproduction_rate(rates: VitalRates, A: float, *,
-                          n: int = 4096) -> float:
-    """R0 = int_0^A beta(a) exp(-int_0^a mu) da by composite trapezoid.
+def net_reproduction_rate(rates: VitalRates, A: float) -> float:
+    """R0 = int_0^A beta(a) exp(-int_0^a mu) da by composite trapezoid on
+    4096 cells.
 
     Defined only for age-structured rates: spatially varying beta or
-    time/space varying mu raise ValueError.  Pure age profiles stored on
-    the rates (beta_age/mu_age) take precedence over probing.
+    time/space varying mu raise ValueError.  The age profiles are probed
+    from the rates the solver marches, at x = 0.5 and t = 0.
     """
     beta_age, mu_age = _probe_age_only(rates, A)
-    nodes = np.linspace(0.0, A, n + 1)
-    h = A / n
+    nodes = np.linspace(0.0, A, 4097)
+    h = A / 4096
     b = np.broadcast_to(np.asarray(beta_age(nodes), dtype=float), nodes.shape)
     m = np.broadcast_to(np.asarray(mu_age(nodes), dtype=float), nodes.shape)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * h * (m[1:] + m[:-1]))])
@@ -113,12 +106,12 @@ def net_reproduction_rate(rates: VitalRates, A: float, *,
     return float(np.sum(0.5 * h * (integrand[1:] + integrand[:-1])))
 
 
-def classify_growth(r0: float, *, tol: float = 1e-9) -> str:
+def classify_growth(r0: float) -> str:
     """Asymptotic label for a net reproduction rate: growing above one,
-    decaying below, steady at one."""
-    if r0 > 1.0 + tol:
+    decaying below, steady within 1e-9 of one."""
+    if r0 > 1.0 + 1e-9:
         return "growing"
-    if r0 < 1.0 - tol:
+    if r0 < 1.0 - 1e-9:
         return "decaying"
     return "steady"
 
@@ -246,7 +239,7 @@ def _window_rates(height: float, mu_value: float) -> VitalRates:
                              "lo": 0.5, "ramp": 0.25}, "beta")
     mu_age = rate_profile({"form": "constant", "value": mu_value}, "mu")
     return VitalRates(beta=_lift_beta(beta_age), mu=_lift_mu(mu_age),
-                      a_bar=0.5, beta_age=beta_age, mu_age=mu_age)
+                      a_bar=0.5)
 
 
 def preset(name: str) -> Scenario:
@@ -268,7 +261,7 @@ def preset(name: str) -> Scenario:
         mu_age = rate_profile({"form": "table",
                                "points": [[0.0, 0.2], [2.0, 0.4]]}, "mu")
         rates = VitalRates(beta=_lift_beta(beta_age), mu=_lift_mu(mu_age),
-                           a_bar=0.5, beta_age=beta_age, mu_age=mu_age)
+                           a_bar=0.5)
         spec = ProblemSpec(k=k, rates=rates, grid=grid, omega=omega,
                            y0=random_final_data(grid, seed=0, stream=0))
         return Scenario(name=name, spec=spec, hum=hum,
@@ -413,7 +406,7 @@ def scenario_from_config(cfg: dict, *, name: str = "scenario") -> Scenario:
     beta_age = rate_profile(_want(model, "beta", "model", dict), "model.beta")
     mu_age = rate_profile(_want(model, "mu", "model", dict), "model.mu")
     rates = VitalRates(beta=_lift_beta(beta_age), mu=_lift_mu(mu_age),
-                       a_bar=a_bar, beta_age=beta_age, mu_age=mu_age)
+                       a_bar=a_bar)
 
     _reject_unknown(grid_c, {"Nt", "Na", "Nx"}, "grid")
     Nt = _want(grid_c, "Nt", "grid", int)

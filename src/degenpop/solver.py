@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,7 +44,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Coefficient, vital rates, grid and control window for one model."""
+    """Coefficient, vital rates, grid, control window and initial data for
+    one model; ``y0`` is the only place the controls read initial data."""
 
     k: DegenerateCoefficient
     rates: VitalRates
@@ -63,6 +65,23 @@ class ProblemSpec:
         """The one-step map of this problem, built and factored on first
         use and shared by every march and check on it."""
         return _Propagator(self)
+
+
+def _switch_level(grid: Grid, a_bar: float) -> int:
+    """The time level of T - a_bar, the switch from silence to control.
+
+    a_bar is snapped to the nearest multiple of dt, with a warning when it
+    is not one; raises unless 0 < a_bar <= T.
+    """
+    if not 0.0 < a_bar <= grid.T:
+        raise ValueError(f"need 0 < a_bar <= T, got a_bar = {a_bar:g} "
+                         f"with T = {grid.T:g}")
+    steps = a_bar / grid.dt
+    n = int(round(steps))
+    if abs(steps - n) > 1e-9 * max(1.0, steps):
+        warnings.warn(f"a_bar = {a_bar:g} is not a multiple of dt; "
+                      f"snapping to {n * grid.dt:g}")
+    return grid.Nt - n
 
 
 def lattice_inner(u: np.ndarray, v: np.ndarray, grid: Grid) -> float:
@@ -281,7 +300,10 @@ class Trajectory:
 
 def solve_forward(spec: ProblemSpec, control: Field3 | None = None, *,
                   y0: Field2 | None = None) -> Trajectory:
-    """March the population model forward from y0 with optional control.
+    """March the population model forward with optional control.
+
+    The march starts from ``spec.y0``, or from ``y0`` when given: the HUM
+    Gramian marches from zero on the propagator cached on ``spec``.
 
     The control field is read one slice per step (slice n+1 drives the
     step n -> n+1) and is masked to the control window before use.  Level

@@ -77,7 +77,8 @@ class TestGramian:
 class TestHUMControl:
     def test_zero_initial_data(self):
         spec = make_spec()
-        sol = hum_control(spec, CONFIG, y0=Field2.zeros(spec.grid))
+        zero = dataclasses.replace(spec, y0=Field2.zeros(spec.grid))
+        sol = hum_control(zero, CONFIG)
         assert not np.any(sol.f.values)
         assert sol.final_residual == 0.0
         assert sol.control_norm == 0.0
@@ -122,7 +123,7 @@ class TestHUMControl:
         spec = make_spec()
         sol1 = hum_control(spec, CONFIG)
         doubled = Field2(spec.grid, 2.0 * spec.y0.values)
-        sol2 = hum_control(spec, CONFIG, y0=doubled)
+        sol2 = hum_control(dataclasses.replace(spec, y0=doubled), CONFIG)
         np.testing.assert_allclose(sol2.f.values, 2.0 * sol1.f.values,
                                    rtol=1e-10, atol=1e-14)
         assert sol2.j_star == pytest.approx(4.0 * sol1.j_star, rel=1e-10)
@@ -205,22 +206,24 @@ class TestDelayComposition:
         assert np.array_equal(delayed.y.state.values, plain.y.state.values)
 
     def test_window_keeps_the_problem_step(self, monkeypatch):
-        # dt = 0.2 and a window of 2 steps: fl(T - 3*dt) / 2 is one ulp
-        # below dt, (2*dt) / 2 is dt
+        # dt = 0.2: the free march spans fl(3*dt) = 0.6000000000000001 in
+        # 3 steps, the control window fl(2*dt) in 2; both step by dt
         grid = Grid(T=1.0, A=2.0, Nt=5, Na=10, Nx=10)
         rates = VitalRates(beta=beta_window,
                            mu=lambda t, a, x: 0.2 + 0.0 * a * x, a_bar=0.4)
         spec = ProblemSpec(k=PowerLaw(0.5, 0.0), rates=rates, grid=grid,
                            omega=(0.3, 0.7), y0=random_final_data(grid, seed=0))
         windows = []
+        time_window = control._time_window
 
-        def spy(window, config, **kwargs):
-            windows.append(window)
-            return hum_control(window, config, **kwargs)
+        def spy(*args):
+            windows.append(time_window(*args))
+            return windows[-1]
 
-        monkeypatch.setattr(control, "hum_control", spy)
+        monkeypatch.setattr(control, "_time_window", spy)
         compose_delay_control(spec, CONFIG)
-        assert [w.grid.dt for w in windows] == [grid.dt]
+        assert [w.grid.Nt for w in windows] == [3, 2]
+        assert [w.grid.dt for w in windows] == [grid.dt, grid.dt]
 
     def test_window_reads_mortality_on_the_outer_clock(self):
         spec = make_spec(a_bar=0.5)

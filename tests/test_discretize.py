@@ -34,11 +34,11 @@ class TestGrid:
         assert g.x_nodes[0] == 0.25 and g.x_nodes[-1] == 0.75
         assert g.dx == pytest.approx(0.1)
 
-    def test_with_time_keeps_space(self):
-        g = make_grid()
-        g2 = g.with_time(0.5, 3)
-        assert g2.Nx == g.Nx and g2.Na == g.Na
-        assert g2.dt == g.dt
+    def test_step_is_the_age_step(self):
+        # fl(3 * 0.2) / 3 is one ulp above 0.2; the step is da regardless
+        g = Grid(T=3 * 0.2, A=2.0, Nt=3, Na=10, Nx=4)
+        assert g.T / g.Nt != g.da
+        assert g.dt == g.da == 0.2
 
     def test_unknown_axis(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 """Every exported name resolves, so a deleted function cannot linger in an
-``__all__`` list or in the package's re-exports, and every span name the
-benchmark derives a per-layer metric from is still a callable."""
+``__all__`` list or in the package's re-exports, every span name the
+benchmark derives a per-layer metric from is still a callable, and every
+default of the package's functions is overridden by some caller."""
 
 import ast
 import importlib
 import importlib.util
+import math
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -95,3 +98,81 @@ def test_traced_span_names_resolve(monkeypatch):
         if not callable(target):
             missing.append(name)
     assert missing == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(Path(degenpop.__file__).parent.glob("*.py"))
+CALLERS = (SOURCES + sorted((ROOT / "tests").glob("*.py"))
+           + sorted(PERFBENCH.glob("*.py")))
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple]:
+    """(name, position or None) of every parameter of ``fn`` with a
+    default; positions count from the first argument a caller writes."""
+    positional = fn.args.posonlyargs + fn.args.args
+    skip = 1 if method and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod"
+        for d in fn.decorator_list) else 0
+    first = len(positional) - len(fn.args.defaults)
+    out = [(arg.arg, i - skip) for i, arg in enumerate(positional)
+           if i >= first]
+    out += [(arg.arg, None) for arg, default
+            in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if default is not None]
+    return out
+
+
+def _name(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) \
+        else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _call_sites() -> tuple[dict, dict]:
+    """Per name, the keywords and the most positional arguments that
+    calls of it pass.
+
+    A name that is also read as a value (a function handed on, or stored
+    in a table) may be called under another name with any argument, so it
+    counts as passing every keyword, as ``**kwargs`` does (key None).
+    """
+    keywords, positions = defaultdict(set), defaultdict(int)
+    for path in CALLERS:
+        tree = ast.parse(path.read_text())
+        called = set()  # ids of this tree's called expressions
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = _name(node.func)
+                called.add(id(node.func))
+                keywords[name].update(kw.arg for kw in node.keywords)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                positions[name] = max(positions[name], math.inf if starred
+                                      else len(node.args))
+        for node in ast.walk(tree):
+            if isinstance(getattr(node, "ctx", None), ast.Load) \
+                    and id(node) not in called:
+                keywords[_name(node)].add(None)
+    return keywords, positions
+
+
+def test_every_default_is_set():
+    # a default no caller overrides is a constant in disguise: generality
+    # nothing uses.  Names are matched, not resolved, so functions of one
+    # name share their call sites; closures are not scanned.
+    keywords, positions = _call_sites()
+    unset = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        scopes = [(None, node) for node in tree.body]
+        scopes += [(cls.name, node) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for node in cls.body]
+        for cls, fn in scopes:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            called = cls if fn.name == "__init__" else fn.name
+            passed = keywords.get(called, set())
+            for name, pos in _defaulted(fn, cls is not None):
+                if name in passed or None in passed \
+                        or (pos is not None and pos < positions.get(called, 0)):
+                    continue
+                unset.append(f"{path.name}:{fn.lineno} {fn.name}({name})")
+    assert unset == []

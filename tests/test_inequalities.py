@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -377,30 +378,7 @@ class TestObservability:
         report = observability_ratio(spec, self._ensemble(spec.grid), 1.25)
         assert report.empirical_constant is not None
         assert 0.0 < report.empirical_constant < math.inf
-        assert report.meta["mode"] == "standard"
-
-    def test_band_mode(self):
-        spec = small_spec(k=PowerLaw(0.5, 0.0))
-        ens = self._ensemble(spec.grid)
-        band = observability_ratio(spec, ens, 1.25, mode="band")
-        assert band.meta["mode"] == "band"
-        assert 0.0 < band.empirical_constant < math.inf
-        standard = observability_ratio(spec, ens, 1.25, mode="standard")
-        # both variants observe the same adjoint solves
-        for rs, rb in zip(standard.rows, band.rows):
-            assert rb.lhs == rs.lhs
-
-    def test_zero_final_mode(self):
-        spec = small_spec(k=PowerLaw(0.5, 0.0))
-        grid = spec.grid
-        member = random_final_data(grid, seed=3, stream=1)
-        vals = member.values.copy()
-        vals[grid.a_nodes < 1.25] = 0.0
-        report = observability_ratio(spec, [Field2(grid, vals)], 1.25,
-                                     mode="zero_final")
-        assert report.empirical_constant is not None
-        with pytest.raises(ValueError, match="zero_final"):
-            observability_ratio(spec, [member], 1.25, mode="zero_final")
+        assert "mode" not in report.meta
 
     def test_window_override(self):
         spec = small_spec(k=PowerLaw(0.5, 0.0))
@@ -413,10 +391,17 @@ class TestObservability:
         ens = self._ensemble(spec.grid, count=1)
         with pytest.raises(ValueError, match="empty"):
             observability_ratio(spec, [], 1.25)
-        with pytest.raises(ValueError, match="unknown mode"):
-            observability_ratio(spec, ens, 1.25, mode="weird")
         with pytest.raises(ValueError, match=r"delta"):
             observability_ratio(spec, ens, 0.5)
         bad = Field2(spec.grid, np.ones((spec.grid.Na + 1, spec.grid.Nx + 1)))
         with pytest.raises(ValueError, match=r"v_T\(A"):
             observability_ratio(spec, [bad], 1.25)
+
+    def test_a_bar_beyond_the_horizon_rejected(self):
+        # T - a_bar lies before t = 0: no level to observe, not level 0
+        spec = small_spec()
+        late = dataclasses.replace(
+            spec, rates=dataclasses.replace(spec.rates, a_bar=1.5))
+        with pytest.raises(ValueError, match=r"a_bar = 1\.5"):
+            observability_ratio(late, self._ensemble(spec.grid, count=1),
+                                1.25)

@@ -38,7 +38,7 @@ def age_rates(beta_age, mu_age, a_bar=0.5):
         * np.ones_like(np.asarray(x, dtype=float)),
         mu=lambda t, a, x: np.asarray(mu_age(a), dtype=float)
         * np.ones_like(np.asarray(x, dtype=float)),
-        a_bar=a_bar, beta_age=beta_age, mu_age=mu_age)
+        a_bar=a_bar)
 
 
 class TestNetReproductionRate:
