@@ -208,8 +208,13 @@ def integrate_nodes(values: np.ndarray, spacings: tuple[float, ...]) -> float:
         raise ValueError("one spacing per array axis required")
     for h in spacings:
         w = axis_weights(arr.shape[0], h)
-        arr = np.tensordot(w, arr, axes=([0], [0]))
+        arr = _contract(w, arr)
     return float(arr)
+
+
+def _contract(weights: np.ndarray, arr: np.ndarray):
+    """Quadrature weights of ``arr``'s first axis applied along it."""
+    return np.tensordot(weights, arr, axes=([0], [0]))
 
 
 def weighted_norm(values: np.ndarray, x: np.ndarray, weight=None) -> float:
@@ -219,28 +224,60 @@ def weighted_norm(values: np.ndarray, x: np.ndarray, weight=None) -> float:
     omitted.  An end cell where the nodal weight is non-finite is
     integrated on a geometric subdivision toward the endpoint (Simpson per
     sub-cell, field interpolated linearly), which resolves any integrable
-    power singularity of the weight.  Returns the squared weighted L2 norm.
+    power singularity of the weight; a non-finite weight at an interior
+    node raises ValueError.  Returns the squared weighted L2 norm.
     """
-    f = np.asarray(values, dtype=float)
     x = np.asarray(x, dtype=float)
-    if f.ndim != 1 or f.shape != x.shape:
-        raise ValueError("values and nodes must be 1-D arrays of one length")
     if weight is None:
-        w = np.ones_like(f)
+        w = np.ones_like(x)
     else:
-        w = np.broadcast_to(np.asarray(weight(x), dtype=float), f.shape)
-    h = float(x[1] - x[0])
-    g = np.where(np.isfinite(w), w, 0.0) * f * f
-    cells = 0.5 * h * (g[:-1] + g[1:])
-    if not np.isfinite(w[0]):
-        cells[0] = _singular_cell(weight, x[0], 1.0, h, f[0], f[1])
-    if not np.isfinite(w[-1]):
-        cells[-1] = _singular_cell(weight, x[-1], -1.0, h, f[-1], f[-2])
-    return float(cells.sum())
+        w = np.broadcast_to(np.asarray(weight(x), dtype=float), x.shape)
+    return _WeightedQuadrature(x, w, weight).norm(values)
 
 
-def _singular_cell(weight, x_s: float, orient: float, h: float,
-                   f_sing: float, f_reg: float) -> float:
+class _WeightedQuadrature:
+    """The half of ``weighted_norm`` that depends on the nodes and the
+    weight alone, built once for any number of fields on the same nodes.
+
+    It holds the nodal weights with the non-finite end nodes set to 0 and,
+    for each such end, the weight at the points of its geometric
+    subdivision (``_EndCell``).  ``nodal`` is ``weight`` at ``x``, which a
+    caller that already evaluated it passes in; ``weight`` itself is
+    called only at the subdivision points.
+    """
+
+    def __init__(self, x: np.ndarray, nodal: np.ndarray, weight) -> None:
+        if x.ndim != 1 or x.size < 2:
+            raise ValueError("nodes must be a 1-D array of at least two")
+        finite = np.isfinite(nodal)
+        if not finite[1:-1].all():
+            bad = 1 + int(np.argmin(finite[1:-1]))
+            raise ValueError(f"weight is not finite at the interior node "
+                             f"x = {float(x[bad])!r}; only an end node may "
+                             f"be singular")
+        self.h = float(x[1] - x[0])
+        self.nodal = np.where(finite, nodal, 0.0)
+        self.ends = tuple((index, _EndCell(weight, x[index], orient, self.h))
+                          for index, orient in ((0, 1.0), (-1, -1.0))
+                          if not finite[index])
+
+    def norm(self, values: np.ndarray) -> float:
+        """Integral of weight * values**2 for the nodal field ``values``."""
+        f = np.asarray(values, dtype=float)
+        if f.shape != self.nodal.shape:
+            raise ValueError("values and nodes must be 1-D arrays of one "
+                             "length")
+        g = self.nodal * f
+        g *= f
+        cells = g[:-1] + g[1:]
+        cells *= 0.5 * self.h
+        for index, end in self.ends:
+            inward = 1 if index == 0 else -2
+            cells[index] = end.integral(f[index], f[inward])
+        return float(cells.sum())
+
+
+class _EndCell:
     """End cell of ``weighted_norm`` with the weight singular at x_s.
 
     The cell (x_s toward x_s + orient * h) is split geometrically toward
@@ -248,29 +285,39 @@ def _singular_cell(weight, x_s: float, orient: float, h: float,
     the field interpolated linearly between the two cell nodes; the
     untouched sliver next to the endpoint carries O((2^-60)^(1-gamma)) of
     the cell mass for a |x - x_s|^(-gamma) weight, negligible for every
-    integrable gamma.
+    integrable gamma.  The weight is sampled once, here, at the sub-cell
+    ends and midpoints; ``integral`` adds the field.
     """
-    dist = h * 0.5 ** np.arange(61)
-    keep = dist > 8.0 * np.finfo(float).eps * max(1.0, abs(x_s))
-    dist = dist[keep]
-    if dist.size < 2:
-        return 0.0
 
-    def g_at(d: float) -> float:
-        wv = float(weight(np.asarray(x_s + orient * d)))
-        wv = wv if np.isfinite(wv) else 0.0
-        fv = f_sing + (d / h) * (f_reg - f_sing)
-        return wv * fv * fv
+    def __init__(self, weight, x_s: float, orient: float, h: float) -> None:
+        dist = h * 0.5 ** np.arange(61)
+        keep = dist > 8.0 * np.finfo(float).eps * max(1.0, abs(x_s))
+        dist = dist[keep]
+        mid = 0.5 * (dist[:-1] + dist[1:])
 
-    total = 0.0
-    g_hi = g_at(dist[0])
-    for j in range(dist.size - 1):
-        d_hi, d_lo = dist[j], dist[j + 1]
-        g_mid = g_at(0.5 * (d_hi + d_lo))
-        g_lo = g_at(d_lo)
-        total = total + (d_hi - d_lo) / 6.0 * (g_hi + 4.0 * g_mid + g_lo)
-        g_hi = g_lo
-    return total
+        def sample(d: np.ndarray) -> np.ndarray:
+            # one 0-d call per point: a ufunc's vectorized loop may round
+            # differently from its scalar one
+            wv = [float(weight(np.asarray(x_s + orient * p))) for p in d]
+            return np.array([v if np.isfinite(v) else 0.0 for v in wv])
+
+        self.ratio, self.mid_ratio = dist / h, mid / h
+        self.weight, self.mid_weight = sample(dist), sample(mid)
+        self.width = (dist[:-1] - dist[1:]) / 6.0
+
+    def integral(self, f_sing: float, f_reg: float) -> float:
+        if self.ratio.size < 2:
+            return 0.0
+        slope = f_reg - f_sing
+        fv = f_sing + self.ratio * slope
+        g = self.weight * fv * fv
+        fv = f_sing + self.mid_ratio * slope
+        g_mid = self.mid_weight * fv * fv
+        total = 0.0
+        # Simpson per sub-cell, summed in order from the regular node
+        for term in self.width * (g[:-1] + 4.0 * g_mid + g[1:]):
+            total = total + term
+        return total
 
 
 # ---------------------------------------------------------------------------

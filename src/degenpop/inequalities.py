@@ -23,6 +23,8 @@ from .coeffs import (CarlemanWeights, DegenerateCoefficient, PowerLaw,
 from .discretize import (
     Field3,
     Grid,
+    _contract,
+    _WeightedQuadrature,
     axis_weights,
     integrate_nodes,
     spawn_rng,
@@ -51,6 +53,9 @@ __all__ = [
     "observability_ratio",
     "reflect_coefficient",
     "reflect_field",
+    # re-exported, no longer called here: the benchmark's tracer tests
+    # (perfbench/test_perfbench.py) reach it through this module
+    "weighted_norm",
 ]
 
 
@@ -214,7 +219,12 @@ def hardy_ratio(k, theta: float, case: str, test_functions, *,
     primed cases, where k/(1-x)^theta is monotone on all of (0,1), the
     ratio is checked against the closed bound 4/(1-theta)^2 and an
     arithmetic error is raised on violation (that bound is exact theory,
-    so exceeding it means a quadrature or input bug).
+    so exceeding it means a quadrature or input bug).  A test function
+    whose left or right side is not finite raises ValueError.
+
+    k is evaluated on the nodes once, and both quadratures are built once
+    for the whole family; a test function without a derivative is
+    differentiated by ``np.gradient``.
     """
     if case not in _HARDY_CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {_HARDY_CASES}")
@@ -236,6 +246,11 @@ def hardy_ratio(k, theta: float, case: str, test_functions, *,
         with np.errstate(divide="ignore", invalid="ignore"):
             return k_fn(x) / (1.0 - x) ** 2
 
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lhs_quad = _WeightedQuadrature(nodes, kv / (1.0 - nodes) ** 2,
+                                       weight_lhs)
+    rhs_weights = axis_weights(n_quad, float(nodes[1] - nodes[0]))
+
     rows = []
     for idx, (w, wp) in enumerate(_as_pairs(test_functions)):
         wv = np.asarray(w(nodes), dtype=float)
@@ -244,12 +259,16 @@ def hardy_ratio(k, theta: float, case: str, test_functions, *,
         if scale > 0.0 and edge > 1e-9 * scale:
             raise ValueError(
                 f"test function {idx} does not vanish at x = {vanish_at:g}")
+        lhs = lhs_quad.norm(wv)
         if wp is None:
             wpv = np.gradient(wv, nodes, edge_order=2)
         else:
+            del wv  # one field buffer at a time
             wpv = np.asarray(wp(nodes), dtype=float)
-        lhs = weighted_norm(wv, nodes, weight=weight_lhs)
-        rhs = integrate_nodes(kv * wpv ** 2, (float(nodes[1] - nodes[0]),))
+        rhs = float(_contract(rhs_weights, kv * wpv ** 2))
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            raise ValueError(f"test function {idx} gives a non-finite side: "
+                             f"lhs {lhs!r}, rhs {rhs!r}")
         if lhs == 0.0 and rhs == 0.0:
             rows.append(ReportRow(idx, 0.0, 0.0, 0.0, None))
             continue
@@ -288,19 +307,44 @@ def hardy_ratio_at_zero(k, theta: float, case: str, test_functions, *,
     return report
 
 
-def random_hardy_test_functions(case: str, count: int, seed: int):
-    """Random degree-7 polynomials satisfying the case's vanishing
-    condition: an edge factor times a degree-6 polynomial."""
+def random_hardy_test_functions(vanish_at: float, count: int, seed: int):
+    """Random degree-7 polynomials that vanish at ``vanish_at`` (0 or 1):
+    an edge factor, 1 - x or x, times a degree-6 polynomial with standard
+    normal coefficients.  Returns (w, w') pairs of ``_Horner`` evaluators."""
+    if vanish_at not in (0.0, 1.0):
+        raise ValueError(f"vanish_at must be 0 or 1, got {vanish_at!r}")
     rng = spawn_rng(seed, stream=11)
+    edge = np.polynomial.Polynomial([1.0, -1.0] if vanish_at == 1.0
+                                    else [0.0, 1.0])
     pairs = []
-    vanish_at_one = case in ("HP1", "HP1p")
     for _ in range(count):
-        poly = np.polynomial.Polynomial(rng.standard_normal(7))
-        edge = np.polynomial.Polynomial([1.0, -1.0]) if vanish_at_one \
-            else np.polynomial.Polynomial([0.0, 1.0])
-        w = edge * poly
-        pairs.append((w, w.deriv()))
+        w = edge * np.polynomial.Polynomial(rng.standard_normal(7))
+        pairs.append((_Horner(w.coef), _Horner(w.deriv().coef)))
     return pairs
+
+
+class _Horner:
+    """Power series with coefficients ``coef`` (lowest degree first),
+    evaluated by Horner's rule in one output buffer.
+
+    The operations and their order are those of
+    ``numpy.polynomial.Polynomial(coef)(x)``, so the bits are the same for
+    every x but -0.0, which that call first maps to +0.0 (a difference
+    that can show only in the sign of a zero result), without its domain
+    map and the temporary array of each step.
+    """
+
+    def __init__(self, coef) -> None:
+        self.coef = np.array(coef, dtype=float)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        out = x * 0.0
+        out += self.coef[-1]
+        for c in self.coef[-2::-1]:
+            out *= x
+            out += c
+        return out
 
 
 # ---------------------------------------------------------------------------

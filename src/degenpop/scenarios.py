@@ -466,21 +466,12 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _hardy_functions(vanish_at: float, theta: float, count: int, seed: int):
-    # random_hardy_test_functions keys the edge factor off the at-one case
-    # names; the at-zero audit needs the opposite factor.
-    case = "HP1" if 0.0 < theta < 1.0 else "HP2"
-    if vanish_at == 0.0:
-        case = "HP2" if case == "HP1" else "HP1"
-    return random_hardy_test_functions(case, count, seed)
-
-
 def _hardy_audit(scenario: Scenario, *, count: int, n_quad: int) -> list:
     """Hardy ratios at each degenerate endpoint with exponent theta != 1."""
     k, seed = scenario.spec.k, scenario.seed
     deg = classify_degeneracy(k)
     reports = []
-    for stem, degenerate, theta, vanish_at, ratio in (
+    for stem, degenerate, theta, end, ratio in (
             ("hardy_at_one", deg.degenerate_at_one, deg.theta1, 1.0,
              hardy_ratio),
             ("hardy_at_zero", deg.degenerate_at_zero, deg.theta0, 0.0,
@@ -488,7 +479,10 @@ def _hardy_audit(scenario: Scenario, *, count: int, n_quad: int) -> list:
         if degenerate and theta is not None and abs(theta - 1.0) > 1e-9:
             theta = float(theta)
             case = "HP1" if theta < 1.0 else "HP2"
-            fns = _hardy_functions(vanish_at, theta, count, seed)
+            # HP1 test functions vanish at the degenerate end, HP2 ones at
+            # the other end
+            vanish_at = end if case == "HP1" else 1.0 - end
+            fns = random_hardy_test_functions(vanish_at, count, seed)
             reports.append((stem, ratio(k, theta, case, fns, n_quad=n_quad)))
     return reports
 

@@ -158,7 +158,8 @@ def test_3_hardy_poincare(capsys):
     with gate(capsys, "3 (weighted Hardy inequalities)"):
         for theta in (0.25, 0.5, 0.75, 1.25, 1.5, 1.75):
             case = "HP1p" if theta < 1.0 else "HP2p"
-            fns = random_hardy_test_functions(case, 100, seed=41)
+            fns = random_hardy_test_functions(1.0 if theta < 1.0 else 0.0, 100,
+                                              seed=41)
             # the primed cases raise if any ratio crosses 4/(1-theta)^2;
             # a returned report is itself the certificate
             report = hardy_ratio(PowerLaw(0.0, theta), theta, case, fns,

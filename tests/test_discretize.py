@@ -72,6 +72,15 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             weighted_norm(np.ones((3, 3)), np.linspace(0, 1, 3))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_weighted_norm_rejects_interior_non_finite_weight(self, bad):
+        # only an end node takes the singular-cell path; an interior one
+        # used to be zeroed, giving 0.9 for the integral of 1 over [0, 1]
+        nodes = np.linspace(0.0, 1.0, 11)
+        weight = lambda x: np.where(np.isclose(x, 0.5), bad, 1.0)
+        with pytest.raises(ValueError, match="x = 0.5"):
+            weighted_norm(np.ones_like(nodes), nodes, weight=weight)
+
     def test_axis_weights_sum(self):
         w = axis_weights(11, 0.1)
         assert w.sum() == pytest.approx(1.0)

@@ -1,15 +1,18 @@
 """Every exported name resolves, so a deleted function cannot linger in an
 ``__all__`` list or in the package's re-exports, every span name the
-benchmark derives a per-layer metric from is still a callable, and every
+benchmark derives a per-layer metric from is still a callable whose
+signature has every parameter the benchmark's annotators read, and every
 default of the package's functions is overridden by some caller."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import math
 import sys
 from collections import defaultdict
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -69,14 +72,28 @@ def test_no_unused_imports():
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _traced_names(monkeypatch) -> set:
-    """Span names of every per-layer metric in perfbench/layers.py."""
+def _layers(monkeypatch):
+    """perfbench/layers.py, loaded without writing bytecode."""
     monkeypatch.syspath_prepend(str(PERFBENCH))  # layers imports spans
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
         "_perfbench_layers", PERFBENCH / "layers.py")
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
+    return layers
+
+
+def _resolve(name: str):
+    module, *path = name.split(".")
+    target = importlib.import_module(f"degenpop.{module}")
+    for attr in path:
+        target = getattr(target, attr, None)
+    return target
+
+
+def _traced_names(monkeypatch) -> set:
+    """Span names of every per-layer metric in perfbench/layers.py."""
+    layers = _layers(monkeypatch)
     names = {layers.FORWARD, layers.ADJOINT, *layers.HUM, *layers.HARDY,
              *layers.ANNOTATORS}
     for table in (layers.INCLUSIVE, layers.SELF, layers.CALLS):
@@ -89,15 +106,32 @@ def test_traced_span_names_resolve(monkeypatch):
     # a renamed function would silently read 0 in its per-layer metric
     names = _traced_names(monkeypatch)
     assert len(names) >= 25
-    missing = []
-    for name in sorted(names):
-        module, *path = name.split(".")
-        target = importlib.import_module(f"degenpop.{module}")
-        for attr in path:
-            target = getattr(target, attr, None)
-        if not callable(target):
-            missing.append(name)
+    assert [name for name in sorted(names)
+            if not callable(_resolve(name))] == []
+
+
+def test_annotated_parameters_exist(monkeypatch):
+    # an annotator reads its parameters by name after the traced call
+    # returns; a renamed parameter would fail every traced op, not a test
+    layers = _layers(monkeypatch)
+    read = []
+    monkeypatch.setattr(layers, "argument", lambda fn, args, kwargs, name:
+                        read.append(name) or mock.MagicMock())
+    seen, missing = set(), []
+    for name, annotate in sorted(layers.ANNOTATORS.items()):
+        fn = _resolve(name)
+        read.clear()
+        annotate(fn, (), {}, mock.MagicMock())
+        seen.update((name, arg) for arg in read)
+        missing += [f"{name}({arg})" for arg in read
+                    if arg not in inspect.signature(fn).parameters]
     assert missing == []
+    assert {("inequalities.hardy_ratio", "n_quad"),
+            ("inequalities.hardy_ratio", "test_functions"),
+            ("inequalities.hardy_ratio_at_zero", "n_quad"),
+            ("inequalities.hardy_ratio_at_zero", "test_functions"),
+            ("solver.solve_forward", "spec"), ("solver.solve_adjoint", "spec"),
+            ("inequalities.observability_ratio", "ensemble")} <= seen
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import Polynomial
 
 from degenpop.coeffs import (PowerLaw, Tabulated, VitalRates,
                              build_carleman_weights)
-from degenpop.discretize import Field2, Field3, Grid, random_final_data
-from degenpop.inequalities import (CutoffFamily, caccioppoli_audit,
+from degenpop.discretize import (Field2, Field3, Grid, integrate_nodes,
+                                 random_final_data, spawn_rng, weighted_norm)
+from degenpop.inequalities import (CutoffFamily, ReportRow, _Horner,
+                                   caccioppoli_audit,
                                    carleman_audit_deg0, carleman_audit_deg1,
                                    carleman_audit_nondeg,
                                    carleman_local_audit, hardy_ratio,
@@ -62,7 +66,8 @@ class TestHardyOracles:
                                             (1.5, "HP2p"), (1.75, "HP2p")])
     def test_random_families_respect_bound(self, theta, case):
         alpha1 = theta
-        fns = random_hardy_test_functions(case, 25, seed=7)
+        fns = random_hardy_test_functions(1.0 if theta < 1.0 else 0.0, 25,
+                                          seed=7)
         report = hardy_ratio(PowerLaw(0.0, alpha1), theta, case, fns,
                              n_quad=100_001)
         bound = 4.0 / (1.0 - theta) ** 2
@@ -92,7 +97,7 @@ class TestHardyOracles:
                         [lambda x: np.ones_like(np.asarray(x, dtype=float))])
 
     def test_report_plumbing(self, tmp_path):
-        fns = random_hardy_test_functions("HP1p", 5, seed=3)
+        fns = random_hardy_test_functions(1.0, 5, seed=3)
         report = hardy_ratio(PowerLaw(0.0, 0.5), 0.5, "HP1p", fns,
                              n_quad=50_001)
         assert len(report.ratios()) == 5
@@ -105,6 +110,195 @@ class TestHardyOracles:
         assert summary["name"] == "hardy"
         assert summary["samples"] == 5
         report.write_summary(tmp_path / "hardy.json")
+
+
+# Reference for the Hardy audit: hardy_ratio's loop as it was when every
+# test function re-evaluated the weight and rebuilt both quadratures, with
+# that version's weighted_norm and polynomial test functions.
+
+
+def _reference_weighted_norm(values, x, weight):
+    f = np.asarray(values, dtype=float)
+    x = np.asarray(x, dtype=float)
+    w = np.broadcast_to(np.asarray(weight(x), dtype=float), f.shape)
+    h = float(x[1] - x[0])
+    g = np.where(np.isfinite(w), w, 0.0) * f * f
+    cells = 0.5 * h * (g[:-1] + g[1:])
+    if not np.isfinite(w[0]):
+        cells[0] = _reference_singular_cell(weight, x[0], 1.0, h, f[0], f[1])
+    if not np.isfinite(w[-1]):
+        cells[-1] = _reference_singular_cell(weight, x[-1], -1.0, h,
+                                             f[-1], f[-2])
+    return float(cells.sum())
+
+
+def _reference_singular_cell(weight, x_s, orient, h, f_sing, f_reg):
+    dist = h * 0.5 ** np.arange(61)
+    keep = dist > 8.0 * np.finfo(float).eps * max(1.0, abs(x_s))
+    dist = dist[keep]
+    if dist.size < 2:
+        return 0.0
+
+    def g_at(d):
+        wv = float(weight(np.asarray(x_s + orient * d)))
+        wv = wv if np.isfinite(wv) else 0.0
+        fv = f_sing + (d / h) * (f_reg - f_sing)
+        return wv * fv * fv
+
+    total = 0.0
+    g_hi = g_at(dist[0])
+    for j in range(dist.size - 1):
+        d_hi, d_lo = dist[j], dist[j + 1]
+        g_mid = g_at(0.5 * (d_hi + d_lo))
+        g_lo = g_at(d_lo)
+        total = total + (d_hi - d_lo) / 6.0 * (g_hi + 4.0 * g_mid + g_lo)
+        g_hi = g_lo
+    return total
+
+
+def _reference_hardy_rows(k, pairs, n_quad):
+    nodes = np.linspace(0.0, 1.0, n_quad)
+    kv = np.asarray(k(nodes), dtype=float)
+
+    def weight_lhs(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return k(x) / (1.0 - x) ** 2
+
+    rows = []
+    for idx, (w, wp) in enumerate(pairs):
+        wv = np.asarray(w(nodes), dtype=float)
+        if wp is None:
+            wpv = np.gradient(wv, nodes, edge_order=2)
+        else:
+            wpv = np.asarray(wp(nodes), dtype=float)
+        lhs = _reference_weighted_norm(wv, nodes, weight_lhs)
+        rhs = integrate_nodes(kv * wpv ** 2, (float(nodes[1] - nodes[0]),))
+        rows.append(ReportRow(idx, 0.0, lhs, rhs, lhs / rhs))
+    return tuple(rows)
+
+
+def _reference_family(vanish_at, count, seed):
+    rng = spawn_rng(seed, stream=11)
+    pairs = []
+    for _ in range(count):
+        poly = Polynomial(rng.standard_normal(7))
+        edge = Polynomial([1.0, -1.0]) if vanish_at == 1.0 \
+            else Polynomial([0.0, 1.0])
+        w = edge * poly
+        pairs.append((w, w.deriv()))
+    return pairs
+
+
+def _reflected(pairs):
+    def make(w, wp):
+        rw = lambda x: w(1.0 - np.asarray(x, dtype=float))
+        rwp = None if wp is None else (
+            lambda x: -wp(1.0 - np.asarray(x, dtype=float)))
+        return rw, rwp
+    return [make(w, wp) for w, wp in pairs]
+
+
+class TestHardyOnce:
+    N_QUAD = 20_001
+
+    @pytest.mark.parametrize("theta,case", [(0.5, "HP1"), (0.5, "HP1p"),
+                                            (1.5, "HP2"), (1.5, "HP2p")])
+    @pytest.mark.parametrize("at_zero", [False, True])
+    @pytest.mark.parametrize("derivative", [True, False])
+    def test_rows_match_the_per_function_loop(self, theta, case, at_zero,
+                                              derivative):
+        # the weight singular at the audited end: x = 1 for hardy_ratio,
+        # x = 0 for hardy_ratio_at_zero before its reflection
+        vanish_at = 1.0 if case.startswith("HP1") else 0.0
+        if at_zero:
+            vanish_at = 1.0 - vanish_at
+        fns = random_hardy_test_functions(vanish_at, 6, seed=5)
+        ref = _reference_family(vanish_at, 6, seed=5)
+        for (w, wp), (rw, rwp) in zip(fns, ref):
+            assert w.coef.tobytes() == rw.coef.tobytes()
+            assert wp.coef.tobytes() == rwp.coef.tobytes()
+        if not derivative:
+            fns = [w for w, _ in fns]
+            ref = [(w, None) for w, _ in ref]
+        if at_zero:
+            k = PowerLaw(theta, 0.0)
+            got = hardy_ratio_at_zero(k, theta, case, fns, n_quad=self.N_QUAD)
+            want = _reference_hardy_rows(
+                lambda x: k.k(1.0 - np.asarray(x, dtype=float)),
+                _reflected(ref), self.N_QUAD)
+        else:
+            k = PowerLaw(0.0, theta)
+            got = hardy_ratio(k, theta, case, fns, n_quad=self.N_QUAD)
+            want = _reference_hardy_rows(k.k, ref, self.N_QUAD)
+        assert got.rows == want
+
+    @pytest.mark.parametrize("ends", [(), (0,), (-1,), (0, -1)])
+    @pytest.mark.parametrize("support", ["all", "end cells"])
+    def test_weighted_norm_matches_the_reference(self, ends, support):
+        # a field on the end cells alone shows their last bits in the sum
+        nodes = np.linspace(0.0, 1.0, 2001)
+        values = spawn_rng(2).standard_normal(nodes.size)
+        if support == "end cells":
+            values[2:-2] = 0.0
+
+        def weight(x):
+            x = np.asarray(x, dtype=float)
+            with np.errstate(divide="ignore"):
+                w = 1.0 + x
+                if 0 in ends:
+                    w = w * x ** -0.5
+                if -1 in ends:
+                    w = w * (1.0 - x) ** -0.75
+            return w
+
+        got = weighted_norm(values, nodes, weight=weight)
+        assert got == _reference_weighted_norm(values, nodes, weight)
+
+    @pytest.mark.parametrize("at_zero", [False, True])
+    def test_k_is_evaluated_on_the_nodes_once(self, at_zero):
+        calls = []
+
+        def k(x):
+            calls.append(np.ndim(x))
+            return np.asarray(x, dtype=float) ** 0.5
+
+        ratio = hardy_ratio_at_zero if at_zero else hardy_ratio
+        vanish_at = 0.0 if at_zero else 1.0
+        fns = random_hardy_test_functions(vanish_at, 5, seed=0)
+        ratio(k, 0.5, "HP1", fns, n_quad=1001)
+        assert calls.count(1) == 1  # the rest sample the singular end cell
+        assert set(calls) == {0, 1}
+
+    def test_non_finite_test_function_names_its_index(self):
+        ok = (lambda x: 1.0 - x, lambda x: -np.ones_like(x))
+        gap = (lambda x: np.where(np.isclose(x, 0.5), np.nan, 1.0 - x),
+               lambda x: -np.ones_like(x))
+        with pytest.raises(ValueError, match="test function 1 .*non-finite"):
+            hardy_ratio(PowerLaw(0.0, 0.5), 0.5, "HP1", [ok, gap],
+                        n_quad=1001)
+
+    def test_infinite_derivative_is_no_certificate(self):
+        # an infinite w' used to give ratio 0.0, inside the certified bound
+        steep = (lambda x: 1.0 - x,
+                 lambda x: np.where(np.isclose(x, 0.5), -np.inf, -1.0))
+        with pytest.raises(ValueError, match="test function 0 .*non-finite"):
+            hardy_ratio(PowerLaw(0.0, 0.5), 0.5, "HP1p", [steep],
+                        n_quad=1001)
+
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=9),
+           st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_horner_matches_polynomial_call(self, coef, xs):
+        # Polynomial maps x to 0.0 + 1.0 * x first, which turns -0.0 into
+        # +0.0; the evaluator takes x as it comes
+        x = np.array(xs) + 0.0
+        poly, horner = Polynomial(coef), _Horner(coef)
+        assert horner(x).tobytes() == poly(x).tobytes()
+        for point in x:
+            zero_d = np.asarray(point)
+            assert np.asarray(horner(zero_d)).tobytes() \
+                == np.asarray(poly(zero_d)).tobytes()
 
 
 class TestManufacturedAdjoint:

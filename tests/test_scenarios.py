@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from degenpop.coeffs import VitalRates
-from degenpop.scenarios import (AUDIT_NAMES, ConfigError, Scenario,
+from degenpop.scenarios import (AUDIT_NAMES, AUDITS, ConfigError, Scenario,
                                 classify_growth, load_scenario,
                                 net_reproduction_rate, preset, preset_names,
                                 rate_profile, run_scenario,
@@ -280,6 +280,23 @@ class TestScenarioValidation:
     def test_audit_names_constant(self):
         assert AUDIT_NAMES == ("hardy", "carleman", "caccioppoli",
                                "observability")
+
+
+class TestHardyAudit:
+    @pytest.mark.parametrize("alpha0,alpha1", [(0.5, 1.5), (1.5, 0.5)])
+    def test_each_end_gets_its_vanishing_family(self, alpha0, alpha1):
+        # weak ends (HP1) need w = 0 at the degenerate end, strong ones
+        # (HP2) at the other end; the wrong end raises "does not vanish"
+        cfg = config()
+        cfg["model"]["k"] = {"form": "power", "alpha0": alpha0,
+                             "alpha1": alpha1}
+        reports = AUDITS["hardy"](scenario_from_config(cfg), count=3,
+                                  n_quad=2001)
+        case = lambda alpha: "HP1" if alpha < 1.0 else "HP2"
+        assert [(stem, r.meta["case"], len(r.ratios()))
+                for stem, r in reports] == [
+            ("hardy_at_one", case(alpha1), 3),
+            ("hardy_at_zero", case(alpha0), 3)]
 
 
 class TestLoadScenario:
