@@ -9,6 +9,7 @@ a numerical stage breaks down.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -52,9 +53,22 @@ def _sweep(args) -> tuple[float, ...]:
     except ValueError:
         raise ConfigError(f"--s-sweep must be comma-separated numbers, "
                           f"got {args.s_sweep!r}") from None
-    if not values or any(v <= 0 for v in values):
-        raise ConfigError("--s-sweep values must be positive")
+    if not values or not all(math.isfinite(v) and v > 0 for v in values):
+        raise ConfigError(f"--s-sweep values must be finite and positive, "
+                          f"got {args.s_sweep!r}")
     return values
+
+
+def _seed(text: str) -> int:
+    """An argparse type: the non-negative integers numpy takes as seeds."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return value
 
 
 def _cmd_validate(args) -> int:
@@ -180,7 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="builtin scenario (default: default_degenerate)")
         p.add_argument("--out", type=Path, required=out_required,
                        help="output directory")
-        p.add_argument("--seed", type=int, help="override the scenario seed")
+        p.add_argument("--seed", type=_seed,
+                       help="override the scenario seed (non-negative)")
 
     p = sub.add_parser("validate", help="check structural hypotheses")
     common(p, out_required=False)

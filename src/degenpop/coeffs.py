@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -258,13 +259,12 @@ class VitalRates:
 # weight profiles
 
 
-def _cumulative_integral(fn, nodes: np.ndarray, singular_lo: bool = False,
-                         singular_hi: bool = False) -> np.ndarray:
+def _cumulative_integral(fn, nodes: np.ndarray) -> np.ndarray:
     """Cumulative integral of ``fn`` from nodes[0] along ``nodes``.
 
     Each cell is subdivided 32 times and integrated by trapezoid;
     the first/last sub-cell switches to the midpoint rule when the
-    integrand is singular (but integrable) at the corresponding endpoint.
+    integrand is not finite (singular but integrable) at that endpoint.
     """
     out = np.zeros(nodes.size)
     acc = 0.0
@@ -273,9 +273,9 @@ def _cumulative_integral(fn, nodes: np.ndarray, singular_lo: bool = False,
         vals = np.asarray(fn(sub), dtype=float)
         h = sub[1] - sub[0]
         cells = 0.5 * h * (vals[:-1] + vals[1:])
-        if i == 0 and singular_lo and not np.isfinite(vals[0]):
+        if i == 0 and not np.isfinite(vals[0]):
             cells[0] = h * float(fn(np.asarray(sub[0] + h / 2.0)))
-        if i == nodes.size - 2 and singular_hi and not np.isfinite(vals[-1]):
+        if i == nodes.size - 2 and not np.isfinite(vals[-1]):
             cells[-1] = h * float(fn(np.asarray(sub[-1] - h / 2.0)))
         acc += float(np.sum(cells))
         out[i + 1] = acc
@@ -290,11 +290,13 @@ class CarlemanWeights:
     are the non-degenerate profiles built from frak_d = sup|k'| over the
     x nodes and are only available when k is strictly positive on the grid
     span.  s_sweep is the s sweep of every audit that takes these weights.
+    kappa is the fixed scale of sigma in the non-degenerate weight
+    exp(kappa * sigma).
     """
 
+    kappa: ClassVar[float] = 1.0
     grid: Grid
     coef: DegenerateCoefficient
-    kappa: float = 1.0
     s_sweep: tuple[float, ...] = DEFAULT_S_SWEEP
     p: np.ndarray = field(init=False)
     p_inf: float = field(init=False)
@@ -304,19 +306,16 @@ class CarlemanWeights:
     Psi: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
         xs = self.grid.x_nodes
-        lo, hi = self.grid.x_span
-        if isinstance(self.coef, PowerLaw) and self.coef.alpha1 == 0.0 and lo == 0.0:
+        if isinstance(self.coef, PowerLaw) and self.coef.alpha1 == 0.0 \
+                and self.grid.x_span[0] == 0.0:
             a0 = self.coef.alpha0
             if a0 >= 2.0:
                 raise ValueError("power-law exponent must be < 2")
             self.p = np.power(xs, 2.0 - a0) / (2.0 - a0)
         else:
             self.p = _cumulative_integral(
-                lambda y: _safe_ratio(y, self.coef),
-                xs, singular_lo=(lo == 0.0), singular_hi=(hi == 1.0))
+                lambda y: _safe_ratio(y, self.coef), xs)
         self.p_inf = float(np.max(np.abs(self.p)))
 
         kv = self.coef.k(xs)
@@ -349,9 +348,8 @@ def _safe_ratio(y: np.ndarray, coef: DegenerateCoefficient) -> np.ndarray:
 
 
 def build_carleman_weights(grid: Grid, coef: DegenerateCoefficient, *,
-                           kappa: float = 1.0,
                            s_sweep: tuple[float, ...] = DEFAULT_S_SWEEP) -> CarlemanWeights:
-    return CarlemanWeights(grid=grid, coef=coef, kappa=kappa, s_sweep=s_sweep)
+    return CarlemanWeights(grid=grid, coef=coef, s_sweep=s_sweep)
 
 
 def eval_theta(t, a, T: float):
@@ -375,7 +373,6 @@ class HypothesisCheck:
     name: str
     passed: bool
     detail: str
-    witness: float | None = None
 
 
 @dataclass(frozen=True)
@@ -403,12 +400,12 @@ def validate_hypotheses(coef: DegenerateCoefficient, rates: VitalRates,
     coefficient positivity, the certified slope bounds M and theta side
     conditions, rate sign conditions and the vanishing of beta before the
     onset age, sampling k at the interior nodes of an 800-cell lattice
-    of [0, 1].  Failed checks carry a witness point where available.
+    of [0, 1].
     """
     checks: list[HypothesisCheck] = []
 
-    def add(name, passed, detail, witness=None):
-        checks.append(HypothesisCheck(name, bool(passed), detail, witness))
+    def add(name, passed, detail):
+        checks.append(HypothesisCheck(name, bool(passed), detail))
 
     add("horizon", T < A, f"T = {T:.6g}, A = {A:.6g} (need T < A)")
     add("fertility onset", 0.0 < rates.a_bar <= T,
@@ -425,8 +422,7 @@ def validate_hypotheses(coef: DegenerateCoefficient, rates: VitalRates,
     bad = kv <= 0.0
     add("interior positivity", not np.any(bad),
         "k > 0 on (0, 1)" if not np.any(bad)
-        else f"k <= 0 at x = {xs[bad][0]:.6g}",
-        witness=float(xs[bad][0]) if np.any(bad) else None)
+        else f"k <= 0 at x = {xs[bad][0]:.6g}")
 
     try:
         report = classify_degeneracy(coef)
@@ -437,16 +433,14 @@ def validate_hypotheses(coef: DegenerateCoefficient, rates: VitalRates,
         if report.degenerate_at_zero:
             margin = coef.slope_ratio_at_zero(xs) <= report.M1 + 1e-9
             add("slope bound at 0", bool(np.all(margin)),
-                f"x k'/k <= M1 = {report.M1:.6g} on sampled interior",
-                witness=None if np.all(margin) else float(xs[~margin][0]))
+                f"x k'/k <= M1 = {report.M1:.6g} on sampled interior")
             add("monotonicity exponent at 0", report.theta0 is not None
                 and report.theta0 > 0.0,
                 f"theta0 = {report.theta0:.6g} certified near 0")
         if report.degenerate_at_one:
             margin = coef.slope_ratio_at_one(xs) <= report.M2 + 1e-9
             add("slope bound at 1", bool(np.all(margin)),
-                f"(x-1) k'/k <= M2 = {report.M2:.6g} on sampled interior",
-                witness=None if np.all(margin) else float(xs[~margin][0]))
+                f"(x-1) k'/k <= M2 = {report.M2:.6g} on sampled interior")
             add("monotonicity exponent at 1", report.theta1 is not None
                 and report.theta1 > 0.0,
                 f"theta1 = {report.theta1:.6g} certified near 1")
@@ -463,14 +457,9 @@ def validate_hypotheses(coef: DegenerateCoefficient, rates: VitalRates,
     quiet = np.all(np.abs(beta_vals[pre, :]) <= 1e-12 * max(1.0, np.max(np.abs(beta_vals))))
     add("fertility support", bool(quiet),
         f"beta vanishes for a <= a_bar = {rates.a_bar:.6g}")
-    mu_ok = True
-    witness_mu = None
-    for t in np.linspace(0.0, T, 5):
-        mu_vals = np.asarray(rates.mu(t, a_grid, x_grid), dtype=float)
-        if np.any(mu_vals < 0.0):
-            mu_ok = False
-            witness_mu = float(t)
-            break
-    add("mortality sign", mu_ok, "mu >= 0 on samples", witness=witness_mu)
+    mu_ok = not any(
+        np.any(np.asarray(rates.mu(t, a_grid, x_grid), dtype=float) < 0.0)
+        for t in np.linspace(0.0, T, 5))
+    add("mortality sign", mu_ok, "mu >= 0 on samples")
 
     return HypothesisReport(checks=tuple(checks))

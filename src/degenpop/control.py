@@ -51,10 +51,13 @@ class HUMConfig:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.cg_tol <= 0.0 or self.cg_max_iter < 1:
-            raise ValueError("cg_tol must be positive and cg_max_iter >= 1")
+        for name in ("epsilon", "cg_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value!r}")
+        if self.cg_max_iter < 1:
+            raise ValueError("cg_max_iter must be >= 1")
 
 
 @dataclass
@@ -65,14 +68,13 @@ class ControlSolution:
     delta < a < A; j_star the achieved value of the penalized functional
     (primal form 0.5*||f||^2 + ||y(T)||^2/(2 eps)), so the certificate
     final_residual <= sqrt(2 eps j_star) is an identity of the reported
-    numbers.  bound_ratio is control_norm / ||y0||.
+    numbers.  control_norm and bound_ratio = control_norm / ||y0|| are
+    read off f and level 0 of y.
     """
 
     f: Field3
     y: Trajectory
     final_residual: float
-    control_norm: float
-    bound_ratio: float
     epsilon: float | None = None
     j_star: float | None = None
     certificate: float | None = None
@@ -80,6 +82,15 @@ class ControlSolution:
     cg_residuals: tuple = ()
     cg_functionals: tuple = ()
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def control_norm(self) -> float:
+        return control_norm(self.f)
+
+    @property
+    def bound_ratio(self) -> float:
+        y0_norm = lattice_norm(self.y.state.values[0], self.f.grid)
+        return self.control_norm / y0_norm if y0_norm > 0.0 else 0.0
 
     def write_cg_csv(self, path) -> None:
         with open(path, "w", newline="") as handle:
@@ -246,10 +257,8 @@ def hum_control(spec: ProblemSpec, config: HUMConfig) -> ControlSolution:
         raise ControlError(
             "final residual exceeds the epsilon certificate; "
             "internal consistency lost", residuals)
-    y0_norm = lattice_norm(spec.y0.values, grid)
     return ControlSolution(
-        f=f, y=traj, final_residual=final_residual, control_norm=f_norm,
-        bound_ratio=f_norm / y0_norm if y0_norm > 0.0 else 0.0,
+        f=f, y=traj, final_residual=final_residual,
         epsilon=config.epsilon, j_star=j_star, certificate=certificate,
         cg_iterations=len(residuals) - 1,
         cg_residuals=tuple(residuals), cg_functionals=tuple(functionals),
@@ -316,17 +325,10 @@ def compose_delay_control(spec: ProblemSpec, config: HUMConfig) -> ControlSoluti
     traj = Trajectory(state=Field3(grid, y_vals), k_faces=inner.y.k_faces,
                       control=f)
 
-    y0_norm = lattice_norm(data.values, grid)
-    return ControlSolution(
-        f=f, y=traj, final_residual=inner.final_residual,
-        control_norm=control_norm(f),
-        bound_ratio=control_norm(f) / y0_norm if y0_norm > 0.0 else 0.0,
-        epsilon=config.epsilon, j_star=inner.j_star,
-        certificate=inner.certificate, cg_iterations=inner.cg_iterations,
-        cg_residuals=inner.cg_residuals, cg_functionals=inner.cg_functionals,
-        diagnostics={"t_tilde": t_tilde, "switch_norm": switch_norm,
-                     "switch_bound": switch_bound,
-                     "growth_constant": growth})
+    return replace(inner, f=f, y=traj,
+                   diagnostics={"t_tilde": t_tilde, "switch_norm": switch_norm,
+                                "switch_bound": switch_bound,
+                                "growth_constant": growth})
 
 
 # ---------------------------------------------------------------------------
@@ -530,11 +532,8 @@ def glue_two_sided(spec: ProblemSpec, config: HUMConfig, alpha_bar: float,
     rows = _target_rows(grid, config.delta)
     final_residual = lattice_norm(y_vals[-1][rows][:, 1:-1], grid)
     combined = (sol1.certificate or 0.0) + (sol2.certificate or 0.0)
-    f_norm = control_norm(f)
-    y0_norm = lattice_norm(spec.y0.values, grid)
     return ControlSolution(
-        f=f, y=traj, final_residual=final_residual, control_norm=f_norm,
-        bound_ratio=f_norm / y0_norm if y0_norm > 0.0 else 0.0,
+        f=f, y=traj, final_residual=final_residual,
         epsilon=config.epsilon, j_star=None, certificate=combined,
         diagnostics={"residual": residual, "baseline": baseline,
                      "renewal_defect": renewal_defect,

@@ -129,27 +129,11 @@ def _finish_report(name, rows, sweep, meta) -> InequalityReport:
 # cut-off functions
 
 
-def _smoothstep(u: np.ndarray) -> np.ndarray:
-    return 6.0 * u ** 5 - 15.0 * u ** 4 + 10.0 * u ** 3
-
-
-def _smoothstep_d1(u: np.ndarray) -> np.ndarray:
-    return 30.0 * u ** 4 - 60.0 * u ** 3 + 30.0 * u ** 2
-
-
-def _smoothstep_d2(u: np.ndarray) -> np.ndarray:
-    return 120.0 * u ** 3 - 180.0 * u ** 2 + 60.0 * u
-
-
-def _ramp(x, lo, hi, derivative: int):
+def _ramp(x, lo, hi):
     """C^2 quintic rise from 0 at lo to 1 at hi, clamped outside."""
     x = np.asarray(x, dtype=float)
     u = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
-    if derivative == 0:
-        return _smoothstep(u)
-    inner = {1: _smoothstep_d1, 2: _smoothstep_d2}[derivative](u)
-    active = (x > lo) & (x < hi)
-    return np.where(active, inner / (hi - lo) ** derivative, 0.0)
+    return 6.0 * u ** 5 - 15.0 * u ** 4 + 10.0 * u ** 3
 
 
 @dataclass(frozen=True)
@@ -181,16 +165,14 @@ class CutoffFamily:
     def mid(self) -> float:
         return 0.5 * (self.q1 + self.q2)
 
-    def xi(self, x, derivative: int = 0):
-        val = _ramp(x, self.q1, self.mid, derivative)
-        return (1.0 - val) if derivative == 0 else -val
+    def xi(self, x):
+        return 1.0 - _ramp(x, self.q1, self.mid)
 
-    def eta(self, x, derivative: int = 0):
-        return _ramp(x, self.mid, self.q2, derivative)
+    def eta(self, x):
+        return _ramp(x, self.mid, self.q2)
 
-    def phi_cut(self, x, derivative: int = 0):
-        base = 1.0 if derivative == 0 else 0.0
-        return base - self.xi(x, derivative) - self.eta(x, derivative)
+    def phi_cut(self, x):
+        return 1.0 - self.xi(x) - self.eta(x)
 
 
 # ---------------------------------------------------------------------------
@@ -199,32 +181,23 @@ class CutoffFamily:
 _HARDY_CASES = ("HP1", "HP1p", "HP2", "HP2p")
 
 
-def _as_pairs(test_functions):
-    pairs = []
-    for item in test_functions:
-        if callable(item):
-            pairs.append((item, None))
-        else:
-            w, wp = item
-            pairs.append((w, wp))
-    return pairs
-
-
 def hardy_ratio(k, theta: float, case: str, test_functions, *,
                 n_quad: int = 400_001) -> InequalityReport:
     """Ratios of int k/(1-x)^2 w^2 over int k |w'|^2 per test function.
 
+    ``test_functions`` is a non-empty iterable of (w, w') pairs of
+    callables, such as :func:`random_hardy_test_functions` returns.
     ``case`` follows the proposition's naming: HP1/HP1p need w(1) = 0 and
     theta in (0,1); HP2/HP2p need w(0) = 0 and theta in (1,2).  For the
     primed cases, where k/(1-x)^theta is monotone on all of (0,1), the
     ratio is checked against the closed bound 4/(1-theta)^2 and an
     arithmetic error is raised on violation (that bound is exact theory,
     so exceeding it means a quadrature or input bug).  A test function
-    whose left or right side is not finite raises ValueError.
+    whose left or right side is not finite raises ValueError, and so
+    does an empty family.
 
     k is evaluated on the nodes once, and both quadratures are built once
-    for the whole family; a test function without a derivative is
-    differentiated by ``np.gradient``.
+    for the whole family.
     """
     if case not in _HARDY_CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {_HARDY_CASES}")
@@ -252,7 +225,7 @@ def hardy_ratio(k, theta: float, case: str, test_functions, *,
     rhs_weights = axis_weights(n_quad, float(nodes[1] - nodes[0]))
 
     rows = []
-    for idx, (w, wp) in enumerate(_as_pairs(test_functions)):
+    for idx, (w, wp) in enumerate(test_functions):
         wv = np.asarray(w(nodes), dtype=float)
         scale = float(np.max(np.abs(wv)))
         edge = abs(float(w(np.asarray(vanish_at))))
@@ -260,11 +233,8 @@ def hardy_ratio(k, theta: float, case: str, test_functions, *,
             raise ValueError(
                 f"test function {idx} does not vanish at x = {vanish_at:g}")
         lhs = lhs_quad.norm(wv)
-        if wp is None:
-            wpv = np.gradient(wv, nodes, edge_order=2)
-        else:
-            del wv  # one field buffer at a time
-            wpv = np.asarray(wp(nodes), dtype=float)
+        del wv  # one field buffer at a time
+        wpv = np.asarray(wp(nodes), dtype=float)
         rhs = float(_contract(rhs_weights, kv * wpv ** 2))
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
             raise ValueError(f"test function {idx} gives a non-finite side: "
@@ -277,6 +247,8 @@ def hardy_ratio(k, theta: float, case: str, test_functions, *,
             raise ArithmeticError(
                 f"Hardy ratio {ratio:.6g} exceeds the certified bound {bound:.6g}")
         rows.append(ReportRow(idx, 0.0, lhs, rhs, ratio))
+    if not rows:
+        raise ValueError("empty test function family")
     return _finish_report("hardy", rows, (), {"case": case, "theta": theta,
                                               "bound": bound})
 
@@ -294,14 +266,11 @@ def hardy_ratio_at_zero(k, theta: float, case: str, test_functions, *,
     def k_reflected(x):
         return k_fn(1.0 - np.asarray(x, dtype=float))
 
-    reflected = []
-    for w, wp in _as_pairs(test_functions):
-        def make(wf, wpf):
-            rw = lambda x: wf(1.0 - np.asarray(x, dtype=float))
-            rwp = None if wpf is None else (
-                lambda x: -wpf(1.0 - np.asarray(x, dtype=float)))
-            return rw, rwp
-        reflected.append(make(w, wp))
+    def reflect(w, wp):
+        return (lambda x: w(1.0 - np.asarray(x, dtype=float)),
+                lambda x: -wp(1.0 - np.asarray(x, dtype=float)))
+
+    reflected = [reflect(w, wp) for w, wp in test_functions]
     report = hardy_ratio(k_reflected, theta, case, reflected, n_quad=n_quad)
     report.name = "hardy_at_zero"
     return report
@@ -417,11 +386,11 @@ def random_adjoint_profiles(T: float, A: float, count: int, seed: int):
     return profiles
 
 
-def manufactured_family(spec: ProblemSpec, count: int, seed: int, **kwargs):
+def manufactured_family(spec: ProblemSpec, count: int, seed: int):
     """Evaluate ``random_adjoint_profiles`` on the problem grid."""
     grid = spec.grid
     profiles = random_adjoint_profiles(grid.T, grid.A, count, seed)
-    return [manufactured_adjoint(spec, p, **kwargs) for p in profiles]
+    return [manufactured_adjoint(spec, p) for p in profiles]
 
 
 def nodal_gradient_x(values: np.ndarray, dx: float) -> np.ndarray:
@@ -521,7 +490,6 @@ def _reflect(samples, weights: CarlemanWeights):
     return ([(reflect_field(v), reflect_field(f)) for v, f in samples],
             build_carleman_weights(weights.grid,
                                    reflect_coefficient(weights.coef),
-                                   kappa=weights.kappa,
                                    s_sweep=weights.s_sweep))
 
 
@@ -684,7 +652,7 @@ def carleman_local_audit(samples, omega: tuple[float, float],
     i0 = int(np.searchsorted(xs, 0.5 * lo, side="left"))
     i0 = max(1, min(i0, grid.Nx - 2))
     sub = _subgrid_from(grid, i0, grid.Nx)
-    sub_weights = build_carleman_weights(sub, coef, kappa=weights.kappa)
+    sub_weights = build_carleman_weights(sub, coef)
     sub_weights.require_nondeg()
     psi_ext = np.empty_like(xs)
     psi_ext[i0:] = sub_weights.Psi

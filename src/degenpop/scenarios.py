@@ -386,6 +386,8 @@ def scenario_from_config(cfg: dict, *, name: str = "scenario") -> Scenario:
     hum_c = _want(cfg, "hum", "", dict, required=False, default={})
     audits = _want(cfg, "audits", "", list, required=False, default=[])
     seed = _want(cfg, "seed", "", int, required=False, default=0)
+    if seed < 0:
+        raise ConfigError('key "seed" must be a non-negative integer')
     name = _want(cfg, "name", "", str, required=False, default=name)
     r0_target = _want(cfg, "r0_target", "", (int, float), required=False)
 

@@ -58,13 +58,39 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert cli.main(["validate", "--config", str(path)]) == 2
 
-    def test_invalid_sweep(self, tiny_config, tmp_path):
-        assert cli.main(["carleman-audit", "--config", str(tiny_config),
-                         "--out", str(tmp_path / "o"),
-                         "--s-sweep", "1.0,abc"]) == 2
-        assert cli.main(["carleman-audit", "--config", str(tiny_config),
-                         "--out", str(tmp_path / "o"),
-                         "--s-sweep", "-2.0"]) == 2
+    def test_invalid_sweep(self, tiny_config, tmp_path, capsys):
+        for sweep in ("1.0,abc", "-2.0", "nan", "1.0,inf"):
+            assert cli.main(["carleman-audit", "--config", str(tiny_config),
+                             "--out", str(tmp_path / "o"),
+                             "--s-sweep", sweep]) == 2
+            assert "--s-sweep" in capsys.readouterr().err
+
+    def test_empty_hardy_family_maps_to_2(self, tiny_config, tmp_path, capsys):
+        for count in ("0", "-1"):
+            assert cli.main(["hardy-audit", "--config", str(tiny_config),
+                             "--out", str(tmp_path / "o"),
+                             "--count", count]) == 2
+            assert "empty test function family" in capsys.readouterr().err
+
+    def test_non_finite_epsilon_maps_to_2(self, tiny_config, tmp_path, capsys):
+        for eps in ("nan", "inf"):
+            assert cli.main(["hum", "--config", str(tiny_config),
+                             "--out", str(tmp_path / "o"),
+                             "--epsilon", eps]) == 2
+            assert "epsilon must be finite" in capsys.readouterr().err
+
+    def test_negative_seed_maps_to_2(self, tiny_config, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", "--config", str(tiny_config),
+                      "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+        cfg = json.loads(json.dumps(TINY))
+        cfg["seed"] = -3
+        path = tmp_path / "negative_seed.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert 'key "seed"' in capsys.readouterr().err
 
     def test_numerical_failure_maps_to_3(self, tiny_config, tmp_path,
                                          monkeypatch):

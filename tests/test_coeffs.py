@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from degenpop.coeffs import (DEFAULT_S_SWEEP, CarlemanWeights, PowerLaw,
-                             Tabulated, VitalRates, build_carleman_weights,
+from degenpop.coeffs import (DEFAULT_S_SWEEP, PowerLaw, Tabulated,
+                             VitalRates, build_carleman_weights,
                              classify_degeneracy, eval_theta,
                              validate_hypotheses)
 from degenpop.discretize import Grid
@@ -157,10 +157,6 @@ class TestCarlemanWeights:
         w = build_carleman_weights(make_grid(), PowerLaw(0.5))
         with pytest.raises(ValueError, match="strictly positive"):
             w.require_nondeg()
-
-    def test_kappa_validation(self):
-        with pytest.raises(ValueError):
-            CarlemanWeights(grid=make_grid(), coef=PowerLaw(0.5), kappa=0.0)
 
 
 class TestThetaWeight:

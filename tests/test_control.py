@@ -34,10 +34,11 @@ CONFIG = HUMConfig(delta=1.25, epsilon=1e-4)
 
 class TestHUMConfig:
     def test_validation(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            HUMConfig(delta=1.25, epsilon=0.0)
-        with pytest.raises(ValueError, match="cg_tol"):
-            HUMConfig(delta=1.25, cg_tol=-1.0)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="epsilon"):
+                HUMConfig(delta=1.25, epsilon=bad)
+            with pytest.raises(ValueError, match="cg_tol"):
+                HUMConfig(delta=1.25, cg_tol=bad)
         with pytest.raises(ValueError, match="cg_max_iter"):
             HUMConfig(delta=1.25, cg_max_iter=0)
         with pytest.raises(TypeError):

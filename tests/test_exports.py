@@ -2,7 +2,8 @@
 ``__all__`` list or in the package's re-exports, every span name the
 benchmark derives a per-layer metric from is still a callable whose
 signature has every parameter the benchmark's annotators read, and every
-default of the package's functions is overridden by some caller."""
+default of the package's functions is overridden by some caller, and
+every ``**kwargs`` is filled by some caller."""
 
 import ast
 import importlib
@@ -188,25 +189,47 @@ def _call_sites() -> tuple[dict, dict]:
     return keywords, positions
 
 
-def test_every_default_is_set():
-    # a default no caller overrides is a constant in disguise: generality
-    # nothing uses.  Names are matched, not resolved, so functions of one
-    # name share their call sites; closures are not scanned.
-    keywords, positions = _call_sites()
-    unset = []
+def _functions():
+    """(path, class name or None, name calls use, def) of every module-level
+    function and method of the package; closures are not scanned."""
     for path in SOURCES:
         tree = ast.parse(path.read_text())
         scopes = [(None, node) for node in tree.body]
         scopes += [(cls.name, node) for cls in tree.body
                    if isinstance(cls, ast.ClassDef) for node in cls.body]
         for cls, fn in scopes:
-            if not isinstance(fn, ast.FunctionDef):
+            if isinstance(fn, ast.FunctionDef):
+                yield path, cls, cls if fn.name == "__init__" else fn.name, fn
+
+
+def test_every_default_is_set():
+    # a default no caller overrides is a constant in disguise: generality
+    # nothing uses.  Names are matched, not resolved, so functions of one
+    # name share their call sites.
+    keywords, positions = _call_sites()
+    unset = []
+    for path, cls, called, fn in _functions():
+        passed = keywords.get(called, set())
+        for name, pos in _defaulted(fn, cls is not None):
+            if name in passed or None in passed \
+                    or (pos is not None and pos < positions.get(called, 0)):
                 continue
-            called = cls if fn.name == "__init__" else fn.name
-            passed = keywords.get(called, set())
-            for name, pos in _defaulted(fn, cls is not None):
-                if name in passed or None in passed \
-                        or (pos is not None and pos < positions.get(called, 0)):
-                    continue
-                unset.append(f"{path.name}:{fn.lineno} {fn.name}({name})")
+            unset.append(f"{path.name}:{fn.lineno} {fn.name}({name})")
     assert unset == []
+
+
+def test_every_kwargs_is_filled():
+    # a **kwargs no call fills is an input form nothing uses: filled means
+    # some call of the name passes a keyword outside the named parameters,
+    # or passes **mapping, or the name is handed on as a value
+    keywords, _ = _call_sites()
+    unfilled = []
+    for path, _, called, fn in _functions():
+        if fn.args.kwarg is None:
+            continue
+        named = {arg.arg for arg in fn.args.posonlyargs + fn.args.args
+                 + fn.args.kwonlyargs}
+        if not keywords.get(called, set()) - named:
+            unfilled.append(f"{path.name}:{fn.lineno} {fn.name}"
+                            f"(**{fn.args.kwarg.arg})")
+    assert unfilled == []

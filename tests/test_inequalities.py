@@ -75,14 +75,17 @@ class TestHardyOracles:
 
     def test_mislabeled_theta_trips_certified_bound(self):
         # k really behaves like (1-x)^{0.99}; claiming theta = 0.5 caps the
-        # ratio at 16 while a near-flat w drives it to ~2.5e3
+        # ratio at 16 while a near-flat w drives it to 1/0.02^2 = 2500;
+        # w' is set to 0 at the end node, where it is infinite
         k = lambda x: (1.0 - np.asarray(x, dtype=float)) ** 0.99
-        w = lambda x: (1.0 - np.asarray(x, dtype=float)) ** 0.02
-        with pytest.raises(ArithmeticError, match="certified bound"):
-            hardy_ratio(k, 0.5, "HP1p", [w], n_quad=100_001)
-        # the unprimed case reports the same ratio without raising
-        report = hardy_ratio(k, 0.5, "HP1", [w], n_quad=100_001)
-        assert report.empirical_constant > 16.0
+        w = (lambda x: (1.0 - np.asarray(x, dtype=float)) ** 0.02,
+             lambda x: np.where(x < 1.0, -0.02 * (1.0 - x) ** -0.98, 0.0))
+        with np.errstate(divide="ignore"):
+            with pytest.raises(ArithmeticError, match="certified bound"):
+                hardy_ratio(k, 0.5, "HP1p", [w], n_quad=100_001)
+            # the unprimed case reports the same ratio without raising
+            report = hardy_ratio(k, 0.5, "HP1", [w], n_quad=100_001)
+        assert report.empirical_constant == pytest.approx(2500.0, rel=1e-3)
 
     def test_validation_errors(self):
         ok = (lambda x: 1.0 - x, lambda x: -np.ones_like(x))
@@ -94,7 +97,11 @@ class TestHardyOracles:
             hardy_ratio(PowerLaw(0.0, 1.5), 0.5, "HP2", [ok])
         with pytest.raises(ValueError, match="does not vanish"):
             hardy_ratio(PowerLaw(0.0, 0.5), 0.5, "HP1",
-                        [lambda x: np.ones_like(np.asarray(x, dtype=float))])
+                        [(lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                          lambda x: np.zeros_like(np.asarray(x, dtype=float)))])
+        for ratio in (hardy_ratio, hardy_ratio_at_zero):
+            with pytest.raises(ValueError, match="empty test function family"):
+                ratio(PowerLaw(0.5, 0.5), 0.5, "HP1", [])
 
     def test_report_plumbing(self, tmp_path):
         fns = random_hardy_test_functions(1.0, 5, seed=3)
@@ -168,10 +175,7 @@ def _reference_hardy_rows(k, pairs, n_quad):
     rows = []
     for idx, (w, wp) in enumerate(pairs):
         wv = np.asarray(w(nodes), dtype=float)
-        if wp is None:
-            wpv = np.gradient(wv, nodes, edge_order=2)
-        else:
-            wpv = np.asarray(wp(nodes), dtype=float)
+        wpv = np.asarray(wp(nodes), dtype=float)
         lhs = _reference_weighted_norm(wv, nodes, weight_lhs)
         rhs = integrate_nodes(kv * wpv ** 2, (float(nodes[1] - nodes[0]),))
         rows.append(ReportRow(idx, 0.0, lhs, rhs, lhs / rhs))
@@ -192,10 +196,8 @@ def _reference_family(vanish_at, count, seed):
 
 def _reflected(pairs):
     def make(w, wp):
-        rw = lambda x: w(1.0 - np.asarray(x, dtype=float))
-        rwp = None if wp is None else (
-            lambda x: -wp(1.0 - np.asarray(x, dtype=float)))
-        return rw, rwp
+        return (lambda x: w(1.0 - np.asarray(x, dtype=float)),
+                lambda x: -wp(1.0 - np.asarray(x, dtype=float)))
     return [make(w, wp) for w, wp in pairs]
 
 
@@ -205,9 +207,7 @@ class TestHardyOnce:
     @pytest.mark.parametrize("theta,case", [(0.5, "HP1"), (0.5, "HP1p"),
                                             (1.5, "HP2"), (1.5, "HP2p")])
     @pytest.mark.parametrize("at_zero", [False, True])
-    @pytest.mark.parametrize("derivative", [True, False])
-    def test_rows_match_the_per_function_loop(self, theta, case, at_zero,
-                                              derivative):
+    def test_rows_match_the_per_function_loop(self, theta, case, at_zero):
         # the weight singular at the audited end: x = 1 for hardy_ratio,
         # x = 0 for hardy_ratio_at_zero before its reflection
         vanish_at = 1.0 if case.startswith("HP1") else 0.0
@@ -218,9 +218,6 @@ class TestHardyOnce:
         for (w, wp), (rw, rwp) in zip(fns, ref):
             assert w.coef.tobytes() == rw.coef.tobytes()
             assert wp.coef.tobytes() == rwp.coef.tobytes()
-        if not derivative:
-            fns = [w for w, _ in fns]
-            ref = [(w, None) for w, _ in ref]
         if at_zero:
             k = PowerLaw(theta, 0.0)
             got = hardy_ratio_at_zero(k, theta, case, fns, n_quad=self.N_QUAD)
@@ -538,28 +535,6 @@ class TestCutoffFamily:
         assert np.all(cut.xi(mid) == 0.0)
         assert np.all(cut.eta(right) == 1.0)
         assert np.all(cut.eta(np.linspace(0.0, cut.mid, 50)) == 0.0)
-
-    def test_derivatives_supported_inside_window(self):
-        cut = CutoffFamily(0.3, 0.7)
-        outside = np.concatenate([np.linspace(0.0, 0.3, 40),
-                                  np.linspace(0.7, 1.0, 40)])
-        for fn in (cut.xi, cut.eta, cut.phi_cut):
-            assert np.all(fn(outside, derivative=1) == 0.0)
-            assert np.all(fn(outside, derivative=2) == 0.0)
-
-    @pytest.mark.parametrize("name", ["xi", "eta", "phi_cut"])
-    def test_derivative_formulas_match_finite_differences(self, name):
-        cut = CutoffFamily(0.25, 0.8)
-        fn = getattr(cut, name)
-        x = np.linspace(0.0, 1.0, 20_001)
-        d1 = np.gradient(fn(x), x, edge_order=2)
-        scale = np.max(np.abs(fn(x, derivative=1))) + 1.0
-        np.testing.assert_allclose(fn(x, derivative=1), d1,
-                                   atol=5e-4 * scale)
-        d2 = np.gradient(fn(x, derivative=1), x, edge_order=2)
-        scale2 = np.max(np.abs(fn(x, derivative=2))) + 1.0
-        np.testing.assert_allclose(fn(x, derivative=2), d2,
-                                   atol=5e-3 * scale2)
 
 
 class TestObservability:

@@ -269,6 +269,11 @@ class TestScenarioFromConfig:
         assert not np.array_equal(s0.spec.y0.values, s1.spec.y0.values)
         np.testing.assert_array_equal(s0.spec.y0.values, s0b.spec.y0.values)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match='key "seed" must be a '
+                                              'non-negative integer'):
+            scenario_from_config(config(seed=-3))
+
 
 class TestScenarioValidation:
     def test_unknown_audit(self):
