@@ -144,8 +144,12 @@ def _cmd_hum(args) -> int:
 def _cmd_glue(args) -> int:
     scenario = _load(args)
     out = _out_dir(args)
+    # cut points default to the middle of each gap between omega and an end
+    lo, hi = scenario.spec.omega
+    alpha_bar = lo / 2 if args.alpha_bar is None else args.alpha_bar
+    beta_bar = (1 + hi) / 2 if args.beta_bar is None else args.beta_bar
     sol = glue_two_sided(scenario.spec, scenario.hum,
-                         alpha_bar=args.alpha_bar, beta_bar=args.beta_bar)
+                         alpha_bar=alpha_bar, beta_bar=beta_bar)
     sol.write_summary(out / "glue_summary.json")
     write_field_csv(Field2(scenario.spec.grid,
                            sol.y.state.values[-1]), out / "glue_final.csv")
@@ -250,10 +254,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("glue", help="two-sided glued control")
     common(p)
     p.add_argument("--epsilon", type=float, help="penalization parameter")
-    p.add_argument("--alpha-bar", type=float, default=0.15,
-                   help="left edge of the gluing window")
-    p.add_argument("--beta-bar", type=float, default=0.85,
-                   help="right edge of the gluing window")
+    p.add_argument("--alpha-bar", type=float,
+                   help="left edge of the gluing window (default: lo/2 "
+                        "for omega = [lo, hi])")
+    p.add_argument("--beta-bar", type=float,
+                   help="right edge of the gluing window (default: "
+                        "(1+hi)/2)")
     p.set_defaults(handler=_cmd_glue)
 
     p = sub.add_parser("r0", help="net reproduction rate")

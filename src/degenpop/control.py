@@ -9,7 +9,6 @@ estimates.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -17,10 +16,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .coeffs import classify_degeneracy
-from .discretize import Field2, Field3, Grid, window_mask, write_json
+from .discretize import (Field2, Field3, Grid, _write_csv, window_mask,
+                         write_json)
 from .inequalities import CutoffFamily
-from .solver import (ProblemSpec, Trajectory, _switch_level, control_norm,
-                     lattice_inner, lattice_norm, solve_adjoint,
+from .solver import (ProblemSpec, Trajectory, _exp_or_inf, _switch_level,
+                     control_norm, lattice_inner, lattice_norm, solve_adjoint,
                      solve_forward)
 
 __all__ = [
@@ -93,12 +93,9 @@ class ControlSolution:
         return self.control_norm / y0_norm if y0_norm > 0.0 else 0.0
 
     def write_cg_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["iter", "functional", "residual"])
-            for i, (q, r) in enumerate(zip(self.cg_functionals,
-                                           self.cg_residuals)):
-                writer.writerow([i, repr(float(q)), repr(float(r))])
+        _write_csv(path, ["iter", "functional", "residual"],
+                   ([i, repr(float(q)), repr(float(r))] for i, (q, r)
+                    in enumerate(zip(self.cg_functionals, self.cg_residuals))))
 
     def write_summary(self, path) -> None:
         payload = {
@@ -109,8 +106,7 @@ class ControlSolution:
             "j_star": self.j_star,
             "certificate": self.certificate,
             "cg_iterations": self.cg_iterations,
-            **{k: v for k, v in self.diagnostics.items()
-               if isinstance(v, (int, float, str, bool, list))},
+            **self.diagnostics,
         }
         write_json(path, payload)
 
@@ -237,8 +233,6 @@ def hum_control(spec: ProblemSpec, config: HUMConfig) -> ControlSolution:
     window's own problem (see :func:`compose_delay_control`).
     """
     grid = spec.grid
-    if spec.y0 is None:
-        raise ValueError("no initial data: set spec.y0")
     rows = _target_rows(grid, config.delta)
     op = _Gramian(spec, rows)
 
@@ -295,7 +289,8 @@ def compose_delay_control(spec: ProblemSpec, config: HUMConfig) -> ControlSoluti
     T_tilde is the lattice level of ``solver._switch_level``, moved back
     to T - dt when a_bar is below half a step.  The reported
     intermediate bound is the discrete renewal-growth estimate
-    ||u(T_tilde)||^2 <= exp(C*T)*||y0||^2 with C = A * max(beta)^2.
+    ||u(T_tilde)||^2 <= exp(C*T)*||y0||^2 with C = A * max(beta)^2,
+    None where it overflows.
     """
     grid = spec.grid
     data = spec.y0
@@ -312,8 +307,10 @@ def compose_delay_control(spec: ProblemSpec, config: HUMConfig) -> ControlSoluti
     switch_norm = lattice_norm(window.y0.values, grid)
     beta_max = float(np.max(spec.rates.beta_grid(grid)))
     growth = grid.A * beta_max ** 2
-    switch_bound = math.exp(0.5 * growth * grid.T) * lattice_norm(
+    switch_bound = _exp_or_inf(0.5 * growth * grid.T) * lattice_norm(
         data.values, grid)
+    if not math.isfinite(switch_bound):
+        switch_bound = None  # the bound overflows: reported as null
 
     inner = hum_control(window, config)
 

@@ -58,8 +58,9 @@ class Grid:
     def __post_init__(self) -> None:
         if self.T <= 0 or self.A <= 0:
             raise ValueError("horizons T and A must be positive")
-        if min(self.Nt, self.Na, self.Nx) < 1:
-            raise ValueError("cell counts must be positive")
+        if min(self.Nt, self.Na) < 1 or self.Nx < 2:
+            raise ValueError("need Nt, Na >= 1 and Nx >= 2 (one interior "
+                             "x node)")
         lo, hi = self.x_span
         if not hi > lo:
             raise ValueError("x_span must be an increasing pair")
@@ -161,9 +162,6 @@ class Field3:
     def axes(self) -> tuple[str, str, str]:
         return ("t", "a", "x")
 
-    def copy(self) -> "Field3":
-        return Field3(self.grid, self.values.copy())
-
 
 @dataclass
 class Field2:
@@ -183,9 +181,6 @@ class Field2:
     @property
     def axes(self) -> tuple[str, str]:
         return ("a", "x")
-
-    def copy(self) -> "Field2":
-        return Field2(self.grid, self.values.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -366,18 +361,23 @@ def random_final_data(grid: Grid, seed: int, stream: int = 0) -> Field2:
 # snapshots
 
 
+def _write_csv(path, header, rows) -> None:
+    """CSV artifact: the header row, then ``rows``, each a sequence of
+    cells its caller has formatted."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_field_csv(fld: Field2 | Field3, path) -> None:
     """CSV snapshot: header row, one row per node, row-major order."""
     axes = fld.axes
-    nodes = [fld.grid.axis_nodes(ax) for ax in axes]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(axes) + ["value"])
-        flat = fld.values.reshape(-1)
-        grids = np.meshgrid(*nodes, indexing="ij")
-        coords = [g.reshape(-1) for g in grids]
-        for row in zip(*coords, flat):
-            writer.writerow([repr(float(v)) for v in row])
+    grids = np.meshgrid(*[fld.grid.axis_nodes(ax) for ax in axes],
+                        indexing="ij")
+    columns = [g.reshape(-1) for g in grids] + [fld.values.reshape(-1)]
+    _write_csv(path, list(axes) + ["value"],
+               ([repr(float(v)) for v in row] for row in zip(*columns)))
 
 
 def write_json(path, payload: dict) -> None:

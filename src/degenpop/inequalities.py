@@ -11,9 +11,8 @@ instead of NaN.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .discretize import (
     Grid,
     _contract,
     _WeightedQuadrature,
+    _write_csv,
     axis_weights,
     integrate_nodes,
     spawn_rng,
@@ -32,7 +32,7 @@ from .discretize import (
     window_mask,
     write_json,
 )
-from .solver import ProblemSpec, _switch_level, solve_adjoint
+from .solver import ProblemSpec, _switch_level, lattice_inner, solve_adjoint
 
 __all__ = [
     "InequalityReport",
@@ -88,12 +88,10 @@ class InequalityReport:
         return out
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["sample_id", "s", "lhs", "rhs", "ratio"])
-            for r in self.rows:
-                writer.writerow([r.sample_id, repr(r.s), repr(r.lhs), repr(r.rhs),
-                                 "" if r.ratio is None else repr(r.ratio)])
+        _write_csv(path, ["sample_id", "s", "lhs", "rhs", "ratio"],
+                   ([r.sample_id, repr(r.s), repr(r.lhs), repr(r.rhs),
+                     "" if r.ratio is None else repr(r.ratio)]
+                    for r in self.rows))
 
     def summary(self) -> dict:
         return {
@@ -110,10 +108,9 @@ class InequalityReport:
 
 
 def _finish_report(name, rows, sweep, meta) -> InequalityReport:
-    ratios = [r.ratio for r in rows if r.ratio is not None]
-    constant = max(ratios) if ratios else None
     report = InequalityReport(name=name, rows=tuple(rows), s_used=tuple(sweep),
-                              empirical_constant=constant, meta=meta)
+                              empirical_constant=None, meta=meta)
+    report.empirical_constant = max(report.ratios(), default=None)
     per_s = report.per_s_constant()
     svals = sorted(per_s)
     if len(svals) >= 4:
@@ -332,7 +329,7 @@ def manufactured_adjoint(spec: ProblemSpec, profile, *,
     """
     grid = spec.grid
     if isinstance(profile, Field3):
-        v = profile.copy()
+        v = Field3(profile.grid, profile.values.copy())
     else:
         v = Field3.from_function(grid, profile)
     vals = v.values
@@ -510,16 +507,16 @@ def _make_row(idx: int, s: float, lhs: float, rhs: float) -> ReportRow:
 def _sample_rows(samples, grid: Grid, sweep, sides) -> list[ReportRow]:
     """One report row per sample and s.
 
-    ``sides(v, f, v_x)`` receives one sample's nodal values and its nodal
-    x-gradient, does the work that does not depend on s, and returns the
-    map s -> (lhs, rhs).
+    ``sides(s, v, f, v_x)`` receives s, one sample's nodal values and its
+    nodal x-gradient, and returns (lhs, rhs).
     """
     rows = []
     for idx, (v, f) in enumerate(samples):
         if v.grid != grid or f.grid != grid:
             raise ValueError("sample grid does not match the weight grid")
-        at_s = sides(v.values, f.values, nodal_gradient_x(v.values, grid.dx))
-        rows.extend(_make_row(idx, s, *at_s(s)) for s in sweep)
+        vx = nodal_gradient_x(v.values, grid.dx)
+        rows.extend(_make_row(idx, s, *sides(s, v.values, f.values, vx))
+                    for s in sweep)
     return rows
 
 
@@ -542,16 +539,14 @@ def carleman_audit_deg0(samples, weights: CarlemanWeights) -> InequalityReport:
     zeros = np.zeros_like(grid.x_nodes)
     k_edge = float(weights.coef.k(grid.x_nodes[-1]))
 
-    def sides(v, f, vx):
-        def at_s(s):
-            fterm = _weighted_square(grid, _exponent(theta, log_theta, s, 0.0,
-                                                     prof, zeros), f)
-            log_bt = _exponent(theta, log_theta, s, 1.0, prof[[-1]],
-                               zeros[[-1]])[:, :, 0]
-            bterm = 0.0 if k_edge == 0.0 else k_edge * _weighted_square(
-                grid, log_bt, vx[:, :, -1])
-            return lhs(s, v, vx), fterm + s * bterm
-        return at_s
+    def sides(s, v, f, vx):
+        fterm = _weighted_square(grid, _exponent(theta, log_theta, s, 0.0,
+                                                 prof, zeros), f)
+        log_bt = _exponent(theta, log_theta, s, 1.0, prof[[-1]],
+                           zeros[[-1]])[:, :, 0]
+        bterm = 0.0 if k_edge == 0.0 else k_edge * _weighted_square(
+            grid, log_bt, vx[:, :, -1])
+        return lhs(s, v, vx), fterm + s * bterm
 
     rows = _sample_rows(samples, grid, weights.s_sweep, sides)
     return _finish_report("carleman_deg0", rows, weights.s_sweep,
@@ -564,7 +559,6 @@ def carleman_audit_deg1(samples, weights: CarlemanWeights) -> InequalityReport:
     Implemented literally as the reflection x -> 1-x of the deg0 audit,
     so the two audits agree to round-off on mirror-symmetric inputs.
     """
-    _check_samples(samples)
     report = carleman_audit_deg0(*_reflect(samples, weights))
     report.name = "carleman_deg1"
     return report
@@ -589,29 +583,21 @@ def carleman_audit_nondeg(samples, weights: CarlemanWeights) -> InequalityReport
     zeros = np.zeros_like(grid.x_nodes)
     kv = np.asarray(weights.coef.k(grid.x_nodes), dtype=float)
 
-    def sides(v, f, vx):
-        def at_s(s):
-            fterm = _weighted_square(grid, _exponent(theta, log_theta, s, 0.0,
-                                                     psi, zeros), f)
+    def sides(s, v, f, vx):
+        fterm = _weighted_square(grid, _exponent(theta, log_theta, s, 0.0,
+                                                 psi, zeros), f)
 
-            def edge(i: int) -> float:
-                log_e = _exponent(theta, log_theta, s, 1.0, psi[[i]],
-                                  kappa_sigma[[i]])[:, :, 0]
-                return kv[i] * _weighted_square(grid, log_e, vx[:, :, i])
+        def edge(i: int) -> float:
+            log_e = _exponent(theta, log_theta, s, 1.0, psi[[i]],
+                              kappa_sigma[[i]])[:, :, 0]
+            return kv[i] * _weighted_square(grid, log_e, vx[:, :, i])
 
-            bracket = edge(-1) - edge(0)
-            return lhs(s, v, vx), fterm - s * weights.kappa * bracket
-        return at_s
+        bracket = edge(-1) - edge(0)
+        return lhs(s, v, vx), fterm - s * weights.kappa * bracket
 
     rows = _sample_rows(samples, grid, weights.s_sweep, sides)
     return _finish_report("carleman_nondeg", rows, weights.s_sweep,
                           {"kappa": weights.kappa, "frak_d": weights.frak_d})
-
-
-def _subgrid_from(grid: Grid, i0: int, i1: int) -> Grid:
-    xs = grid.x_nodes
-    return Grid(T=grid.T, A=grid.A, Nt=grid.Nt, Na=grid.Na, Nx=i1 - i0,
-                x_span=(float(xs[i0]), float(xs[i1])))
 
 
 def carleman_local_audit(samples, omega: tuple[float, float],
@@ -651,7 +637,8 @@ def carleman_local_audit(samples, omega: tuple[float, float],
     # nondegenerate profile on (alpha_bar, 1), constant left of alpha_bar
     i0 = int(np.searchsorted(xs, 0.5 * lo, side="left"))
     i0 = max(1, min(i0, grid.Nx - 2))
-    sub = _subgrid_from(grid, i0, grid.Nx)
+    sub = replace(grid, Nx=grid.Nx - i0,
+                  x_span=(float(xs[i0]), float(xs[-1])))
     sub_weights = build_carleman_weights(sub, coef)
     sub_weights.require_nondeg()
     psi_ext = np.empty_like(xs)
@@ -660,14 +647,11 @@ def carleman_local_audit(samples, omega: tuple[float, float],
 
     sel = window_mask(xs, lo, hi)
 
-    def sides(v, f, vx):
+    def sides(s, v, f, vx):
+        fterm = _weighted_square(grid, _exponent(theta, log_theta, s, 0.0,
+                                                 psi_ext, zeros), f)
         window = integrate_nodes(v[:, :, sel] ** 2, (grid.dt, grid.da, grid.dx))
-
-        def at_s(s):
-            fterm = _weighted_square(grid, _exponent(theta, log_theta, s, 0.0,
-                                                     psi_ext, zeros), f)
-            return lhs(s, v, vx), fterm + window
-        return at_s
+        return lhs(s, v, vx), fterm + window
 
     rows = _sample_rows(samples, grid, weights.s_sweep, sides)
     return _finish_report("carleman_local_deg0", rows, weights.s_sweep,
@@ -697,11 +681,10 @@ def caccioppoli_audit(samples, omega_prime: tuple[float, float],
     sel = window_mask(xs, lo, hi)
     log_w = _exponent(theta, log_theta, s, 0.0, psi_x, np.zeros_like(xs))
 
-    def sides(v, f, vx):
+    def sides(s, v, f, vx):
         window = integrate_nodes(v[:, :, sel] ** 2, (grid.dt, grid.da, grid.dx))
         lhs = _weighted_square(grid, log_w[:, :, sel_p], vx[:, :, sel_p])
-        rhs = window + _weighted_square(grid, log_w, f)
-        return lambda _: (lhs, rhs)
+        return lhs, window + _weighted_square(grid, log_w, f)
 
     rows = _sample_rows(samples, grid, (s,), sides)
     return _finish_report("caccioppoli", rows, (s,),
@@ -743,10 +726,11 @@ def observability_ratio(spec: ProblemSpec, ensemble, delta: float, *,
             raise ValueError(f"ensemble member {idx} has v_T(A,.) != 0")
         traj = solve_adjoint(spec, v_T, renewal_coupling=True)
         vals = traj.state.values
-        lhs = grid.da * grid.dx * float(np.sum(vals[n_star] ** 2))
+        lhs = lattice_inner(vals[n_star], vals[n_star], grid)
         window = float(np.sum(
             t_weights[:, None, None] * vals[:, :, sel] ** 2)) * grid.da * grid.dx
-        final_term = grid.da * grid.dx * float(np.sum(v_T.values[early] ** 2))
+        final = v_T.values[early]
+        final_term = lattice_inner(final, final, grid)
         rows.append(_make_row(idx, 0.0, lhs, final_term + window))
     return _finish_report("observability", rows, (),
                           {"delta": delta, "omega": [lo, hi]})

@@ -182,16 +182,6 @@ def rate_profile(entry: dict, path: str = "rate"):
         f'gaussian-bump, table; got {form!r}')
 
 
-def _lift_beta(profile):
-    return lambda a, x: (np.asarray(profile(a), dtype=float)
-                         * np.ones_like(np.asarray(x, dtype=float)))
-
-
-def _lift_mu(profile):
-    return lambda t, a, x: (np.asarray(profile(a), dtype=float)
-                            * np.ones_like(np.asarray(x, dtype=float)))
-
-
 # ---------------------------------------------------------------------------
 # scenarios
 
@@ -230,60 +220,49 @@ class Scenario:
                                    delta=self.hum.delta)
 
 
-def _default_grid() -> Grid:
-    return Grid.aligned(T=1.0, A=2.0, Nt=24, Nx=48)
+_HALF = {"form": "constant", "value": 0.5}
+# name -> (fertility window height, mortality, top-level keys of its own)
+_PRESETS = {
+    "default_degenerate": (4.0, {"form": "table",
+                                 "points": [[0.0, 0.2], [2.0, 0.4]]},
+                           {"audits": ["carleman", "observability"]}),
+    "tirathaba_28C": (12.0, _HALF, {"r0_target": 10.40}),
+    "tirathaba_20C": (5.0, _HALF, {"r0_target": 4.13}),
+    "nilaparvata": (12.0, _HALF, {"r0_target": 10.0}),
+}
 
 
-def _window_rates(height: float, mu_value: float) -> VitalRates:
-    beta_age = rate_profile({"form": "window", "height": height,
-                             "lo": 0.5, "ramp": 0.25}, "beta")
-    mu_age = rate_profile({"form": "constant", "value": mu_value}, "mu")
-    return VitalRates(beta=_lift_beta(beta_age), mu=_lift_mu(mu_age),
-                      a_bar=0.5)
+def _preset_config(name: str) -> dict:
+    """The configuration mapping a JSON file would hold for a named
+    built-in scenario (a fresh copy)."""
+    if name not in _PRESETS:
+        raise ValueError(
+            f"unknown preset {name!r}; expected one of {preset_names()}")
+    height, mu, extra = _PRESETS[name]
+    return json.loads(json.dumps({
+        "model": {"T": 1.0, "A": 2.0, "a_bar": 0.5, "delta": 1.25,
+                  "k": {"form": "power", "alpha0": 0.5, "alpha1": 0.5},
+                  "beta": {"form": "window", "height": height, "lo": 0.5,
+                           "ramp": 0.25},
+                  "mu": mu, "omega": [0.3, 0.7]},
+        "grid": {"Nt": 24, "Na": 48, "Nx": 48},
+        "seed": 0, **extra}))
 
 
 def preset(name: str) -> Scenario:
-    """Named built-in scenarios.
+    """Named built-in scenarios, built from their configuration mappings
+    by :func:`scenario_from_config`, so they pass the checks a file does.
 
     default_degenerate is the reference setup used throughout the test
     suite (two-sided square-root coefficient, fertility onset at T/2).
     The insect presets carry published net-reproduction-rate figures as
     reference labels; their rate shapes are illustrative, not fitted.
     """
-    grid = _default_grid()
-    k = PowerLaw(0.5, 0.5)
-    omega = (0.3, 0.7)
-    hum = HUMConfig(delta=1.25)
-
-    if name == "default_degenerate":
-        beta_age = rate_profile({"form": "window", "height": 4.0,
-                                 "lo": 0.5, "ramp": 0.25}, "beta")
-        mu_age = rate_profile({"form": "table",
-                               "points": [[0.0, 0.2], [2.0, 0.4]]}, "mu")
-        rates = VitalRates(beta=_lift_beta(beta_age), mu=_lift_mu(mu_age),
-                           a_bar=0.5)
-        spec = ProblemSpec(k=k, rates=rates, grid=grid, omega=omega,
-                           y0=random_final_data(grid, seed=0, stream=0))
-        return Scenario(name=name, spec=spec, hum=hum,
-                        audits=("carleman", "observability"), seed=0)
-
-    labels = {"tirathaba_28C": (12.0, 10.40),
-              "tirathaba_20C": (5.0, 4.13),
-              "nilaparvata": (12.0, 10.0)}
-    if name in labels:
-        height, target = labels[name]
-        rates = _window_rates(height, 0.5)
-        spec = ProblemSpec(k=k, rates=rates, grid=grid, omega=omega,
-                           y0=random_final_data(grid, seed=0, stream=0))
-        return Scenario(name=name, spec=spec, hum=hum, audits=(),
-                        r0_target=target, seed=0)
-
-    raise ValueError(f"unknown preset {name!r}; expected one of {preset_names()}")
+    return scenario_from_config(_preset_config(name), name=name)
 
 
 def preset_names() -> tuple:
-    return ("default_degenerate", "tirathaba_28C", "tirathaba_20C",
-            "nilaparvata")
+    return tuple(_PRESETS)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +386,12 @@ def scenario_from_config(cfg: dict, *, name: str = "scenario") -> Scenario:
     coefficient = _coefficient_from(_want(model, "k", "model", dict), "model.k")
     beta_age = rate_profile(_want(model, "beta", "model", dict), "model.beta")
     mu_age = rate_profile(_want(model, "mu", "model", dict), "model.mu")
-    rates = VitalRates(beta=_lift_beta(beta_age), mu=_lift_mu(mu_age),
-                       a_bar=a_bar)
+    rates = VitalRates(  # age profiles, constant in x (and t)
+        beta=lambda a, x: (np.asarray(beta_age(a), dtype=float)
+                           * np.ones_like(np.asarray(x, dtype=float))),
+        mu=lambda t, a, x: (np.asarray(mu_age(a), dtype=float)
+                            * np.ones_like(np.asarray(x, dtype=float))),
+        a_bar=a_bar)
 
     _reject_unknown(grid_c, {"Nt", "Na", "Nx"}, "grid")
     Nt = _want(grid_c, "Nt", "grid", int)
@@ -436,10 +419,14 @@ def scenario_from_config(cfg: dict, *, name: str = "scenario") -> Scenario:
         if entry not in AUDIT_NAMES:
             raise ConfigError(f'key "audits[{i}]" must be one of '
                               f'{AUDIT_NAMES}, got {entry!r}')
+        if entry in audits[:i]:
+            raise ConfigError(f'key "audits[{i}]" repeats {entry!r}')
 
-    y0 = random_final_data(grid, seed=seed, stream=0)
-    spec = ProblemSpec(k=coefficient, rates=rates, grid=grid, omega=omega,
-                       y0=y0)
+    try:
+        spec = ProblemSpec(k=coefficient, rates=rates, grid=grid, omega=omega,
+                           y0=random_final_data(grid, seed=seed, stream=0))
+    except ValueError as exc:
+        raise ConfigError(f'key "model.omega": {exc}') from None
     return Scenario(name=name, spec=spec, hum=hum, audits=tuple(audits),
                     r0_target=None if r0_target is None else float(r0_target),
                     seed=seed)

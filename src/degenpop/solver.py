@@ -15,7 +15,6 @@ restricted to the control window, the quantity HUM feeds back as control.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,7 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .coeffs import DegenerateCoefficient, VitalRates
-from .discretize import Field2, Field3, Grid, axis_weights, window_mask
+from .discretize import (Field2, Field3, Grid, _write_csv, axis_weights,
+                         window_mask)
 
 __all__ = [
     "ProblemSpec",
@@ -57,6 +57,9 @@ class ProblemSpec:
         lo, hi = self.omega
         if not 0.0 < lo < hi < 1.0:
             raise ValueError("control window must satisfy 0 < lo < hi < 1")
+        if not window_mask(self.grid.x_nodes[1:-1], lo, hi).any():
+            raise ValueError(f"control window [{lo:g}, {hi:g}] holds no "
+                             f"interior x node of the grid")
         if self.y0 is not None and self.y0.grid != self.grid:
             raise ValueError("initial data grid does not match the problem grid")
 
@@ -107,6 +110,15 @@ def control_inner(f: Field3, g: Field3) -> float:
 
 def control_norm(f: Field3) -> float:
     return math.sqrt(control_inner(f, f))
+
+
+def _exp_or_inf(x: float) -> float:
+    """math.exp(x), or math.inf where that overflows: a growth bound that
+    large is vacuous, not an error."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _thomas_factor(diag: np.ndarray, off: np.ndarray) -> tuple:
@@ -288,14 +300,11 @@ class Trajectory:
         return self.state.values[-1]
 
     def write_energy_csv(self, path) -> None:
-        grid = self.grid
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["step", "t", "l2norm", "flux"])
-            for n in range(grid.Nt + 1):
-                writer.writerow([n, repr(n * grid.dt),
-                                 repr(float(self.norms[n])),
-                                 repr(float(self.fluxes[n]))])
+        dt = self.grid.dt
+        _write_csv(path, ["step", "t", "l2norm", "flux"],
+                   ([n, repr(n * dt), repr(float(norm)), repr(float(flux))]
+                    for n, (norm, flux) in enumerate(zip(self.norms,
+                                                         self.fluxes))))
 
 
 def solve_forward(spec: ProblemSpec, control: Field3 | None = None, *,
@@ -322,13 +331,20 @@ def solve_forward(spec: ProblemSpec, control: Field3 | None = None, *,
     grid = spec.grid
     values = np.zeros((grid.Nt + 1, grid.Na + 1, grid.Nx + 1))
     values[0] = data.values
-    for n in range(grid.Nt):
-        f = None if control is None \
-            else control.values[n + 1] * prop.omega_mask[None, :]
-        level = values[n + 1]
-        level[1:, 1:-1] = prop.solve_diffusion(n + 1,
-                                               prop.forward_rhs(values[n], f))
-        level[0] = prop.renewal_row(level)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for n in range(grid.Nt):
+                f = None if control is None \
+                    else control.values[n + 1] * prop.omega_mask[None, :]
+                level = values[n + 1]
+                level[1:, 1:-1] = prop.solve_diffusion(
+                    n + 1, prop.forward_rhs(values[n], f))
+                level[0] = prop.renewal_row(level)
+                if not np.isfinite(level[0]).all():  # einsum sets no flag
+                    raise FloatingPointError("overflow in the renewal integral")
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"forward march: {exc} at time level "
+                                 f"{n + 1} (Nt = {grid.Nt})") from None
     return Trajectory(state=Field3(grid, values), k_faces=prop.k_faces,
                       control=control)
 
@@ -360,13 +376,18 @@ def solve_adjoint(spec: ProblemSpec, v_T: Field2, *, source: Field3 | None = Non
     values = np.zeros((grid.Nt + 1, grid.Na + 1, grid.Nx + 1))
     values[grid.Nt] = v_T.values
     obs = np.zeros_like(values)
-    for n in range(grid.Nt - 1, -1, -1):
-        src = None if source is None else source.values[n + 1]
-        q = prop.adjoint_rhs(values[n + 1], src, renewal_coupling)
-        m = np.zeros((grid.Na + 1, grid.Nx + 1))
-        m[1:, 1:-1] = prop.solve_diffusion(n + 1, q)
-        obs[n + 1] = prop.omega_mask[None, :] * m
-        values[n][:-1] = m[1:]
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for n in range(grid.Nt - 1, -1, -1):
+                src = None if source is None else source.values[n + 1]
+                q = prop.adjoint_rhs(values[n + 1], src, renewal_coupling)
+                m = np.zeros((grid.Na + 1, grid.Nx + 1))
+                m[1:, 1:-1] = prop.solve_diffusion(n + 1, q)
+                obs[n + 1] = prop.omega_mask[None, :] * m
+                values[n][:-1] = m[1:]
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"adjoint march: {exc} at time level "
+                                 f"{n} (Nt = {grid.Nt})") from None
     return Trajectory(state=Field3(grid, values), k_faces=prop.k_faces,
                       observation=Field3(grid, obs))
 
@@ -437,7 +458,7 @@ def energy_audit(traj: Trajectory, spec: ProblemSpec) -> EnergyAudit:
     beta_max = float(np.max(np.abs(
         spec.rates.beta_grid(grid))))
     c_beta = grid.A * beta_max ** 2
-    constant = math.exp(c_beta * grid.T) * (1.0 + grid.T)
+    constant = _exp_or_inf(c_beta * grid.T) * (1.0 + grid.T)
     sup_norm = float(np.max(traj.norms) ** 2)
     # right-endpoint rule: the implicit step's energy identity bounds
     # dt * sum_{n>=1} flux(y^n); slice 0 holds the given data, whose
@@ -445,7 +466,9 @@ def energy_audit(traj: Trajectory, spec: ProblemSpec) -> EnergyAudit:
     flux_integral = float(grid.dt * np.sum(traj.fluxes[1:]))
     y0_sq = float(traj.norms[0] ** 2)
     f_sq = control_norm(traj.control) ** 2 if traj.control is not None else 0.0
-    rhs_bound = constant * (y0_sq + f_sq)
+    data_sq = y0_sq + f_sq
+    # zero data bound zero energy, however large (even inf) the constant
+    rhs_bound = constant * data_sq if data_sq > 0.0 else 0.0
     lhs = sup_norm + flux_integral
     passed = lhs <= rhs_bound * (1.0 + 1e-12) + 1e-300
     return EnergyAudit(sup_norm=sup_norm, flux_integral=flux_integral,

@@ -25,6 +25,20 @@ def tiny_config(tmp_path):
     return path
 
 
+def tiny_variant(tmp_path, changes: dict):
+    """TINY with each dotted key of ``changes`` set, written to a file."""
+    cfg = json.loads(json.dumps(TINY))
+    for dotted, value in changes.items():
+        *parents, key = dotted.split(".")
+        node = cfg
+        for name in parents:
+            node = node[name]
+        node[key] = value
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 class TestParsing:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
@@ -130,6 +144,45 @@ class TestExitCodes:
         assert "[ok]" in printed
         assert (out / "hypotheses.txt").read_text() == printed
 
+    def test_single_x_cell_maps_to_2(self, tmp_path, capsys):
+        # one x cell leaves no interior node to solve for
+        path = tiny_variant(tmp_path, {"grid.Nx": 1})
+        for command in ("simulate", "adjoint", "hum", "observability", "run"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == 2
+            assert 'key "grid": need Nt, Na >= 1 and Nx >= 2' \
+                in capsys.readouterr().err
+
+    def test_march_overflow_maps_to_3(self, tmp_path, capsys):
+        # every input is finite, so an overflowing march is a numerical
+        # failure, not a configuration error
+        path = tiny_variant(tmp_path, {"model.beta.height": 1e200})
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        for command, march in (("simulate", "forward"),
+                               ("adjoint", "adjoint"), ("hum", "forward"),
+                               ("run", "forward")):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == 3
+            err = capsys.readouterr().err
+            assert f"numerical failure: {march} march: overflow" in err
+            assert "at time level" in err
+
+    def test_window_without_grid_nodes_maps_to_2(self, tmp_path, capsys):
+        # on Nx = 10 the nodes nearest [0.31, 0.32] are 0.3 and 0.4
+        path = tiny_variant(tmp_path, {"model.omega": [0.31, 0.32]})
+        for command in ("hum", "run"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == 2
+            assert 'key "model.omega"' in capsys.readouterr().err
+
+    def test_repeated_audit_maps_to_2(self, tmp_path, capsys):
+        path = tiny_variant(tmp_path,
+                            {"audits": ["observability", "observability"]})
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert 'key "audits[1]"' in capsys.readouterr().err
+
     def test_non_finite_config_maps_to_2(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(TINY))
         cfg["model"]["mu"]["value"] = float("nan")
@@ -217,6 +270,30 @@ class TestCommands:
         assert "glued control" in capsys.readouterr().out
         assert (out / "glue_summary.json").exists()
         assert (out / "glue_final.csv").exists()
+
+    def test_glue_default_cut_points_follow_omega(self, tmp_path):
+        # fixed defaults of 0.15 and 0.85 would fall inside this omega
+        path = tiny_variant(tmp_path, {"model.omega": [0.1, 0.8],
+                                       "grid.Nx": 20})
+        out = tmp_path / "glue"
+        assert cli.main(["glue", "--config", str(path),
+                         "--out", str(out)]) == 0
+        payload = json.loads((out / "glue_summary.json").read_text())
+        assert payload["alpha_bar"] == pytest.approx(0.05)
+        assert payload["beta_bar"] == pytest.approx(0.9)
+
+    def test_overflowing_switch_bound_is_null(self, tmp_path):
+        # exp(A * max(beta)^2 * T / 2) = exp(160000) overflows a float
+        path = tiny_variant(tmp_path, {"model.beta.height": 400.0})
+        out = tmp_path / "run"
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(out)]) == 0
+        payload = json.loads((out / "control_summary.json").read_text())
+        assert payload["switch_bound"] is None
+        assert payload["switch_norm"] > 0.0
+        assert cli.main(["glue", "--config", str(path),
+                         "--out", str(tmp_path / "glue"),
+                         "--alpha-bar", "0.2", "--beta-bar", "0.8"]) == 0
 
     def test_r0(self, capsys):
         assert cli.main(["r0", "--preset", "tirathaba_20C"]) == 0

@@ -44,6 +44,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             make_grid().axis_nodes("z")
 
+    def test_needs_an_interior_x_node(self):
+        with pytest.raises(ValueError, match="Nx >= 2"):
+            Grid(T=1.0, A=2.0, Nt=4, Na=8, Nx=1)
+        assert Grid(T=1.0, A=2.0, Nt=4, Na=8, Nx=2).x_nodes.size == 3
+
 
 class TestQuadrature:
     def test_matches_scipy_trapezoid(self):

@@ -62,6 +62,19 @@ def _unused_imports(path: Path) -> list[str]:
             for name, line in sorted(imported.items()) if name not in used]
 
 
+def test_only_discretize_imports_csv():
+    # one CSV writer for every artifact: discretize._write_csv
+    importers = []
+    for path in sorted(Path(degenpop.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [alias.name for alias in node.names] \
+                if isinstance(node, ast.Import) else [node.module] \
+                if isinstance(node, ast.ImportFrom) else []
+            if "csv" in names:
+                importers.append(path.name)
+    assert importers == ["discretize.py"]
+
+
 def test_no_unused_imports():
     # the package __init__ imports only to re-export, checked above
     files = sorted(set(Path(degenpop.__file__).parent.glob("*.py"))

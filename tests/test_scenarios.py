@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +181,28 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             preset("mystery")
+
+    def test_readme_configuration_is_default_degenerate(self):
+        readme = (Path(__file__).resolve().parent.parent
+                  / "README.md").read_text()
+        block = readme.split("### Configuration", 1)[1] \
+            .split("```json", 1)[1].split("```", 1)[0]
+        doc = scenario_from_config(json.loads(block))
+        ref = preset("default_degenerate")
+        grid = ref.spec.grid
+        assert doc.spec.grid == grid
+        assert doc.spec.omega == ref.spec.omega
+        assert doc.spec.k == ref.spec.k
+        assert doc.spec.rates.a_bar == ref.spec.rates.a_bar
+        assert doc.hum == ref.hum
+        assert doc.audits == ref.audits
+        assert doc.seed == ref.seed
+        for arrays in ((doc.spec.rates.beta_grid(grid),
+                        ref.spec.rates.beta_grid(grid)),
+                       (doc.spec.rates.mu_grid(0.0, grid),
+                        ref.spec.rates.mu_grid(0.0, grid)),
+                       (doc.spec.y0.values, ref.spec.y0.values)):
+            np.testing.assert_array_equal(*arrays)
 
 
 class TestScenarioFromConfig:

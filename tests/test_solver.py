@@ -1,10 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from degenpop.coeffs import PowerLaw, VitalRates
+from degenpop.coeffs import PowerLaw, Tabulated, VitalRates
 from degenpop.discretize import (Field2, Field3, Grid, random_final_data,
                                  sine_mode_data, spawn_rng)
 from degenpop.solver import (ProblemSpec, _thomas_factor, _thomas_solve,
@@ -434,6 +435,46 @@ class TestRateChecks:
         spec = make_spec(**{which: rate_with_nan})
         with pytest.raises(ValueError, match=f"non-finite {name}"):
             solve_forward(spec, y0=random_final_data(spec.grid, seed=0))
+
+
+class TestOverflow:
+    def test_overflow_first_in_the_last_renewal_row(self):
+        # beta = H from age 1: every product beta*y stays finite, and so
+        # does level 1, but level 2's renewal integral weighs three
+        # fertile rows (weights 1/2, 1/2, 1/4) and overflows inside einsum
+        big = 1.6e308
+        rates = VitalRates(beta=lambda a, x: np.where(a >= 1.0, big, 0.0)
+                           + 0.0 * x, mu=zero_rate, a_bar=0.5)
+        k = Tabulated(np.array([0.0, 1.0]), np.full(2, 1e-9), np.zeros(2))
+
+        def spec_for(Nt):
+            grid = Grid(T=0.5 * Nt, A=2.0, Nt=Nt, Na=4, Nx=2)
+            y0 = np.zeros((grid.Na + 1, grid.Nx + 1))
+            y0[:3, 1] = 1.0
+            return ProblemSpec(k=k, rates=rates, grid=grid, omega=(0.3, 0.7),
+                               y0=Field2(grid, y0))
+
+        assert np.all(np.isfinite(solve_forward(spec_for(1)).state.values))
+        with pytest.raises(FloatingPointError, match=r"forward march: "
+                           r"overflow in the renewal integral at time "
+                           r"level 2 \(Nt = 2\)"):
+            solve_forward(spec_for(2))
+
+    def test_overflowing_energy_constant_is_vacuous(self):
+        # exp(A * 400^2 * T) overflows: the bound holds with C = inf
+        spec = make_spec(beta=lambda a, x: 100.0 * beta_ramp(a, x))
+        traj = solve_forward(spec, y0=random_final_data(spec.grid, seed=0))
+        audit = energy_audit(traj, spec)
+        assert audit.constant == math.inf
+        assert audit.passed
+        zero = energy_audit(solve_forward(spec, y0=Field2.zeros(spec.grid)),
+                            spec)
+        assert zero.passed and zero.rhs_bound == 0.0
+
+    def test_window_needs_an_interior_node(self):
+        with pytest.raises(ValueError, match="no interior x node"):
+            make_spec(Nx=10, omega=(0.31, 0.32))
+        assert make_spec(Nx=10, omega=(0.31, 0.4)).omega == (0.31, 0.4)
 
 
 class TestControlPairing:
