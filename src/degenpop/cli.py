@@ -2,8 +2,8 @@
 
 Every subcommand loads a scenario (from --config or --preset), runs one
 stage of the pipeline and writes its artifacts under --out.  Exit codes:
-0 on success, 2 when configuration or hypothesis validation fails, 3 when
-a numerical stage breaks down.
+0 on success, 2 when configuration or hypothesis validation fails or
+memory runs out, 3 when a numerical stage breaks down.
 """
 
 from __future__ import annotations
@@ -144,12 +144,8 @@ def _cmd_hum(args) -> int:
 def _cmd_glue(args) -> int:
     scenario = _load(args)
     out = _out_dir(args)
-    # cut points default to the middle of each gap between omega and an end
-    lo, hi = scenario.spec.omega
-    alpha_bar = lo / 2 if args.alpha_bar is None else args.alpha_bar
-    beta_bar = (1 + hi) / 2 if args.beta_bar is None else args.beta_bar
     sol = glue_two_sided(scenario.spec, scenario.hum,
-                         alpha_bar=alpha_bar, beta_bar=beta_bar)
+                         alpha_bar=args.alpha_bar, beta_bar=args.beta_bar)
     sol.write_summary(out / "glue_summary.json")
     write_field_csv(Field2(scenario.spec.grid,
                            sol.y.state.values[-1]), out / "glue_final.csv")
@@ -279,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, ArithmeticError) as exc:  # ControlError included

@@ -405,11 +405,12 @@ def scheme_consistency_error(spec: ProblemSpec, *,
 # two-sided gluing
 
 
-def _snap_to_node(grid: Grid, value: float, what: str) -> int:
+def _snap_to_node(grid: Grid, value: float, what: str, given: bool) -> int:
+    """Nearest interior x node to ``value``; a ``given`` one warns if moved."""
     idx = int(round((value - grid.x_span[0]) / grid.dx))
     idx = min(max(idx, 1), grid.Nx - 1)
     snapped = float(grid.x_nodes[idx])
-    if abs(snapped - value) > 1e-12 * max(1.0, abs(value)):
+    if given and abs(snapped - value) > 1e-12 * max(1.0, abs(value)):
         warnings.warn(f"{what} = {value:g} snapped to the grid node {snapped:g}")
     return idx
 
@@ -430,15 +431,9 @@ def _face_commutator(k_faces: np.ndarray, cut: np.ndarray,
     return out
 
 
-def _extend_columns(values: np.ndarray, n_t: int, n_a: int, n_x: int,
-                    col_lo: int) -> np.ndarray:
-    out = np.zeros((n_t, n_a, n_x))
-    out[:, :, col_lo:col_lo + values.shape[2]] = values
-    return out
-
-
-def glue_two_sided(spec: ProblemSpec, config: HUMConfig, alpha_bar: float,
-                   beta_bar: float) -> ControlSolution:
+def glue_two_sided(spec: ProblemSpec, config: HUMConfig,
+                   alpha_bar: float | None = None,
+                   beta_bar: float | None = None) -> ControlSolution:
     """Control for k degenerate at both endpoints by cut-off gluing.
 
     Solves delayed one-sided problems on (0, beta_bar) and (alpha_bar, 1),
@@ -447,6 +442,10 @@ def glue_two_sided(spec: ProblemSpec, config: HUMConfig, alpha_bar: float,
     matching source.  The cut-off commutator terms use the solver's face
     stencil, so the discrete residual of (y, f_delta) stays at the scale
     of round-off rather than of the cut-off derivatives.
+
+    Cut points snap to the nearest interior x node, with a warning when a
+    given one moves; omitted, they are lo/2 and (1+hi)/2 for omega =
+    [lo, hi], the middle of each gap between omega and an end.
     """
     grid = spec.grid
     if spec.y0 is None:
@@ -455,10 +454,12 @@ def glue_two_sided(spec: ProblemSpec, config: HUMConfig, alpha_bar: float,
     if not (report.degenerate_at_zero and report.degenerate_at_one):
         raise ValueError("gluing requires degeneracy at both endpoints")
     lo, hi = spec.omega
-    if not (0.0 < alpha_bar < lo and hi < beta_bar < 1.0):
+    a_cut = lo / 2 if alpha_bar is None else alpha_bar
+    b_cut = (1 + hi) / 2 if beta_bar is None else beta_bar
+    if not (0.0 < a_cut < lo and hi < b_cut < 1.0):
         raise ValueError("need 0 < alpha_bar < omega and omega < beta_bar < 1")
-    i_a = _snap_to_node(grid, alpha_bar, "alpha_bar")
-    i_b = _snap_to_node(grid, beta_bar, "beta_bar")
+    i_a = _snap_to_node(grid, a_cut, "alpha_bar", alpha_bar is not None)
+    i_b = _snap_to_node(grid, b_cut, "beta_bar", beta_bar is not None)
     if not 0 < i_a < int(np.searchsorted(grid.x_nodes, lo)) \
             or not int(np.searchsorted(grid.x_nodes, hi)) < i_b < grid.Nx:
         raise ValueError("snapped cut points collide with the control window")
@@ -475,11 +476,10 @@ def glue_two_sided(spec: ProblemSpec, config: HUMConfig, alpha_bar: float,
     sol2 = compose_delay_control(spec2, config)
     free = solve_forward(spec)
 
-    shape = (grid.Nt + 1, grid.Na + 1, grid.Nx + 1)
-    u1 = _extend_columns(sol1.y.state.values, *shape, col_lo=0)
-    h1 = _extend_columns(sol1.f.values, *shape, col_lo=0)
-    u2 = _extend_columns(sol2.y.state.values, *shape, col_lo=i_a)
-    h2 = _extend_columns(sol2.f.values, *shape, col_lo=i_a)
+    right = ((0, 0), (0, 0), (0, grid.Nx - i_b))
+    left = ((0, 0), (0, 0), (i_a, 0))
+    u1, h1 = np.pad(sol1.y.state.values, right), np.pad(sol1.f.values, right)
+    u2, h2 = np.pad(sol2.y.state.values, left), np.pad(sol2.f.values, left)
     u3 = free.state.values
 
     cuts = CutoffFamily(lo, hi)
@@ -510,7 +510,8 @@ def glue_two_sided(spec: ProblemSpec, config: HUMConfig, alpha_bar: float,
     if np.max(np.abs(f_vals[:, :, outside]), initial=0.0) != 0.0:
         raise ControlError("assembled control leaks outside the window")
 
-    residual = forward_defect(spec, Field3(grid, y_vals), f)
+    y = Field3(grid, y_vals)
+    residual = forward_defect(spec, y, f)
     y0_sup = float(np.max(np.abs(spec.y0.values)))
     baseline = scheme_consistency_error(spec, amplitude=max(y0_sup, 1.0))
     if residual > 10.0 * baseline:
@@ -524,7 +525,7 @@ def glue_two_sided(spec: ProblemSpec, config: HUMConfig, alpha_bar: float,
         renewal_defect = max(renewal_defect,
                              float(np.max(np.abs(y_vals[n][0] - predicted))))
 
-    traj = Trajectory(state=Field3(grid, y_vals), k_faces=k_faces, control=f)
+    traj = Trajectory(state=y, k_faces=k_faces, control=f)
 
     rows = _target_rows(grid, config.delta)
     final_residual = lattice_norm(y_vals[-1][rows][:, 1:-1], grid)

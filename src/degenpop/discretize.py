@@ -136,51 +136,53 @@ def _check_values(values: np.ndarray, shape: tuple[int, ...], what: str) -> np.n
 
 
 @dataclass
-class Field3:
-    """Nodal field over the full (t, a, x) grid, shape (Nt+1, Na+1, Nx+1)."""
+class _Field:
+    """Nodal values on ``grid`` of the shape ``_shape(grid)``: the dataclass
+    behind Field3 and Field2.  Every construction but :meth:`zeros` checks
+    the values for finiteness."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        shape = (self.grid.Nt + 1, self.grid.Na + 1, self.grid.Nx + 1)
-        self.values = _check_values(self.values, shape, "Field3 values")
+        self.values = _check_values(self.values, self._shape(self.grid),
+                                    f"{type(self).__name__} values")
 
     @classmethod
-    def zeros(cls, grid: Grid) -> "Field3":
-        return cls(grid, np.zeros((grid.Nt + 1, grid.Na + 1, grid.Nx + 1)))
+    def zeros(cls, grid: Grid):
+        """The zero field.  Zeros are finite, so it skips the scan; the
+        marches fill such fields in place."""
+        fld = object.__new__(cls)
+        fld.grid, fld.values = grid, np.zeros(cls._shape(grid))
+        return fld
+
+
+class Field3(_Field):
+    """Nodal field over the full (t, a, x) grid, shape (Nt+1, Na+1, Nx+1)."""
+
+    axes = ("t", "a", "x")
+
+    @staticmethod
+    def _shape(grid: Grid) -> tuple[int, int, int]:
+        return (grid.Nt + 1, grid.Na + 1, grid.Nx + 1)
 
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "Field3":
         t = grid.t_nodes[:, None, None]
         a = grid.a_nodes[None, :, None]
         x = grid.x_nodes[None, None, :]
-        return cls(grid, np.broadcast_to(fn(t, a, x),
-                   (grid.Nt + 1, grid.Na + 1, grid.Nx + 1)).astype(float).copy())
-
-    @property
-    def axes(self) -> tuple[str, str, str]:
-        return ("t", "a", "x")
+        return cls(grid, np.broadcast_to(fn(t, a, x), cls._shape(grid))
+                   .astype(float).copy())
 
 
-@dataclass
-class Field2:
+class Field2(_Field):
     """Nodal field over the (a, x) grid, shape (Na+1, Nx+1)."""
 
-    grid: Grid
-    values: np.ndarray
+    axes = ("a", "x")
 
-    def __post_init__(self) -> None:
-        shape = (self.grid.Na + 1, self.grid.Nx + 1)
-        self.values = _check_values(self.values, shape, "Field2 values")
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "Field2":
-        return cls(grid, np.zeros((grid.Na + 1, grid.Nx + 1)))
-
-    @property
-    def axes(self) -> tuple[str, str]:
-        return ("a", "x")
+    @staticmethod
+    def _shape(grid: Grid) -> tuple[int, int]:
+        return (grid.Na + 1, grid.Nx + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ __all__ = [
     "manufactured_adjoint",
     "random_adjoint_profiles",
     "manufactured_family",
-    "nodal_gradient_x",
     "carleman_audit_deg0",
     "carleman_audit_deg1",
     "carleman_audit_nondeg",
@@ -189,7 +188,8 @@ def hardy_ratio(k, theta: float, case: str, test_functions, *,
     primed cases, where k/(1-x)^theta is monotone on all of (0,1), the
     ratio is checked against the closed bound 4/(1-theta)^2 and an
     arithmetic error is raised on violation (that bound is exact theory,
-    so exceeding it means a quadrature or input bug).  A test function
+    so exceeding it means a quadrature or input bug).  A zero right side
+    under a nonzero left one gives an infinite ratio.  A test function
     whose left or right side is not finite raises ValueError, and so
     does an empty family.
 
@@ -236,14 +236,11 @@ def hardy_ratio(k, theta: float, case: str, test_functions, *,
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
             raise ValueError(f"test function {idx} gives a non-finite side: "
                              f"lhs {lhs!r}, rhs {rhs!r}")
-        if lhs == 0.0 and rhs == 0.0:
-            rows.append(ReportRow(idx, 0.0, 0.0, 0.0, None))
-            continue
-        ratio = lhs / rhs
-        if case.endswith("p") and ratio > bound * (1.0 + 1e-9):
-            raise ArithmeticError(
-                f"Hardy ratio {ratio:.6g} exceeds the certified bound {bound:.6g}")
-        rows.append(ReportRow(idx, 0.0, lhs, rhs, ratio))
+        row = _make_row(idx, 0.0, lhs, rhs)
+        if case.endswith("p") and (row.ratio or 0.0) > bound * (1.0 + 1e-9):
+            raise ArithmeticError(f"Hardy ratio {row.ratio:.6g} exceeds the "
+                                  f"certified bound {bound:.6g}")
+        rows.append(row)
     if not rows:
         raise ValueError("empty test function family")
     return _finish_report("hardy", rows, (), {"case": case, "theta": theta,
@@ -390,11 +387,6 @@ def manufactured_family(spec: ProblemSpec, count: int, seed: int):
     return [manufactured_adjoint(spec, p) for p in profiles]
 
 
-def nodal_gradient_x(values: np.ndarray, dx: float) -> np.ndarray:
-    """Second-order x-derivative: central interior, 3-point one-sided ends."""
-    return np.gradient(values, dx, axis=-1, edge_order=2)
-
-
 # ---------------------------------------------------------------------------
 # weighted quadrature plumbing
 
@@ -498,6 +490,16 @@ def _check_samples(samples) -> None:
         raise ValueError("all samples are zero; no informative ratios")
 
 
+def _window_nodes(xs: np.ndarray, window: tuple[float, float],
+                  name: str) -> np.ndarray:
+    """Mask of the x nodes in ``window``; its trapezoid rule needs two."""
+    sel = window_mask(xs, *window)
+    if np.count_nonzero(sel) < 2:
+        raise ValueError(f"window {name} = [{window[0]:g}, {window[1]:g}] "
+                         f"needs two x nodes for the audit; it holds fewer")
+    return sel
+
+
 def _make_row(idx: int, s: float, lhs: float, rhs: float) -> ReportRow:
     if lhs == 0.0 and rhs == 0.0:
         return ReportRow(idx, s, lhs, rhs, None)
@@ -514,7 +516,8 @@ def _sample_rows(samples, grid: Grid, sweep, sides) -> list[ReportRow]:
     for idx, (v, f) in enumerate(samples):
         if v.grid != grid or f.grid != grid:
             raise ValueError("sample grid does not match the weight grid")
-        vx = nodal_gradient_x(v.values, grid.dx)
+        # second order: central inside, 3-point one-sided at the ends
+        vx = np.gradient(v.values, grid.dx, axis=-1, edge_order=2)
         rows.extend(_make_row(idx, s, *sides(s, v.values, f.values, vx))
                     for s in sweep)
     return rows
@@ -617,6 +620,7 @@ def carleman_local_audit(samples, omega: tuple[float, float],
     lo, hi = omega
     if not 0.0 < lo < hi < 1.0:
         raise ValueError("window must be strictly interior to (0,1)")
+    sel = _window_nodes(grid.x_nodes, omega, "omega")
     report_cls = classify_degeneracy(coef)
     if report_cls.degenerate_at_zero and report_cls.degenerate_at_one:
         raise ValueError("local audit needs one-sided degeneracy; "
@@ -644,8 +648,6 @@ def carleman_local_audit(samples, omega: tuple[float, float],
     psi_ext = np.empty_like(xs)
     psi_ext[i0:] = sub_weights.Psi
     psi_ext[:i0] = sub_weights.Psi[0]
-
-    sel = window_mask(xs, lo, hi)
 
     def sides(s, v, f, vx):
         fterm = _weighted_square(grid, _exponent(theta, log_theta, s, 0.0,
@@ -677,8 +679,8 @@ def caccioppoli_audit(samples, omega_prime: tuple[float, float],
     if np.any(psi_x >= 0.0):
         raise ValueError("Psi must be strictly negative on [0,1]")
     theta, log_theta = _log_theta_grid(grid)
-    sel_p = window_mask(xs, lo_p, hi_p)
-    sel = window_mask(xs, lo, hi)
+    sel = _window_nodes(xs, omega, "omega")
+    sel_p = _window_nodes(xs, omega_prime, "omega'")
     log_w = _exponent(theta, log_theta, s, 0.0, psi_x, np.zeros_like(xs))
 
     def sides(s, v, f, vx):

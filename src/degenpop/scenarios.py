@@ -191,9 +191,10 @@ class Scenario:
     """A fully specified experiment: problem, control settings, audits.
 
     Construction validates every structural hypothesis (horizons,
-    degeneracy class, rate signs, window geometry) and refuses invalid
-    setups, so any Scenario in hand is runnable.  ``r0_target`` is an
-    optional literature reference value attached as a label.
+    degeneracy class, rate signs, window geometry) and the audit list
+    (known names, each once), and refuses invalid setups, so any Scenario
+    in hand is runnable.  ``r0_target`` is an optional literature
+    reference value attached as a label.
     """
 
     name: str
@@ -205,10 +206,12 @@ class Scenario:
 
     def __post_init__(self) -> None:
         self.audits = tuple(self.audits)
-        for name in self.audits:
+        for i, name in enumerate(self.audits):
             if name not in AUDIT_NAMES:
-                raise ValueError(f"unknown audit {name!r}; "
-                                 f"expected one of {AUDIT_NAMES}")
+                raise ConfigError(f'key "audits[{i}]" names an unknown audit '
+                                  f'{name!r}; expected one of {AUDIT_NAMES}')
+            if name in self.audits[:i]:
+                raise ConfigError(f'key "audits[{i}]" repeats {name!r}')
         report = self.hypothesis_report()
         if not report.passed:
             raise _HypothesisError(report)
@@ -415,13 +418,6 @@ def scenario_from_config(cfg: dict, *, name: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ConfigError(f'key "hum": {exc}') from None
 
-    for i, entry in enumerate(audits):
-        if entry not in AUDIT_NAMES:
-            raise ConfigError(f'key "audits[{i}]" must be one of '
-                              f'{AUDIT_NAMES}, got {entry!r}')
-        if entry in audits[:i]:
-            raise ConfigError(f'key "audits[{i}]" repeats {entry!r}')
-
     try:
         spec = ProblemSpec(k=coefficient, rates=rates, grid=grid, omega=omega,
                            y0=random_final_data(grid, seed=seed, stream=0))
@@ -549,28 +545,30 @@ def run_scenario(scenario: Scenario, out_dir) -> dict:
     spec, grid = scenario.spec, scenario.spec.grid
     written = []
 
+    def artifact(name: str) -> Path:
+        """The path of artifact ``name``, listed in the manifest."""
+        written.append(name)
+        return out / name
+
     report = scenario.hypothesis_report()
-    (out / "hypotheses.txt").write_text("\n".join(report.lines()) + "\n")
-    written.append("hypotheses.txt")
+    artifact("hypotheses.txt").write_text("\n".join(report.lines()) + "\n")
 
     free = solve_forward(spec)
-    free.write_energy_csv(out / "energy.csv")
-    write_field_csv(Field2(grid, free.final_level()), out / "final_state.csv")
-    written.extend(["energy.csv", "final_state.csv"])
+    free.write_energy_csv(artifact("energy.csv"))
+    write_field_csv(Field2(grid, free.final_level()),
+                    artifact("final_state.csv"))
 
     for audit in scenario.audits:
         for stem, report in AUDITS[audit](scenario, **_RUN_AUDIT_PARAMS[audit]):
             # one artifact name per audit, whichever end Carleman observes
             stem = "audit_carleman" if stem.startswith("carleman_deg") \
                 else f"audit_{stem}"
-            report.write_csv(out / f"{stem}.csv")
-            report.write_summary(out / f"{stem}.json")
-            written.extend([f"{stem}.csv", f"{stem}.json"])
+            report.write_csv(artifact(f"{stem}.csv"))
+            report.write_summary(artifact(f"{stem}.json"))
 
     control = compose_delay_control(spec, scenario.hum)
-    control.write_cg_csv(out / "control_cg.csv")
-    control.write_summary(out / "control_summary.json")
-    written.extend(["control_cg.csv", "control_summary.json"])
+    control.write_cg_csv(artifact("control_cg.csv"))
+    control.write_summary(artifact("control_summary.json"))
 
     try:
         r0 = net_reproduction_rate(spec.rates, grid.A)
@@ -589,8 +587,7 @@ def run_scenario(scenario: Scenario, out_dir) -> dict:
         "final_residual": control.final_residual,
         "certificate": control.certificate,
     }
-    write_json(out / "summary.json", summary)
-    written.append("summary.json")
+    write_json(artifact("summary.json"), summary)
 
     manifest = {
         "scenario": scenario.name,

@@ -329,7 +329,9 @@ def solve_forward(spec: ProblemSpec, control: Field3 | None = None, *,
         raise ValueError("control grid does not match the problem grid")
     prop = spec._propagator
     grid = spec.grid
-    values = np.zeros((grid.Nt + 1, grid.Na + 1, grid.Nx + 1))
+    # the march raises at the level that overflows: its output needs no scan
+    state = Field3.zeros(grid)
+    values = state.values
     values[0] = data.values
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -345,8 +347,7 @@ def solve_forward(spec: ProblemSpec, control: Field3 | None = None, *,
     except FloatingPointError as exc:
         raise FloatingPointError(f"forward march: {exc} at time level "
                                  f"{n + 1} (Nt = {grid.Nt})") from None
-    return Trajectory(state=Field3(grid, values), k_faces=prop.k_faces,
-                      control=control)
+    return Trajectory(state=state, k_faces=prop.k_faces, control=control)
 
 
 def solve_adjoint(spec: ProblemSpec, v_T: Field2, *, source: Field3 | None = None,
@@ -373,9 +374,9 @@ def solve_adjoint(spec: ProblemSpec, v_T: Field2, *, source: Field3 | None = Non
         raise ValueError("source grid does not match the problem grid")
     prop = spec._propagator
     grid = spec.grid
-    values = np.zeros((grid.Nt + 1, grid.Na + 1, grid.Nx + 1))
+    state, observation = Field3.zeros(grid), Field3.zeros(grid)
+    values, obs = state.values, observation.values
     values[grid.Nt] = v_T.values
-    obs = np.zeros_like(values)
     try:
         with np.errstate(over="raise", invalid="raise"):
             for n in range(grid.Nt - 1, -1, -1):
@@ -388,8 +389,8 @@ def solve_adjoint(spec: ProblemSpec, v_T: Field2, *, source: Field3 | None = Non
     except FloatingPointError as exc:
         raise FloatingPointError(f"adjoint march: {exc} at time level "
                                  f"{n} (Nt = {grid.Nt})") from None
-    return Trajectory(state=Field3(grid, values), k_faces=prop.k_faces,
-                      observation=Field3(grid, obs))
+    return Trajectory(state=state, k_faces=prop.k_faces,
+                      observation=observation)
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,29 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 2
         assert 'key "audits[1]"' in capsys.readouterr().err
 
+    def test_out_of_memory_maps_to_2(self, tiny_config, tmp_path, capsys,
+                                     monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.3 TiB for an array")
+
+        monkeypatch.setattr(cli, "solve_forward", exhausted)
+        assert cli.main(["simulate", "--config", str(tiny_config),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "error: Unable to allocate" in capsys.readouterr().err
+
+    def test_window_of_one_node_named_by_the_audits(self, tmp_path, capsys):
+        # on Nx = 10 only the node 0.4 lies in [0.31, 0.49]
+        path = tiny_variant(tmp_path, {"model.omega": [0.31, 0.49],
+                                       "audits": ["caccioppoli"]})
+        assert cli.main(["validate", "--config", str(path)]) == 0
+        capsys.readouterr()
+        for command in ("caccioppoli-audit", "run"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            assert "window omega = [0.31, 0.49]" in err
+            assert "needs two x nodes" in err
+
     def test_non_finite_config_maps_to_2(self, tmp_path, capsys):
         cfg = json.loads(json.dumps(TINY))
         cfg["model"]["mu"]["value"] = float("nan")
@@ -281,6 +304,18 @@ class TestCommands:
         payload = json.loads((out / "glue_summary.json").read_text())
         assert payload["alpha_bar"] == pytest.approx(0.05)
         assert payload["beta_bar"] == pytest.approx(0.9)
+
+    def test_glue_warns_only_for_a_given_cut_point(self, tiny_config,
+                                                   tmp_path, recwarn):
+        # lo/2 = 0.15 and (1+hi)/2 = 0.85 are not nodes at Nx = 48 or 10
+        out = str(tmp_path / "glue")
+        assert cli.main(["glue", "--preset", "default_degenerate",
+                         "--out", out]) == 0
+        assert [w for w in recwarn if w.category is UserWarning] == []
+        assert cli.main(["glue", "--config", str(tiny_config), "--out", out,
+                         "--alpha-bar", "0.15"]) == 0
+        assert [str(w.message) for w in recwarn] == [
+            "alpha_bar = 0.15 snapped to the grid node 0.1"]
 
     def test_overflowing_switch_bound_is_null(self, tmp_path):
         # exp(A * max(beta)^2 * T / 2) = exp(160000) overflows a float

@@ -2,14 +2,17 @@
 ``__all__`` list or in the package's re-exports, every span name the
 benchmark derives a per-layer metric from is still a callable whose
 signature has every parameter the benchmark's annotators read, and every
-default of the package's functions is overridden by some caller, and
-every ``**kwargs`` is filled by some caller."""
+default of the package's functions is overridden by some caller,
+every ``**kwargs`` is filled by some caller, and the benchmark's own
+tests pass."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
 import math
+import os
+import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -246,3 +249,14 @@ def test_every_kwargs_is_filled():
             unfilled.append(f"{path.name}:{fn.lineno} {fn.name}"
                             f"(**{fn.args.kwarg.arg})")
     assert unfilled == []
+
+
+def test_benchmark_tests_pass():
+    # the benchmark reads the program's names (cli.solve_forward and the
+    # traced spans); its own tests fail when one of them moves
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "perfbench"], cwd=ROOT, env=env, capture_output=True, text=True,
+        timeout=300)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

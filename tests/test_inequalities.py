@@ -283,6 +283,16 @@ class TestHardyOnce:
             hardy_ratio(PowerLaw(0.0, 0.5), 0.5, "HP1p", [steep],
                         n_quad=1001)
 
+    def test_zero_derivative_gives_an_infinite_row(self):
+        # w' = 0 against w = 1 - x: the left side is positive, the right 0
+        flat = (lambda x: 1.0 - x, lambda x: np.zeros_like(x))
+        report = hardy_ratio(PowerLaw(0.0, 0.5), 0.5, "HP1", [flat],
+                             n_quad=1001)
+        row, = report.rows
+        assert row.lhs > 0.0 and row.rhs == 0.0
+        assert row.ratio == math.inf
+        assert report.empirical_constant == math.inf
+
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=9),
            st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12))
     @settings(max_examples=200, deadline=None)
@@ -407,6 +417,16 @@ class TestCarlemanAudits:
         assert report.name == "carleman_local_deg1"
         assert report.meta["omega"] == [0.3, 0.7]
 
+    def test_local_audit_names_a_window_of_one_node(self):
+        # on Nx = 12 only the node 5/12 lies in [0.35, 0.45]
+        for k in (PowerLaw(0.5, 0.0), PowerLaw(0.0, 0.5)):
+            spec = small_spec(k=k)
+            weights = build_carleman_weights(spec.grid, k, s_sweep=S_SMALL)
+            with pytest.raises(ValueError, match=r"window omega = "
+                               r"\[0.35, 0.45\] .*needs two x nodes"):
+                carleman_local_audit(self._samples(spec), (0.35, 0.45),
+                                     weights)
+
     def test_local_audit_rejects_two_sided(self):
         spec = small_spec(k=PowerLaw(0.5, 0.5))
         weights = build_carleman_weights(spec.grid, spec.k, s_sweep=S_SMALL)
@@ -503,6 +523,18 @@ class TestCaccioppoli:
         psi = lambda x: -np.ones_like(np.asarray(x, dtype=float))
         with pytest.raises(ValueError, match="grid"):
             caccioppoli_audit(samples, (0.35, 0.65), (0.25, 0.75), psi, s=1.0)
+
+    def test_windows_of_one_node_named(self):
+        # on Nx = 12 only the node 5/12 lies in [0.35, 0.45] or [0.4, 0.42]
+        spec = small_spec(k=PowerLaw(0.5, 0.0))
+        samples = manufactured_family(spec, 1, seed=4)
+        psi = lambda x: -np.ones_like(np.asarray(x, dtype=float))
+        with pytest.raises(ValueError, match=r"window omega = "
+                           r"\[0.35, 0.45\] .*needs two x nodes"):
+            caccioppoli_audit(samples, (0.4, 0.42), (0.35, 0.45), psi, s=1.0)
+        with pytest.raises(ValueError, match=r"window omega' = "
+                           r"\[0.4, 0.42\] .*needs two x nodes"):
+            caccioppoli_audit(samples, (0.4, 0.42), (0.25, 0.75), psi, s=1.0)
 
     def test_psi_sign_validated(self):
         spec = small_spec()

@@ -305,6 +305,12 @@ class TestScenarioValidation:
             Scenario(name="bad", spec=base.spec, hum=base.hum,
                      audits=("fourier",))
 
+    def test_repeated_audit_rejected_in_code(self):
+        base = scenario_from_config(config())
+        with pytest.raises(ConfigError, match=r'key "audits\[1\]" repeats'):
+            Scenario(name="twice", spec=base.spec, hum=base.hum,
+                     audits=("observability", "observability"))
+
     def test_audit_names_constant(self):
         assert AUDIT_NAMES == ("hardy", "carleman", "caccioppoli",
                                "observability")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from degenpop import discretize
 from degenpop.coeffs import PowerLaw, Tabulated, VitalRates
 from degenpop.discretize import (Field2, Field3, Grid, random_final_data,
                                  sine_mode_data, spawn_rng)
@@ -495,3 +496,27 @@ class TestControlPairing:
         u = np.ones((grid.Na + 1, grid.Nx + 1))
         assert lattice_norm(u, grid) == pytest.approx(
             np.sqrt(grid.da * grid.dx * u.size))
+
+
+class TestMarchOutputsScannedOnce:
+    """A march raises at the level that overflows, so the fields it
+    returns are not scanned for finiteness a second time."""
+
+    def test_marches_scan_no_output(self, monkeypatch):
+        spec = make_spec()
+        y0 = random_final_data(spec.grid, seed=0, stream=0)
+        v_T = random_final_data(spec.grid, seed=0, stream=1)
+        scanned = []
+        check = discretize._check_values
+
+        def spy(values, shape, what):
+            scanned.append(shape)
+            return check(values, shape, what)
+
+        monkeypatch.setattr(discretize, "_check_values", spy)
+        grid = spec.grid
+        forward = solve_forward(spec, y0=y0)
+        adjoint = solve_adjoint(spec, v_T)
+        assert (grid.Nt + 1, grid.Na + 1, grid.Nx + 1) not in scanned
+        assert np.isfinite(forward.state.values).all()
+        assert np.isfinite(adjoint.observation.values).all()
