@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .coeffs import classify_degeneracy
-from .discretize import (Field2, Field3, Grid, _write_csv, window_mask,
-                         write_json)
+from .discretize import (Field2, Field3, Grid, _nearest_x_node, _write_csv,
+                         window_mask, write_json)
 from .inequalities import CutoffFamily
 from .solver import (ProblemSpec, Trajectory, _exp_or_inf, _switch_level,
                      control_norm, lattice_inner, lattice_norm, solve_adjoint,
@@ -314,13 +314,13 @@ def compose_delay_control(spec: ProblemSpec, config: HUMConfig) -> ControlSoluti
 
     inner = hum_control(window, config)
 
-    f_vals = np.zeros((grid.Nt + 1, grid.Na + 1, grid.Nx + 1))
-    f_vals[n_tilde + 1:] = inner.f.values[1:]
-    f = Field3(grid, f_vals)
-    y_vals = np.concatenate([free.state.values[:n_tilde + 1],
-                             inner.y.state.values[1:]], axis=0)
-    traj = Trajectory(state=Field3(grid, y_vals), k_faces=inner.y.k_faces,
-                      control=f)
+    # both pieces come from march outputs, which raise rather than hold a
+    # non-finite value: filled into zero fields, they are not scanned again
+    f, state = Field3.zeros(grid), Field3.zeros(grid)
+    f.values[n_tilde + 1:] = inner.f.values[1:]
+    state.values[:n_tilde + 1] = free.state.values[:n_tilde + 1]
+    state.values[n_tilde + 1:] = inner.y.state.values[1:]
+    traj = Trajectory(state=state, k_faces=inner.y.k_faces, control=f)
 
     return replace(inner, f=f, y=traj,
                    diagnostics={"t_tilde": t_tilde, "switch_norm": switch_norm,
@@ -407,8 +407,7 @@ def scheme_consistency_error(spec: ProblemSpec, *,
 
 def _snap_to_node(grid: Grid, value: float, what: str, given: bool) -> int:
     """Nearest interior x node to ``value``; a ``given`` one warns if moved."""
-    idx = int(round((value - grid.x_span[0]) / grid.dx))
-    idx = min(max(idx, 1), grid.Nx - 1)
+    idx = _nearest_x_node(grid, value)
     snapped = float(grid.x_nodes[idx])
     if given and abs(snapped - value) > 1e-12 * max(1.0, abs(value)):
         warnings.warn(f"{what} = {value:g} snapped to the grid node {snapped:g}")

@@ -112,6 +112,14 @@ class Grid:
             raise ValueError(f"unknown axis {name!r}") from None
 
 
+def _nearest_x_node(grid: Grid, x: float) -> int:
+    """Index of the interior x node of ``grid`` nearest to ``x``: the one
+    rule by which a cut point, such as lo/2 for omega = [lo, hi], snaps to
+    the grid."""
+    idx = int(round((x - grid.x_span[0]) / grid.dx))
+    return min(max(idx, 1), grid.Nx - 1)
+
+
 def window_mask(nodes: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Membership of nodes in the closed window [lo, hi].
 

@@ -23,6 +23,7 @@ from .discretize import (
     Field3,
     Grid,
     _contract,
+    _nearest_x_node,
     _WeightedQuadrature,
     _write_csv,
     axis_weights,
@@ -49,6 +50,7 @@ __all__ = [
     "carleman_audit_nondeg",
     "carleman_local_audit",
     "caccioppoli_audit",
+    "window_nodes",
     "observability_ratio",
     "reflect_coefficient",
     "reflect_field",
@@ -490,8 +492,8 @@ def _check_samples(samples) -> None:
         raise ValueError("all samples are zero; no informative ratios")
 
 
-def _window_nodes(xs: np.ndarray, window: tuple[float, float],
-                  name: str) -> np.ndarray:
+def window_nodes(xs: np.ndarray, window: tuple[float, float],
+                 name: str) -> np.ndarray:
     """Mask of the x nodes in ``window``; its trapezoid rule needs two."""
     sel = window_mask(xs, *window)
     if np.count_nonzero(sel) < 2:
@@ -620,7 +622,7 @@ def carleman_local_audit(samples, omega: tuple[float, float],
     lo, hi = omega
     if not 0.0 < lo < hi < 1.0:
         raise ValueError("window must be strictly interior to (0,1)")
-    sel = _window_nodes(grid.x_nodes, omega, "omega")
+    sel = window_nodes(grid.x_nodes, omega, "omega")
     report_cls = classify_degeneracy(coef)
     if report_cls.degenerate_at_zero and report_cls.degenerate_at_one:
         raise ValueError("local audit needs one-sided degeneracy; "
@@ -638,9 +640,9 @@ def carleman_local_audit(samples, omega: tuple[float, float],
     lhs = _degenerate_lhs(weights, theta, log_theta)
     zeros = np.zeros_like(xs)
 
-    # nondegenerate profile on (alpha_bar, 1), constant left of alpha_bar
-    i0 = int(np.searchsorted(xs, 0.5 * lo, side="left"))
-    i0 = max(1, min(i0, grid.Nx - 2))
+    # nondegenerate profile on (alpha_bar, 1), constant left of alpha_bar,
+    # with alpha_bar = lo/2 on the node glue_two_sided's default snaps to
+    i0 = min(_nearest_x_node(grid, 0.5 * lo), grid.Nx - 2)
     sub = replace(grid, Nx=grid.Nx - i0,
                   x_span=(float(xs[i0]), float(xs[-1])))
     sub_weights = build_carleman_weights(sub, coef)
@@ -679,8 +681,8 @@ def caccioppoli_audit(samples, omega_prime: tuple[float, float],
     if np.any(psi_x >= 0.0):
         raise ValueError("Psi must be strictly negative on [0,1]")
     theta, log_theta = _log_theta_grid(grid)
-    sel = _window_nodes(xs, omega, "omega")
-    sel_p = _window_nodes(xs, omega_prime, "omega'")
+    sel = window_nodes(xs, omega, "omega")
+    sel_p = window_nodes(xs, omega_prime, "omega'")
     log_w = _exponent(theta, log_theta, s, 0.0, psi_x, np.zeros_like(xs))
 
     def sides(s, v, f, vx):

@@ -26,7 +26,7 @@ from .inequalities import (caccioppoli_audit, carleman_audit_deg0,
                            carleman_audit_deg1, carleman_local_audit,
                            hardy_ratio, hardy_ratio_at_zero,
                            manufactured_family, observability_ratio,
-                           random_hardy_test_functions)
+                           random_hardy_test_functions, window_nodes)
 from .solver import ProblemSpec, control_norm, lattice_norm, solve_forward
 
 __all__ = [
@@ -191,9 +191,10 @@ class Scenario:
     """A fully specified experiment: problem, control settings, audits.
 
     Construction validates every structural hypothesis (horizons,
-    degeneracy class, rate signs, window geometry) and the audit list
-    (known names, each once), and refuses invalid setups, so any Scenario
-    in hand is runnable.  ``r0_target`` is an optional literature
+    degeneracy class, rate signs, window geometry), the audit list (known
+    names, each once) and the x windows of the listed audits (two nodes
+    each), and refuses invalid setups, so any Scenario in hand is
+    runnable.  ``r0_target`` is an optional literature
     reference value attached as a label.
     """
 
@@ -215,6 +216,11 @@ class Scenario:
         report = self.hypothesis_report()
         if not report.passed:
             raise _HypothesisError(report)
+        # a listed audit's x windows need two nodes for their trapezoid rules
+        for audit in self.audits:
+            windows = _AUDIT_WINDOWS.get(audit, lambda spec: {})(self.spec)
+            for name, window in windows.items():
+                window_nodes(self.spec.grid.x_nodes, window, name)
 
     def hypothesis_report(self):
         grid = self.spec.grid
@@ -485,9 +491,10 @@ def _carleman_audit(scenario: Scenario, *, count: int,
         reports = [("carleman_deg1", carleman_audit_deg1(samples, weights))]
     else:
         reports = [("carleman_deg0", carleman_audit_deg0(samples, weights))]
-    if deg.degenerate_at_zero != deg.degenerate_at_one:
+    local = _AUDIT_WINDOWS["carleman"](spec)
+    if local:
         reports.append(("carleman_local", carleman_local_audit(
-            samples, spec.omega, weights)))
+            samples, local["omega"], weights)))
     return reports
 
 
@@ -495,12 +502,11 @@ def _caccioppoli_audit(scenario: Scenario, *, count: int, s: float) -> list:
     """Interior gradient bound on the middle half of omega."""
     spec = scenario.spec
     samples = manufactured_family(spec, count, scenario.seed)
-    lo, hi = spec.omega
-    shrink = 0.25 * (hi - lo)
+    windows = _AUDIT_WINDOWS["caccioppoli"](spec)
     psi = lambda x: -(1.0 + 4.0 * np.asarray(x, dtype=float)
                       * (1.0 - np.asarray(x, dtype=float)))
     return [("caccioppoli", caccioppoli_audit(
-        samples, (lo + shrink, hi - shrink), spec.omega, psi, s=s))]
+        samples, windows["omega'"], windows["omega"], psi, s=s))]
 
 
 def _observability_audit(scenario: Scenario, *, count: int) -> list:
@@ -521,6 +527,30 @@ AUDITS = {
     "observability": _observability_audit,
 }
 AUDIT_NAMES = tuple(AUDITS)
+
+
+def _middle_half(window: tuple[float, float]) -> tuple[float, float]:
+    lo, hi = window
+    shrink = 0.25 * (hi - lo)
+    return (lo + shrink, hi - shrink)
+
+
+def _one_sided(k) -> bool:
+    deg = classify_degeneracy(k)
+    return deg.degenerate_at_zero != deg.degenerate_at_one
+
+
+# audit -> fn(spec) -> {name: x window} it integrates over, each of which
+# needs two x nodes: Scenario checks them and the runners take them from here
+_AUDIT_WINDOWS = {
+    # omega and omega', its middle half
+    "caccioppoli": lambda spec: {"omega": spec.omega,
+                                 "omega'": _middle_half(spec.omega)},
+    # the omega-local Carleman estimate, audited when exactly one end of
+    # k degenerates
+    "carleman": lambda spec: ({"omega": spec.omega} if _one_sided(spec.k)
+                              else {}),
+}
 
 # run_scenario's fixed audit sizes; the Hardy ones are smaller than the
 # CLI's so that a whole pipeline stays within seconds

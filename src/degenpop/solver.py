@@ -130,6 +130,13 @@ def _thomas_factor(diag: np.ndarray, off: np.ndarray) -> tuple:
     (rows,) array per x node (an array operand is cheaper than a scalar
     one for numpy's small calls), the last two computed in the order an
     unfactored Thomas sweep would.
+
+    A propagator applies dense inverses built from these factors
+    (:func:`_dense_inverse`) within ``_DENSE_MAX_UNKNOWNS`` and
+    ``_DENSE_MAX_BYTES``, whose comment gives the measurement behind them;
+    the matmul sums in another order, so its results differ from the
+    sweep's by round-off.  Beyond either limit the level solve is this
+    sweep.
     """
     # No pivoting and no pivot check.  With r = dt/dx^2 and finite k, mu >= 0
     # (checked by _Propagator) the diagonal is 1 + dt*mu_i + r*(k_{i-1/2} +
@@ -146,16 +153,17 @@ def _thomas_factor(diag: np.ndarray, off: np.ndarray) -> tuple:
 
 
 def _thomas_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
-    """Solve with the factors of :func:`_thomas_factor`; rhs is (rows, N).
+    """Solve with the factors of :func:`_thomas_factor`; rhs is (rows, N),
+    or (rows, K, N) for K right-hand sides per row.
 
     The forward sweep still divides by each pivot, so the result is
-    bitwise that of the unfactored sweep.  It runs in place on an x-major
-    copy of rhs, whose rows are contiguous.
+    bitwise that of the unfactored sweep, for every right-hand side.  It
+    runs in place on an x-major copy of rhs, whose rows are contiguous.
     """
     off, piv, mult = factors
     sol = rhs.T.copy()
     nodes = list(sol)
-    tmp = np.empty(sol.shape[1])
+    tmp = np.empty(sol.shape[1:])
     mul, sub, div = np.multiply, np.subtract, np.divide
     prev = nodes[0]
     div(prev, piv[0], prev)
@@ -169,6 +177,42 @@ def _thomas_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
         sub(cur, tmp, cur)
         prev = cur
     return sol.T
+
+
+# The level solve is one np.matmul with stored dense inverses while a level
+# has at most _DENSE_MAX_UNKNOWNS unknowns (age rows x interior x nodes)
+# and the propagator's distinct inverses total at most _DENSE_MAX_BYTES;
+# otherwise it is the Thomas sweep.  The matmul does rows * N^2
+# multiply-adds, the sweep five small numpy calls per x node, so the
+# ratio of their costs grows with rows * N alone.  Per level (numpy 2.4,
+# OpenBLAS 0.3.31, 2-vCPU Xeon), sweep against matmul: 48x47 228 against
+# 39 us, 48x95 395 against 226, 192x47 248 against 235, 96x95 415 against
+# 439, 48x191 819 against 861, so the crossover is near 9000 unknowns.
+# _DENSE_MAX_BYTES caps memory; it is not a crossover.  Cycling through
+# distinct 48x47 levels (mortality depending on t) costs 50-60 us a level
+# up to 13 MB of inverses and 117-126 us from 19 MB to 78 MB, still below
+# the sweep's 228 us, so the cap sits inside that range.  Building an
+# inverse costs about 1.6 ms a 48x47 level, which about eight CG
+# iterations repay: on the presets' 24 levels with mortality depending on
+# t (19.4 MB), the delayed HUM solve of `degenpop run` takes 665 against
+# 1131 ms on default_degenerate, builds included, but a lone forward
+# march 63 against 17 ms.  No benchmark workload crosses either limit.
+_DENSE_MAX_UNKNOWNS = 8000
+_DENSE_MAX_BYTES = 64 * 2 ** 20
+
+
+def _dense_inverse(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The (rows, N, N) inverses of the systems of :func:`_thomas_factor`.
+
+    Column j of row r's inverse is the Thomas sweep of the unit vector
+    e_j with row r's factors, all N unit vectors in one batched sweep, so
+    each column holds the bits of ``_thomas_solve`` on e_j.
+    """
+    rows, n = diag.shape
+    units = np.broadcast_to(np.eye(n), (rows, n, n))
+    # cols[r, j] is column j of row r's inverse
+    cols = _thomas_solve(_thomas_factor(diag, off), units)
+    return np.ascontiguousarray(cols.transpose(0, 2, 1))
 
 
 def _checked(values, what: str) -> np.ndarray:
@@ -212,18 +256,32 @@ class _Propagator:
         # face coupling -dt*k_{i+1/2}/dx^2, identical on both sides
         self.offdiag = -ratio * self.k_faces[1:-1]
         diag_flux = ratio * (self.k_faces[:-1] + self.k_faces[1:])
-        # implicit diagonal of time levels 1..Nt (entry n - 1), rows 1..Na,
-        # and its factors; a level equal to the one before shares both
-        self._diag, self._factors = [], []
+        # implicit diagonal of time levels 1..Nt (entry n - 1), rows 1..Na;
+        # a level equal to the one before shares its array
+        self._diag = []
         for n in range(1, grid.Nt + 1):
             mu = _checked(spec.rates.mu_grid(n * grid.dt, grid), "mortality")
             diag = 1.0 + grid.dt * mu[1:, 1:-1] + diag_flux
             if self._diag and np.array_equal(diag, self._diag[-1]):
-                self._diag.append(self._diag[-1])
-                self._factors.append(self._factors[-1])
-            else:
-                self._diag.append(diag)
-                self._factors.append(_thomas_factor(diag, self.offdiag))
+                diag = self._diag[-1]
+            self._diag.append(diag)
+        rows, nodes = diag.shape
+        distinct = len({id(d) for d in self._diag})
+        self.dense = rows * nodes <= _DENSE_MAX_UNKNOWNS and \
+            8 * rows * nodes ** 2 * distinct <= _DENSE_MAX_BYTES
+
+    @cached_property
+    def _operands(self) -> list:
+        """Each level's solve operand, built on the first solve (manufactured
+        samples and defect checks only apply D): within the limits of
+        ``_DENSE_MAX_UNKNOWNS`` and ``_DENSE_MAX_BYTES`` the dense inverse,
+        beyond them the Thomas factors, one per distinct level."""
+        build = _dense_inverse if self.dense else _thomas_factor
+        operands = {}
+        for diag in self._diag:
+            if id(diag) not in operands:
+                operands[id(diag)] = build(diag, self.offdiag)
+        return [operands[id(d)] for d in self._diag]
 
     def forward_rhs(self, old: np.ndarray,
                     source: np.ndarray | None = None) -> np.ndarray:
@@ -245,13 +303,29 @@ class _Propagator:
         return q
 
     def solve_diffusion(self, level: int, rhs_rows: np.ndarray,
-                        rows: slice = slice(None)) -> np.ndarray:
-        """Apply D^{-1} at ``level`` to interior-x data for rows 1..Na, or
-        for the slice ``rows`` of them."""
-        factors = self._factors[level - 1]
+                        rows: slice = slice(None), *,
+                        transpose: bool = False) -> np.ndarray:
+        """Apply D^{-1} at ``level``, or its transpose for the adjoint, to
+        interior-x data for rows 1..Na, or for the slice ``rows`` of them.
+
+        Within ``_DENSE_MAX_UNKNOWNS`` and ``_DENSE_MAX_BYTES`` this is
+        one np.matmul with the stored inverses, and the transpose
+        multiplies by the same array from the other side, so on unit
+        vectors the two applies are bitwise transposes.  The matmul sums
+        in another order than the Thomas sweep, so results differ from the
+        sweep's by round-off (about 1e-15 relative), and its bits depend
+        on the BLAS build and the CPU.  Beyond either limit the Thomas
+        sweep serves both: D is symmetric.
+        """
+        operand = self._operands[level - 1]
+        if self.dense:
+            inv = operand[rows]
+            if transpose:
+                return (rhs_rows[:, None, :] @ inv)[:, 0]
+            return (inv @ rhs_rows[:, :, None])[:, :, 0]
         if rows != slice(None):
-            factors = [[node[rows] for node in part] for part in factors]
-        return _thomas_solve(factors, rhs_rows)
+            operand = [[node[rows] for node in part] for part in operand]
+        return _thomas_solve(operand, rhs_rows)
 
     def apply_diffusion(self, level: int, rows: np.ndarray) -> np.ndarray:
         """Apply D at ``level`` to interior-x data for rows 1..Na."""
@@ -383,7 +457,7 @@ def solve_adjoint(spec: ProblemSpec, v_T: Field2, *, source: Field3 | None = Non
                 src = None if source is None else source.values[n + 1]
                 q = prop.adjoint_rhs(values[n + 1], src, renewal_coupling)
                 m = np.zeros((grid.Na + 1, grid.Nx + 1))
-                m[1:, 1:-1] = prop.solve_diffusion(n + 1, q)
+                m[1:, 1:-1] = prop.solve_diffusion(n + 1, q, transpose=True)
                 obs[n + 1] = prop.omega_mask[None, :] * m
                 values[n][:-1] = m[1:]
     except FloatingPointError as exc:
@@ -431,7 +505,8 @@ def characteristic_consistency(spec: ProblemSpec, v_T: Field2, *,
                 for m in range(grid.Nt - 1, n - 1, -1):
                     row = j + (m - n)  # index of age row j+m-n+1 in 1..Na
                     ref = prop.solve_diffusion(m + 1, ref[None, :],
-                                               slice(row, row + 1))[0]
+                                               slice(row, row + 1),
+                                               transpose=True)[0]
             defect = float(np.max(np.abs(values[n, j, 1:-1] - ref)))
             worst = max(worst, defect)
             count += 1

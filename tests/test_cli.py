@@ -197,9 +197,21 @@ class TestExitCodes:
         # on Nx = 10 only the node 0.4 lies in [0.31, 0.49]
         path = tiny_variant(tmp_path, {"model.omega": [0.31, 0.49],
                                        "audits": ["caccioppoli"]})
+        for command in ("validate", "caccioppoli-audit", "run"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == 2
+            err = capsys.readouterr().err
+            assert "window omega = [0.31, 0.49]" in err
+            assert "needs two x nodes" in err
+
+    def test_local_carleman_window_of_one_node(self, tmp_path, capsys):
+        # the omega-local Carleman estimate is audited for one-sided k only
+        changes = {"model.omega": [0.31, 0.49], "audits": ["carleman"]}
+        path = tiny_variant(tmp_path, changes)
         assert cli.main(["validate", "--config", str(path)]) == 0
         capsys.readouterr()
-        for command in ("caccioppoli-audit", "run"):
+        path = tiny_variant(tmp_path, {**changes, "model.k.alpha1": 0.0})
+        for command in ("validate", "carleman-audit", "run"):
             assert cli.main([command, "--config", str(path),
                              "--out", str(tmp_path / command)]) == 2
             err = capsys.readouterr().err

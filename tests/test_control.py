@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from degenpop import control, solver
+from degenpop import control, discretize, inequalities, solver
 from degenpop.coeffs import PowerLaw, VitalRates
 from degenpop.control import (HUMConfig, _Gramian, _target_rows,
                               compose_delay_control, forward_defect,
@@ -235,6 +235,24 @@ class TestDelayComposition:
         sol = compose_delay_control(spec, CONFIG)
         assert forward_defect(spec, sol.y.state, sol.f) < 1e-10
 
+    def test_whole_horizon_fields_not_scanned_again(self, monkeypatch):
+        # the control and state are pieced together from march outputs
+        spec = make_spec(a_bar=0.5)
+        grid = spec.grid
+        scanned = []
+        check = discretize._check_values
+
+        def spy(values, shape, what):
+            scanned.append(shape)
+            return check(values, shape, what)
+
+        monkeypatch.setattr(discretize, "_check_values", spy)
+        sol = compose_delay_control(spec, CONFIG)
+        assert (grid.Nt + 1, grid.Na + 1, grid.Nx + 1) not in scanned
+        assert sol.f.grid == sol.y.grid == grid
+        assert np.isfinite(sol.f.values).all()
+        assert np.isfinite(sol.y.state.values).all()
+
     def test_off_lattice_a_bar_warns(self):
         spec = make_spec(a_bar=0.26)
         with pytest.warns(UserWarning, match="snapping"):
@@ -291,6 +309,25 @@ class TestGlueTwoSided:
         assert sol.final_residual <= sol.certificate * (1.0 + 1e-9)
         assert math.isfinite(sol.bound_ratio)
         assert len(sol.diagnostics["sub_residuals"]) == 2
+
+    def test_default_left_cut_is_the_local_audits_node(self, monkeypatch):
+        # lo/2 = 0.15 lies between the nodes 7/48 and 8/48, nearer to 7
+        spec = make_spec(Nt=4, Nx=48, k=PowerLaw(0.5, 0.5))
+        xs = spec.grid.x_nodes
+        assert glue_two_sided(spec, CONFIG).diagnostics["alpha_bar"] == xs[7]
+        starts = []
+        build = inequalities.build_carleman_weights
+
+        def spy(grid, coef, **kwargs):
+            starts.append(grid.x_span[0])
+            return build(grid, coef, **kwargs)
+
+        monkeypatch.setattr(inequalities, "build_carleman_weights", spy)
+        one_sided = make_spec(Nt=4, Nx=48)
+        inequalities.carleman_local_audit(
+            inequalities.manufactured_family(one_sided, 1, seed=0),
+            one_sided.omega, build(one_sided.grid, one_sided.k))
+        assert starts == [xs[7]]
 
     def test_one_sided_coefficient_rejected(self):
         spec = make_spec(k=PowerLaw(0.5, 0.0))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from degenpop import discretize
+from degenpop import discretize, solver
 from degenpop.coeffs import PowerLaw, Tabulated, VitalRates
 from degenpop.discretize import (Field2, Field3, Grid, random_final_data,
                                  sine_mode_data, spawn_rng)
@@ -65,6 +65,22 @@ def make_spec(Nt=8, Nx=12, k=None, beta=beta_ramp, mu=mu_mild,
                        omega=omega)
 
 
+def duality_defect(spec, seed):
+    """Relative defect of <y(T), v_T> - <y0, v(0)> = <f, obs> for random
+    y0, v_T and control f drawn from ``seed``."""
+    grid = spec.grid
+    y0 = random_final_data(grid, seed=seed, stream=0)
+    v_T = random_final_data(grid, seed=seed, stream=1)
+    f = Field3(grid, np.random.default_rng(seed).standard_normal(
+        (grid.Nt + 1, grid.Na + 1, grid.Nx + 1)))
+    forward = solve_forward(spec, control=f, y0=y0)
+    adjoint = solve_adjoint(spec, v_T)
+    lhs = lattice_inner(forward.final_level(), v_T.values, grid)
+    rhs = lattice_inner(y0.values, adjoint.state.values[0], grid) \
+        + control_inner(f, adjoint.observation)
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-30)
+
+
 class TestForwardBasics:
     def test_zero_data_zero_solution(self):
         spec = make_spec()
@@ -122,7 +138,10 @@ class TestForwardBasics:
 
 
 class TestFactoredSolve:
-    """The stored factors reproduce the unfactored sweep bit for bit."""
+    """The level solve against the Thomas sweep: the stored dense inverses
+    agree with it to round-off, their transposed apply is bitwise their
+    transpose, and the Thomas sweep runs wherever the dense path would not
+    pay (``solver._DENSE_MAX_UNKNOWNS``, ``solver._DENSE_MAX_BYTES``)."""
 
     @given(st.integers(min_value=0, max_value=10 ** 6),
            st.integers(min_value=1, max_value=9),
@@ -141,18 +160,35 @@ class TestFactoredSolve:
 
     def _check_levels(self, spec, rows=slice(None)):
         prop = spec._propagator
+        assert prop.dense
         rng = spawn_rng(29)
         for level in range(1, spec.grid.Nt + 1):
             diag = prop._diag[level - 1][rows]
             rhs = rng.standard_normal(diag.shape)
-            np.testing.assert_array_equal(
-                prop.solve_diffusion(level, rhs, rows),
-                thomas_reference(diag, prop.offdiag, rhs))
+            ref = thomas_reference(diag, prop.offdiag, rhs)
+            for transpose in (False, True):  # D is symmetric
+                got = prop.solve_diffusion(level, rhs, rows,
+                                           transpose=transpose)
+                assert np.max(np.abs(got - ref)) \
+                    <= 1e-13 * np.max(np.abs(ref))
+            # forward images of the unit vectors are the columns of the
+            # inverse, the Thomas sweeps of the unit vectors; transposed
+            # images are its rows: the same bits
+            units = np.eye(diag.shape[1])[:, None, :].repeat(len(diag), 1)
+            fwd = np.stack([prop.solve_diffusion(level, e, rows)
+                            for e in units], axis=-1)
+            np.testing.assert_array_equal(fwd, np.stack(
+                [thomas_reference(diag, prop.offdiag, e) for e in units],
+                axis=-1))
+            adj = np.stack([prop.solve_diffusion(level, e, rows,
+                                                 transpose=True)
+                            for e in units], axis=1)
+            np.testing.assert_array_equal(fwd, adj)
         return prop
 
     def test_equal_levels_share_one_factorisation(self):
         prop = self._check_levels(make_spec(Nt=6, Nx=10))
-        assert len({id(f) for f in prop._factors}) == 1
+        assert len({id(f) for f in prop._operands}) == 1
         assert len({id(d) for d in prop._diag}) == 1
 
     def test_row_slice(self):
@@ -163,8 +199,37 @@ class TestFactoredSolve:
     def test_time_dependent_mortality_factors_each_level(self):
         spec = make_spec(Nt=6, Nx=10, mu=mu_seasonal)
         prop = self._check_levels(spec)
-        assert len({id(f) for f in prop._factors}) == spec.grid.Nt
+        assert len({id(f) for f in prop._operands}) == spec.grid.Nt
         self._check_levels(spec, slice(1, 3))
+
+    def test_dense_inverses_stay_within_their_limits(self):
+        # 48 x 47 unknowns per level (the presets' grid): one distinct
+        # level is 0.85 MB of inverses; with mortality depending on t each
+        # level has its own, 24 of them within the byte cap, 96 over it
+        prop = make_spec(Nt=24, Nx=48)._propagator
+        assert prop.dense
+        assert "_operands" not in vars(prop)  # built on the first solve
+        prop = make_spec(Nt=24, Nx=48, mu=mu_seasonal)._propagator
+        assert prop.dense
+        stored = {id(op): op.nbytes for op in prop._operands}
+        assert len(stored) == 24
+        assert sum(stored.values()) <= solver._DENSE_MAX_BYTES
+        prop = make_spec(Nt=96, Nx=48, mu=mu_seasonal, T=2.0,
+                         A=1.0)._propagator
+        assert prop._diag[0].shape == (48, 47)
+        assert not prop.dense
+        assert not any(isinstance(op, np.ndarray) for op in prop._operands)
+        # 40 x 255 unknowns per level: past the crossover
+        for mu in (mu_mild, mu_seasonal):
+            spec = make_spec(Nt=2, Nx=256, mu=mu, T=0.1)
+            grid = spec.grid
+            assert grid.Na * (grid.Nx - 1) > solver._DENSE_MAX_UNKNOWNS
+            prop = spec._propagator
+            assert not prop.dense
+            assert not any(isinstance(op, np.ndarray)
+                           for op in prop._operands)
+            for seed in range(3):
+                assert duality_defect(spec, seed) < 1e-10
 
     def test_one_propagator_per_problem(self):
         spec = make_spec()
@@ -277,7 +342,7 @@ class TestTimeDependentDuality:
     def test_identity(self, seed, Nt, Nx):
         grid = Grid.aligned(T=1.0, A=1.0, Nt=Nt, Nx=Nx)
         spec = self._spec(grid, seed)
-        assert len({id(f) for f in spec._propagator._factors}) == Nt
+        assert len({id(f) for f in spec._propagator._operands}) == Nt
         y0 = random_final_data(grid, seed=seed, stream=0)
         v_T = random_final_data(grid, seed=seed, stream=1)
         f = Field3(grid, np.random.default_rng(seed).standard_normal(
