@@ -46,8 +46,11 @@ class PowerLaw:
     alpha1: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.alpha0 < 0 or self.alpha1 < 0:
-            raise ValueError("power-law exponents must be nonnegative")
+        for name in ("alpha0", "alpha1"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"power-law exponent {name} must be finite "
+                                 f"and nonnegative, got {value!r}")
 
     def k(self, x):
         x = np.asarray(x, dtype=float)
@@ -102,6 +105,9 @@ class Tabulated:
         x = np.asarray(self.x, dtype=float)
         kv = np.asarray(self.k_values, dtype=float)
         kp = np.asarray(self.kprime_values, dtype=float)
+        for name, values in (("x", x), ("k_values", kv), ("kprime_values", kp)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"tabulated {name} must be finite")
         if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
             raise ValueError("sample abscissae must be strictly increasing")
         if kv.shape != x.shape or kp.shape != x.shape:
@@ -352,16 +358,14 @@ def build_carleman_weights(grid: Grid, coef: DegenerateCoefficient, *,
     return CarlemanWeights(grid=grid, coef=coef, s_sweep=s_sweep)
 
 
-def eval_theta(t, a, T: float):
-    """Singular time-age factor 1/(t^4 (T-t)^4 a^4); +inf on the poles."""
+def eval_theta(t, a, T: float) -> np.ndarray:
+    """Singular time-age factor 1/(t^4 (T-t)^4 a^4), an array; inf on poles."""
     t = np.asarray(t, dtype=float)
     a = np.asarray(a, dtype=float)
     with np.errstate(divide="ignore"):
         denom = (t ** 4) * ((T - t) ** 4) * (a ** 4)
-        out = np.where(denom > 0.0, 1.0 / np.where(denom > 0.0, denom, 1.0), np.inf)
-    if out.ndim == 0:
-        return float(out)
-    return out
+        return np.where(denom > 0.0, 1.0 / np.where(denom > 0.0, denom, 1.0),
+                        np.inf)
 
 
 # ---------------------------------------------------------------------------

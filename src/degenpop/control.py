@@ -19,9 +19,9 @@ from .coeffs import classify_degeneracy
 from .discretize import (Field2, Field3, Grid, _nearest_x_node, _write_csv,
                          window_mask, write_json)
 from .inequalities import CutoffFamily
-from .solver import (ProblemSpec, Trajectory, _exp_or_inf, _switch_level,
-                     control_norm, lattice_inner, lattice_norm, solve_adjoint,
-                     solve_forward)
+from .solver import (ProblemSpec, Trajectory, _exp_or_inf, _renewal_growth,
+                     _switch_level, control_norm, lattice_inner, lattice_norm,
+                     solve_adjoint, solve_forward)
 
 __all__ = [
     "HUMConfig",
@@ -69,7 +69,7 @@ class ControlSolution:
     (primal form 0.5*||f||^2 + ||y(T)||^2/(2 eps)), so the certificate
     final_residual <= sqrt(2 eps j_star) is an identity of the reported
     numbers.  control_norm and bound_ratio = control_norm / ||y0|| are
-    read off f and level 0 of y.
+    read off f and level 0 of y, cg_iterations off the residual curve.
     """
 
     f: Field3
@@ -78,10 +78,14 @@ class ControlSolution:
     epsilon: float | None = None
     j_star: float | None = None
     certificate: float | None = None
-    cg_iterations: int = 0
     cg_residuals: tuple = ()
     cg_functionals: tuple = ()
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def cg_iterations(self) -> int:
+        """CG steps: one residual per step after the first; 0 when glued."""
+        return max(len(self.cg_residuals) - 1, 0)
 
     @property
     def control_norm(self) -> float:
@@ -254,7 +258,6 @@ def hum_control(spec: ProblemSpec, config: HUMConfig) -> ControlSolution:
     return ControlSolution(
         f=f, y=traj, final_residual=final_residual,
         epsilon=config.epsilon, j_star=j_star, certificate=certificate,
-        cg_iterations=len(residuals) - 1,
         cg_residuals=tuple(residuals), cg_functionals=tuple(functionals),
         diagnostics={"duality_gap": j_star + functionals[-1]})
 
@@ -305,8 +308,7 @@ def compose_delay_control(spec: ProblemSpec, config: HUMConfig) -> ControlSoluti
     free = solve_forward(_time_window(spec, 0, max(n_tilde, 1), data.values))
     window = _time_window(spec, n_tilde, n_ctrl, free.state.values[n_tilde])
     switch_norm = lattice_norm(window.y0.values, grid)
-    beta_max = float(np.max(spec.rates.beta_grid(grid)))
-    growth = grid.A * beta_max ** 2
+    growth = _renewal_growth(spec)
     switch_bound = _exp_or_inf(0.5 * growth * grid.T) * lattice_norm(
         data.values, grid)
     if not math.isfinite(switch_bound):

@@ -3,16 +3,19 @@ artifacts.
 
 Everything downstream works on a closed tensor grid over time t in [0, T],
 age a in [0, A] and space x in an interval (default (0, 1)).  Fields store
-nodal values.  Quadrature is composite trapezoid; endpoint cells whose
-weight is singular at the boundary node fall back to a midpoint evaluation
-of the weight so that integrable singularities (Hardy weights, degenerate
-diffusion factors) can be integrated without special-casing callers.
+nodal values.  Quadrature is composite trapezoid; in ``weighted_norm`` an
+end cell whose weight is singular at the boundary node is split
+geometrically toward that node and each sub-cell integrated by Simpson's
+rule with the exact weight, so that integrable singularities (Hardy
+weights, degenerate diffusion factors) can be integrated without
+special-casing callers.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,14 +59,18 @@ class Grid:
     x_span: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self) -> None:
-        if self.T <= 0 or self.A <= 0:
-            raise ValueError("horizons T and A must be positive")
+        for name in ("T", "A"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"horizon {name} must be finite and "
+                                 f"positive, got {value!r}")
         if min(self.Nt, self.Na) < 1 or self.Nx < 2:
             raise ValueError("need Nt, Na >= 1 and Nx >= 2 (one interior "
                              "x node)")
         lo, hi = self.x_span
-        if not hi > lo:
-            raise ValueError("x_span must be an increasing pair")
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+            raise ValueError(f"x_span must be a finite increasing pair, "
+                             f"got {self.x_span!r}")
         dt, da = self.T / self.Nt, self.A / self.Na
         if abs(dt - da) > _REL_TOL * max(dt, da):
             raise ValueError(
@@ -222,21 +229,18 @@ def _contract(weights: np.ndarray, arr: np.ndarray):
     return np.tensordot(weights, arr, axes=([0], [0]))
 
 
-def weighted_norm(values: np.ndarray, x: np.ndarray, weight=None) -> float:
+def weighted_norm(values: np.ndarray, x: np.ndarray, weight) -> float:
     """Integral of weight(x) * values**2 over the equispaced nodes ``x``.
 
-    ``weight`` is a callable of x (broadcasting numpy-style), 1 when
-    omitted.  An end cell where the nodal weight is non-finite is
-    integrated on a geometric subdivision toward the endpoint (Simpson per
-    sub-cell, field interpolated linearly), which resolves any integrable
-    power singularity of the weight; a non-finite weight at an interior
-    node raises ValueError.  Returns the squared weighted L2 norm.
+    ``weight`` is a callable of x (broadcasting numpy-style).  An end
+    cell where the nodal weight is non-finite is integrated on a
+    geometric subdivision toward the endpoint (Simpson per sub-cell,
+    field interpolated linearly), which resolves any integrable power
+    singularity of the weight; a non-finite weight at an interior node
+    raises ValueError.  Returns the squared weighted L2 norm.
     """
     x = np.asarray(x, dtype=float)
-    if weight is None:
-        w = np.ones_like(x)
-    else:
-        w = np.broadcast_to(np.asarray(weight(x), dtype=float), x.shape)
+    w = np.broadcast_to(np.asarray(weight(x), dtype=float), x.shape)
     return _WeightedQuadrature(x, w, weight).norm(values)
 
 

@@ -12,7 +12,7 @@ instead of NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -69,17 +69,33 @@ class ReportRow:
     ratio: float | None  # None marks an excluded 0/0 sample
 
 
-@dataclass
+@dataclass(frozen=True)
 class InequalityReport:
+    """One audit's rows and sweep; its constants are read off the rows."""
+
     name: str
     rows: tuple[ReportRow, ...]
     s_used: tuple[float, ...]
-    empirical_constant: float | None
-    unstable_s: bool = False
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
     def ratios(self) -> list[float]:
         return [r.ratio for r in self.rows if r.ratio is not None]
+
+    @property
+    def empirical_constant(self) -> float | None:
+        """The worst ratio, None when every sample is an excluded 0/0."""
+        return max(self.ratios(), default=None)
+
+    @property
+    def unstable_s(self) -> bool:
+        """Over 4+ s values, the per-s constant rises to over 5x its first."""
+        per_s = self.per_s_constant()
+        svals = sorted(per_s)
+        if len(svals) < 4:
+            return False
+        seq = [per_s[s] for s in svals[len(svals) // 2:]]
+        growing = all(b > a for a, b in zip(seq, seq[1:]))
+        return growing and per_s[svals[-1]] > 5.0 * per_s[svals[0]] > 0.0
 
     def per_s_constant(self) -> dict[float, float]:
         out: dict[float, float] = {}
@@ -106,21 +122,6 @@ class InequalityReport:
 
     def write_summary(self, path) -> None:
         write_json(path, self.summary())
-
-
-def _finish_report(name, rows, sweep, meta) -> InequalityReport:
-    report = InequalityReport(name=name, rows=tuple(rows), s_used=tuple(sweep),
-                              empirical_constant=None, meta=meta)
-    report.empirical_constant = max(report.ratios(), default=None)
-    per_s = report.per_s_constant()
-    svals = sorted(per_s)
-    if len(svals) >= 4:
-        top = svals[len(svals) // 2:]
-        seq = [per_s[s] for s in top]
-        growing = all(b > a for a, b in zip(seq, seq[1:]))
-        if growing and per_s[svals[-1]] > 5.0 * per_s[svals[0]] > 0.0:
-            report.unstable_s = True
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +246,8 @@ def hardy_ratio(k, theta: float, case: str, test_functions, *,
         rows.append(row)
     if not rows:
         raise ValueError("empty test function family")
-    return _finish_report("hardy", rows, (), {"case": case, "theta": theta,
-                                              "bound": bound})
+    return InequalityReport("hardy", tuple(rows), (),
+                            {"case": case, "theta": theta, "bound": bound})
 
 
 def hardy_ratio_at_zero(k, theta: float, case: str, test_functions, *,
@@ -268,8 +269,7 @@ def hardy_ratio_at_zero(k, theta: float, case: str, test_functions, *,
 
     reflected = [reflect(w, wp) for w, wp in test_functions]
     report = hardy_ratio(k_reflected, theta, case, reflected, n_quad=n_quad)
-    report.name = "hardy_at_zero"
-    return report
+    return replace(report, name="hardy_at_zero")
 
 
 def random_hardy_test_functions(vanish_at: float, count: int, seed: int):
@@ -316,21 +316,17 @@ class _Horner:
 # manufactured adjoint pairs
 
 
-def manufactured_adjoint(spec: ProblemSpec, profile, *,
-                         renewal_coupling: bool = False) -> tuple[Field3, Field3]:
+def manufactured_adjoint(spec: ProblemSpec, profile) -> tuple[Field3, Field3]:
     """Build an exact discrete (v, f) pair for the backward equation.
 
-    ``profile`` is a smooth callable v(t, a, x) (or an already evaluated
-    Field3) with homogeneous Dirichlet x-rows and v(., A, .) = 0.  The
-    source f is extracted by applying the discrete one-step transpose to
-    v, so re-running solve_adjoint with this source reproduces v to
-    round-off; no continuum differentiation is involved.
+    ``profile`` is a smooth callable v(t, a, x) with homogeneous Dirichlet
+    x-rows and v(., A, .) = 0.  The source f is extracted by applying the
+    beta-free one-step transpose to v, so re-running solve_adjoint with
+    this source and ``renewal_coupling=False`` reproduces v to round-off;
+    no continuum differentiation is involved.
     """
     grid = spec.grid
-    if isinstance(profile, Field3):
-        v = Field3(profile.grid, profile.values.copy())
-    else:
-        v = Field3.from_function(grid, profile)
+    v = Field3.from_function(grid, profile)
     vals = v.values
     scale = max(float(np.max(np.abs(vals))), 1e-300)
     if np.max(np.abs(vals[:, :, 0])) > 1e-9 * scale or \
@@ -346,8 +342,7 @@ def manufactured_adjoint(spec: ProblemSpec, profile, *,
     prop = spec._propagator
     f = np.zeros_like(vals)
     for n in range(grid.Nt):
-        target = prop.adjoint_rhs(vals[n + 1],
-                                  renewal_coupling=renewal_coupling)
+        target = prop.adjoint_rhs(vals[n + 1], renewal_coupling=False)
         m_rows = vals[n][:-1, 1:-1]
         f[n + 1][1:, 1:-1] = (target - prop.apply_diffusion(n + 1, m_rows)) / grid.dt
     return v, Field3(grid, f)
@@ -554,8 +549,8 @@ def carleman_audit_deg0(samples, weights: CarlemanWeights) -> InequalityReport:
         return lhs(s, v, vx), fterm + s * bterm
 
     rows = _sample_rows(samples, grid, weights.s_sweep, sides)
-    return _finish_report("carleman_deg0", rows, weights.s_sweep,
-                          {"kappa": weights.kappa})
+    return InequalityReport("carleman_deg0", tuple(rows), weights.s_sweep,
+                            {"kappa": weights.kappa})
 
 
 def carleman_audit_deg1(samples, weights: CarlemanWeights) -> InequalityReport:
@@ -565,8 +560,7 @@ def carleman_audit_deg1(samples, weights: CarlemanWeights) -> InequalityReport:
     so the two audits agree to round-off on mirror-symmetric inputs.
     """
     report = carleman_audit_deg0(*_reflect(samples, weights))
-    report.name = "carleman_deg1"
-    return report
+    return replace(report, name="carleman_deg1")
 
 
 def carleman_audit_nondeg(samples, weights: CarlemanWeights) -> InequalityReport:
@@ -601,8 +595,8 @@ def carleman_audit_nondeg(samples, weights: CarlemanWeights) -> InequalityReport
         return lhs(s, v, vx), fterm - s * weights.kappa * bracket
 
     rows = _sample_rows(samples, grid, weights.s_sweep, sides)
-    return _finish_report("carleman_nondeg", rows, weights.s_sweep,
-                          {"kappa": weights.kappa, "frak_d": weights.frak_d})
+    return InequalityReport("carleman_nondeg", tuple(rows), weights.s_sweep,
+                            {"kappa": weights.kappa, "frak_d": weights.frak_d})
 
 
 def carleman_local_audit(samples, omega: tuple[float, float],
@@ -631,9 +625,8 @@ def carleman_local_audit(samples, omega: tuple[float, float],
         reflected_samples, reflected_weights = _reflect(samples, weights)
         reflected = carleman_local_audit(
             reflected_samples, (1.0 - hi, 1.0 - lo), reflected_weights)
-        reflected.name = "carleman_local_deg1"
-        reflected.meta["omega"] = [lo, hi]
-        return reflected
+        return replace(reflected, name="carleman_local_deg1",
+                       meta={**reflected.meta, "omega": [lo, hi]})
 
     xs = grid.x_nodes
     theta, log_theta = _log_theta_grid(grid)
@@ -658,8 +651,9 @@ def carleman_local_audit(samples, omega: tuple[float, float],
         return lhs(s, v, vx), fterm + window
 
     rows = _sample_rows(samples, grid, weights.s_sweep, sides)
-    return _finish_report("carleman_local_deg0", rows, weights.s_sweep,
-                          {"kappa": weights.kappa, "omega": [lo, hi]})
+    return InequalityReport("carleman_local_deg0", tuple(rows),
+                            weights.s_sweep,
+                            {"kappa": weights.kappa, "omega": [lo, hi]})
 
 
 def caccioppoli_audit(samples, omega_prime: tuple[float, float],
@@ -691,16 +685,16 @@ def caccioppoli_audit(samples, omega_prime: tuple[float, float],
         return lhs, window + _weighted_square(grid, log_w, f)
 
     rows = _sample_rows(samples, grid, (s,), sides)
-    return _finish_report("caccioppoli", rows, (s,),
-                          {"omega": [lo, hi], "omega_prime": [lo_p, hi_p]})
+    return InequalityReport("caccioppoli", tuple(rows), (s,),
+                            {"omega": [lo, hi], "omega_prime": [lo_p, hi_p]})
 
 
 # ---------------------------------------------------------------------------
 # observability
 
 
-def observability_ratio(spec: ProblemSpec, ensemble, delta: float, *,
-                        omega: tuple[float, float] | None = None) -> InequalityReport:
+def observability_ratio(spec: ProblemSpec, ensemble,
+                        delta: float) -> InequalityReport:
     """Empirical constant of the intermediate-time observability bound.
 
     For each final datum the renewal-coupled adjoint is solved and
@@ -708,15 +702,16 @@ def observability_ratio(spec: ProblemSpec, ensemble, delta: float, *,
         int int v^2(T - a_bar)  <=  C (int_{a<=delta} v_T^2 + window term)
 
     is evaluated, with T - a_bar the lattice level of
-    ``solver._switch_level``.  The window integral uses ``omega``
-    (default: the problem's own); each call solves its adjoints afresh.
+    ``solver._switch_level``.  The window term integrates over
+    ``spec.omega`` (another window: ``dataclasses.replace(spec, omega=w)``);
+    each call solves its adjoints afresh.
     """
     if not ensemble:
         raise ValueError("empty ensemble")
     grid = spec.grid
     if not grid.T < delta < grid.A:
         raise ValueError("delta must lie in (T, A)")
-    lo, hi = omega if omega is not None else spec.omega
+    lo, hi = spec.omega
     sel = window_mask(grid.x_nodes, lo, hi)
     n_star = _switch_level(grid, spec.rates.a_bar)
     t_weights = axis_weights(grid.Nt + 1, grid.dt)
@@ -736,5 +731,5 @@ def observability_ratio(spec: ProblemSpec, ensemble, delta: float, *,
         final = v_T.values[early]
         final_term = lattice_inner(final, final, grid)
         rows.append(_make_row(idx, 0.0, lhs, final_term + window))
-    return _finish_report("observability", rows, (),
-                          {"delta": delta, "omega": [lo, hi]})
+    return InequalityReport("observability", tuple(rows), (),
+                            {"delta": delta, "omega": [lo, hi]})

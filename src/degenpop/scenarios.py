@@ -411,16 +411,14 @@ def scenario_from_config(cfg: dict, *, name: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ConfigError(f'key "grid": {exc}') from None
 
-    _reject_unknown(hum_c, {"epsilon", "cg_tol", "cg_max_iter"}, "hum")
+    hum_kinds = {"epsilon": (int, float), "cg_tol": (int, float),
+                 "cg_max_iter": int}
+    _reject_unknown(hum_c, hum_kinds, "hum")
     try:
-        hum = HUMConfig(
-            delta=delta,
-            epsilon=_want(hum_c, "epsilon", "hum", (int, float),
-                          required=False, default=1e-6),
-            cg_tol=_want(hum_c, "cg_tol", "hum", (int, float),
-                         required=False, default=1e-8),
-            cg_max_iter=_want(hum_c, "cg_max_iter", "hum", int,
-                              required=False, default=300))
+        # HUMConfig's defaults fill the keys the configuration leaves out
+        hum = HUMConfig(delta=delta, **{
+            key: _want(hum_c, key, "hum", kind)
+            for key, kind in hum_kinds.items() if key in hum_c})
     except ValueError as exc:
         raise ConfigError(f'key "hum": {exc}') from None
 

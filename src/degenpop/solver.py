@@ -121,6 +121,12 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
+def _renewal_growth(spec: ProblemSpec) -> float:
+    """Renewal growth rate C = A * max(beta)^2 on the grid; the march each
+    caller runs first rejects beta < 0, so max(beta) is max(|beta|)."""
+    return spec.grid.A * float(np.max(spec.rates.beta_grid(spec.grid))) ** 2
+
+
 def _thomas_factor(diag: np.ndarray, off: np.ndarray) -> tuple:
     """Factor the batched symmetric tridiagonal systems diag[r]*x = rhs[r].
 
@@ -302,11 +308,10 @@ class _Propagator:
             q -= self.grid.dt * source[1:, 1:-1]
         return q
 
-    def solve_diffusion(self, level: int, rhs_rows: np.ndarray,
-                        rows: slice = slice(None), *,
+    def solve_diffusion(self, level: int, rhs: np.ndarray, *,
                         transpose: bool = False) -> np.ndarray:
         """Apply D^{-1} at ``level``, or its transpose for the adjoint, to
-        interior-x data for rows 1..Na, or for the slice ``rows`` of them.
+        interior-x data ``rhs`` for rows 1..Na.
 
         Within ``_DENSE_MAX_UNKNOWNS`` and ``_DENSE_MAX_BYTES`` this is
         one np.matmul with the stored inverses, and the transpose
@@ -315,17 +320,15 @@ class _Propagator:
         in another order than the Thomas sweep, so results differ from the
         sweep's by round-off (about 1e-15 relative), and its bits depend
         on the BLAS build and the CPU.  Beyond either limit the Thomas
-        sweep serves both: D is symmetric.
+        sweep serves both: D is symmetric.  Either way each row is solved
+        on its own, so its bits do not depend on the other rows.
         """
         operand = self._operands[level - 1]
-        if self.dense:
-            inv = operand[rows]
-            if transpose:
-                return (rhs_rows[:, None, :] @ inv)[:, 0]
-            return (inv @ rhs_rows[:, :, None])[:, :, 0]
-        if rows != slice(None):
-            operand = [[node[rows] for node in part] for part in operand]
-        return _thomas_solve(operand, rhs_rows)
+        if not self.dense:
+            return _thomas_solve(operand, rhs)
+        if transpose:
+            return (rhs[:, None, :] @ operand)[:, 0]
+        return (operand @ rhs[:, :, None])[:, :, 0]
 
     def apply_diffusion(self, level: int, rows: np.ndarray) -> np.ndarray:
         """Apply D at ``level`` to interior-x data for rows 1..Na."""
@@ -475,15 +478,17 @@ class ConsistencyReport:
     scale: float
 
 
-def characteristic_consistency(spec: ProblemSpec, v_T: Field2, *,
-                               stride: int = 1) -> ConsistencyReport:
+def characteristic_consistency(spec: ProblemSpec,
+                               v_T: Field2) -> ConsistencyReport:
     """Check the adjoint against the characteristic-line representation.
 
     With beta identically zero the adjoint value at (t_n, a_j) equals the
     final data row a_j + (T - t_n) pushed through the per-level diffusion
     solves along the characteristic (zero once the characteristic exits
-    through a = A).  Both paths use the same tridiagonal stepper, so the
-    defect is pure round-off; it is reported relative to max|v_T|.
+    through a = A).  Those ending at level n share whole-level solves,
+    each on its own row of a zero-padded block.  Both paths use the same
+    stepper, which solves each row on its own, so the defect is pure
+    round-off; it is reported relative to max|v_T|.
     """
     prop = spec._propagator
     if np.any(prop.beta != 0.0):
@@ -491,28 +496,22 @@ def characteristic_consistency(spec: ProblemSpec, v_T: Field2, *,
     grid = spec.grid
     traj = solve_adjoint(spec, v_T, renewal_coupling=False)
     values = traj.state.values
+    final = v_T.values[:, 1:-1]
     scale = float(np.max(np.abs(v_T.values)))
     worst = 0.0
-    count = 0
-    for n in range(0, grid.Nt + 1, stride):
+    for n in range(grid.Nt + 1):
         steps = grid.Nt - n
-        for j in range(0, grid.Na + 1, stride):
-            target = j + steps
-            if target > grid.Na:
-                ref = np.zeros(grid.Nx - 1)
-            else:
-                ref = v_T.values[target, 1:-1].copy()
-                for m in range(grid.Nt - 1, n - 1, -1):
-                    row = j + (m - n)  # index of age row j+m-n+1 in 1..Na
-                    ref = prop.solve_diffusion(m + 1, ref[None, :],
-                                               slice(row, row + 1),
-                                               transpose=True)[0]
-            defect = float(np.max(np.abs(values[n, j, 1:-1] - ref)))
-            worst = max(worst, defect)
-            count += 1
+        # the characteristic ending at a_j starts on row j + steps
+        ref = np.zeros_like(final)
+        ref[steps:] = final[steps:]
+        for m in range(grid.Nt - 1, n - 1, -1):
+            ref[:-1] = prop.solve_diffusion(m + 1, ref[1:], transpose=True)
+            ref[-1] = 0.0
+        worst = max(worst, float(np.max(np.abs(values[n, :, 1:-1] - ref))))
     rel = worst / scale if scale > 0.0 else 0.0
-    return ConsistencyReport(samples=count, max_abs_defect=worst,
-                             max_rel_defect=rel, scale=scale)
+    return ConsistencyReport(samples=(grid.Nt + 1) * (grid.Na + 1),
+                             max_abs_defect=worst, max_rel_defect=rel,
+                             scale=scale)
 
 
 @dataclass(frozen=True)
@@ -531,10 +530,7 @@ def energy_audit(traj: Trajectory, spec: ProblemSpec) -> EnergyAudit:
     renewal Jensen estimate composed with the source square completion.
     """
     grid = traj.grid
-    beta_max = float(np.max(np.abs(
-        spec.rates.beta_grid(grid))))
-    c_beta = grid.A * beta_max ** 2
-    constant = _exp_or_inf(c_beta * grid.T) * (1.0 + grid.T)
+    constant = _exp_or_inf(_renewal_growth(spec) * grid.T) * (1.0 + grid.T)
     sup_norm = float(np.max(traj.norms) ** 2)
     # right-endpoint rule: the implicit step's energy identity bounds
     # dt * sum_{n>=1} flux(y^n); slice 0 holds the given data, whose

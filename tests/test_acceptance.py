@@ -266,8 +266,10 @@ def test_8_observability_ensemble(capsys):
         spec = preset("default_degenerate").spec
         ensemble = [random_final_data(spec.grid, seed=5, stream=i + 1)
                     for i in range(20)]
-        narrow = observability_ratio(spec, ensemble, 1.25, omega=(0.3, 0.5))
-        wide = observability_ratio(spec, ensemble, 1.25, omega=(0.25, 0.7))
+        narrow = observability_ratio(
+            dataclasses.replace(spec, omega=(0.3, 0.5)), ensemble, 1.25)
+        wide = observability_ratio(
+            dataclasses.replace(spec, omega=(0.25, 0.7)), ensemble, 1.25)
         assert math.isfinite(narrow.empirical_constant)
         assert math.isfinite(wide.empirical_constant)
         assert wide.empirical_constant <= narrow.empirical_constant * (1.0 + 1e-12)

@@ -28,6 +28,13 @@ class TestPowerLaw:
         with pytest.raises(ValueError):
             PowerLaw(-0.1)
 
+    @pytest.mark.parametrize("alphas, name", [
+        ((np.nan,), "alpha0"), ((np.inf,), "alpha0"),
+        ((0.5, np.nan), "alpha1"), ((0.5, np.inf), "alpha1")])
+    def test_non_finite_exponent_rejected(self, alphas, name):
+        with pytest.raises(ValueError, match=f"exponent {name} must be finite"):
+            PowerLaw(*alphas)
+
     def test_face_values_are_midpoint_exact(self):
         k = PowerLaw(1.5)
         nodes = np.linspace(0.0, 1.0, 9)
@@ -54,6 +61,16 @@ class TestTabulated:
     def test_requires_increasing_abscissae(self):
         with pytest.raises(ValueError, match="increasing"):
             Tabulated(np.array([0.0, 0.5, 0.4]), np.ones(3), np.ones(3))
+
+    @pytest.mark.parametrize("which, bad", [
+        (0, np.nan), (1, np.inf), (1, np.nan), (2, np.inf), (2, np.nan)])
+    def test_non_finite_samples_rejected(self, which, bad):
+        # a nan abscissa passed the ordering check; k and k' were unchecked
+        samples = [np.linspace(0.0, 1.0, 4), np.ones(4), np.ones(4)]
+        samples[which][-1] = bad
+        name = ("x", "k_values", "kprime_values")[which]
+        with pytest.raises(ValueError, match=f"tabulated {name} must be finite"):
+            Tabulated(*samples)
 
     def test_interpolates(self):
         xs = np.linspace(0.0, 1.0, 11)

@@ -176,6 +176,39 @@ class TestHUMControl:
         assert payload["cg_iterations"] == sol.cg_iterations
 
 
+class _Diagonal:
+    """A fake Gramian: p -> lam * p, with the Euclidean inner product."""
+
+    def __init__(self, lam):
+        self.lam = lam
+
+    def apply(self, p):
+        return self.lam * p
+
+    def inner(self, u, v):
+        return float(np.sum(u * v))
+
+
+class TestConjugateGradientBreakdown:
+    def test_lost_curvature(self):
+        with pytest.raises(control.ControlError,
+                           match="lost positive definiteness") as info:
+            control._conjugate_gradient(_Diagonal(-2.0), np.ones(4), 1e-6,
+                                        1e-8, 300)
+        assert info.value.residuals == (2.0,)
+
+    def test_stagnation(self):
+        # eigenvalues 1 down to 2^-120 and no penalty: the residual stalls
+        # on a round-off floor far above the tolerance while the functional
+        # stops moving
+        op = _Diagonal(0.5 ** (8 * np.arange(16)))
+        with pytest.raises(control.ControlError, match="stagnated") as info:
+            control._conjugate_gradient(op, np.ones(16), 0.0, 1e-12, 1000)
+        residuals = info.value.residuals
+        assert min(residuals[-21:]) >= min(residuals[:-21]) \
+            > 1e-12 * residuals[0]
+
+
 class TestDelayComposition:
     def test_control_silent_before_switch(self):
         spec = make_spec(a_bar=0.5)

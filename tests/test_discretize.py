@@ -49,6 +49,17 @@ class TestGrid:
             Grid(T=1.0, A=2.0, Nt=4, Na=8, Nx=1)
         assert Grid(T=1.0, A=2.0, Nt=4, Na=8, Nx=2).x_nodes.size == 3
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"T": np.nan}, "horizon T must be finite"),
+        ({"T": np.inf, "A": np.inf}, "horizon T must be finite"),
+        ({"A": np.nan}, "horizon A must be finite"),
+        ({"x_span": (-np.inf, 1.0)}, "x_span must be a finite"),
+        ({"x_span": (0.0, np.nan)}, "x_span must be a finite")])
+    def test_non_finite_values_rejected(self, changes, message):
+        # each was accepted, with nan time nodes or a nan or inf spacing
+        with pytest.raises(ValueError, match=message):
+            Grid(**{"T": 1.0, "A": 2.0, "Nt": 4, "Na": 8, "Nx": 4, **changes})
+
 
 class TestQuadrature:
     def test_matches_scipy_trapezoid(self):
@@ -62,7 +73,7 @@ class TestQuadrature:
     def test_weighted_norm_polynomial_oracle(self):
         # int_0^1 x^2 dx = 1/3
         nodes = np.linspace(0.0, 1.0, 20_001)
-        val = weighted_norm(nodes, nodes)
+        val = weighted_norm(nodes, nodes, np.ones_like)
         assert val == pytest.approx(1.0 / 3.0, rel=1e-8)
 
     def test_weighted_norm_singular_endpoint(self):
@@ -75,7 +86,7 @@ class TestQuadrature:
 
     def test_weighted_norm_rejects_mismatched_axes(self):
         with pytest.raises(ValueError):
-            weighted_norm(np.ones((3, 3)), np.linspace(0, 1, 3))
+            weighted_norm(np.ones((3, 3)), np.linspace(0, 1, 3), np.ones_like)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_weighted_norm_rejects_interior_non_finite_weight(self, bad):

@@ -1,9 +1,9 @@
 """Every exported name resolves, so a deleted function cannot linger in an
 ``__all__`` list or in the package's re-exports, every span name the
 benchmark derives a per-layer metric from is still a callable whose
-signature has every parameter the benchmark's annotators read, and every
-default of the package's functions is overridden by some caller,
-every ``**kwargs`` is filled by some caller, and the benchmark's own
+signature has every parameter the benchmark's annotators read, every
+default of the package's functions is overridden by some caller in the
+package, every ``**kwargs`` is filled by one, and the benchmark's own
 tests pass."""
 
 import ast
@@ -153,8 +153,13 @@ def test_annotated_parameters_exist(monkeypatch):
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(Path(degenpop.__file__).parent.glob("*.py"))
-CALLERS = (SOURCES + sorted((ROOT / "tests").glob("*.py"))
-           + sorted(PERFBENCH.glob("*.py")))
+# (function, parameter) defaults that no package call sets, kept on purpose
+KEPT_DEFAULTS = {
+    ("solve_adjoint", "source"): "the seam through which the manufactured-"
+                                 "pair tests check the sourced adjoint march",
+    ("main", "argv"): "the console entry point calls main(), and argparse "
+                      "then reads sys.argv",
+}
 
 
 def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple]:
@@ -180,14 +185,15 @@ def _name(node) -> str | None:
 
 def _call_sites() -> tuple[dict, dict]:
     """Per name, the keywords and the most positional arguments that
-    calls of it pass.
+    calls of it in the package pass: an option that only tests or the
+    benchmark set is one the program never needs.
 
     A name that is also read as a value (a function handed on, or stored
     in a table) may be called under another name with any argument, so it
     counts as passing every keyword, as ``**kwargs`` does (key None).
     """
     keywords, positions = defaultdict(set), defaultdict(int)
-    for path in CALLERS:
+    for path in SOURCES:
         tree = ast.parse(path.read_text())
         called = set()  # ids of this tree's called expressions
         for node in ast.walk(tree):
@@ -219,19 +225,23 @@ def _functions():
 
 
 def test_every_default_is_set():
-    # a default no caller overrides is a constant in disguise: generality
-    # nothing uses.  Names are matched, not resolved, so functions of one
-    # name share their call sites.
+    # a default no package call overrides is a constant in disguise:
+    # generality nothing uses.  Names are matched, not resolved, so
+    # functions of one name share their call sites.
     keywords, positions = _call_sites()
-    unset = []
+    unset, kept = [], set()
     for path, cls, called, fn in _functions():
         passed = keywords.get(called, set())
         for name, pos in _defaulted(fn, cls is not None):
             if name in passed or None in passed \
                     or (pos is not None and pos < positions.get(called, 0)):
                 continue
-            unset.append(f"{path.name}:{fn.lineno} {fn.name}({name})")
+            if (fn.name, name) in KEPT_DEFAULTS:
+                kept.add((fn.name, name))
+            else:
+                unset.append(f"{path.name}:{fn.lineno} {fn.name}({name})")
     assert unset == []
+    assert kept == set(KEPT_DEFAULTS)  # no stale entry
 
 
 def test_every_kwargs_is_filled():

@@ -320,17 +320,6 @@ class TestManufacturedAdjoint:
         np.testing.assert_allclose(traj.state.values, v.values,
                                    atol=1e-12 * scale)
 
-    def test_reproduction_with_renewal_coupling(self):
-        spec = small_spec()
-        grid = spec.grid
-        profile = random_adjoint_profiles(grid.T, grid.A, 2, seed=9)[1]
-        v, f = manufactured_adjoint(spec, profile, renewal_coupling=True)
-        v_T = Field2(grid, v.values[-1])
-        traj = solve_adjoint(spec, v_T, source=f, renewal_coupling=True)
-        scale = np.max(np.abs(v.values))
-        np.testing.assert_allclose(traj.state.values, v.values,
-                                   atol=1e-12 * scale)
-
     def test_profile_constraints_enforced(self):
         spec = small_spec()
         with pytest.raises(ValueError, match="x-boundary"):
@@ -584,7 +573,8 @@ class TestObservability:
     def test_window_override(self):
         spec = small_spec(k=PowerLaw(0.5, 0.0))
         ens = self._ensemble(spec.grid)
-        narrow = observability_ratio(spec, ens, 1.25, omega=(0.35, 0.6))
+        narrow = observability_ratio(
+            dataclasses.replace(spec, omega=(0.35, 0.6)), ens, 1.25)
         assert narrow.meta["omega"] == [0.35, 0.6]
 
     def test_validation_errors(self):

@@ -158,30 +158,28 @@ class TestFactoredSolve:
             _thomas_solve(_thomas_factor(diag, off), rhs),
             thomas_reference(diag, off, rhs))
 
-    def _check_levels(self, spec, rows=slice(None)):
+    def _check_levels(self, spec):
         prop = spec._propagator
         assert prop.dense
         rng = spawn_rng(29)
         for level in range(1, spec.grid.Nt + 1):
-            diag = prop._diag[level - 1][rows]
+            diag = prop._diag[level - 1]
             rhs = rng.standard_normal(diag.shape)
             ref = thomas_reference(diag, prop.offdiag, rhs)
             for transpose in (False, True):  # D is symmetric
-                got = prop.solve_diffusion(level, rhs, rows,
-                                           transpose=transpose)
+                got = prop.solve_diffusion(level, rhs, transpose=transpose)
                 assert np.max(np.abs(got - ref)) \
                     <= 1e-13 * np.max(np.abs(ref))
             # forward images of the unit vectors are the columns of the
             # inverse, the Thomas sweeps of the unit vectors; transposed
             # images are its rows: the same bits
             units = np.eye(diag.shape[1])[:, None, :].repeat(len(diag), 1)
-            fwd = np.stack([prop.solve_diffusion(level, e, rows)
+            fwd = np.stack([prop.solve_diffusion(level, e)
                             for e in units], axis=-1)
             np.testing.assert_array_equal(fwd, np.stack(
                 [thomas_reference(diag, prop.offdiag, e) for e in units],
                 axis=-1))
-            adj = np.stack([prop.solve_diffusion(level, e, rows,
-                                                 transpose=True)
+            adj = np.stack([prop.solve_diffusion(level, e, transpose=True)
                             for e in units], axis=1)
             np.testing.assert_array_equal(fwd, adj)
         return prop
@@ -191,16 +189,10 @@ class TestFactoredSolve:
         assert len({id(f) for f in prop._operands}) == 1
         assert len({id(d) for d in prop._diag}) == 1
 
-    def test_row_slice(self):
-        spec = make_spec(Nt=6, Nx=10)
-        for rows in (slice(3, 4), slice(2, 7)):
-            self._check_levels(spec, rows)
-
     def test_time_dependent_mortality_factors_each_level(self):
         spec = make_spec(Nt=6, Nx=10, mu=mu_seasonal)
         prop = self._check_levels(spec)
         assert len({id(f) for f in prop._operands}) == spec.grid.Nt
-        self._check_levels(spec, slice(1, 3))
 
     def test_dense_inverses_stay_within_their_limits(self):
         # 48 x 47 unknowns per level (the presets' grid): one distinct
@@ -480,7 +472,7 @@ class TestCharacteristics:
     def test_adjoint_matches_characteristic_recomputation(self):
         spec = make_spec(beta=zero_rate, Nt=6, Nx=10)
         v_T = sine_mode_data(spec.grid, [[1.0, 0.2], [0.3, 0.0]])
-        report = characteristic_consistency(spec, v_T, stride=2)
+        report = characteristic_consistency(spec, v_T)
         assert report.samples > 0
         assert report.max_rel_defect < 1e-12
 
