@@ -56,6 +56,11 @@ def _sweep(args) -> tuple[float, ...]:
     if not values or not all(math.isfinite(v) and v > 0 for v in values):
         raise ConfigError(f"--s-sweep values must be finite and positive, "
                           f"got {args.s_sweep!r}")
+    for v in values:
+        try:
+            v ** 3  # the Carleman left side weighs by s^3: a float must hold it
+        except OverflowError:
+            raise ConfigError(f"--s-sweep value {v!r} is too large") from None
     return values
 
 

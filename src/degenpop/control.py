@@ -21,7 +21,7 @@ from .discretize import (Field2, Field3, Grid, _nearest_x_node, _write_csv,
 from .inequalities import CutoffFamily
 from .solver import (ProblemSpec, Trajectory, _exp_or_inf, _renewal_growth,
                      _switch_level, control_norm, lattice_inner, lattice_norm,
-                     solve_adjoint, solve_forward)
+                     observation, solve_adjoint, solve_forward)
 
 __all__ = [
     "HUMConfig",
@@ -154,8 +154,7 @@ class _Gramian:
         return final_values[self.rows][:, 1:-1].copy()
 
     def observation(self, xi: np.ndarray) -> Field3:
-        traj = solve_adjoint(self.spec, self.embed(xi), renewal_coupling=True)
-        return traj.observation
+        return observation(self.spec, solve_adjoint(self.spec, self.embed(xi)))
 
     def apply(self, xi: np.ndarray) -> np.ndarray:
         obs = self.observation(xi)
@@ -237,15 +236,13 @@ def hum_control(spec: ProblemSpec, config: HUMConfig) -> ControlSolution:
     window's own problem (see :func:`compose_delay_control`).
     """
     grid = spec.grid
-    rows = _target_rows(grid, config.delta)
-    op = _Gramian(spec, rows)
+    op = _Gramian(spec, _target_rows(grid, config.delta))
 
-    free = solve_forward(spec)
-    b = op.restrict(free.final_level())
+    b = op.restrict(solve_forward(spec).final_level())
     xi, residuals, functionals = _conjugate_gradient(
         op, b, config.epsilon, config.cg_tol, config.cg_max_iter)
 
-    f = op.observation(xi) if np.any(xi) else Field3.zeros(grid)
+    f = op.observation(xi)
     traj = solve_forward(spec, control=f)
     final_residual = lattice_norm(op.restrict(traj.final_level()), grid)
     f_norm = control_norm(f)
@@ -286,9 +283,9 @@ def _time_window(spec: ProblemSpec, start: int, steps: int,
 def compose_delay_control(spec: ProblemSpec, config: HUMConfig) -> ControlSolution:
     """Control vanishing before T_tilde = T - a_bar, active afterwards.
 
-    Phase one lets the population evolve freely from ``spec.y0`` to
-    T_tilde; phase two runs hum_control on the remaining window, a problem
-    of its own (see ``_time_window``) starting from the reached state.
+    Phase one is the free march of ``spec`` itself, read up to T_tilde;
+    phase two runs hum_control on the remaining window, a problem of its
+    own (see ``_time_window``) starting from the reached state.
     T_tilde is the lattice level of ``solver._switch_level``, moved back
     to T - dt when a_bar is below half a step.  The reported
     intermediate bound is the discrete renewal-growth estimate
@@ -296,33 +293,27 @@ def compose_delay_control(spec: ProblemSpec, config: HUMConfig) -> ControlSoluti
     None where it overflows.
     """
     grid = spec.grid
-    data = spec.y0
-    if data is None:
-        raise ValueError("no initial data: set spec.y0")
     n_ctrl = max(grid.Nt - _switch_level(grid, spec.rates.a_bar), 1)
     n_tilde = grid.Nt - n_ctrl
     t_tilde = n_tilde * grid.dt
 
-    # only levels 0..n_tilde of the free march are read (at least one step
-    # is marched, for a_bar = T)
-    free = solve_forward(_time_window(spec, 0, max(n_tilde, 1), data.values))
+    free = solve_forward(spec)  # only levels 0..n_tilde are read
     window = _time_window(spec, n_tilde, n_ctrl, free.state.values[n_tilde])
     switch_norm = lattice_norm(window.y0.values, grid)
     growth = _renewal_growth(spec)
     switch_bound = _exp_or_inf(0.5 * growth * grid.T) * lattice_norm(
-        data.values, grid)
+        spec.y0.values, grid)
     if not math.isfinite(switch_bound):
         switch_bound = None  # the bound overflows: reported as null
 
     inner = hum_control(window, config)
 
-    # both pieces come from march outputs, which raise rather than hold a
-    # non-finite value: filled into zero fields, they are not scanned again
-    f, state = Field3.zeros(grid), Field3.zeros(grid)
+    # march outputs raise rather than hold a non-finite value, so neither
+    # piece is scanned again; the controlled levels replace the free ones
+    f = Field3.zeros(grid)
     f.values[n_tilde + 1:] = inner.f.values[1:]
-    state.values[:n_tilde + 1] = free.state.values[:n_tilde + 1]
-    state.values[n_tilde + 1:] = inner.y.state.values[1:]
-    traj = Trajectory(state=state, k_faces=inner.y.k_faces, control=f)
+    free.state.values[n_tilde + 1:] = inner.y.state.values[1:]
+    traj = Trajectory(state=free.state, k_faces=inner.y.k_faces, control=f)
 
     return replace(inner, f=f, y=traj,
                    diagnostics={"t_tilde": t_tilde, "switch_norm": switch_norm,
@@ -412,7 +403,8 @@ def _snap_to_node(grid: Grid, value: float, what: str, given: bool) -> int:
     idx = _nearest_x_node(grid, value)
     snapped = float(grid.x_nodes[idx])
     if given and abs(snapped - value) > 1e-12 * max(1.0, abs(value)):
-        warnings.warn(f"{what} = {value:g} snapped to the grid node {snapped:g}")
+        warnings.warn(f"{what} = {value!r} snapped to the grid node "
+                      f"{snapped:g}")
     return idx
 
 

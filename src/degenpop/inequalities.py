@@ -321,9 +321,9 @@ def manufactured_adjoint(spec: ProblemSpec, profile) -> tuple[Field3, Field3]:
 
     ``profile`` is a smooth callable v(t, a, x) with homogeneous Dirichlet
     x-rows and v(., A, .) = 0.  The source f is extracted by applying the
-    beta-free one-step transpose to v, so re-running solve_adjoint with
-    this source and ``renewal_coupling=False`` reproduces v to round-off;
-    no continuum differentiation is involved.
+    beta-free one-step transpose to v (beta is not read), so on a problem
+    with beta = 0 re-running solve_adjoint with this source reproduces v
+    to round-off; no continuum differentiation is involved.
     """
     grid = spec.grid
     v = Field3.from_function(grid, profile)
@@ -342,7 +342,7 @@ def manufactured_adjoint(spec: ProblemSpec, profile) -> tuple[Field3, Field3]:
     prop = spec._propagator
     f = np.zeros_like(vals)
     for n in range(grid.Nt):
-        target = prop.adjoint_rhs(vals[n + 1], renewal_coupling=False)
+        target = vals[n + 1][1:, 1:-1]
         m_rows = vals[n][:-1, 1:-1]
         f[n + 1][1:, 1:-1] = (target - prop.apply_diffusion(n + 1, m_rows)) / grid.dt
     return v, Field3(grid, f)
@@ -723,7 +723,7 @@ def observability_ratio(spec: ProblemSpec, ensemble,
         tail = float(np.max(np.abs(v_T.values[-1])))
         if tail > 1e-12 * max(float(np.max(np.abs(v_T.values))), 1e-300):
             raise ValueError(f"ensemble member {idx} has v_T(A,.) != 0")
-        traj = solve_adjoint(spec, v_T, renewal_coupling=True)
+        traj = solve_adjoint(spec, v_T)
         vals = traj.state.values
         lhs = lattice_inner(vals[n_star], vals[n_star], grid)
         window = float(np.sum(

@@ -9,8 +9,8 @@ inner product Delta a * Delta x, which makes the duality identity
 
     <y(T), v_T> - <y0, v(0)> = dt * sum_n <f^n, obs^n>
 
-exact to round-off; obs is the adjoint's post-diffusion intermediate
-restricted to the control window, the quantity HUM feeds back as control.
+exact to round-off; obs^{n+1} is chi_omega * v^n moved one age row down
+(:func:`observation`), the quantity HUM feeds back as control.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "Trajectory",
     "solve_forward",
     "solve_adjoint",
+    "observation",
     "characteristic_consistency",
     "ConsistencyReport",
     "energy_audit",
@@ -77,12 +78,12 @@ def _switch_level(grid: Grid, a_bar: float) -> int:
     is not one; raises unless 0 < a_bar <= T.
     """
     if not 0.0 < a_bar <= grid.T:
-        raise ValueError(f"need 0 < a_bar <= T, got a_bar = {a_bar:g} "
+        raise ValueError(f"need 0 < a_bar <= T, got a_bar = {a_bar!r} "
                          f"with T = {grid.T:g}")
     steps = a_bar / grid.dt
     n = int(round(steps))
     if abs(steps - n) > 1e-9 * max(1.0, steps):
-        warnings.warn(f"a_bar = {a_bar:g} is not a multiple of dt; "
+        warnings.warn(f"a_bar = {a_bar!r} is not a multiple of dt; "
                       f"snapping to {n * grid.dt:g}")
     return grid.Nt - n
 
@@ -297,13 +298,11 @@ class _Propagator:
             rhs += self.grid.dt * source[1:, 1:-1]
         return rhs
 
-    def adjoint_rhs(self, new: np.ndarray, source: np.ndarray | None = None,
-                    renewal_coupling: bool = True) -> np.ndarray:
+    def adjoint_rhs(self, new: np.ndarray,
+                    source: np.ndarray | None) -> np.ndarray:
         """Transposed right side: new level plus w_j c beta_j v(a=0), minus
-        dt * source (rows 1..Na)."""
-        q = new[1:, 1:-1].copy()
-        if renewal_coupling:
-            q += self._coupling * new[0][None, 1:-1]
+        dt * source when given (rows 1..Na)."""
+        q = new[1:, 1:-1] + self._coupling * new[0][None, 1:-1]
         if source is not None:
             q -= self.grid.dt * source[1:, 1:-1]
         return q
@@ -352,7 +351,6 @@ class Trajectory:
     state: Field3
     k_faces: np.ndarray  # face diffusivities the flux records weigh with
     control: Field3 | None = None
-    observation: Field3 | None = None
 
     @property
     def grid(self) -> Grid:
@@ -427,22 +425,19 @@ def solve_forward(spec: ProblemSpec, control: Field3 | None = None, *,
     return Trajectory(state=state, k_faces=prop.k_faces, control=control)
 
 
-def solve_adjoint(spec: ProblemSpec, v_T: Field2, *, source: Field3 | None = None,
-                  renewal_coupling: bool = True) -> Trajectory:
+def solve_adjoint(spec: ProblemSpec, v_T: Field2, *,
+                  source: Field3 | None = None) -> Trajectory:
     """March the exact discrete transpose backward from final data v_T.
 
     One backward step from level n+1 to n is
 
         q_j   = v^{n+1}_j + w_j c beta_j v^{n+1}(a=0)   (rows j >= 1)
         q_j  -= dt * source^{n+1}_j                      (when given)
-        m     = D^{-1} q   per age row, interior x
-        v^n_j = m_{j+1} for j < Na,  v^n_{Na} = 0
+        v^n_{j-1} = (D^{-T} q)_j   per age row j >= 1, interior x
 
-    where w_j are the trapezoid weights and c the renewal closing factor;
-    dropping the coupling term gives the beta-free transpose.  The
-    returned observation field stores chi_omega * m at slices 1..Nt: this
-    is the integrand pairing with a forward control in the duality
-    identity, hence the natural control sample of the adjoint state.
+    and v^n_{Na} = 0, where w_j are the trapezoid weights and c the
+    renewal closing factor.  The state is the only field stored; the
+    control sample of the duality identity is :func:`observation`.
     Levels run on the problem's own clock, as in :func:`solve_forward`.
     """
     if v_T.grid != spec.grid:
@@ -451,23 +446,30 @@ def solve_adjoint(spec: ProblemSpec, v_T: Field2, *, source: Field3 | None = Non
         raise ValueError("source grid does not match the problem grid")
     prop = spec._propagator
     grid = spec.grid
-    state, observation = Field3.zeros(grid), Field3.zeros(grid)
-    values, obs = state.values, observation.values
+    state = Field3.zeros(grid)
+    values = state.values
     values[grid.Nt] = v_T.values
     try:
         with np.errstate(over="raise", invalid="raise"):
             for n in range(grid.Nt - 1, -1, -1):
                 src = None if source is None else source.values[n + 1]
-                q = prop.adjoint_rhs(values[n + 1], src, renewal_coupling)
-                m = np.zeros((grid.Na + 1, grid.Nx + 1))
-                m[1:, 1:-1] = prop.solve_diffusion(n + 1, q, transpose=True)
-                obs[n + 1] = prop.omega_mask[None, :] * m
-                values[n][:-1] = m[1:]
+                values[n][:-1, 1:-1] = prop.solve_diffusion(
+                    n + 1, prop.adjoint_rhs(values[n + 1], src),
+                    transpose=True)
     except FloatingPointError as exc:
         raise FloatingPointError(f"adjoint march: {exc} at time level "
                                  f"{n} (Nt = {grid.Nt})") from None
-    return Trajectory(state=state, k_faces=prop.k_faces,
-                      observation=observation)
+    return Trajectory(state=state, k_faces=prop.k_faces)
+
+
+def observation(spec: ProblemSpec, adjoint: Trajectory) -> Field3:
+    """chi_omega * v^n in rows 1..Na of slice n+1, zero elsewhere: the
+    adjoint's sample that pairs with a forward control in the duality
+    identity, and the control HUM feeds back."""
+    obs = Field3.zeros(spec.grid)
+    np.multiply(spec._propagator.omega_mask, adjoint.state.values[:-1, :-1],
+                out=obs.values[1:, 1:])
+    return obs
 
 
 @dataclass(frozen=True)
@@ -485,16 +487,17 @@ def characteristic_consistency(spec: ProblemSpec,
     With beta identically zero the adjoint value at (t_n, a_j) equals the
     final data row a_j + (T - t_n) pushed through the per-level diffusion
     solves along the characteristic (zero once the characteristic exits
-    through a = A).  Those ending at level n share whole-level solves,
-    each on its own row of a zero-padded block.  Both paths use the same
-    stepper, which solves each row on its own, so the defect is pure
-    round-off; it is reported relative to max|v_T|.
+    through a = A), as the march's renewal coupling term is then exactly
+    zero.  Those ending at level n share whole-level solves, each on its
+    own row of a zero-padded block.  Both paths use the same stepper,
+    which solves each row on its own, so the defect is pure round-off; it
+    is reported relative to max|v_T|.
     """
     prop = spec._propagator
     if np.any(prop.beta != 0.0):
         raise ValueError("characteristic consistency requires beta == 0")
     grid = spec.grid
-    traj = solve_adjoint(spec, v_T, renewal_coupling=False)
+    traj = solve_adjoint(spec, v_T)
     values = traj.state.values
     final = v_T.values[:, 1:-1]
     scale = float(np.max(np.abs(v_T.values)))

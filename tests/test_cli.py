@@ -79,6 +79,14 @@ class TestExitCodes:
                              "--s-sweep", sweep]) == 2
             assert "--s-sweep" in capsys.readouterr().err
 
+    def test_sweep_whose_cube_overflows(self, tiny_config, tmp_path, capsys):
+        # 1e103 is finite, but the Carleman left side weighs by s^3
+        assert cli.main(["carleman-audit", "--config", str(tiny_config),
+                         "--out", str(tmp_path / "o"),
+                         "--s-sweep", "1.0,1e103"]) == 2
+        err = capsys.readouterr().err
+        assert "--s-sweep value 1e+103" in err
+
     def test_empty_hardy_family_maps_to_2(self, tiny_config, tmp_path, capsys):
         for count in ("0", "-1"):
             assert cli.main(["hardy-audit", "--config", str(tiny_config),
@@ -328,6 +336,23 @@ class TestCommands:
                          "--alpha-bar", "0.15"]) == 0
         assert [str(w.message) for w in recwarn] == [
             "alpha_bar = 0.15 snapped to the grid node 0.1"]
+
+    def test_snap_warning_prints_the_given_cut_point(self, tiny_config,
+                                                     tmp_path, recwarn):
+        # rounded by :g, 0.9999999 would read as 1, itself a rejected cut
+        assert cli.main(["glue", "--config", str(tiny_config),
+                         "--out", str(tmp_path / "glue"),
+                         "--beta-bar", "0.9999999"]) == 0
+        assert [str(w.message) for w in recwarn] == [
+            "beta_bar = 0.9999999 snapped to the grid node 0.9"]
+
+    def test_snap_warning_prints_the_given_a_bar(self, tmp_path, recwarn):
+        # rounded by :g, 0.5000001 would read as the multiple of dt 0.5
+        path = tiny_variant(tmp_path, {"model.a_bar": 0.5000001})
+        assert cli.main(["observability", "--config", str(path),
+                         "--out", str(tmp_path / "obs"), "--count", "2"]) == 0
+        assert [str(w.message) for w in recwarn] == [
+            "a_bar = 0.5000001 is not a multiple of dt; snapping to 0.5"]
 
     def test_overflowing_switch_bound_is_null(self, tmp_path):
         # exp(A * max(beta)^2 * T / 2) = exp(160000) overflows a float

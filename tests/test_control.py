@@ -11,6 +11,7 @@ from degenpop.control import (HUMConfig, _Gramian, _target_rows,
                               glue_two_sided, hum_control,
                               scheme_consistency_error)
 from degenpop.discretize import Field2, Field3, Grid, random_final_data
+from degenpop.scenarios import preset
 from degenpop.solver import ProblemSpec, lattice_norm, solve_forward
 
 
@@ -85,6 +86,28 @@ class TestHUMControl:
         assert sol.control_norm == 0.0
         assert sol.bound_ratio == 0.0
         assert sol.cg_iterations == 0
+
+    def test_march_count_does_not_depend_on_the_data(self, monkeypatch):
+        # cg + 1 adjoint and cg + 2 forward marches, zero target data too
+        calls = []
+
+        def spy(name):
+            march = getattr(control, name)
+
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return march(*args, **kwargs)
+            return counting
+
+        for name in ("solve_adjoint", "solve_forward"):
+            monkeypatch.setattr(control, name, spy(name))
+        scenario = preset("tirathaba_28C")
+        spec = dataclasses.replace(scenario.spec,
+                                   y0=Field2.zeros(scenario.spec.grid))
+        cg = hum_control(spec, scenario.hum).cg_iterations
+        assert cg == 0
+        assert calls.count("solve_adjoint") == cg + 1
+        assert calls.count("solve_forward") == cg + 2
 
     def test_missing_initial_data(self):
         spec = make_spec()
@@ -240,8 +263,8 @@ class TestDelayComposition:
         assert np.array_equal(delayed.y.state.values, plain.y.state.values)
 
     def test_window_keeps_the_problem_step(self, monkeypatch):
-        # dt = 0.2: the free march spans fl(3*dt) = 0.6000000000000001 in
-        # 3 steps, the control window fl(2*dt) in 2; both step by dt
+        # dt = 0.2: the free phase is the problem's own march, and the
+        # control window spans fl(2*dt) in 2 steps, each of exactly dt
         grid = Grid(T=1.0, A=2.0, Nt=5, Na=10, Nx=10)
         rates = VitalRates(beta=beta_window,
                            mu=lambda t, a, x: 0.2 + 0.0 * a * x, a_bar=0.4)
@@ -256,8 +279,8 @@ class TestDelayComposition:
 
         monkeypatch.setattr(control, "_time_window", spy)
         compose_delay_control(spec, CONFIG)
-        assert [w.grid.Nt for w in windows] == [3, 2]
-        assert [w.grid.dt for w in windows] == [grid.dt, grid.dt]
+        assert [w.grid.Nt for w in windows] == [2]
+        assert [w.grid.dt for w in windows] == [grid.dt]
 
     def test_window_reads_mortality_on_the_outer_clock(self):
         spec = make_spec(a_bar=0.5)
@@ -398,14 +421,17 @@ class TestPropagatorBuilds:
         assert len(builds) == 1 and builds[0] is spec
 
     def test_delay_builds_once_per_window(self, builds):
-        sol = compose_delay_control(make_spec(), CONFIG)
+        spec = make_spec()
+        sol = compose_delay_control(spec, CONFIG)
         assert sol.cg_iterations > 1
-        # the free march and the control window: two problems, one build each
-        assert len(builds) == len({id(spec) for spec in builds}) == 2
+        # the problem, whose own march is the free phase, and the control
+        # window: two problems, one build each
+        assert len(builds) == len({id(b) for b in builds}) == 2
+        assert builds[0] is spec
 
     def test_glue_builds_once_per_problem(self, builds):
         spec = make_spec(k=PowerLaw(0.5, 0.5))
         glue_two_sided(spec, CONFIG, 3.0 / 16.0, 14.0 / 16.0)
-        # the whole problem, and each side's free march and control window
+        # the whole problem, and each side's problem and control window
         assert len(builds) == len({id(spec) for spec in builds}) == 5
         assert sum(b is spec for b in builds) == 1

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from degenpop import solver
 from degenpop.coeffs import VitalRates
 from degenpop.scenarios import (AUDIT_NAMES, AUDITS, ConfigError, Scenario,
                                 classify_growth, load_scenario,
@@ -386,6 +387,21 @@ class TestRunScenario:
         fresh = run_scenario(preset(name), tmp_path / "fresh")
         assert first == fresh
         assert second == fresh
+
+    def test_run_builds_two_propagators(self, tmp_path, monkeypatch):
+        # the problem, whose own march is the free phase, and the control
+        # window of the delayed control
+        builds = []
+        build = solver._Propagator.__init__
+
+        def counting(prop, spec):
+            builds.append(spec)
+            build(prop, spec)
+
+        monkeypatch.setattr(solver._Propagator, "__init__", counting)
+        scenario = preset("tirathaba_28C")
+        run_scenario(scenario, tmp_path / "out")
+        assert len(builds) == 2 and builds[0] is scenario.spec
 
     def test_audits_write_reports(self, tmp_path):
         cfg = config(audits=["caccioppoli"])
