@@ -413,7 +413,7 @@ def validate_hypotheses(coef: DegenerateCoefficient, rates: VitalRates,
 
     add("horizon", T < A, f"T = {T:.6g}, A = {A:.6g} (need T < A)")
     add("fertility onset", 0.0 < rates.a_bar <= T,
-        f"a_bar = {rates.a_bar:.6g} (need 0 < a_bar <= T)")
+        f"a_bar = {rates.a_bar!r} (need 0 < a_bar <= T)")
     if delta is not None:
         add("age cutoff", T < delta < A,
             f"delta = {delta:.6g} (need T < delta < A)")
@@ -460,7 +460,7 @@ def validate_hypotheses(coef: DegenerateCoefficient, rates: VitalRates,
     pre = a_grid[:, 0] <= rates.a_bar
     quiet = np.all(np.abs(beta_vals[pre, :]) <= 1e-12 * max(1.0, np.max(np.abs(beta_vals))))
     add("fertility support", bool(quiet),
-        f"beta vanishes for a <= a_bar = {rates.a_bar:.6g}")
+        f"beta vanishes for a <= a_bar = {rates.a_bar!r}")
     mu_ok = not any(
         np.any(np.asarray(rates.mu(t, a_grid, x_grid), dtype=float) < 0.0)
         for t in np.linspace(0.0, T, 5))

@@ -248,9 +248,15 @@ class _WeightedQuadrature:
     """The half of ``weighted_norm`` that depends on the nodes and the
     weight alone, built once for any number of fields on the same nodes.
 
-    It holds the nodal weights with the non-finite end nodes set to 0 and,
-    for each such end, the weight at the points of its geometric
-    subdivision (``_EndCell``).  ``nodal`` is ``weight`` at ``x``, which a
+    The integral of weight * f**2 is
+    ``weights @ f**2 + end_cells(f[end_nodes])``.  ``weights`` holds one
+    weight per node: the trapezoid weight times the nodal weight, with
+    the cell next to a non-finite end folded out (the end node weighs 0,
+    its neighbour keeps the half of its other cell).
+    Each such end cell is an ``_EndCell``, the weight sampled on a
+    geometric subdivision toward the end, which ``end_cells`` integrates
+    from the field at the cell's two nodes.  A caller may sum the first
+    term over blocks of nodes.  ``nodal`` is ``weight`` at ``x``, which a
     caller that already evaluated it passes in; ``weight`` itself is
     called only at the subdivision points.
     """
@@ -264,26 +270,44 @@ class _WeightedQuadrature:
             raise ValueError(f"weight is not finite at the interior node "
                              f"x = {float(x[bad])!r}; only an end node may "
                              f"be singular")
-        self.h = float(x[1] - x[0])
-        self.nodal = np.where(finite, nodal, 0.0)
-        self.ends = tuple((index, _EndCell(weight, x[index], orient, self.h))
-                          for index, orient in ((0, 1.0), (-1, -1.0))
-                          if not finite[index])
+        h = float(x[1] - x[0])
+        # built in place: this is one of the node-sized arrays a Hardy
+        # report holds
+        self.weights = np.where(finite, nodal, 0.0)
+        self.weights *= h
+        self.weights[[0, -1]] *= 0.5
+        # (end node, its neighbour, direction into the cell)
+        ends = [(index, inward, orient)
+                for index, inward, orient in ((0, 1, 1.0), (-1, -2, -1.0))
+                if not finite[index]]
+        if x.size == 2:
+            # one cell, the end at x[-1] integrates it if both are singular
+            ends = ends[-1:]
+        for _, inward, _ in ends:
+            if finite[inward]:  # take off its half of the end cell
+                self.weights[inward] -= 0.5 * h * nodal[inward]
+        self.ends = tuple(_EndCell(weight, x[index], orient, h)
+                          for index, _, orient in ends)
+        self.end_nodes = np.array([i for index, inward, _ in ends
+                                   for i in (index, inward)], dtype=int)
+
+    def end_cells(self, at_ends: np.ndarray) -> float:
+        """The end cells' integral; ``at_ends`` is the field at
+        ``end_nodes``, (end node, neighbour) per end."""
+        total = 0.0
+        for end, (f_end, f_inward) in zip(self.ends,
+                                          np.reshape(at_ends, (-1, 2))):
+            total += end.integral(f_end, f_inward)
+        return float(total)
 
     def norm(self, values: np.ndarray) -> float:
         """Integral of weight * values**2 for the nodal field ``values``."""
         f = np.asarray(values, dtype=float)
-        if f.shape != self.nodal.shape:
+        if f.shape != self.weights.shape:
             raise ValueError("values and nodes must be 1-D arrays of one "
                              "length")
-        g = self.nodal * f
-        g *= f
-        cells = g[:-1] + g[1:]
-        cells *= 0.5 * self.h
-        for index, end in self.ends:
-            inward = 1 if index == 0 else -2
-            cells[index] = end.integral(f[index], f[inward])
-        return float(cells.sum())
+        return (float(self.weights @ (f * f))
+                + self.end_cells(f[self.end_nodes]))
 
 
 class _EndCell:

@@ -354,6 +354,16 @@ class TestCommands:
         assert [str(w.message) for w in recwarn] == [
             "a_bar = 0.5000001 is not a multiple of dt; snapping to 0.5"]
 
+    def test_hypothesis_report_prints_the_given_a_bar(self, tmp_path,
+                                                      capsys):
+        # rounded by :g, 1.0000001 would read as T = 1, an admissible onset
+        path = tiny_variant(tmp_path, {"model.a_bar": 1.0000001})
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        printed = capsys.readouterr().out
+        assert "[FAIL] fertility onset: a_bar = 1.0000001 (need 0 < a_bar " \
+            "<= T)" in printed
+        assert "beta vanishes for a <= a_bar = 1.0000001" in printed
+
     def test_overflowing_switch_bound_is_null(self, tmp_path):
         # exp(A * max(beta)^2 * T / 2) = exp(160000) overflows a float
         path = tiny_variant(tmp_path, {"model.beta.height": 400.0})
