@@ -64,16 +64,25 @@ def _sweep(args) -> tuple[float, ...]:
     return values
 
 
-def _seed(text: str) -> int:
-    """An argparse type: the non-negative integers numpy takes as seeds."""
+def _integer(text: str, low: int, what: str) -> int:
+    """``text`` as an integer of at least ``low``; argparse names the option."""
     try:
         value = int(text)
     except ValueError:
         value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {text!r}")
+    if value is None or value < low:
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
     return value
+
+
+def _seed(text: str) -> int:
+    """An argparse type: the non-negative integers numpy takes as seeds."""
+    return _integer(text, 0, "a non-negative integer")
+
+
+def _count(text: str) -> int:
+    """An argparse type: the size of an audit's sample or ensemble."""
+    return _integer(text, 1, "a positive integer")
 
 
 def _cmd_validate(args) -> int:
@@ -216,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hardy-audit", help="Hardy-Poincare ratio report")
     common(p)
-    p.add_argument("--count", type=int, default=100,
+    p.add_argument("--count", type=_count, default=100,
                    help="number of random test functions")
     p.set_defaults(handler=_cmd_audit, audit="hardy", audit_params=lambda a: {
         "count": a.count, "n_quad": 400_001})
@@ -224,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("carleman-audit",
                        help="weighted Carleman inequality report")
     common(p)
-    p.add_argument("--count", type=int, default=3,
+    p.add_argument("--count", type=_count, default=3,
                    help="number of manufactured samples")
     p.add_argument("--s-sweep", help="comma separated s values")
     p.set_defaults(handler=_cmd_audit, audit="carleman",
@@ -234,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("caccioppoli-audit",
                        help="interior gradient bound report")
     common(p)
-    p.add_argument("--count", type=int, default=3,
+    p.add_argument("--count", type=_count, default=3,
                    help="number of manufactured samples")
     p.add_argument("--s-sweep", help="comma separated s values (first used)")
     p.set_defaults(handler=_cmd_audit, audit="caccioppoli",
@@ -243,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("observability", help="empirical observability ratios")
     common(p)
-    p.add_argument("--count", type=int, default=20, help="ensemble size")
+    p.add_argument("--count", type=_count, default=20, help="ensemble size")
     p.set_defaults(handler=_cmd_audit, audit="observability",
                    audit_params=lambda a: {"count": a.count})
 

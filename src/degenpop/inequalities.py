@@ -2,11 +2,11 @@
 
 Each audit evaluates both sides of an inequality on a family of exact
 discrete solutions and reports the worst ratio as an empirical constant.
-The weighted integrands combine singular time-age factors with
-exponentially small weights, so every integrand is assembled in log
-space: the exponent is set to -inf at the Theta poles and wherever the
-field vanishes, which makes those quadrature nodes contribute exactly 0
-instead of NaN.
+Each side of a Carleman-type audit is a quadratic form: per s, one
+weight array over Q (quadrature weights times the Carleman weight) for
+each of v^2, v_x^2 and f^2, dotted with every sample's squares.  The
+weight is exactly 0 at the Theta poles and +inf only where x^2/k is;
+there a sample must vanish, or the audit raises.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .discretize import (
     _WeightedQuadrature,
     _write_csv,
     axis_weights,
-    integrate_nodes,
     spawn_rng,
     weighted_norm,
     window_mask,
@@ -406,78 +405,66 @@ def manufactured_family(spec: ProblemSpec, count: int, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# weighted quadrature plumbing
+# weighted quadrature over Q
 
 
-def _log_theta_grid(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    theta = eval_theta(grid.t_nodes[:, None], grid.a_nodes[None, :], grid.T)
-    with np.errstate(divide="ignore"):
-        return theta, np.log(theta)
+def _rule(grid: Grid, x_rule=None) -> np.ndarray:
+    """Tensor trapezoid weights over Q; ``x_rule`` replaces the x axis's."""
+    if x_rule is None:
+        x_rule = axis_weights(grid.Nx + 1, grid.dx)
+    return (axis_weights(grid.Nt + 1, grid.dt)[:, None, None]
+            * axis_weights(grid.Na + 1, grid.da)[None, :, None] * x_rule)
 
 
-def _exponent(theta, log_theta, s, theta_power, profile_x, log_geom_x):
-    """log of s-free weight: theta_power*log(Theta) + 2s*Theta*profile + geom.
+def _window_rule(grid: Grid, window: tuple[float, float],
+                 name: str) -> np.ndarray:
+    """The x trapezoid weights of the nodes in ``window``, 0 elsewhere."""
+    sel = window_nodes(grid.x_nodes, window, name)
+    rule = np.zeros(grid.Nx + 1)
+    rule[sel] = axis_weights(np.count_nonzero(sel), grid.dx)
+    return rule
 
-    profile_x must be strictly negative so the Theta poles force the
-    exponent to -inf (weight exactly 0 there).
+
+def _weight(grid: Grid, s: float, theta_power: float, profile_x,
+            log_geom_x=0.0, x_rule=None) -> np.ndarray:
+    """Quadrature weights over Q of Theta^p e^{2s Theta profile} e^{geom}:
+    ``_rule(grid, x_rule)`` times exp(p log Theta + 2s Theta profile_x +
+    log_geom_x).  0 at the Theta poles (profile_x < 0), +inf where
+    log_geom_x is (x^2/k at a degenerate end; see ``_sample_rows``).
+    x_rule may be a window's trapezoid rule, or nonzero at one x node to
+    integrate over (t, a) there.
     """
-    with np.errstate(invalid="ignore"):
-        e = (theta_power * log_theta[:, :, None]
-             + 2.0 * s * theta[:, :, None] * profile_x[None, None, :]
-             + log_geom_x[None, None, :])
-        e = np.where(np.isinf(theta)[:, :, None], -np.inf, e)
-    return e
-
-
-def _weighted_square(grid: Grid, log_weight: np.ndarray,
-                     values: np.ndarray) -> float:
-    """Trapezoid integral of exp(log_weight) * values^2 over Q, or over the
-    (t, a) rectangle when both arrays hold a single x column (2-D)."""
+    theta = eval_theta(grid.t_nodes[:, None, None], grid.a_nodes[None, :, None],
+                       grid.T)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_i = np.where(values == 0.0, -np.inf,
-                         log_weight + 2.0 * np.log(np.abs(values)))
-        integrand = np.exp(log_i)
-    return integrate_nodes(integrand,
-                           (grid.dt, grid.da, grid.dx)[:integrand.ndim])
+        w = 2.0 * s * theta * profile_x
+        w += theta_power * np.log(theta)
+        w += log_geom_x
+        np.exp(w, out=w)
+    w[np.isinf(theta[:, :, 0])] = 0.0
+    w *= _rule(grid, x_rule)
+    return w
 
 
-def _carleman_lhs(grid: Grid, theta, log_theta, profile_x, log_geom_vx,
-                  log_geom_v):
-    """(s, v, v_x) -> s int_Q Theta e^{geom_vx} v_x^2 e^{2s Theta profile}
+def _carleman_lhs(grid: Grid, s: float, profile_x, log_geom_vx,
+                  log_geom_v) -> dict:
+    """Weights of s int_Q Theta e^{geom_vx} v_x^2 e^{2s Theta profile}
     + s^3 int_Q Theta^3 e^{geom_v} v^2 e^{2s Theta profile}, the left side
     of every Carleman audit."""
-    def lhs(s, v, vx):
-        return (s * _weighted_square(grid, _exponent(
-                    theta, log_theta, s, 1.0, profile_x, log_geom_vx), vx)
-                + s ** 3 * _weighted_square(grid, _exponent(
-                    theta, log_theta, s, 3.0, profile_x, log_geom_v), v))
-    return lhs
+    return {"vx": s * _weight(grid, s, 1.0, profile_x, log_geom_vx),
+            "v": s ** 3 * _weight(grid, s, 3.0, profile_x, log_geom_v)}
 
 
-def _degenerate_lhs(weights: CarlemanWeights, theta, log_theta):
-    """int_Q (s Theta k v_x^2 + s^3 Theta^3 (x^2/k) v^2) e^{2s phi}."""
-    coef, xs = weights.coef, weights.grid.x_nodes
-    with np.errstate(divide="ignore"):
-        log_k = np.asarray(coef.log_k(xs), dtype=float)
-    return _carleman_lhs(weights.grid, theta, log_theta,
-                         weights.phi_profile(), log_k,
-                         _log_x2_over_k(coef, xs))
-
-
-def _log_x2_over_k(coef: DegenerateCoefficient, x: np.ndarray) -> np.ndarray:
-    if isinstance(coef, PowerLaw):
-        with np.errstate(divide="ignore"):
-            out = (2.0 - coef.alpha0) * np.log(x)
-            if coef.alpha1 != 0.0:
-                out = out - coef.alpha1 * np.log1p(-x)
-        return out
-    kv = np.asarray(coef.k(x), dtype=float)
-    out = np.empty_like(kv)
+def _degenerate_lhs(weights: CarlemanWeights, s: float) -> dict:
+    """Weights of int_Q (s Theta k v_x^2 + s^3 Theta^3 (x^2/k) v^2) e^{2s phi}."""
+    xs = weights.grid.x_nodes
+    log_k = np.asarray(weights.coef.log_k(xs), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out[:] = 2.0 * np.log(x) - np.log(kv)
-    out[x == 0.0] = -np.inf
-    out[(kv == 0.0) & (x > 0.0)] = np.inf
-    return out
+        log_x2_over_k = 2.0 * np.log(xs) - log_k  # +inf where k = 0, x > 0
+    # 0/0 at x = 0, where x^2/k -> 0: k vanishes slower than x^2
+    log_x2_over_k[xs == 0.0] = -np.inf
+    return _carleman_lhs(weights.grid, s, weights.phi_profile(), log_k,
+                         log_x2_over_k)
 
 
 def reflect_coefficient(coef: DegenerateCoefficient) -> DegenerateCoefficient:
@@ -519,26 +506,55 @@ def window_nodes(xs: np.ndarray, window: tuple[float, float],
 
 
 def _make_row(idx: int, s: float, lhs: float, rhs: float) -> ReportRow:
+    lhs, rhs = float(lhs), float(rhs)
     if lhs == 0.0 and rhs == 0.0:
         return ReportRow(idx, s, lhs, rhs, None)
     return ReportRow(idx, s, lhs, rhs, lhs / rhs if rhs != 0.0 else math.inf)
 
 
-def _sample_rows(samples, grid: Grid, sweep, sides) -> list[ReportRow]:
-    """One report row per sample and s.
+def _sample_rows(samples, grid: Grid, sweep, forms) -> list[ReportRow]:
+    """One report row per sample and s, ordered by sample, then by s.
 
-    ``sides(s, v, f, v_x)`` receives s, one sample's nodal values and its
-    nodal x-gradient, and returns (lhs, rhs).
+    ``forms(s)`` gives the weights over Q of the left and the right side,
+    each a dict from "v", "vx" or "f" to an array; a side is the sum of
+    np.vdot(weights, field**2) over its entries (v_x: the nodal x-gradient
+    of v).  Only one s's weights are held at a time.  A +inf weight counts
+    0 where the field vanishes and raises ValueError where it does not.
     """
-    rows = []
-    for idx, (v, f) in enumerate(samples):
-        if v.grid != grid or f.grid != grid:
-            raise ValueError("sample grid does not match the weight grid")
-        # second order: central inside, 3-point one-sided at the ends
-        vx = np.gradient(v.values, grid.dx, axis=-1, edge_order=2)
-        rows.extend(_make_row(idx, s, *sides(s, v.values, f.values, vx))
-                    for s in sweep)
-    return rows
+    if any(v.grid != grid or f.grid != grid for v, f in samples):
+        raise ValueError("sample grid does not match the weight grid")
+    squares = {key: np.empty(Field3._shape(grid)) for key in ("v", "vx", "f")}
+    rows = [[] for _ in samples]
+    for s in sweep:
+        sides = forms(s)
+        infinite = _zero_infinite(sides)
+        for idx, (v, f) in enumerate(samples):
+            np.square(v.values, out=squares["v"])
+            # second order: central inside, 3-point one-sided at the ends
+            np.square(np.gradient(v.values, grid.dx, axis=-1, edge_order=2),
+                      out=squares["vx"])
+            np.square(f.values, out=squares["f"])
+            for key, inf in infinite:
+                if np.any(squares[key][inf]):
+                    raise ValueError(f"sample {idx} is nonzero where its "
+                                     f"{key} weight is infinite")
+            lhs, rhs = (sum(np.vdot(w, squares[key]) for key, w in side.items())
+                        for side in sides)
+            rows[idx].append(_make_row(idx, s, lhs, rhs))
+        del sides  # before the next s's weights are built
+    return [row for per_sample in rows for row in per_sample]
+
+
+def _zero_infinite(sides) -> list:
+    """Set each +inf weight of ``sides`` to 0; (key, mask) per weight hit."""
+    infinite = []
+    for side in sides:
+        for key, w in side.items():
+            inf = np.isinf(w)
+            if inf.any():
+                w[inf] = 0.0
+                infinite.append((key, inf))
+    return infinite
 
 
 # ---------------------------------------------------------------------------
@@ -554,22 +570,16 @@ def carleman_audit_deg0(samples, weights: CarlemanWeights) -> InequalityReport:
     """
     _check_samples(samples)
     grid = weights.grid
-    theta, log_theta = _log_theta_grid(grid)
     prof = weights.phi_profile()
-    lhs = _degenerate_lhs(weights, theta, log_theta)
-    zeros = np.zeros_like(grid.x_nodes)
-    k_edge = float(weights.coef.k(grid.x_nodes[-1]))
+    edge = np.zeros_like(grid.x_nodes)
+    edge[-1] = weights.coef.k(grid.x_nodes[-1])
 
-    def sides(s, v, f, vx):
-        fterm = _weighted_square(grid, _exponent(theta, log_theta, s, 0.0,
-                                                 prof, zeros), f)
-        log_bt = _exponent(theta, log_theta, s, 1.0, prof[[-1]],
-                           zeros[[-1]])[:, :, 0]
-        bterm = 0.0 if k_edge == 0.0 else k_edge * _weighted_square(
-            grid, log_bt, vx[:, :, -1])
-        return lhs(s, v, vx), fterm + s * bterm
+    def forms(s):
+        return (_degenerate_lhs(weights, s),
+                {"f": _weight(grid, s, 0.0, prof),
+                 "vx": s * _weight(grid, s, 1.0, prof, x_rule=edge)})
 
-    rows = _sample_rows(samples, grid, weights.s_sweep, sides)
+    rows = _sample_rows(samples, grid, weights.s_sweep, forms)
     return InequalityReport("carleman_deg0", tuple(rows), weights.s_sweep,
                             {"kappa": weights.kappa})
 
@@ -595,27 +605,18 @@ def carleman_audit_nondeg(samples, weights: CarlemanWeights) -> InequalityReport
     _check_samples(samples)
     weights.require_nondeg()
     grid = weights.grid
-    theta, log_theta = _log_theta_grid(grid)
     psi = weights.Psi
     kappa_sigma = weights.kappa * weights.sigma
-    lhs = _carleman_lhs(grid, theta, log_theta, psi, kappa_sigma,
-                        3.0 * kappa_sigma)
-    zeros = np.zeros_like(grid.x_nodes)
-    kv = np.asarray(weights.coef.k(grid.x_nodes), dtype=float)
+    bracket = np.zeros_like(grid.x_nodes)  # [k ...] from 0 to 1
+    bracket[[0, -1]] = weights.coef.k(grid.x_nodes[[0, -1]]) * [-1.0, 1.0]
 
-    def sides(s, v, f, vx):
-        fterm = _weighted_square(grid, _exponent(theta, log_theta, s, 0.0,
-                                                 psi, zeros), f)
+    def forms(s):
+        return (_carleman_lhs(grid, s, psi, kappa_sigma, 3.0 * kappa_sigma),
+                {"f": _weight(grid, s, 0.0, psi),
+                 "vx": -s * weights.kappa * _weight(grid, s, 1.0, psi,
+                                                    kappa_sigma, bracket)})
 
-        def edge(i: int) -> float:
-            log_e = _exponent(theta, log_theta, s, 1.0, psi[[i]],
-                              kappa_sigma[[i]])[:, :, 0]
-            return kv[i] * _weighted_square(grid, log_e, vx[:, :, i])
-
-        bracket = edge(-1) - edge(0)
-        return lhs(s, v, vx), fterm - s * weights.kappa * bracket
-
-    rows = _sample_rows(samples, grid, weights.s_sweep, sides)
+    rows = _sample_rows(samples, grid, weights.s_sweep, forms)
     return InequalityReport("carleman_nondeg", tuple(rows), weights.s_sweep,
                             {"kappa": weights.kappa, "frak_d": weights.frak_d})
 
@@ -637,7 +638,7 @@ def carleman_local_audit(samples, omega: tuple[float, float],
     lo, hi = omega
     if not 0.0 < lo < hi < 1.0:
         raise ValueError("window must be strictly interior to (0,1)")
-    sel = window_nodes(grid.x_nodes, omega, "omega")
+    window = _rule(grid, _window_rule(grid, omega, "omega"))
     report_cls = classify_degeneracy(coef)
     if report_cls.degenerate_at_zero and report_cls.degenerate_at_one:
         raise ValueError("local audit needs one-sided degeneracy; "
@@ -650,9 +651,6 @@ def carleman_local_audit(samples, omega: tuple[float, float],
                        meta={**reflected.meta, "omega": [lo, hi]})
 
     xs = grid.x_nodes
-    theta, log_theta = _log_theta_grid(grid)
-    lhs = _degenerate_lhs(weights, theta, log_theta)
-    zeros = np.zeros_like(xs)
 
     # nondegenerate profile on (alpha_bar, 1), constant left of alpha_bar,
     # with alpha_bar = lo/2 on the node glue_two_sided's default snaps to
@@ -665,13 +663,11 @@ def carleman_local_audit(samples, omega: tuple[float, float],
     psi_ext[i0:] = sub_weights.Psi
     psi_ext[:i0] = sub_weights.Psi[0]
 
-    def sides(s, v, f, vx):
-        fterm = _weighted_square(grid, _exponent(theta, log_theta, s, 0.0,
-                                                 psi_ext, zeros), f)
-        window = integrate_nodes(v[:, :, sel] ** 2, (grid.dt, grid.da, grid.dx))
-        return lhs(s, v, vx), fterm + window
+    def forms(s):
+        return (_degenerate_lhs(weights, s),
+                {"f": _weight(grid, s, 0.0, psi_ext), "v": window})
 
-    rows = _sample_rows(samples, grid, weights.s_sweep, sides)
+    rows = _sample_rows(samples, grid, weights.s_sweep, forms)
     return InequalityReport("carleman_local_deg0", tuple(rows),
                             weights.s_sweep,
                             {"kappa": weights.kappa, "omega": [lo, hi]})
@@ -691,21 +687,17 @@ def caccioppoli_audit(samples, omega_prime: tuple[float, float],
     if not (0.0 < lo < lo_p < hi_p < hi < 1.0):
         raise ValueError("need omega' strictly inside omega strictly inside (0,1)")
     grid = samples[0][0].grid
-    xs = grid.x_nodes
-    psi_x = np.asarray(psi(xs), dtype=float)
+    psi_x = np.asarray(psi(grid.x_nodes), dtype=float)
     if np.any(psi_x >= 0.0):
         raise ValueError("Psi must be strictly negative on [0,1]")
-    theta, log_theta = _log_theta_grid(grid)
-    sel = window_nodes(xs, omega, "omega")
-    sel_p = window_nodes(xs, omega_prime, "omega'")
-    log_w = _exponent(theta, log_theta, s, 0.0, psi_x, np.zeros_like(xs))
+    window = _rule(grid, _window_rule(grid, omega, "omega"))
+    x_inner = _window_rule(grid, omega_prime, "omega'")
 
-    def sides(s, v, f, vx):
-        window = integrate_nodes(v[:, :, sel] ** 2, (grid.dt, grid.da, grid.dx))
-        lhs = _weighted_square(grid, log_w[:, :, sel_p], vx[:, :, sel_p])
-        return lhs, window + _weighted_square(grid, log_w, f)
+    def forms(s):
+        return ({"vx": _weight(grid, s, 0.0, psi_x, x_rule=x_inner)},
+                {"v": window, "f": _weight(grid, s, 0.0, psi_x)})
 
-    rows = _sample_rows(samples, grid, (s,), sides)
+    rows = _sample_rows(samples, grid, (s,), forms)
     return InequalityReport("caccioppoli", tuple(rows), (s,),
                             {"omega": [lo, hi], "omega_prime": [lo_p, hi_p]})
 

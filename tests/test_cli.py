@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -87,12 +88,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "--s-sweep value 1e+103" in err
 
-    def test_empty_hardy_family_maps_to_2(self, tiny_config, tmp_path, capsys):
-        for count in ("0", "-1"):
-            assert cli.main(["hardy-audit", "--config", str(tiny_config),
-                             "--out", str(tmp_path / "o"),
-                             "--count", count]) == 2
-            assert "empty test function family" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["hardy-audit", "carleman-audit",
+                                         "caccioppoli-audit", "observability"])
+    def test_count_must_be_positive(self, tiny_config, tmp_path, capsys,
+                                    command):
+        for count in ("0", "-1", "two"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, "--config", str(tiny_config),
+                          "--out", str(tmp_path / "o"), "--count", count])
+            assert exc.value.code == 2
+            assert (f"argument --count: must be a positive integer, "
+                    f"got {count!r}") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_non_finite_epsilon_maps_to_2(self, tiny_config, tmp_path, capsys):
         for eps in ("nan", "inf"):
@@ -399,6 +406,28 @@ class TestCommands:
         assert manifest["scenario"] == "tiny"
         for name in manifest["artifacts"]:
             assert (out / name).exists()
+
+    def test_every_csv_cell_of_run_is_a_number(self, tmp_path):
+        # a side written as "np.float64(5.8e-32)" would not parse; the
+        # one cell left empty is the ratio of an excluded 0/0 row
+        out = tmp_path / "run"
+        assert cli.main(["run", "--preset", "default_degenerate",
+                         "--out", str(out)]) == 0
+        paths = sorted(out.glob("*.csv"))
+        assert {p.name for p in paths} >= {"audit_carleman.csv",
+                                           "audit_observability.csv"}
+        for path in paths:
+            with path.open(newline="") as handle:
+                header, *rows = csv.reader(handle)
+            assert rows, path.name
+            for row in rows:
+                cells = dict(zip(header, row, strict=True))
+                if cells.get("ratio") == "":
+                    assert float(cells.pop("lhs")) == 0.0
+                    assert float(cells.pop("rhs")) == 0.0
+                    del cells["ratio"]
+                for cell in cells.values():
+                    float(cell)
 
     def test_seed_override_changes_data(self, tiny_config, tmp_path):
         out_a = tmp_path / "a"

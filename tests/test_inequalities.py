@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import Polynomial
 
+import degenpop.inequalities as inequalities
 from degenpop.coeffs import (PowerLaw, Tabulated, VitalRates,
                              build_carleman_weights)
 from degenpop.discretize import (Field2, Field3, Grid, integrate_nodes,
@@ -510,6 +511,23 @@ class TestCarlemanAudits:
         with pytest.raises(ValueError, match="grid"):
             carleman_audit_deg0(self._samples(spec), weights)
 
+    def test_infinite_weight_needs_a_vanishing_sample(self):
+        # x^2/k is +inf at x = 1 for k = x^0.5 (1-x)^0.5, where a
+        # Dirichlet sample vanishes; one that does not has no finite lhs
+        spec = small_spec(k=PowerLaw(0.5, 0.5))
+        weights = build_carleman_weights(spec.grid, spec.k, s_sweep=S_SMALL)
+        samples = self._samples(spec)
+        report = carleman_audit_deg0(samples, weights)
+        assert all(math.isfinite(r.lhs) and math.isfinite(r.rhs)
+                   for r in report.rows)
+        v, f = samples[1]
+        vals = v.values.copy()
+        vals[:, :, -1] = 1.0
+        samples[1] = (Field3(spec.grid, vals), f)
+        with pytest.raises(ValueError, match=r"sample 1 is nonzero where "
+                           r"its v weight is infinite"):
+            carleman_audit_deg0(samples, weights)
+
 
 class TestPinnedConstants:
     """Empirical constants of the Carleman-type audits on the small grid,
@@ -551,6 +569,52 @@ class TestPinnedConstants:
         # accept any value this small
         assert report.empirical_constant == pytest.approx(
             2.5205657747846396e-38, rel=1e-12, abs=0.0)
+
+
+class TestWeightsOncePerS:
+    """The weights over Q are built per s, never per sample."""
+
+    def _s_of_weight_calls(self, monkeypatch, run):
+        calls = []
+        real = inequalities._weight
+
+        def counting(grid, s, *args, **kwargs):
+            calls.append(s)
+            return real(grid, s, *args, **kwargs)
+
+        monkeypatch.setattr(inequalities, "_weight", counting)
+        run()
+        monkeypatch.undo()
+        return calls
+
+    @pytest.mark.parametrize("case", TestPinnedConstants.CASES)
+    def test_carleman_audits(self, monkeypatch, case):
+        k, audit, args, _ = TestPinnedConstants.CASES[case]
+        spec = small_spec(k=k)
+
+        def calls(count, sweep):
+            samples = manufactured_family(spec, count, seed=11)
+            weights = build_carleman_weights(spec.grid, k, s_sweep=sweep)
+            return self._s_of_weight_calls(
+                monkeypatch, lambda: audit(samples, *args, weights))
+
+        one = calls(1, S_SMALL)
+        assert calls(4, S_SMALL) == one
+        per_s = len(calls(1, (0.5,)))
+        assert per_s > 0
+        assert one == [s for s in S_SMALL for _ in range(per_s)]
+
+    def test_caccioppoli(self, monkeypatch):
+        spec = small_spec()
+        psi = lambda x: -(1.0 + 4.0 * x * (1.0 - x))
+
+        def calls(count):
+            samples = manufactured_family(spec, count, seed=11)
+            return self._s_of_weight_calls(monkeypatch, lambda: (
+                caccioppoli_audit(samples, (0.35, 0.65), (0.25, 0.75), psi,
+                                  s=1.0)))
+
+        assert calls(1) == calls(4) == [1.0, 1.0]
 
 
 class TestCaccioppoli:
