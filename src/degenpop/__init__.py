@@ -13,10 +13,9 @@ from .coeffs import (CarlemanWeights, DegeneracyReport, HypothesisReport,
 from .control import (ControlError, ControlSolution, HUMConfig,
                       compose_delay_control, forward_defect, glue_two_sided,
                       hum_control, scheme_consistency_error)
-from .discretize import (Field2, Field3, Grid, integrate_nodes,
-                         random_final_data, read_field_csv, sine_mode_data,
-                         spawn_rng, weighted_norm, write_field_csv,
-                         write_json)
+from .discretize import (Field2, Field3, Grid, random_final_data,
+                         read_field_csv, sine_mode_data, spawn_rng,
+                         weighted_norm, write_field_csv, write_json)
 from .inequalities import (CutoffFamily, InequalityReport, caccioppoli_audit,
                            carleman_audit_deg0, carleman_audit_deg1,
                            carleman_audit_nondeg, carleman_local_audit,

@@ -25,7 +25,6 @@ __all__ = [
     "Field2",
     "Field3",
     "axis_weights",
-    "integrate_nodes",
     "weighted_norm",
     "window_mask",
     "random_final_data",
@@ -211,22 +210,6 @@ def axis_weights(n_nodes: int, h: float) -> np.ndarray:
     w = np.full(n_nodes, h)
     w[0] = w[-1] = h / 2.0
     return w
-
-
-def integrate_nodes(values: np.ndarray, spacings: tuple[float, ...]) -> float:
-    """Tensor trapezoid integral of nodal data; exact for multilinear data."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != len(spacings):
-        raise ValueError("one spacing per array axis required")
-    for h in spacings:
-        w = axis_weights(arr.shape[0], h)
-        arr = _contract(w, arr)
-    return float(arr)
-
-
-def _contract(weights: np.ndarray, arr: np.ndarray):
-    """Quadrature weights of ``arr``'s first axis applied along it."""
-    return np.tensordot(weights, arr, axes=([0], [0]))
 
 
 def weighted_norm(values: np.ndarray, x: np.ndarray, weight) -> float:

@@ -202,25 +202,48 @@ def hardy_ratio(k, theta: float, case: str, test_functions, *,
     under a nonzero left one gives an infinite ratio.  A test function
     that does not vanish where the case needs it, or whose left or right
     side is not finite, raises ValueError naming its index, and so does
-    an empty family.
+    an empty family.  :func:`hardy_ratio_at_zero` is the same audit with
+    the singular end at x = 0; both are calls of one kernel.
+    """
+    return _hardy(k, theta, case, test_functions, n_quad, 1.0, "hardy")
+
+
+def hardy_ratio_at_zero(k, theta: float, case: str, test_functions, *,
+                        n_quad: int = 400_001) -> InequalityReport:
+    """Ratios of int k/x^2 w^2 over int k |w'|^2 per test function.
+
+    :func:`hardy_ratio` with the singular end at x = 0, by the same
+    kernel: HP1 cases need w(0) = 0, HP2 cases w(1) = 0.  Nothing is
+    reflected, so the rows match :func:`hardy_ratio` on the problem
+    reflected to x = 1 only to round-off: 1 - (1 - x) rounds the end
+    cell's finest points, by up to 2.1e-7 relative in HP2 rows (README).
+    """
+    return _hardy(k, theta, case, test_functions, n_quad, 0.0,
+                  "hardy_at_zero")
+
+
+def _hardy(k, theta: float, case: str, test_functions, n_quad: int,
+           end: float, name: str) -> InequalityReport:
+    """The Hardy audit with the left weight k/(end - x)^2, singular at
+    ``end`` (1.0 or 0.0), reported as ``name``.
 
     k is evaluated on the nodes once, and both sides' per-node weights
     (``_WeightedQuadrature``; the right side's are the trapezoid weights
     times k) are built once for the whole family.  Each test function
-    is then evaluated and summed over blocks of ``_HARDY_BLOCK`` nodes,
-    so the memory a report holds does not grow with the family, and the
-    left side's singular end cell is added from w at that cell's nodes.
+    is then evaluated, on views of the nodes only, and summed over
+    blocks of ``_HARDY_BLOCK`` nodes, so the memory a report holds does
+    not grow with the family.
     """
     if case not in _HARDY_CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {_HARDY_CASES}")
     if case in ("HP1", "HP1p"):
         if not 0.0 < theta < 1.0:
             raise ValueError("theta must lie in (0,1) for HP1 cases")
-        vanish_at = 1.0
+        vanish_at = end
     else:
         if not 1.0 < theta < 2.0:
             raise ValueError("theta must lie in (1,2) for HP2 cases")
-        vanish_at = 0.0
+        vanish_at = 1.0 - end
     bound = 4.0 / (1.0 - theta) ** 2
     nodes = np.linspace(0.0, 1.0, n_quad)
     k_fn = k.k if hasattr(k, "k") else k
@@ -229,17 +252,21 @@ def hardy_ratio(k, theta: float, case: str, test_functions, *,
     def weight_lhs(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return k_fn(x) / (1.0 - x) ** 2
+            return k_fn(x) / (end - x) ** 2
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        lhs_quad = _WeightedQuadrature(nodes, kv / (1.0 - nodes) ** 2,
+        lhs_quad = _WeightedQuadrature(nodes, kv / (end - nodes) ** 2,
                                        weight_lhs)
     rhs_weights = axis_weights(n_quad, float(nodes[1] - nodes[0]))
     rhs_weights *= kv
     del kv  # node-sized arrays held from here: nodes and the two weights
     blocks = [slice(lo, lo + _HARDY_BLOCK)
               for lo in range(0, n_quad, _HARDY_BLOCK)]
-    end_x = nodes[lhs_quad.end_nodes]
+    # views of the nodes: the end cell's, as lhs_quad.end_nodes orders
+    # them, and the one where w must vanish.  The other end has no end
+    # cell unless k is non-finite there, and then no right side is finite
+    end_x = nodes[:2] if end == 0.0 else nodes[:-3:-1]
+    vanish_x = nodes[:1] if vanish_at == 0.0 else nodes[-1:]
 
     rows = []
     for idx, (w, wp) in enumerate(test_functions):
@@ -251,7 +278,7 @@ def hardy_ratio(k, theta: float, case: str, test_functions, *,
             lhs += float(lhs_quad.weights[b] @ (wv * wv))
             wpv = np.asarray(wp(x), dtype=float)
             rhs += float(rhs_weights[b] @ (wpv * wpv))
-        edge = abs(float(w(np.asarray(vanish_at))))
+        edge = abs(float(np.asarray(w(vanish_x), dtype=float)[0]))
         if scale > 0.0 and edge > 1e-9 * scale:
             raise ValueError(
                 f"test function {idx} does not vanish at x = {vanish_at:g}")
@@ -266,30 +293,8 @@ def hardy_ratio(k, theta: float, case: str, test_functions, *,
         rows.append(row)
     if not rows:
         raise ValueError("empty test function family")
-    return InequalityReport("hardy", tuple(rows), (),
+    return InequalityReport(name, tuple(rows), (),
                             {"case": case, "theta": theta, "bound": bound})
-
-
-def hardy_ratio_at_zero(k, theta: float, case: str, test_functions, *,
-                        n_quad: int = 400_001) -> InequalityReport:
-    """Mirror inequality int k/x^2 w^2 <= C int k |w'|^2 via x -> 1-x.
-
-    Inputs describe the problem near x = 0 (so HP1 cases need w(0) = 0);
-    everything is reflected and delegated, which keeps the two audits
-    identical by construction.
-    """
-    k_fn = k.k if hasattr(k, "k") else k
-
-    def k_reflected(x):
-        return k_fn(1.0 - np.asarray(x, dtype=float))
-
-    def reflect(w, wp):
-        return (lambda x: w(1.0 - np.asarray(x, dtype=float)),
-                lambda x: -wp(1.0 - np.asarray(x, dtype=float)))
-
-    reflected = [reflect(w, wp) for w, wp in test_functions]
-    report = hardy_ratio(k_reflected, theta, case, reflected, n_quad=n_quad)
-    return replace(report, name="hardy_at_zero")
 
 
 def random_hardy_test_functions(vanish_at: float, count: int, seed: int):

@@ -192,10 +192,10 @@ class Scenario:
 
     Construction validates every structural hypothesis (horizons,
     degeneracy class, rate signs, window geometry), the audit list (known
-    names, each once) and the x windows of the listed audits (two nodes
-    each), and refuses invalid setups, so any Scenario in hand is
-    runnable.  ``r0_target`` is an optional literature
-    reference value attached as a label.
+    names, each once), the x windows of the listed audits (two nodes
+    each) and, for a listed Hardy audit, an end to audit, and refuses
+    invalid setups, so any Scenario in hand is runnable.  ``r0_target``
+    is an optional literature reference value attached as a label.
     """
 
     name: str
@@ -216,11 +216,16 @@ class Scenario:
         report = self.hypothesis_report()
         if not report.passed:
             raise _HypothesisError(report)
-        # a listed audit's x windows need two nodes for their trapezoid rules
-        for audit in self.audits:
+        # a listed audit's x windows need two nodes for their trapezoid
+        # rules, and a listed Hardy audit needs an end to audit
+        for i, audit in enumerate(self.audits):
             windows = _AUDIT_WINDOWS.get(audit, lambda spec: {})(self.spec)
             for name, window in windows.items():
                 window_nodes(self.spec.grid.x_nodes, window, name)
+            if audit == "hardy" and not _hardy_ends(self.spec.k):
+                raise ConfigError(f'key "audits[{i}]": the hardy audit has '
+                                  f'nothing to audit: no degenerate end of '
+                                  f'k has theta != 1')
 
     def hypothesis_report(self):
         grid = self.spec.grid
@@ -455,24 +460,30 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _hardy_ends(k) -> list:
+    """(stem, ratio function, end, theta) of each end the Hardy audit
+    covers: each degenerate end with exponent theta != 1."""
+    deg = classify_degeneracy(k)
+    return [(stem, ratio, end, float(theta))
+            for stem, ratio, end, degenerate, theta in (
+                ("hardy_at_one", hardy_ratio, 1.0, deg.degenerate_at_one,
+                 deg.theta1),
+                ("hardy_at_zero", hardy_ratio_at_zero, 0.0,
+                 deg.degenerate_at_zero, deg.theta0))
+            if degenerate and theta is not None and abs(theta - 1.0) > 1e-9]
+
+
 def _hardy_audit(scenario: Scenario, *, count: int, n_quad: int) -> list:
     """Hardy ratios at each degenerate endpoint with exponent theta != 1."""
     k, seed = scenario.spec.k, scenario.seed
-    deg = classify_degeneracy(k)
     reports = []
-    for stem, degenerate, theta, end, ratio in (
-            ("hardy_at_one", deg.degenerate_at_one, deg.theta1, 1.0,
-             hardy_ratio),
-            ("hardy_at_zero", deg.degenerate_at_zero, deg.theta0, 0.0,
-             hardy_ratio_at_zero)):
-        if degenerate and theta is not None and abs(theta - 1.0) > 1e-9:
-            theta = float(theta)
-            case = "HP1" if theta < 1.0 else "HP2"
-            # HP1 test functions vanish at the degenerate end, HP2 ones at
-            # the other end
-            vanish_at = end if case == "HP1" else 1.0 - end
-            fns = random_hardy_test_functions(vanish_at, count, seed)
-            reports.append((stem, ratio(k, theta, case, fns, n_quad=n_quad)))
+    for stem, ratio, end, theta in _hardy_ends(k):
+        case = "HP1" if theta < 1.0 else "HP2"
+        # HP1 test functions vanish at the degenerate end, HP2 ones at the
+        # other end
+        vanish_at = end if case == "HP1" else 1.0 - end
+        fns = random_hardy_test_functions(vanish_at, count, seed)
+        reports.append((stem, ratio(k, theta, case, fns, n_quad=n_quad)))
     return reports
 
 

@@ -198,6 +198,23 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 2
         assert 'key "audits[1]"' in capsys.readouterr().err
 
+    def test_hardy_audit_with_nothing_to_audit_maps_to_2(self, tmp_path,
+                                                          capsys):
+        # k = x: its one degenerate end has theta = 1, where no Hardy case
+        # applies; validate and run used to pass it and write no report
+        changes = {"model.k": {"form": "power", "alpha0": 1.0}}
+        path = tiny_variant(tmp_path, {**changes, "audits": ["hardy"]})
+        for command in ("validate", "run", "hardy-audit"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == 2
+            assert 'key "audits[0]": the hardy audit has nothing to audit' \
+                in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        path = tiny_variant(tmp_path, changes)
+        assert cli.main(["hardy-audit", "--config", str(path),
+                         "--out", str(tmp_path / "unlisted")]) == 2
+        assert "hardy audit: nothing to audit" in capsys.readouterr().err
+
     def test_out_of_memory_maps_to_2(self, tiny_config, tmp_path, capsys,
                                      monkeypatch):
         def exhausted(*args, **kwargs):

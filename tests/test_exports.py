@@ -261,6 +261,53 @@ def test_every_kwargs_is_filled():
     assert unfilled == []
 
 
+# functions in a module's __all__ that no package code calls, kept on purpose
+KEPT_PUBLIC = {
+    "weighted_norm": "the benchmark's tracer tests (perfbench/"
+                     "test_perfbench.py) trace it through inequalities",
+    "read_field_csv": "reads back the CSV snapshots that simulate, adjoint "
+                      "and run write",
+    "carleman_audit_nondeg": "the paper's Carleman estimate for a "
+                             "non-degenerate k, a library audit no preset "
+                             "selects",
+    "characteristic_consistency": "a check of the adjoint march against "
+                                  "its characteristics at every node",
+    "energy_audit": "the acceptance check of the forward march's energy "
+                    "estimate",
+}
+
+
+def _loaded_names() -> set:
+    """Names the package's code reads, each outside the body of the
+    function or class that defines it: a recursive call is no use."""
+    loaded = set()
+
+    def visit(node, defining: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(getattr(node, "ctx", None), ast.Load) \
+                and _name(node) not in defining:
+            loaded.add(_name(node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text()), frozenset())
+    return loaded
+
+
+def test_every_public_function_is_used():
+    # an exported function nothing calls is an orphan: it stays tested and
+    # documented after its last caller is gone.  Names are matched, not
+    # resolved; an import or an __all__ entry is no use.
+    loaded = _loaded_names()
+    public = {name for module in MODULES
+              for name in importlib.import_module(f"degenpop.{module}").__all__
+              if inspect.isfunction(_resolve(f"{module}.{name}"))}
+    assert sorted(public - loaded - set(KEPT_PUBLIC)) == []
+    assert set(KEPT_PUBLIC) <= public - loaded  # no stale entry
+
+
 def test_benchmark_tests_pass():
     # the benchmark reads the program's names (cli.solve_forward and the
     # traced spans); its own tests fail when one of them moves

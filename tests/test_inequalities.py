@@ -10,7 +10,7 @@ from numpy.polynomial import Polynomial
 import degenpop.inequalities as inequalities
 from degenpop.coeffs import (PowerLaw, Tabulated, VitalRates,
                              build_carleman_weights)
-from degenpop.discretize import (Field2, Field3, Grid, integrate_nodes,
+from degenpop.discretize import (Field2, Field3, Grid, axis_weights,
                                  random_final_data, spawn_rng, weighted_norm)
 from degenpop.inequalities import (_HARDY_BLOCK, CutoffFamily, ReportRow,
                                    _Horner,
@@ -166,21 +166,23 @@ def _reference_singular_cell(weight, x_s, orient, h, f_sing, f_reg):
     return total
 
 
-def _reference_hardy_rows(k, pairs, n_quad):
+def _reference_hardy_rows(k, pairs, n_quad, end):
+    # the left weight k/(end - x)^2 is singular at end, 1.0 or 0.0
     nodes = np.linspace(0.0, 1.0, n_quad)
     kv = np.asarray(k(nodes), dtype=float)
 
     def weight_lhs(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return k(x) / (1.0 - x) ** 2
+            return k(x) / (end - x) ** 2
 
     rows = []
     for idx, (w, wp) in enumerate(pairs):
         wv = np.asarray(w(nodes), dtype=float)
         wpv = np.asarray(wp(nodes), dtype=float)
         lhs = _reference_weighted_norm(wv, nodes, weight_lhs)
-        rhs = integrate_nodes(kv * wpv ** 2, (float(nodes[1] - nodes[0]),))
+        rhs = axis_weights(n_quad, float(nodes[1] - nodes[0])) \
+            @ (kv * wpv ** 2)
         rows.append(ReportRow(idx, 0.0, lhs, rhs, lhs / rhs))
     return tuple(rows)
 
@@ -214,11 +216,12 @@ def _close(value):
     return pytest.approx(value, rel=ROUND_OFF, abs=0.0)
 
 
-def _reflected(pairs):
-    def make(w, wp):
-        return (lambda x: w(1.0 - np.asarray(x, dtype=float)),
-                lambda x: -wp(1.0 - np.asarray(x, dtype=float)))
-    return [make(w, wp) for w, wp in pairs]
+def _one_end(at_zero, theta):
+    """The audit of one end, a k that degenerates there with exponent
+    theta, and the end, where the left weight is singular."""
+    if at_zero:
+        return hardy_ratio_at_zero, PowerLaw(theta, 0.0), 0.0
+    return hardy_ratio, PowerLaw(0.0, theta), 1.0
 
 
 class TestHardyOnce:
@@ -228,26 +231,15 @@ class TestHardyOnce:
                                             (1.5, "HP2"), (1.5, "HP2p")])
     @pytest.mark.parametrize("at_zero", [False, True])
     def test_rows_match_the_per_function_loop(self, theta, case, at_zero):
-        # the weight singular at the audited end: x = 1 for hardy_ratio,
-        # x = 0 for hardy_ratio_at_zero before its reflection
-        vanish_at = 1.0 if case.startswith("HP1") else 0.0
-        if at_zero:
-            vanish_at = 1.0 - vanish_at
+        ratio, k, end = _one_end(at_zero, theta)
+        vanish_at = end if case.startswith("HP1") else 1.0 - end
         fns = random_hardy_test_functions(vanish_at, 6, seed=5)
         ref = _reference_family(vanish_at, 6, seed=5)
         for (w, wp), (rw, rwp) in zip(fns, ref):
             assert w.coef.tobytes() == rw.coef.tobytes()
             assert wp.coef.tobytes() == rwp.coef.tobytes()
-        if at_zero:
-            k = PowerLaw(theta, 0.0)
-            got = hardy_ratio_at_zero(k, theta, case, fns, n_quad=self.N_QUAD)
-            want = _reference_hardy_rows(
-                lambda x: k.k(1.0 - np.asarray(x, dtype=float)),
-                _reflected(ref), self.N_QUAD)
-        else:
-            k = PowerLaw(0.0, theta)
-            got = hardy_ratio(k, theta, case, fns, n_quad=self.N_QUAD)
-            want = _reference_hardy_rows(k.k, ref, self.N_QUAD)
+        got = ratio(k, theta, case, fns, n_quad=self.N_QUAD)
+        want = _reference_hardy_rows(k.k, ref, self.N_QUAD, end)
         _assert_rows_close(got.rows, want)
 
     @pytest.mark.parametrize("ends", [(), (0,), (-1,), (0, -1)])
@@ -277,21 +269,12 @@ class TestHardyOnce:
     @pytest.mark.parametrize("at_zero", [False, True])
     def test_block_seams_match_the_reference(self, n_quad, at_zero):
         # one block, a full one, a last block of one node (the end cell's
-        # two nodes in different blocks) and three blocks; the singular
-        # end is x = 1 for hardy_ratio and x = 0 for hardy_ratio_at_zero
-        vanish_at = 0.0 if at_zero else 1.0
-        fns = random_hardy_test_functions(vanish_at, 3, seed=8)
-        ref = _reference_family(vanish_at, 3, seed=8)
-        if at_zero:
-            k = PowerLaw(0.5, 0.0)
-            got = hardy_ratio_at_zero(k, 0.5, "HP1", fns, n_quad=n_quad)
-            want = _reference_hardy_rows(
-                lambda x: k.k(1.0 - np.asarray(x, dtype=float)),
-                _reflected(ref), n_quad)
-        else:
-            k = PowerLaw(0.0, 0.5)
-            got = hardy_ratio(k, 0.5, "HP1", fns, n_quad=n_quad)
-            want = _reference_hardy_rows(k.k, ref, n_quad)
+        # two nodes in different blocks) and three blocks
+        ratio, k, end = _one_end(at_zero, 0.5)
+        fns = random_hardy_test_functions(end, 3, seed=8)
+        ref = _reference_family(end, 3, seed=8)
+        got = ratio(k, 0.5, "HP1", fns, n_quad=n_quad)
+        want = _reference_hardy_rows(k.k, ref, n_quad, end)
         _assert_rows_close(got.rows, want)
 
     def test_horner_on_a_block_is_its_slice_of_the_whole(self):
@@ -305,22 +288,61 @@ class TestHardyOnce:
             assert f(nodes[ends]).tobytes() == whole[ends].tobytes()
 
     def test_memory_does_not_grow_with_the_family(self):
-        # hardy_ratio_at_zero delegates to hardy_ratio
         n_quad = 400_001
 
-        def peak(count):
-            fns = random_hardy_test_functions(1.0, count, seed=0)
+        def peak(at_zero, count):
+            ratio, k, end = _one_end(at_zero, 0.5)
+            fns = random_hardy_test_functions(end, count, seed=0)
             tracemalloc.start()
             try:
-                hardy_ratio(PowerLaw(0.0, 0.5), 0.5, "HP1", fns,
-                            n_quad=n_quad)
+                ratio(k, 0.5, "HP1", fns, n_quad=n_quad)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        few, many = peak(5), peak(100)
-        assert many <= 6 * 8 * n_quad  # six node-sized float arrays
-        assert abs(many - few) <= 8 * _HARDY_BLOCK
+        for at_zero in (False, True):
+            few, many = peak(at_zero, 5), peak(at_zero, 100)
+            assert many <= 6 * 8 * n_quad  # six node-sized float arrays
+            assert abs(many - few) <= 8 * _HARDY_BLOCK
+
+    @pytest.mark.parametrize("at_zero", [False, True])
+    def test_test_functions_see_only_views_of_the_nodes(self, at_zero):
+        # w and w' are called on views of the one node array: w on the
+        # blocks, then on the node where it must vanish and on the end
+        # cell's two nodes; w' on the blocks
+        n_quad = 2 * _HARDY_BLOCK + 1
+        seen = {"w": [], "wp": []}
+
+        def recorded(key, f):
+            def call(x):
+                seen[key].append(x)
+                return f(x)
+            return call
+
+        ratio, k, end = _one_end(at_zero, 0.5)
+        fns = [(recorded("w", w), recorded("wp", wp))
+               for w, wp in random_hardy_test_functions(end, 2, seed=0)]
+        ratio(k, 0.5, "HP1", fns, n_quad=n_quad)
+        nodes = seen["w"][0].base
+        assert nodes.tobytes() == np.linspace(0.0, 1.0, n_quad).tobytes()
+        for key, calls in (("w", 5), ("wp", 3)):
+            args = seen[key]
+            assert all(np.shares_memory(x, nodes) for x in args), key
+            assert len(args) == 2 * calls, key
+            assert np.concatenate(args[:3]).tobytes() == nodes.tobytes()
+
+    @pytest.mark.parametrize("at_zero,case,theta,vanish_at", [
+        (False, "HP1", 0.5, "1"), (False, "HP2", 1.5, "0"),
+        (True, "HP1", 0.5, "0"), (True, "HP2", 1.5, "1")])
+    def test_vanishing_error_names_the_callers_end(self, at_zero, case,
+                                                   theta, vanish_at):
+        flat = (lambda x: np.ones_like(x), lambda x: np.zeros_like(x))
+        ratio, k, _ = _one_end(at_zero, theta)
+        with pytest.raises(ValueError, match=f"test function 1 does not "
+                                             f"vanish at x = {vanish_at}$"):
+            ratio(k, theta, case,
+                  random_hardy_test_functions(float(vanish_at), 1, seed=0)
+                  + [flat], n_quad=1001)
 
     @pytest.mark.parametrize("at_zero", [False, True])
     def test_k_is_evaluated_on_the_nodes_once(self, at_zero):
