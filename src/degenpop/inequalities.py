@@ -15,6 +15,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import Polynomial
+from numpy.polynomial.legendre import legvander
+from numpy.polynomial.polynomial import polyval
 
 from .coeffs import (CarlemanWeights, DegenerateCoefficient, PowerLaw,
                      Tabulated, build_carleman_weights, classify_degeneracy,
@@ -176,14 +179,16 @@ class CutoffFamily:
 # Hardy-Poincare ratios
 
 _HARDY_CASES = ("HP1", "HP1p", "HP2", "HP2p")
-# Nodes per block of the Hardy sums.  A block's nodes and one test
-# function's values (256 KiB each at 32 768) stay in a core's L2 cache
-# through the 14 passes of a degree-7 Horner evaluation, where 400 001
-# nodes (3.2 MB per array) spill out of it.  Best of 3-6 timings of one
-# report, 100 functions on 400 001 nodes (2-vCPU Xeon, 2 MiB L2 per core,
-# numpy 2.4): 4096 nodes 1.24 s, 8192 0.98 s, 16 384 0.75 s, 32 768
-# 0.71 s, 65 536 0.70 s, 131 072 0.86 s, all nodes at once 1.30 s.
-# 32 768 is as fast as 65 536 here and leaves room in a smaller L2.
+# Nodes per block of the Hardy Gram pass.  A block holds the basis, 7
+# doubles per node for degree-7 test functions, and a weighted copy.
+# Medians of 11 timings of one report, 100 functions on 400 001 nodes
+# (2-vCPU Xeon, 2 MiB L2 per core, numpy 2.4, 2 BLAS threads), and of
+# its Gram pass alone: 4096 nodes 0.074 s / 0.036 s, 8192 0.061 / 0.032,
+# 16 384 0.060 / 0.035, 32 768 0.076 / 0.050, 65 536 0.089 / 0.058, all
+# nodes at once 0.116 / 0.088.  32 768 stays for now: 8192 is 15 ms
+# faster per report and halves the worst round-off against np.longdouble
+# sums (1.3e-14 against 2.7e-14), a retuning left to its own change
+# (ROADMAP item 8).
 _HARDY_BLOCK = 32_768
 
 
@@ -191,19 +196,22 @@ def hardy_ratio(k, theta: float, case: str, test_functions, *,
                 n_quad: int = 400_001) -> InequalityReport:
     """Ratios of int k/(1-x)^2 w^2 over int k |w'|^2 per test function.
 
-    ``test_functions`` is a non-empty sized iterable of (w, w') pairs of
-    callables, such as :func:`random_hardy_test_functions` returns.
+    ``test_functions`` is a non-empty list of (w, w') pairs of
+    ``numpy.polynomial.Polynomial`` in x, such as
+    :func:`random_hardy_test_functions` returns; w' is taken as given.
     ``case`` follows the proposition's naming: HP1/HP1p need w(1) = 0 and
     theta in (0,1); HP2/HP2p need w(0) = 0 and theta in (1,2).  For the
     primed cases, where k/(1-x)^theta is monotone on all of (0,1), the
     ratio is checked against the closed bound 4/(1-theta)^2 and an
     arithmetic error is raised on violation (that bound is exact theory,
     so exceeding it means a quadrature or input bug).  A zero right side
-    under a nonzero left one gives an infinite ratio.  A test function
-    that does not vanish where the case needs it, or whose left or right
-    side is not finite, raises ValueError naming its index, and so does
-    an empty family.  :func:`hardy_ratio_at_zero` is the same audit with
-    the singular end at x = 0; both are calls of one kernel.
+    under a nonzero left one gives an infinite ratio.  A pair that is not
+    two such polynomials, a test function that does not vanish where the
+    case needs it, or one whose left or right side is not finite (a
+    non-finite coefficient makes it so) raises ValueError naming its
+    index, and so does an empty family.  :func:`hardy_ratio_at_zero` is
+    the same audit with the singular end at x = 0; both are calls of one
+    kernel.
     """
     return _hardy(k, theta, case, test_functions, n_quad, 1.0, "hardy")
 
@@ -229,10 +237,16 @@ def _hardy(k, theta: float, case: str, test_functions, n_quad: int,
 
     k is evaluated on the nodes once, and both sides' per-node weights
     (``_WeightedQuadrature``; the right side's are the trapezoid weights
-    times k) are built once for the whole family.  Each test function
-    is then evaluated, on views of the nodes only, and summed over
-    blocks of ``_HARDY_BLOCK`` nodes, so the memory a report holds does
-    not grow with the family.
+    times k) are built once for the whole family.  One pass over blocks
+    of ``_HARDY_BLOCK`` nodes then sums each side's Gram matrix of a
+    polynomial basis against its weights, and each row is a quadratic
+    form in the function's coefficients in that basis: on the left
+    1 and (x - end) P_j(2x - 1), with P_j the Legendre polynomials, so
+    that w(end) is the first coefficient (0 for an HP1 function); on the
+    right P_j(2x - 1).  No test function is evaluated on the node
+    blocks: w is evaluated at the end cell's two nodes, for
+    ``_WeightedQuadrature.end_cells``, and where it must vanish, which
+    is checked against its L^2(0,1) norm.
     """
     if case not in _HARDY_CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {_HARDY_CASES}")
@@ -260,29 +274,27 @@ def _hardy(k, theta: float, case: str, test_functions, n_quad: int,
     rhs_weights = axis_weights(n_quad, float(nodes[1] - nodes[0]))
     rhs_weights *= kv
     del kv  # node-sized arrays held from here: nodes and the two weights
-    blocks = [slice(lo, lo + _HARDY_BLOCK)
-              for lo in range(0, n_quad, _HARDY_BLOCK)]
-    # views of the nodes: the end cell's, as lhs_quad.end_nodes orders
-    # them, and the one where w must vanish.  The other end has no end
-    # cell unless k is non-finite there, and then no right side is finite
-    end_x = nodes[:2] if end == 0.0 else nodes[:-3:-1]
-    vanish_x = nodes[:1] if vanish_at == 0.0 else nodes[-1:]
+    w, wp = _hardy_coefficients(test_functions)
+    if not len(w):
+        raise ValueError("empty test function family")
+    lhs_forms, rhs_forms = _hardy_forms(w, wp, end, nodes, lhs_quad.weights,
+                                        rhs_weights)
+    scales = _l2_norms(w)
+    # w at the end cell's two nodes, as lhs_quad.end_nodes orders them
+    # (the other end has no end cell unless k is non-finite there, and
+    # then no right side is finite), then at the other end
+    at = polyval(nodes[[0, 1, -1]] if end == 0.0 else nodes[[-1, -2, 0]],
+                 w.T)
+    at_vanish = at[:, 0] if vanish_at == end else at[:, 2]
 
     rows = []
-    for idx, (w, wp) in enumerate(test_functions):
-        scale, lhs, rhs = 0.0, 0.0, 0.0
-        for b in blocks:
-            x = nodes[b]
-            wv = np.asarray(w(x), dtype=float)
-            scale = np.maximum(scale, np.max(np.abs(wv)))  # keeps a NaN
-            lhs += float(lhs_quad.weights[b] @ (wv * wv))
-            wpv = np.asarray(wp(x), dtype=float)
-            rhs += float(rhs_weights[b] @ (wpv * wpv))
-        edge = abs(float(np.asarray(w(vanish_x), dtype=float)[0]))
+    for idx in range(len(w)):
+        scale, edge = float(scales[idx]), abs(float(at_vanish[idx]))
         if scale > 0.0 and edge > 1e-9 * scale:
             raise ValueError(
                 f"test function {idx} does not vanish at x = {vanish_at:g}")
-        lhs += lhs_quad.end_cells(np.asarray(w(end_x), dtype=float))
+        lhs = float(lhs_forms[idx]) + lhs_quad.end_cells(at[idx, :2])
+        rhs = float(rhs_forms[idx])
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
             raise ValueError(f"test function {idx} gives a non-finite side: "
                              f"lhs {lhs!r}, rhs {rhs!r}")
@@ -291,50 +303,117 @@ def _hardy(k, theta: float, case: str, test_functions, n_quad: int,
             raise ArithmeticError(f"Hardy ratio {row.ratio:.6g} exceeds the "
                                   f"certified bound {bound:.6g}")
         rows.append(row)
-    if not rows:
-        raise ValueError("empty test function family")
     return InequalityReport(name, tuple(rows), (),
                             {"case": case, "theta": theta, "bound": bound})
+
+
+def _hardy_coefficients(test_functions) -> tuple[np.ndarray, np.ndarray]:
+    """The power-series coefficients in x of every (w, w') pair, one row
+    per pair, zero-padded to the family's longest; ValueError names the
+    first pair that is not two ``numpy.polynomial.Polynomial`` in x."""
+    pairs = []
+    for idx, pair in enumerate(test_functions):
+        polys = tuple(pair) if isinstance(pair, (tuple, list)) else ()
+        if len(polys) != 2 or not all(
+                isinstance(p, Polynomial) and np.isrealobj(p.coef)
+                and p.mapparms() == (0.0, 1.0) for p in polys):
+            raise ValueError(f"test function {idx} is not a (w, w') pair of "
+                             f"numpy.polynomial.Polynomial in x")
+        pairs.append(polys)
+
+    def stacked(polys):
+        out = np.zeros((len(polys), max((p.coef.size for p in polys),
+                                        default=1)))
+        for row, p in zip(out, polys):
+            row[:p.coef.size] = p.coef
+        return out
+
+    return stacked([w for w, _ in pairs]), stacked([wp for _, wp in pairs])
+
+
+def _shifted_legendre_of_monomials(size: int) -> np.ndarray:
+    """(size, size) matrix whose row j holds the coefficients of x^j in
+    the shifted Legendre polynomials P_i(2x - 1), i < size."""
+    out = np.zeros((size, size))
+    for j in range(size):
+        out[j, :j + 1] = np.polynomial.Legendre.cast(
+            Polynomial.basis(j), domain=[0.0, 1.0]).coef
+    return out
+
+
+def _l2_norms(coef: np.ndarray) -> np.ndarray:
+    """||w||_{L^2(0,1)} of each row of power-series coefficients: the sum
+    of c_j^2 / (2j + 1) over its coefficients c_j in the P_j(2x - 1)."""
+    size = coef.shape[1]
+    legendre = coef @ _shifted_legendre_of_monomials(size)
+    return np.sqrt(legendre ** 2 @ (1.0 / np.arange(1, 2 * size, 2)))
+
+
+def _hardy_forms(w: np.ndarray, wp: np.ndarray, end: float,
+                 nodes: np.ndarray, lhs_weights: np.ndarray,
+                 rhs_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each test function's node sums of lhs_weights * w^2 and of
+    rhs_weights * w'^2, from rows of power-series coefficients.
+
+    Each side is a quadratic form: coefficients, Gram matrix,
+    coefficients.  On the left they are w(end) and the coefficients of
+    q = (w - w(end)) / (x - end) in the P_j(2x - 1), as w = w(end) +
+    (x - end) q; on the right, those of w' in the P_j(2x - 1).
+    """
+    n = max(w.shape[1] - 1, wp.shape[1])  # the P_j(2x - 1) span q and w'
+    to_legendre = _shifted_legendre_of_monomials(n)
+    # q and w(end) by synthetic division at end, the family at once
+    q = np.zeros((len(w), n))
+    at_end = w[:, -1]
+    for j in range(w.shape[1] - 2, -1, -1):
+        q[:, j] = at_end
+        at_end = w[:, j] + end * at_end
+    lhs_coef = np.hstack([at_end[:, None], q @ to_legendre])
+    rhs_coef = wp @ to_legendre[:wp.shape[1]]
+    gram_lhs, gram_rhs = _hardy_grams(nodes, end, lhs_weights, rhs_weights,
+                                      n - 1)
+    return (np.einsum("ki,ij,kj->k", lhs_coef, gram_lhs, lhs_coef),
+            np.einsum("ki,ij,kj->k", rhs_coef, gram_rhs, rhs_coef))
+
+
+def _hardy_grams(nodes: np.ndarray, end: float, lhs_weights: np.ndarray,
+                 rhs_weights: np.ndarray,
+                 deg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrices of the Hardy bases over the nodes, summed over blocks
+    of ``_HARDY_BLOCK`` nodes: on the left 1 and (x - end) P_j(2x - 1)
+    against ``lhs_weights``, on the right P_j(2x - 1) against
+    ``rhs_weights``, j <= deg."""
+    gram_lhs = np.zeros((deg + 2, deg + 2))
+    gram_rhs = np.zeros((deg + 1, deg + 1))
+    for lo in range(0, nodes.size, _HARDY_BLOCK):
+        b = slice(lo, lo + _HARDY_BLOCK)
+        x = nodes[b]
+        basis = legvander(2.0 * x - 1.0, deg).T  # (deg + 1, block)
+        d = x - end
+        weighted = lhs_weights[b] * d
+        gram_lhs[0, 0] += lhs_weights[b].sum()
+        gram_lhs[0, 1:] += basis @ weighted
+        weighted *= d
+        gram_lhs[1:, 1:] += basis @ (basis * weighted).T
+        gram_rhs += basis @ (basis * rhs_weights[b]).T
+    gram_lhs[1:, 0] = gram_lhs[0, 1:]
+    return gram_lhs, gram_rhs
 
 
 def random_hardy_test_functions(vanish_at: float, count: int, seed: int):
     """Random degree-7 polynomials that vanish at ``vanish_at`` (0 or 1):
     an edge factor, 1 - x or x, times a degree-6 polynomial with standard
-    normal coefficients.  Returns (w, w') pairs of ``_Horner`` evaluators."""
+    normal coefficients.  Returns (w, w') pairs of
+    ``numpy.polynomial.Polynomial``."""
     if vanish_at not in (0.0, 1.0):
         raise ValueError(f"vanish_at must be 0 or 1, got {vanish_at!r}")
     rng = spawn_rng(seed, stream=11)
-    edge = np.polynomial.Polynomial([1.0, -1.0] if vanish_at == 1.0
-                                    else [0.0, 1.0])
+    edge = Polynomial([1.0, -1.0] if vanish_at == 1.0 else [0.0, 1.0])
     pairs = []
     for _ in range(count):
-        w = edge * np.polynomial.Polynomial(rng.standard_normal(7))
-        pairs.append((_Horner(w.coef), _Horner(w.deriv().coef)))
+        w = edge * Polynomial(rng.standard_normal(7))
+        pairs.append((w, w.deriv()))
     return pairs
-
-
-class _Horner:
-    """Power series with coefficients ``coef`` (lowest degree first),
-    evaluated by Horner's rule in one output buffer.
-
-    The operations and their order are those of
-    ``numpy.polynomial.Polynomial(coef)(x)``, so the bits are the same for
-    every x but -0.0, which that call first maps to +0.0 (a difference
-    that can show only in the sign of a zero result), without its domain
-    map and the temporary array of each step.
-    """
-
-    def __init__(self, coef) -> None:
-        self.coef = np.array(coef, dtype=float)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = x * 0.0
-        out += self.coef[-1]
-        for c in self.coef[-2::-1]:
-            out *= x
-            out += c
-        return out
 
 
 # ---------------------------------------------------------------------------
