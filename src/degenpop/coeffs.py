@@ -312,6 +312,10 @@ class CarlemanWeights:
     Psi: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
+        if not self.s_sweep or not all(math.isfinite(s) and s > 0.0
+                                       for s in self.s_sweep):
+            raise ValueError(f"s_sweep must hold one or more finite positive "
+                             f"values, got {self.s_sweep!r}")
         xs = self.grid.x_nodes
         if isinstance(self.coef, PowerLaw) and self.coef.alpha1 == 0.0 \
                 and self.grid.x_span[0] == 0.0:

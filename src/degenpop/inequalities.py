@@ -2,10 +2,11 @@
 
 Each audit evaluates both sides of an inequality on a family of exact
 discrete solutions and reports the worst ratio as an empirical constant.
-Each side of a Carleman-type audit is a quadratic form: per s, one
-weight array over Q (quadrature weights times the Carleman weight) for
-each of v^2, v_x^2 and f^2, dotted with every sample's squares.  The
-weight is exactly 0 at the Theta poles and +inf only where x^2/k is;
+Each side of a Carleman-type audit is a quadratic form, summed one time
+level at a time: at each level, one weight block (quadrature weights
+times the Carleman weight) per s of the sweep for each of v^2, v_x^2 and
+f^2, and one matrix product of every sample's squares with those blocks.
+The weight is exactly 0 at the Theta poles and +inf only where x^2/k is;
 there a sample must vanish, or the audit raises.
 """
 
@@ -182,14 +183,12 @@ _HARDY_CASES = ("HP1", "HP1p", "HP2", "HP2p")
 # Nodes per block of the Hardy Gram pass.  A block holds the basis, 7
 # doubles per node for degree-7 test functions, and a weighted copy.
 # Medians of 11 timings of one report, 100 functions on 400 001 nodes
-# (2-vCPU Xeon, 2 MiB L2 per core, numpy 2.4, 2 BLAS threads), and of
-# its Gram pass alone: 4096 nodes 0.074 s / 0.036 s, 8192 0.061 / 0.032,
-# 16 384 0.060 / 0.035, 32 768 0.076 / 0.050, 65 536 0.089 / 0.058, all
-# nodes at once 0.116 / 0.088.  32 768 stays for now: 8192 is 15 ms
-# faster per report and halves the worst round-off against np.longdouble
-# sums (1.3e-14 against 2.7e-14), a retuning left to its own change
-# (ROADMAP item 8).
-_HARDY_BLOCK = 32_768
+# (2-vCPU Xeon, 2 MiB L2 per core, numpy 2.4, 2 BLAS threads), at x = 1
+# and at x = 0: 4096 nodes 0.065 / 0.065 s, 8192 0.059 / 0.060, 16 384
+# 0.061 / 0.060, 32 768 0.071 / 0.070, 65 536 0.080 / 0.084.  8192 also
+# halves the worst round-off against np.longdouble sums: 1.3e-14, against
+# 2.7e-14 at 32 768 (six theta, both ends, up to 400 001 nodes).
+_HARDY_BLOCK = 8192
 
 
 def hardy_ratio(k, theta: float, case: str, test_functions, *,
@@ -489,15 +488,33 @@ def manufactured_family(spec: ProblemSpec, count: int, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# weighted quadrature over Q
+# weighted quadrature over Q, one time level at a time
 
 
-def _rule(grid: Grid, x_rule=None) -> np.ndarray:
-    """Tensor trapezoid weights over Q; ``x_rule`` replaces the x axis's."""
-    if x_rule is None:
-        x_rule = axis_weights(grid.Nx + 1, grid.dx)
-    return (axis_weights(grid.Nt + 1, grid.dt)[:, None, None]
-            * axis_weights(grid.Na + 1, grid.da)[None, :, None] * x_rule)
+class _Levels:
+    """The (t, a) factors of every Carleman-type weight on ``grid``, built
+    once per audit and read one time level at a time: Theta, log Theta,
+    the Theta poles and the t and a trapezoid weights."""
+
+    def __init__(self, grid: Grid) -> None:
+        self.theta = eval_theta(grid.t_nodes[:, None, None],
+                                grid.a_nodes[None, :, None], grid.T)
+        with np.errstate(divide="ignore"):
+            self.log_theta = np.log(self.theta)
+        self.poles = np.isinf(self.theta[:, :, 0])
+        self.rule = (axis_weights(grid.Nt + 1, grid.dt)[:, None, None]
+                     * axis_weights(grid.Na + 1, grid.da)[None, :, None])
+        self.x_rule = axis_weights(grid.Nx + 1, grid.dx)
+
+    def rule_at(self, n: int, x_rule=None) -> np.ndarray:
+        """Tensor trapezoid weights of level n, (Na+1, Nx+1); ``x_rule``
+        replaces the x axis's."""
+        return self.rule[n] * (self.x_rule if x_rule is None else x_rule)
+
+
+def _column(sweep) -> np.ndarray:
+    """The values of an s sweep as an (S, 1, 1) array."""
+    return np.asarray(sweep, dtype=float)[:, None, None]
 
 
 def _window_rule(grid: Grid, window: tuple[float, float],
@@ -509,46 +526,50 @@ def _window_rule(grid: Grid, window: tuple[float, float],
     return rule
 
 
-def _weight(grid: Grid, s: float, theta_power: float, profile_x,
-            log_geom_x=0.0, x_rule=None) -> np.ndarray:
-    """Quadrature weights over Q of Theta^p e^{2s Theta profile} e^{geom}:
-    ``_rule(grid, x_rule)`` times exp(p log Theta + 2s Theta profile_x +
-    log_geom_x).  0 at the Theta poles (profile_x < 0), +inf where
-    log_geom_x is (x^2/k at a degenerate end; see ``_sample_rows``).
+def _weight(levels: _Levels, n: int, s: np.ndarray, theta_power: float,
+            profile_x, log_geom_x=0.0, x_rule=None) -> np.ndarray:
+    """Quadrature weights at time level n of Theta^p e^{2s Theta profile}
+    e^{geom}, one (Na+1, Nx+1) block per s of the (S, 1, 1) sweep ``s``:
+    ``levels.rule_at(n, x_rule)`` times exp(p log Theta + 2s Theta
+    profile_x + log_geom_x).  0 at the Theta poles (profile_x < 0), +inf
+    where log_geom_x is (x^2/k at a degenerate end; see ``_sample_rows``).
     x_rule may be a window's trapezoid rule, or nonzero at one x node to
     integrate over (t, a) there.
     """
-    theta = eval_theta(grid.t_nodes[:, None, None], grid.a_nodes[None, :, None],
-                       grid.T)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = 2.0 * s * theta * profile_x
-        w += theta_power * np.log(theta)
+        w = 2.0 * s * levels.theta[n] * profile_x
+        w += theta_power * levels.log_theta[n]
         w += log_geom_x
         np.exp(w, out=w)
-    w[np.isinf(theta[:, :, 0])] = 0.0
-    w *= _rule(grid, x_rule)
+    w[:, levels.poles[n]] = 0.0
+    w *= levels.rule_at(n, x_rule)
     return w
 
 
-def _carleman_lhs(grid: Grid, s: float, profile_x, log_geom_vx,
+def _carleman_lhs(levels: _Levels, n: int, sweep, profile_x, log_geom_vx,
                   log_geom_v) -> dict:
-    """Weights of s int_Q Theta e^{geom_vx} v_x^2 e^{2s Theta profile}
-    + s^3 int_Q Theta^3 e^{geom_v} v^2 e^{2s Theta profile}, the left side
-    of every Carleman audit."""
-    return {"vx": s * _weight(grid, s, 1.0, profile_x, log_geom_vx),
-            "v": s ** 3 * _weight(grid, s, 3.0, profile_x, log_geom_v)}
+    """Weights at level n of s int_Q Theta e^{geom_vx} v_x^2 e^{2s Theta
+    profile} + s^3 int_Q Theta^3 e^{geom_v} v^2 e^{2s Theta profile}, the
+    left side of every Carleman audit, for each s of ``sweep``."""
+    s = _column(sweep)
+    vx = _weight(levels, n, s, 1.0, profile_x, log_geom_vx)
+    vx *= s
+    v = _weight(levels, n, s, 3.0, profile_x, log_geom_v)
+    v *= _column([value ** 3 for value in sweep])  # Python's pow, per s
+    return {"vx": vx, "v": v}
 
 
-def _degenerate_lhs(weights: CarlemanWeights, s: float) -> dict:
-    """Weights of int_Q (s Theta k v_x^2 + s^3 Theta^3 (x^2/k) v^2) e^{2s phi}."""
+def _degenerate_lhs(weights: CarlemanWeights) -> tuple:
+    """The x profiles of int_Q (s Theta k v_x^2 + s^3 Theta^3 (x^2/k) v^2)
+    e^{2s phi} in ``_carleman_lhs``'s order: phi's profile, log k and
+    log x^2/k."""
     xs = weights.grid.x_nodes
     log_k = np.asarray(weights.coef.log_k(xs), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_x2_over_k = 2.0 * np.log(xs) - log_k  # +inf where k = 0, x > 0
     # 0/0 at x = 0, where x^2/k -> 0: k vanishes slower than x^2
     log_x2_over_k[xs == 0.0] = -np.inf
-    return _carleman_lhs(weights.grid, s, weights.phi_profile(), log_k,
-                         log_x2_over_k)
+    return weights.phi_profile(), log_k, log_x2_over_k
 
 
 def reflect_coefficient(coef: DegenerateCoefficient) -> DegenerateCoefficient:
@@ -599,46 +620,65 @@ def _make_row(idx: int, s: float, lhs: float, rhs: float) -> ReportRow:
 def _sample_rows(samples, grid: Grid, sweep, forms) -> list[ReportRow]:
     """One report row per sample and s, ordered by sample, then by s.
 
-    ``forms(s)`` gives the weights over Q of the left and the right side,
-    each a dict from "v", "vx" or "f" to an array; a side is the sum of
-    np.vdot(weights, field**2) over its entries (v_x: the nodal x-gradient
-    of v).  Only one s's weights are held at a time.  A +inf weight counts
-    0 where the field vanishes and raises ValueError where it does not.
+    ``forms(n)`` gives the weights of the left and the right side at time
+    level n, each a dict from "v", "vx" or "f" to an (S, Na+1, Nx+1)
+    array, one block per s of ``sweep``, or to an (Na+1, Nx+1) array for
+    a weight that does not depend on s.  Level by level, every sample's
+    squares of v, v_x (the nodal x-gradient of v) and f fill a (samples,
+    Na+1, Nx+1) block each, and a side gains one product of such a block
+    with its weights' blocks per term.  A +inf weight counts 0 where the
+    field vanishes; where a sample does not, ValueError names the lowest
+    such sample.
     """
     if any(v.grid != grid or f.grid != grid for v, f in samples):
         raise ValueError("sample grid does not match the weight grid")
-    squares = {key: np.empty(Field3._shape(grid)) for key in ("v", "vx", "f")}
-    rows = [[] for _ in samples]
-    for s in sweep:
-        sides = forms(s)
-        infinite = _zero_infinite(sides)
+    count, size = len(samples), (grid.Na + 1) * (grid.Nx + 1)
+    squares = {key: np.empty((count, grid.Na + 1, grid.Nx + 1))
+               for key in ("v", "vx", "f")}
+    flat = {key: block.reshape(count, size) for key, block in squares.items()}
+    sides = (np.zeros((count, len(sweep))), np.zeros((count, len(sweep))))
+    hits = {}  # key -> the samples nonzero where that weight is infinite
+    for n in range(grid.Nt + 1):
         for idx, (v, f) in enumerate(samples):
-            np.square(v.values, out=squares["v"])
-            # second order: central inside, 3-point one-sided at the ends
-            np.square(np.gradient(v.values, grid.dx, axis=-1, edge_order=2),
-                      out=squares["vx"])
-            np.square(f.values, out=squares["f"])
-            for key, inf in infinite:
-                if np.any(squares[key][inf]):
-                    raise ValueError(f"sample {idx} is nonzero where its "
-                                     f"{key} weight is infinite")
-            lhs, rhs = (sum(np.vdot(w, squares[key]) for key, w in side.items())
-                        for side in sides)
-            rows[idx].append(_make_row(idx, s, lhs, rhs))
-        del sides  # before the next s's weights are built
-    return [row for per_sample in rows for row in per_sample]
+            squares["v"][idx] = v.values[n]
+            squares["f"][idx] = f.values[n]
+        _x_gradient(squares["v"], grid.dx, out=squares["vx"])
+        for block in squares.values():
+            np.square(block, out=block)
+        for side, weights in zip(sides, forms(n)):
+            for key, w in weights.items():
+                w = w.reshape(-1, size)
+                inf = np.isinf(w)
+                if inf.any():
+                    w[inf] = 0.0
+                    hit = hits.setdefault(key, np.zeros(count, dtype=bool))
+                    hit |= flat[key][:, inf.any(axis=0)].any(axis=1)
+                side += flat[key] @ w.T
+        del weights, w, inf  # before the next level's weights are built
+    offending = [(idx, key) for key, hit in hits.items()
+                 for idx in np.flatnonzero(hit)]
+    if offending:
+        idx, key = min(offending, key=lambda pair: pair[0])
+        raise ValueError(f"sample {idx} is nonzero where its {key} weight "
+                         f"is infinite")
+    lhs, rhs = sides
+    return [_make_row(idx, s, lhs[idx, j], rhs[idx, j])
+            for idx in range(count) for j, s in enumerate(sweep)]
 
 
-def _zero_infinite(sides) -> list:
-    """Set each +inf weight of ``sides`` to 0; (key, mask) per weight hit."""
-    infinite = []
-    for side in sides:
-        for key, w in side.items():
-            inf = np.isinf(w)
-            if inf.any():
-                w[inf] = 0.0
-                infinite.append((key, inf))
-    return infinite
+def _x_gradient(values: np.ndarray, dx: float, out: np.ndarray) -> None:
+    """``np.gradient(values, dx, axis=-1, edge_order=2)`` into ``out``, both
+    C-contiguous, bit for bit: central differences inside, 3-point
+    one-sided ones at the ends.  The central differences run over the
+    flattened array, a fifth of np.gradient's time on a level's block;
+    the ends then overwrite those taken across two rows."""
+    flat, grad = values.reshape(-1), out.reshape(-1)
+    np.subtract(flat[2:], flat[:-2], out=grad[1:-1])
+    grad[1:-1] /= 2.0 * dx
+    out[..., 0] = (-1.5 / dx * values[..., 0] + 2.0 / dx * values[..., 1]
+                   + -0.5 / dx * values[..., 2])
+    out[..., -1] = (0.5 / dx * values[..., -3] + -2.0 / dx * values[..., -2]
+                    + 1.5 / dx * values[..., -1])
 
 
 # ---------------------------------------------------------------------------
@@ -653,17 +693,19 @@ def carleman_audit_deg0(samples, weights: CarlemanWeights) -> InequalityReport:
     RHS: int_Q f^2 e^{2s phi} + s int int Theta [k v_x^2 e^{2s phi}](x=1).
     """
     _check_samples(samples)
-    grid = weights.grid
-    prof = weights.phi_profile()
+    grid, sweep = weights.grid, weights.s_sweep
+    levels, s = _Levels(grid), _column(sweep)
+    lhs = _degenerate_lhs(weights)
+    prof = lhs[0]
     edge = np.zeros_like(grid.x_nodes)
     edge[-1] = weights.coef.k(grid.x_nodes[-1])
 
-    def forms(s):
-        return (_degenerate_lhs(weights, s),
-                {"f": _weight(grid, s, 0.0, prof),
-                 "vx": s * _weight(grid, s, 1.0, prof, x_rule=edge)})
+    def forms(n):
+        return (_carleman_lhs(levels, n, sweep, *lhs),
+                {"f": _weight(levels, n, s, 0.0, prof),
+                 "vx": s * _weight(levels, n, s, 1.0, prof, x_rule=edge)})
 
-    rows = _sample_rows(samples, grid, weights.s_sweep, forms)
+    rows = _sample_rows(samples, grid, sweep, forms)
     return InequalityReport("carleman_deg0", tuple(rows), weights.s_sweep,
                             {"kappa": weights.kappa})
 
@@ -688,19 +730,21 @@ def carleman_audit_nondeg(samples, weights: CarlemanWeights) -> InequalityReport
     """
     _check_samples(samples)
     weights.require_nondeg()
-    grid = weights.grid
+    grid, sweep = weights.grid, weights.s_sweep
+    levels, s = _Levels(grid), _column(sweep)
     psi = weights.Psi
     kappa_sigma = weights.kappa * weights.sigma
     bracket = np.zeros_like(grid.x_nodes)  # [k ...] from 0 to 1
     bracket[[0, -1]] = weights.coef.k(grid.x_nodes[[0, -1]]) * [-1.0, 1.0]
 
-    def forms(s):
-        return (_carleman_lhs(grid, s, psi, kappa_sigma, 3.0 * kappa_sigma),
-                {"f": _weight(grid, s, 0.0, psi),
-                 "vx": -s * weights.kappa * _weight(grid, s, 1.0, psi,
+    def forms(n):
+        return (_carleman_lhs(levels, n, sweep, psi, kappa_sigma,
+                              3.0 * kappa_sigma),
+                {"f": _weight(levels, n, s, 0.0, psi),
+                 "vx": -s * weights.kappa * _weight(levels, n, s, 1.0, psi,
                                                     kappa_sigma, bracket)})
 
-    rows = _sample_rows(samples, grid, weights.s_sweep, forms)
+    rows = _sample_rows(samples, grid, sweep, forms)
     return InequalityReport("carleman_nondeg", tuple(rows), weights.s_sweep,
                             {"kappa": weights.kappa, "frak_d": weights.frak_d})
 
@@ -722,7 +766,7 @@ def carleman_local_audit(samples, omega: tuple[float, float],
     lo, hi = omega
     if not 0.0 < lo < hi < 1.0:
         raise ValueError("window must be strictly interior to (0,1)")
-    window = _rule(grid, _window_rule(grid, omega, "omega"))
+    window = _window_rule(grid, omega, "omega")
     report_cls = classify_degeneracy(coef)
     if report_cls.degenerate_at_zero and report_cls.degenerate_at_one:
         raise ValueError("local audit needs one-sided degeneracy; "
@@ -747,11 +791,16 @@ def carleman_local_audit(samples, omega: tuple[float, float],
     psi_ext[i0:] = sub_weights.Psi
     psi_ext[:i0] = sub_weights.Psi[0]
 
-    def forms(s):
-        return (_degenerate_lhs(weights, s),
-                {"f": _weight(grid, s, 0.0, psi_ext), "v": window})
+    sweep = weights.s_sweep
+    levels, s = _Levels(grid), _column(sweep)
+    lhs = _degenerate_lhs(weights)
 
-    rows = _sample_rows(samples, grid, weights.s_sweep, forms)
+    def forms(n):
+        return (_carleman_lhs(levels, n, sweep, *lhs),
+                {"f": _weight(levels, n, s, 0.0, psi_ext),
+                 "v": levels.rule_at(n, window)})
+
+    rows = _sample_rows(samples, grid, sweep, forms)
     return InequalityReport("carleman_local_deg0", tuple(rows),
                             weights.s_sweep,
                             {"kappa": weights.kappa, "omega": [lo, hi]})
@@ -770,16 +819,20 @@ def caccioppoli_audit(samples, omega_prime: tuple[float, float],
     lo, hi = omega
     if not (0.0 < lo < lo_p < hi_p < hi < 1.0):
         raise ValueError("need omega' strictly inside omega strictly inside (0,1)")
+    if not (math.isfinite(s) and s > 0.0):
+        raise ValueError(f"s must be finite and positive, got {s!r}")
     grid = samples[0][0].grid
     psi_x = np.asarray(psi(grid.x_nodes), dtype=float)
     if np.any(psi_x >= 0.0):
         raise ValueError("Psi must be strictly negative on [0,1]")
-    window = _rule(grid, _window_rule(grid, omega, "omega"))
+    window = _window_rule(grid, omega, "omega")
     x_inner = _window_rule(grid, omega_prime, "omega'")
+    levels, s_col = _Levels(grid), _column((s,))
 
-    def forms(s):
-        return ({"vx": _weight(grid, s, 0.0, psi_x, x_rule=x_inner)},
-                {"v": window, "f": _weight(grid, s, 0.0, psi_x)})
+    def forms(n):
+        return ({"vx": _weight(levels, n, s_col, 0.0, psi_x, x_rule=x_inner)},
+                {"v": levels.rule_at(n, window),
+                 "f": _weight(levels, n, s_col, 0.0, psi_x)})
 
     rows = _sample_rows(samples, grid, (s,), forms)
     return InequalityReport("caccioppoli", tuple(rows), (s,),

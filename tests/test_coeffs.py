@@ -175,6 +175,15 @@ class TestCarlemanWeights:
         with pytest.raises(ValueError, match="strictly positive"):
             w.require_nondeg()
 
+    @pytest.mark.parametrize("sweep", [(), (-1.0,), (0.0,), (1.0, -2.0),
+                                       (float("inf"),), (1.0, float("nan"))])
+    def test_sweep_validated(self, sweep):
+        # an empty sweep gave a report of no rows; -1.0 a misleading error
+        # about infinite weights
+        with pytest.raises(ValueError, match="s_sweep must hold one or more "
+                           "finite positive values"):
+            build_carleman_weights(make_grid(), PowerLaw(0.5), s_sweep=sweep)
+
 
 class TestThetaWeight:
     def test_poles_are_inf(self):

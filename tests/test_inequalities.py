@@ -7,8 +7,8 @@ import pytest
 from numpy.polynomial import Polynomial
 
 import degenpop.inequalities as inequalities
-from degenpop.coeffs import (PowerLaw, Tabulated, VitalRates,
-                             build_carleman_weights)
+from degenpop.coeffs import (DEFAULT_S_SWEEP, PowerLaw, Tabulated,
+                             VitalRates, build_carleman_weights)
 from degenpop.discretize import (Field2, Field3, Grid, axis_weights,
                                  random_final_data, spawn_rng, weighted_norm)
 from degenpop.inequalities import (_HARDY_BLOCK, CutoffFamily, ReportRow,
@@ -208,8 +208,9 @@ def _reference_family(vanish_at, count, seed):
 
 
 # the Gram form sums other terms than the references' per-node squares:
-# rows stay within 2.7e-14 relative of np.longdouble per-node sums, where
-# the per-node double sums stayed within 9.1e-16
+# rows stay within 1.3e-14 relative of np.longdouble per-node sums, where
+# the per-node double sums stayed within 9.1e-16; the Carleman-type level
+# kernel's sums move by at most 7.9e-16 from the per-(sample, s) loop's
 ROUND_OFF = 1e-13
 
 
@@ -641,15 +642,16 @@ class TestPinnedConstants:
 
 
 class TestWeightsOncePerS:
-    """The weights over Q are built per s, never per sample."""
+    """The weights are built once per time level and term for the whole
+    sweep: never per sample, and never per s."""
 
-    def _s_of_weight_calls(self, monkeypatch, run):
+    def _levels_of_weight_calls(self, monkeypatch, run):
         calls = []
         real = inequalities._weight
 
-        def counting(grid, s, *args, **kwargs):
-            calls.append(s)
-            return real(grid, s, *args, **kwargs)
+        def counting(levels, n, *args, **kwargs):
+            calls.append(n)
+            return real(levels, n, *args, **kwargs)
 
         monkeypatch.setattr(inequalities, "_weight", counting)
         run()
@@ -664,14 +666,16 @@ class TestWeightsOncePerS:
         def calls(count, sweep):
             samples = manufactured_family(spec, count, seed=11)
             weights = build_carleman_weights(spec.grid, k, s_sweep=sweep)
-            return self._s_of_weight_calls(
+            return self._levels_of_weight_calls(
                 monkeypatch, lambda: audit(samples, *args, weights))
 
         one = calls(1, S_SMALL)
         assert calls(4, S_SMALL) == one
-        per_s = len(calls(1, (0.5,)))
-        assert per_s > 0
-        assert one == [s for s in S_SMALL for _ in range(per_s)]
+        assert calls(1, (0.5,)) == calls(1, DEFAULT_S_SWEEP) == one
+        levels = range(spec.grid.Nt + 1)
+        per_level = len(one) // len(levels)
+        assert per_level > 0
+        assert one == [n for n in levels for _ in range(per_level)]
 
     def test_caccioppoli(self, monkeypatch):
         spec = small_spec()
@@ -679,11 +683,142 @@ class TestWeightsOncePerS:
 
         def calls(count):
             samples = manufactured_family(spec, count, seed=11)
-            return self._s_of_weight_calls(monkeypatch, lambda: (
+            return self._levels_of_weight_calls(monkeypatch, lambda: (
                 caccioppoli_audit(samples, (0.35, 0.65), (0.25, 0.75), psi,
                                   s=1.0)))
 
-        assert calls(1) == calls(4) == [1.0, 1.0]
+        assert calls(1) == calls(4) == [n for n in range(spec.grid.Nt + 1)
+                                        for _ in range(2)]
+
+    def test_memory_is_per_level_blocks(self):
+        # a level's weight blocks for the whole sweep and the samples'
+        # squares at one level, never a weight over Q per s (the per-s
+        # weights over Q peaked at 9.9 Q-sized arrays here); at one s the
+        # peak is _check_samples' |v|, one Q-sized array
+        spec = small_spec(Nt=24)
+        grid = spec.grid
+        samples = manufactured_family(spec, 3, seed=11)
+        level = 8 * (grid.Na + 1) * (grid.Nx + 1)
+        q_sized = (grid.Nt + 1) * level
+
+        def peak(sweep):
+            weights = build_carleman_weights(grid, spec.k, s_sweep=sweep)
+            tracemalloc.start()
+            try:
+                carleman_audit_deg0(samples, weights)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, six = peak((0.5,)), peak(DEFAULT_S_SWEEP)
+        assert six - one <= 5 * 8 * level  # at most 8 level blocks per s
+        assert six <= 3 * q_sized
+
+
+def _reference_sample_rows(samples, grid, sweep, forms):
+    """The per-(sample, s) loop that the level kernel replaced: per s, each
+    weight over Q, stacked from ``forms``' level blocks, with its +inf
+    entries set to 0, and np.vdot of it with each sample's squares."""
+    levels = [forms(n) for n in range(grid.Nt + 1)]
+    rows = [[] for _ in samples]
+    for j, s in enumerate(sweep):
+        sides = [{key: np.stack([w if w.ndim == 2 else w[j]
+                                 for w in (level[i][key] for level in levels)])
+                  for key in levels[0][i]} for i in (0, 1)]
+        infinite = []
+        for side in sides:
+            for key, w in side.items():
+                inf = np.isinf(w)
+                if inf.any():
+                    w[inf] = 0.0
+                    infinite.append((key, inf))
+        for idx, (v, f) in enumerate(samples):
+            squares = {"v": v.values ** 2, "f": f.values ** 2,
+                       "vx": np.gradient(v.values, grid.dx, axis=-1,
+                                         edge_order=2) ** 2}
+            for key, inf in infinite:
+                if np.any(squares[key][inf]):
+                    raise ValueError(f"sample {idx} is nonzero where its "
+                                     f"{key} weight is infinite")
+            lhs, rhs = (sum(np.vdot(w, squares[key]) for key, w in side.items())
+                        for side in sides)
+            rows[idx].append(inequalities._make_row(idx, s, lhs, rhs))
+    return [row for per_sample in rows for row in per_sample]
+
+
+class TestLevelKernel:
+    """``_sample_rows`` against the per-(sample, s) loop it replaced, on
+    the same weights: the sums run in another order, so the sides agree
+    to round-off, and the excluded rows exactly."""
+
+    def _both(self, monkeypatch, run):
+        got = run()
+        monkeypatch.setattr(inequalities, "_sample_rows",
+                            _reference_sample_rows)
+        want = run()
+        monkeypatch.undo()
+        return got, want
+
+    def _assert_close(self, got, want):
+        assert [(r.sample_id, r.s, r.ratio is None) for r in got.rows] == \
+            [(r.sample_id, r.s, r.ratio is None) for r in want.rows]
+        for g, r in zip(got.rows, want.rows):
+            for side in ("lhs", "rhs", "ratio"):
+                if getattr(r, side) is not None:
+                    assert getattr(g, side) == _close(getattr(r, side)), side
+
+    @pytest.mark.parametrize("case", TestPinnedConstants.CASES)
+    def test_carleman_audits(self, monkeypatch, case):
+        # s = 50 underflows every weight on this grid: excluded 0/0 rows,
+        # but for the local audits' unweighted window term
+        k, audit, args, _ = TestPinnedConstants.CASES[case]
+        spec = small_spec(k=k)
+        samples = manufactured_family(spec, 3, seed=11)
+        weights = build_carleman_weights(spec.grid, k,
+                                         s_sweep=S_SMALL + (50.0,))
+        got, want = self._both(monkeypatch,
+                               lambda: audit(samples, *args, weights))
+        assert any(r.ratio is None for r in want.rows) == \
+            (not case.startswith("local"))
+        self._assert_close(got, want)
+
+    def test_caccioppoli(self, monkeypatch):
+        spec = small_spec(k=PowerLaw(0.5, 0.0))
+        samples = manufactured_family(spec, 3, seed=11)
+        psi = lambda x: -(1.0 + 4.0 * x * (1.0 - x))
+        got, want = self._both(monkeypatch, lambda: caccioppoli_audit(
+            samples, (0.35, 0.65), (0.25, 0.75), psi, s=1.0))
+        self._assert_close(got, want)
+
+    def test_infinite_weight(self, monkeypatch):
+        # x^2/k is +inf at x = 1 for k = x^0.5 (1-x)^0.5; samples 2 and 1
+        # do not vanish there, and the lowest is named
+        spec = small_spec(k=PowerLaw(0.5, 0.5))
+        weights = build_carleman_weights(spec.grid, spec.k, s_sweep=S_SMALL)
+        samples = manufactured_family(spec, 3, seed=11)
+        got, want = self._both(monkeypatch,
+                               lambda: carleman_audit_deg0(samples, weights))
+        self._assert_close(got, want)
+        for idx in (2, 1):
+            v, f = samples[idx]
+            vals = v.values.copy()
+            vals[spec.grid.Nt // 2, :, -1] = 1.0
+            samples[idx] = (Field3(spec.grid, vals), f)
+        message = r"^sample 1 is nonzero where its v weight is infinite$"
+        with pytest.raises(ValueError, match=message):
+            carleman_audit_deg0(samples, weights)
+        monkeypatch.setattr(inequalities, "_sample_rows",
+                            _reference_sample_rows)
+        with pytest.raises(ValueError, match=message):
+            carleman_audit_deg0(samples, weights)
+
+    @pytest.mark.parametrize("shape", [(3, 5, 9), (1, 1, 3), (2, 4)])
+    def test_x_gradient_is_np_gradient(self, shape):
+        values = spawn_rng(4).standard_normal(shape)
+        out = np.empty_like(values)
+        inequalities._x_gradient(values, 0.125, out=out)
+        want = np.gradient(values, 0.125, axis=-1, edge_order=2)
+        assert out.tobytes() == want.tobytes()
 
 
 class TestCaccioppoli:
@@ -729,6 +864,14 @@ class TestCaccioppoli:
         with pytest.raises(ValueError, match=r"window omega' = "
                            r"\[0.4, 0.42\] .*needs two x nodes"):
             caccioppoli_audit(samples, (0.4, 0.42), (0.25, 0.75), psi, s=1.0)
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, float("inf"), float("nan")])
+    def test_s_validated(self, s):
+        spec = small_spec()
+        samples = manufactured_family(spec, 1, seed=4)
+        psi = lambda x: -np.ones_like(np.asarray(x, dtype=float))
+        with pytest.raises(ValueError, match="s must be finite and positive"):
+            caccioppoli_audit(samples, (0.35, 0.65), (0.25, 0.75), psi, s=s)
 
     def test_psi_sign_validated(self):
         spec = small_spec()
