@@ -144,7 +144,10 @@ def _check_values(values: np.ndarray, shape: tuple[int, ...], what: str) -> np.n
     arr = np.asarray(values, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
+    # the min and the max are NaN if an entry is, and one is +-inf if an
+    # entry is; unlike np.isfinite, they allocate nothing
+    if not (math.isfinite(arr.min(initial=0.0))
+            and math.isfinite(arr.max(initial=0.0))):
         raise ValueError(f"{what} contains non-finite values")
     return arr
 
@@ -152,8 +155,8 @@ def _check_values(values: np.ndarray, shape: tuple[int, ...], what: str) -> np.n
 @dataclass
 class _Field:
     """Nodal values on ``grid`` of the shape ``_shape(grid)``: the dataclass
-    behind Field3 and Field2.  Every construction but :meth:`zeros` checks
-    the values for finiteness."""
+    behind Field3 and Field2.  Every construction but :meth:`zeros` and
+    :meth:`_checked_already` checks the values for finiteness."""
 
     grid: Grid
     values: np.ndarray
@@ -166,8 +169,15 @@ class _Field:
     def zeros(cls, grid: Grid):
         """The zero field.  Zeros are finite, so it skips the scan; the
         marches fill such fields in place."""
+        return cls._checked_already(grid, np.zeros(cls._shape(grid)))
+
+    @classmethod
+    def _checked_already(cls, grid: Grid, values: np.ndarray):
+        """The field on ``values`` as given, with no scan: for values of
+        ``_shape(grid)`` that are known finite, such as a view into a
+        stack of fields that was scanned once."""
         fld = object.__new__(cls)
-        fld.grid, fld.values = grid, np.zeros(cls._shape(grid))
+        fld.grid, fld.values = grid, values
         return fld
 
 
@@ -297,12 +307,18 @@ class _EndCell:
     """End cell of ``weighted_norm`` with the weight singular at x_s.
 
     The cell (x_s toward x_s + orient * h) is split geometrically toward
-    x_s and each sub-cell integrated by Simpson with the exact weight and
-    the field interpolated linearly between the two cell nodes; the
-    untouched sliver next to the endpoint carries O((2^-60)^(1-gamma)) of
-    the cell mass for a |x - x_s|^(-gamma) weight, negligible for every
-    integrable gamma.  The weight is sampled once, here, at the sub-cell
-    ends and midpoints; ``integral`` adds the field.
+    x_s, halving down to the last distance d above delta = 8 eps
+    max(1, |x_s|), and each sub-cell integrated by Simpson with the exact
+    weight and the field interpolated linearly between the two cell nodes.
+    The sliver (x_s, x_s + orient * d), d in (delta, 2 delta], is left
+    out.  For a |x - x_s|^(-gamma) weight its mass is d^(1-gamma) /
+    (1-gamma), a share (d/h)^(1-gamma) of the cell's: at 400 001 nodes
+    d/h = 2^-30, a share of 1.7e-7 at gamma = 0.25 but 5.5e-3 at
+    gamma = 0.75, tending to 1 as gamma -> 1.  The Hardy HP2 weight
+    k/x^2 ~ x^(theta-2) at its singular end has gamma = 2 - theta, so as
+    theta -> 1 the sliver is most of the cell (README).  The weight is
+    sampled once, here, at the sub-cell ends and midpoints; ``integral``
+    adds the field.
     """
 
     def __init__(self, weight, x_s: float, orient: float, h: float) -> None:

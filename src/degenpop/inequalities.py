@@ -6,8 +6,13 @@ Each side of a Carleman-type audit is a quadratic form, summed one time
 level at a time: at each level, one weight block (quadrature weights
 times the Carleman weight) per s of the sweep for each of v^2, v_x^2 and
 f^2, and one matrix product of every sample's squares with those blocks.
-The weight is exactly 0 at the Theta poles and +inf only where x^2/k is;
-there a sample must vanish, or the audit raises.
+The weight is exactly 0 at the Theta poles, so the levels t = 0 and
+t = T, poles on every node, add only window terms; it is +inf only where
+x^2/k is, and there a sample must vanish, or the audit raises.  The
+manufactured samples of these audits are built as one batch: their
+profiles share four (a, x) modes, so v is one matrix product of every
+sample's time factors with the modes, and f one product per level, with
+D applied once per mode and distinct level.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .discretize import (
     Field3,
     Grid,
     _nearest_x_node,
+    _check_values,
     _WeightedQuadrature,
     _write_csv,
     axis_weights,
@@ -406,13 +412,19 @@ def random_hardy_test_functions(vanish_at: float, count: int, seed: int):
     ``numpy.polynomial.Polynomial``."""
     if vanish_at not in (0.0, 1.0):
         raise ValueError(f"vanish_at must be 0 or 1, got {vanish_at!r}")
-    rng = spawn_rng(seed, stream=11)
-    edge = Polynomial([1.0, -1.0] if vanish_at == 1.0 else [0.0, 1.0])
-    pairs = []
-    for _ in range(count):
-        w = edge * Polynomial(rng.standard_normal(7))
-        pairs.append((w, w.deriv()))
-    return pairs
+    # one draw of (count, 7) is the stream of count draws of 7
+    q = spawn_rng(seed, stream=11).standard_normal((max(count, 0), 7))
+    # the coefficients Polynomial's product and deriv give, bit for bit
+    w = np.empty((len(q), 8))
+    if vanish_at == 1.0:  # (1 - x) q
+        w[:, 0] = q[:, 0]
+        np.subtract(q[:, 1:], q[:, :-1], out=w[:, 1:7])
+        w[:, 7] = -q[:, 6]
+    else:  # x q
+        w[:, 0] = 0.0
+        w[:, 1:] = q
+    wp = w[:, 1:] * np.arange(1, 8)
+    return [(Polynomial(a), Polynomial(b)) for a, b in zip(w, wp)]
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +463,17 @@ def manufactured_adjoint(spec: ProblemSpec, profile) -> tuple[Field3, Field3]:
     return v, Field3(grid, f)
 
 
+def _adjoint_draws(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients and phases of ``count`` random adjoint profiles,
+    (count, 2, 2) each, drawn per profile in that order."""
+    rng = spawn_rng(seed, stream=23)
+    coeffs, phases = np.empty((2, max(count, 0), 2, 2))
+    for c, p in zip(coeffs, phases):
+        c[...] = rng.standard_normal((2, 2))
+        p[...] = rng.uniform(0.0, 2.0 * math.pi, size=(2, 2))
+    return coeffs, phases
+
+
 def random_adjoint_profiles(T: float, A: float, count: int, seed: int):
     """Smooth random closures vanishing at a = A and on the x-boundary,
     each a 2x2 sine series in (x, a) with a time-modulated amplitude.
@@ -458,11 +481,8 @@ def random_adjoint_profiles(T: float, A: float, count: int, seed: int):
     Returned callables are grid-free, so the same family can be evaluated
     on several resolutions for refinement studies.
     """
-    rng = spawn_rng(seed, stream=23)
     profiles = []
-    for _ in range(count):
-        coeffs = rng.standard_normal((2, 2))
-        phases = rng.uniform(0.0, 2.0 * math.pi, size=(2, 2))
+    for coeffs, phases in zip(*_adjoint_draws(count, seed)):
 
         def profile(t, a, x, *, coeffs=coeffs, phases=phases):
             total = 0.0
@@ -481,10 +501,74 @@ def random_adjoint_profiles(T: float, A: float, count: int, seed: int):
 
 
 def manufactured_family(spec: ProblemSpec, count: int, seed: int):
-    """Evaluate ``random_adjoint_profiles`` on the problem grid."""
+    """The (v, f) pairs of ``manufactured_adjoint`` for the profiles of
+    ``random_adjoint_profiles(T, A, count, seed)``, in their order, built
+    as one batch.
+
+    Every profile is sum_{m,n<2} c_mn(t) M_mn(a, x) over the same four
+    modes M_mn = sin((m+1) pi x) sin((n+1) pi a/A); only the time factors
+    c_mn(t) = coeff (1 + 0.3 cos((m+n+1) pi t/T + phase)) differ.  So v is
+    one matrix product of every sample's time factors with the modes, and
+    by linearity f^{n+1} = (v^{n+1} - D_{n+1} v^n) / dt is one product
+    per level, of the time factors at n + 1 and n with the modes and with
+    D applied to them: D is applied once per mode and distinct level,
+    whatever ``count``.  The pairs match the per-profile ones to
+    round-off.  Each is a view into two stacked arrays, (count, Nt+1,
+    Na+1, Nx+1), each scanned once for finiteness.
+    """
     grid = spec.grid
-    profiles = random_adjoint_profiles(grid.T, grid.A, count, seed)
-    return [manufactured_adjoint(spec, p) for p in profiles]
+    coeffs, phases = _adjoint_draws(count, seed)
+    count = len(coeffs)
+    modes = _adjoint_modes(grid)
+    m, n = np.divmod(np.arange(4), 2)  # the profile's term order
+    angle = (m + n + 1) * math.pi * grid.t_nodes[:, None] / grid.T
+    times = coeffs.reshape(count, 1, 4) * (
+        1.0 + 0.3 * np.cos(angle + phases.reshape(count, 1, 4)))
+    shape = (count,) + Field3._shape(grid)
+    rows, level_size = count * (grid.Nt + 1), modes[0].size
+    v = np.empty(shape)
+    np.matmul(times.reshape(rows, 4), modes.reshape(4, level_size),
+              out=v.reshape(rows, level_size))
+
+    prop = spec._propagator
+    f = np.zeros(shape)  # level 0 stays 0
+    # level n of every sample: [c(t^n), c(t^{n-1})] @ [M; -D_n applied to
+    # M's rows 0..Na-1, placed on rows 1..Na], written in place; the
+    # operands are 0 off rows 1..Na and the interior x nodes
+    pairs = np.concatenate([times[:, 1:], times[:, :-1]], axis=2)
+    operands = np.zeros((8,) + modes.shape[1:])
+    operands[:4] = modes
+    for level in range(1, grid.Nt + 1):
+        if not prop.repeats_level(level):
+            for mode, out in zip(modes, operands[4:]):
+                np.negative(prop.apply_diffusion(level, mode[:-1, 1:-1]),
+                            out=out[1:, 1:-1])
+        np.matmul(pairs[:, level - 1], operands.reshape(8, level_size),
+                  out=f[:, level].reshape(count, level_size))
+    f /= grid.dt
+    for values in (v, f):
+        _check_values(values, shape, "Field3 values")
+    return [(Field3._checked_already(grid, v_s),
+             Field3._checked_already(grid, f_s)) for v_s, f_s in zip(v, f)]
+
+
+def _adjoint_modes(grid: Grid) -> np.ndarray:
+    """The modes sin((m+1) pi x) sin((n+1) pi a/A), m, n < 2, of every
+    random adjoint profile on ``grid``, (4, Na+1, Nx+1) in the profile's
+    term order, snapped to 0 on the x-boundary rows and at a = A as in
+    ``manufactured_adjoint``; ValueError as there where a mode does not
+    vanish on the x-boundary rows (at a = A every mode does)."""
+    sin_x = [np.sin((m + 1) * math.pi * grid.x_nodes) for m in range(2)]
+    sin_a = [np.sin((n + 1) * math.pi * grid.a_nodes / grid.A)
+             for n in range(2)]
+    modes = np.array([s_a[:, None] * s_x for s_x in sin_x for s_a in sin_a])
+    scale = np.max(np.abs(modes), axis=(1, 2))
+    if np.any(np.max(np.abs(modes[:, :, [0, -1]]), axis=(1, 2))
+              > 1e-9 * scale):
+        raise ValueError("profile must vanish on the x-boundary rows")
+    modes[:, :, [0, -1]] = 0.0
+    modes[:, -1, :] = 0.0
+    return modes
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +589,11 @@ class _Levels:
         self.rule = (axis_weights(grid.Nt + 1, grid.dt)[:, None, None]
                      * axis_weights(grid.Na + 1, grid.da)[None, :, None])
         self.x_rule = axis_weights(grid.Nx + 1, grid.dx)
+
+    def pole_level(self, n: int) -> bool:
+        """Whether Theta is +inf on all of level n (t = 0 and t = T), where
+        every Carleman-type weight is 0."""
+        return bool(self.poles[n].all())
 
     def rule_at(self, n: int, x_rule=None) -> np.ndarray:
         """Tensor trapezoid weights of level n, (Na+1, Nx+1); ``x_rule``
@@ -534,16 +623,24 @@ def _weight(levels: _Levels, n: int, s: np.ndarray, theta_power: float,
     profile_x + log_geom_x).  0 at the Theta poles (profile_x < 0), +inf
     where log_geom_x is (x^2/k at a degenerate end; see ``_sample_rows``).
     x_rule may be a window's trapezoid rule, or nonzero at one x node to
-    integrate over (t, a) there.
+    integrate over (t, a) there; the weight is then taken only on the x
+    columns where x_rule is nonzero, each entry as on the full block, and
+    is 0 on the others.
     """
+    rule = levels.x_rule if x_rule is None else x_rule
+    cols = np.flatnonzero(rule)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = 2.0 * s * levels.theta[n] * profile_x
+        w = 2.0 * s * levels.theta[n] * profile_x[cols]
         w += theta_power * levels.log_theta[n]
-        w += log_geom_x
+        w += np.broadcast_to(log_geom_x, rule.shape)[cols]
         np.exp(w, out=w)
     w[:, levels.poles[n]] = 0.0
-    w *= levels.rule_at(n, x_rule)
-    return w
+    w *= levels.rule_at(n, rule[cols])
+    if cols.size == rule.size:
+        return w
+    block = np.zeros(w.shape[:-1] + rule.shape)
+    block[..., cols] = w
+    return block
 
 
 def _carleman_lhs(levels: _Levels, n: int, sweep, profile_x, log_geom_vx,
@@ -626,9 +723,11 @@ def _sample_rows(samples, grid: Grid, sweep, forms) -> list[ReportRow]:
     a weight that does not depend on s.  Level by level, every sample's
     squares of v, v_x (the nodal x-gradient of v) and f fill a (samples,
     Na+1, Nx+1) block each, and a side gains one product of such a block
-    with its weights' blocks per term.  A +inf weight counts 0 where the
-    field vanishes; where a sample does not, ValueError names the lowest
-    such sample.
+    with its weights' blocks per term.  A level where both dicts are
+    empty (a Theta pole level, where every weight is 0, of an audit with
+    no window term) is skipped.  A +inf weight counts 0 where the field
+    vanishes; where a sample does not, ValueError names the lowest such
+    sample.
     """
     if any(v.grid != grid or f.grid != grid for v, f in samples):
         raise ValueError("sample grid does not match the weight grid")
@@ -639,13 +738,16 @@ def _sample_rows(samples, grid: Grid, sweep, forms) -> list[ReportRow]:
     sides = (np.zeros((count, len(sweep))), np.zeros((count, len(sweep))))
     hits = {}  # key -> the samples nonzero where that weight is infinite
     for n in range(grid.Nt + 1):
+        level = forms(n)
+        if not any(level):
+            continue  # no term: every weight is 0 at a Theta pole level
         for idx, (v, f) in enumerate(samples):
             squares["v"][idx] = v.values[n]
             squares["f"][idx] = f.values[n]
         _x_gradient(squares["v"], grid.dx, out=squares["vx"])
         for block in squares.values():
             np.square(block, out=block)
-        for side, weights in zip(sides, forms(n)):
+        for side, weights in zip(sides, level):
             for key, w in weights.items():
                 w = w.reshape(-1, size)
                 inf = np.isinf(w)
@@ -654,7 +756,7 @@ def _sample_rows(samples, grid: Grid, sweep, forms) -> list[ReportRow]:
                     hit = hits.setdefault(key, np.zeros(count, dtype=bool))
                     hit |= flat[key][:, inf.any(axis=0)].any(axis=1)
                 side += flat[key] @ w.T
-        del weights, w, inf  # before the next level's weights are built
+        del level, weights, w, inf  # before the next level's are built
     offending = [(idx, key) for key, hit in hits.items()
                  for idx in np.flatnonzero(hit)]
     if offending:
@@ -701,6 +803,8 @@ def carleman_audit_deg0(samples, weights: CarlemanWeights) -> InequalityReport:
     edge[-1] = weights.coef.k(grid.x_nodes[-1])
 
     def forms(n):
+        if levels.pole_level(n):
+            return {}, {}
         return (_carleman_lhs(levels, n, sweep, *lhs),
                 {"f": _weight(levels, n, s, 0.0, prof),
                  "vx": s * _weight(levels, n, s, 1.0, prof, x_rule=edge)})
@@ -738,6 +842,8 @@ def carleman_audit_nondeg(samples, weights: CarlemanWeights) -> InequalityReport
     bracket[[0, -1]] = weights.coef.k(grid.x_nodes[[0, -1]]) * [-1.0, 1.0]
 
     def forms(n):
+        if levels.pole_level(n):
+            return {}, {}
         return (_carleman_lhs(levels, n, sweep, psi, kappa_sigma,
                               3.0 * kappa_sigma),
                 {"f": _weight(levels, n, s, 0.0, psi),
@@ -796,6 +902,8 @@ def carleman_local_audit(samples, omega: tuple[float, float],
     lhs = _degenerate_lhs(weights)
 
     def forms(n):
+        if levels.pole_level(n):
+            return {}, {"v": levels.rule_at(n, window)}
         return (_carleman_lhs(levels, n, sweep, *lhs),
                 {"f": _weight(levels, n, s, 0.0, psi_ext),
                  "v": levels.rule_at(n, window)})
@@ -830,6 +938,8 @@ def caccioppoli_audit(samples, omega_prime: tuple[float, float],
     levels, s_col = _Levels(grid), _column((s,))
 
     def forms(n):
+        if levels.pole_level(n):
+            return {}, {"v": levels.rule_at(n, window)}
         return ({"vx": _weight(levels, n, s_col, 0.0, psi_x, x_rule=x_inner)},
                 {"v": levels.rule_at(n, window),
                  "f": _weight(levels, n, s_col, 0.0, psi_x)})

@@ -336,6 +336,11 @@ class _Propagator:
         out[:, :-1] += self.offdiag[None, :] * rows[:, 1:]
         return out
 
+    def repeats_level(self, level: int) -> bool:
+        """Whether D at ``level`` is D at ``level - 1``: such a level shares
+        the one before's diagonal array."""
+        return level > 1 and self._diag[level - 1] is self._diag[level - 2]
+
     def renewal_row(self, values: np.ndarray) -> np.ndarray:
         """Trapezoid renewal integral from rows 1..Na of ``values``."""
         integral = np.einsum("j,ji->i", self._age_weights,

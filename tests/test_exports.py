@@ -274,6 +274,11 @@ KEPT_PUBLIC = {
                                   "its characteristics at every node",
     "energy_audit": "the acceptance check of the forward march's energy "
                     "estimate",
+    "manufactured_adjoint": "the exact (v, f) pair of any profile callable; "
+                            "manufactured_family builds its own sine family "
+                            "as one batch",
+    "random_adjoint_profiles": "manufactured_family's samples as grid-free "
+                               "closures, to evaluate on several grids",
 }
 
 

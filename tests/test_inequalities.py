@@ -20,6 +20,7 @@ from degenpop.inequalities import (_HARDY_BLOCK, CutoffFamily, ReportRow,
                                    manufactured_family, observability_ratio,
                                    random_adjoint_profiles,
                                    random_hardy_test_functions, reflect_field)
+from degenpop.scenarios import preset
 from degenpop.solver import ProblemSpec, solve_adjoint
 
 S_SMALL = (0.05, 0.2, 1.0)
@@ -252,6 +253,21 @@ class TestHardyOnce:
         want = _reference_hardy_rows(k.k, ref, self.N_QUAD, end)
         _assert_rows_close(got.rows, want)
 
+    @pytest.mark.parametrize("vanish_at", [0.0, 1.0])
+    def test_family_is_the_per_draw_polynomials(self, vanish_at):
+        # one (count, 7) draw and array ops give every coefficient of the
+        # per-function Polynomial product and deriv, bit for bit
+        for seed, count in [(0, 100), (3, 1), (5, 6), (8, 0)]:
+            fns = random_hardy_test_functions(vanish_at, count, seed)
+            ref = _reference_family(vanish_at, count, seed)
+            assert len(fns) == len(ref) == count
+            for got, want in zip(fns, ref):
+                for p, q in zip(got, want):
+                    assert type(p) is Polynomial
+                    assert p.coef.tobytes() == q.coef.tobytes()
+                    assert p.domain.tobytes() == q.domain.tobytes()
+                    assert p.window.tobytes() == q.window.tobytes()
+
     @pytest.mark.parametrize("ends", [(), (0,), (-1,), (0, -1)])
     @pytest.mark.parametrize("support", ["all", "end cells"])
     def test_weighted_norm_matches_the_reference(self, ends, support):
@@ -479,6 +495,71 @@ class TestManufacturedAdjoint:
         for v, f in samples:
             assert v.grid == spec.grid and f.grid == spec.grid
 
+    @pytest.mark.parametrize("name", ["small", "default_degenerate"])
+    def test_family_is_the_per_profile_pairs(self, name):
+        # the batch sums in another order than the per-profile path: v
+        # moves by under 7e-16 of max |v|, f by under 1e-13 of max |f|
+        spec = small_spec() if name == "small" else preset(name).spec
+        grid = spec.grid
+        for count, seed in [(30, 0), (3, 11), (1, 5)]:
+            family = manufactured_family(spec, count, seed)
+            ref = [manufactured_adjoint(spec, p) for p in
+                   random_adjoint_profiles(grid.T, grid.A, count, seed)]
+            assert len(family) == len(ref) == count
+            for pair, want in zip(family, ref):
+                for got, field, tol in zip(pair, want, (1e-15, 1e-12)):
+                    scale = np.max(np.abs(field.values))
+                    np.testing.assert_allclose(got.values, field.values,
+                                               rtol=0.0, atol=tol * scale)
+
+    def test_family_reproduces_under_solve_adjoint(self):
+        spec = small_spec()
+        spec = dataclasses.replace(spec, rates=dataclasses.replace(
+            spec.rates, beta=lambda a, x: 0.0 * a * x))
+        for v, f in manufactured_family(spec, 30, seed=0):
+            traj = solve_adjoint(spec, Field2(spec.grid, v.values[-1]),
+                                 source=f)
+            scale = np.max(np.abs(v.values))
+            np.testing.assert_allclose(traj.state.values, v.values,
+                                       atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("mu", ["constant", "time-dependent"])
+    def test_one_d_apply_per_mode_and_distinct_level(self, monkeypatch, mu):
+        spec = small_spec()
+        if mu == "time-dependent":
+            spec = dataclasses.replace(spec, rates=dataclasses.replace(
+                spec.rates, mu=lambda t, a, x: 0.1 + t + 0.0 * a * x))
+        prop = spec._propagator
+        distinct = sum(not prop.repeats_level(n)
+                       for n in range(1, spec.grid.Nt + 1))
+        assert distinct == (1 if mu == "constant" else spec.grid.Nt)
+        calls = []
+        real = type(prop).apply_diffusion
+
+        def counting(self, level, rows):
+            calls.append(level)
+            return real(self, level, rows)
+
+        monkeypatch.setattr(type(prop), "apply_diffusion", counting)
+        counts = []
+        for count in (1, 30):
+            calls.clear()
+            manufactured_family(spec, count, seed=0)
+            counts.append(len(calls))
+        assert counts == [4 * distinct] * 2
+
+    def test_family_needs_vanishing_modes(self):
+        # on x in (0, 0.5) the modes sin(pi x) are 1 at x = 0.5, as the
+        # profiles are, and the family raises as manufactured_adjoint does
+        spec = small_spec()
+        grid = dataclasses.replace(spec.grid, x_span=(0.0, 0.5))
+        spec = dataclasses.replace(spec, grid=grid, omega=(0.2, 0.4))
+        with pytest.raises(ValueError, match="x-boundary"):
+            manufactured_family(spec, 2, seed=0)
+        profile = random_adjoint_profiles(grid.T, grid.A, 1, seed=0)[0]
+        with pytest.raises(ValueError, match="x-boundary"):
+            manufactured_adjoint(spec, profile)
+
 
 class TestCarlemanAudits:
     def _samples(self, spec, count=3, seed=11):
@@ -643,7 +724,8 @@ class TestPinnedConstants:
 
 class TestWeightsOncePerS:
     """The weights are built once per time level and term for the whole
-    sweep: never per sample, and never per s."""
+    sweep: never per sample, never per s, and not at the Theta pole levels
+    0 and Nt, where every one is 0."""
 
     def _levels_of_weight_calls(self, monkeypatch, run):
         calls = []
@@ -672,7 +754,7 @@ class TestWeightsOncePerS:
         one = calls(1, S_SMALL)
         assert calls(4, S_SMALL) == one
         assert calls(1, (0.5,)) == calls(1, DEFAULT_S_SWEEP) == one
-        levels = range(spec.grid.Nt + 1)
+        levels = range(1, spec.grid.Nt)
         per_level = len(one) // len(levels)
         assert per_level > 0
         assert one == [n for n in levels for _ in range(per_level)]
@@ -687,8 +769,59 @@ class TestWeightsOncePerS:
                 caccioppoli_audit(samples, (0.35, 0.65), (0.25, 0.75), psi,
                                   s=1.0)))
 
-        assert calls(1) == calls(4) == [n for n in range(spec.grid.Nt + 1)
+        assert calls(1) == calls(4) == [n for n in range(1, spec.grid.Nt)
                                         for _ in range(2)]
+
+    @pytest.mark.parametrize("case", list(TestPinnedConstants.CASES)
+                             + ["caccioppoli"])
+    def test_pole_levels_change_no_row(self, monkeypatch, case):
+        # building and summing the pole levels' weights, which are all 0,
+        # gives the same rows bit for bit
+        if case == "caccioppoli":
+            spec = small_spec()
+            samples = manufactured_family(spec, 3, seed=11)
+            psi = lambda x: -(1.0 + 4.0 * x * (1.0 - x))
+            run = lambda: caccioppoli_audit(samples, (0.35, 0.65),
+                                            (0.25, 0.75), psi, s=1.0)
+        else:
+            k, audit, args, _ = TestPinnedConstants.CASES[case]
+            spec = small_spec(k=k)
+            samples = manufactured_family(spec, 3, seed=11)
+            weights = build_carleman_weights(spec.grid, k, s_sweep=S_SMALL)
+            run = lambda: audit(samples, *args, weights)
+        skipped = run()
+        monkeypatch.setattr(inequalities._Levels, "pole_level",
+                            lambda self, n: False)
+        assert repr(run().rows) == repr(skipped.rows)
+
+    @pytest.mark.parametrize("x_rule", ["edge", "bracket", "inner"])
+    def test_column_weights_are_the_full_blocks(self, x_rule):
+        # a weight with an x rule takes exp only where the rule is nonzero
+        # and is the full-grid block bit for bit, 0s included
+        spec = preset("default_degenerate").spec
+        grid, xs = spec.grid, spec.grid.x_nodes
+        levels = inequalities._Levels(grid)
+        s = inequalities._column(DEFAULT_S_SWEEP)
+        rule = np.zeros(grid.Nx + 1)
+        if x_rule == "edge":
+            rule[-1] = 0.75
+        elif x_rule == "bracket":
+            rule[[0, -1]] = [-0.5, 1.5]
+        else:
+            rule = inequalities._window_rule(grid, (0.35, 0.65), "omega'")
+        profile = -(1.0 + 4.0 * xs * (1.0 - xs))
+        for log_geom in (0.0, 0.3 * xs):
+            for n in (0, 1, grid.Nt // 2, grid.Nt):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    full = 2.0 * s * levels.theta[n] * profile
+                    full += levels.log_theta[n]
+                    full += log_geom
+                    np.exp(full, out=full)
+                full[:, levels.poles[n]] = 0.0
+                full *= levels.rule_at(n, rule)
+                got = inequalities._weight(levels, n, s, 1.0, profile,
+                                           log_geom, rule)
+                assert got.tobytes() == full.tobytes()
 
     def test_memory_is_per_level_blocks(self):
         # a level's weight blocks for the whole sweep and the samples'
@@ -717,14 +850,22 @@ class TestWeightsOncePerS:
 
 def _reference_sample_rows(samples, grid, sweep, forms):
     """The per-(sample, s) loop that the level kernel replaced: per s, each
-    weight over Q, stacked from ``forms``' level blocks, with its +inf
+    weight over Q, stacked from ``forms``' level blocks (0 at a level that
+    leaves the term out, as the Theta pole levels do), with its +inf
     entries set to 0, and np.vdot of it with each sample's squares."""
     levels = [forms(n) for n in range(grid.Nt + 1)]
+    zero = np.zeros((grid.Na + 1, grid.Nx + 1))
+
+    def block(weights, key, j):
+        w = weights.get(key, zero)
+        return w if w.ndim == 2 else w[j]
+
     rows = [[] for _ in samples]
     for j, s in enumerate(sweep):
-        sides = [{key: np.stack([w if w.ndim == 2 else w[j]
-                                 for w in (level[i][key] for level in levels)])
-                  for key in levels[0][i]} for i in (0, 1)]
+        sides = [{key: np.stack([block(level[i], key, j) for level in levels])
+                  for key in dict.fromkeys(key for level in levels
+                                           for key in level[i])}
+                 for i in (0, 1)]
         infinite = []
         for side in sides:
             for key, w in side.items():
