@@ -292,18 +292,21 @@ def _cumulative_integral(fn, nodes: np.ndarray) -> np.ndarray:
 class CarlemanWeights:
     """Cached spatial profiles for the weighted audit integrals.
 
-    p is the primitive of y/k(y) from 0 (degeneracy at 0); sigma and Psi
-    are the non-degenerate profiles built from frak_d = sup|k'| over the
-    x nodes and are only available when k is strictly positive on the grid
-    span.  s_sweep is the s sweep of every audit that takes these weights.
-    kappa is the fixed scale of sigma in the non-degenerate weight
-    exp(kappa * sigma).
+    end is the singular end of the degenerate audits, worked out by
+    classify_degeneracy: x = 1 when only that end degenerates, else x = 0.
+    p is the primitive of (y - end)/k(y) from the grid's node nearest end;
+    sigma (0 at the grid's other end) and Psi are the non-degenerate
+    profiles built from frak_d = sup|k'| over the x nodes and are only
+    available when k is strictly positive on the grid span.  s_sweep is
+    the s sweep of every audit that takes these weights.  kappa is the
+    fixed scale of sigma in the non-degenerate weight exp(kappa * sigma).
     """
 
     kappa: ClassVar[float] = 1.0
     grid: Grid
     coef: DegenerateCoefficient
     s_sweep: tuple[float, ...] = DEFAULT_S_SWEEP
+    end: float = field(init=False)
     p: np.ndarray = field(init=False)
     p_inf: float = field(init=False)
     frak_d: float | None = field(init=False, default=None)
@@ -316,16 +319,19 @@ class CarlemanWeights:
                                        for s in self.s_sweep):
             raise ValueError(f"s_sweep must hold one or more finite positive "
                              f"values, got {self.s_sweep!r}")
+        deg = classify_degeneracy(self.coef)
+        two_sided = deg.degenerate_at_zero and deg.degenerate_at_one
+        self.end = 1.0 if deg.degenerate_at_one and not two_sided else 0.0
         xs = self.grid.x_nodes
-        if isinstance(self.coef, PowerLaw) and self.coef.alpha1 == 0.0 \
-                and self.grid.x_span[0] == 0.0:
-            a0 = self.coef.alpha0
-            if a0 >= 2.0:
-                raise ValueError("power-law exponent must be < 2")
-            self.p = np.power(xs, 2.0 - a0) / (2.0 - a0)
+        ahead = slice(None, None, -1 if self.end else 1)  # nodes from end
+        if isinstance(self.coef, PowerLaw) and not two_sided \
+                and xs[ahead][0] == self.end:
+            alpha = self.coef.alpha1 if self.end else self.coef.alpha0
+            self.p = np.power(np.abs(xs - self.end),
+                              2.0 - alpha) / (2.0 - alpha)
         else:
-            self.p = _cumulative_integral(
-                lambda y: _safe_ratio(y, self.coef), xs)
+            ratio = lambda y: _safe_ratio(y, self.coef, self.end)
+            self.p = _cumulative_integral(ratio, xs[ahead])[ahead]
         self.p_inf = float(np.max(np.abs(self.p)))
 
         kv = self.coef.k(xs)
@@ -334,8 +340,8 @@ class CarlemanWeights:
             if d > 0.0 and np.isfinite(d):
                 self.frak_d = d
                 tail = _cumulative_integral(lambda y: d / self.coef.k(y), xs)
-                self.sigma = tail[-1] - tail  # integral from x to the right end
-                self.sigma_max = float(self.sigma[0])
+                self.sigma = tail if self.end else tail[-1] - tail
+                self.sigma_max = float(np.max(self.sigma))
                 self.Psi = np.exp(self.kappa * self.sigma) - math.exp(
                     2.0 * self.kappa * self.sigma_max)
 
@@ -350,11 +356,12 @@ class CarlemanWeights:
                 "on the grid span with frak_d = sup|k'| > 0")
 
 
-def _safe_ratio(y: np.ndarray, coef: DegenerateCoefficient) -> np.ndarray:
-    """y/k(y), infinite or NaN where k vanishes."""
+def _safe_ratio(y: np.ndarray, coef: DegenerateCoefficient,
+                end: float) -> np.ndarray:
+    """(y - end)/k(y), infinite or NaN where k vanishes."""
     y = np.asarray(y, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return y / coef.k(y)
+        return (y - end) / coef.k(y)
 
 
 def build_carleman_weights(grid: Grid, coef: DegenerateCoefficient, *,

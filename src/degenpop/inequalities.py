@@ -8,7 +8,7 @@ times the Carleman weight) per s of the sweep for each of v^2, v_x^2 and
 f^2, and one matrix product of every sample's squares with those blocks.
 The weight is exactly 0 at the Theta poles, so the levels t = 0 and
 t = T, poles on every node, add only window terms; it is +inf only where
-x^2/k is, and there a sample must vanish, or the audit raises.  The
+(x-end)^2/k is, and there a sample must vanish, or the audit raises.  The
 manufactured samples of these audits are built as one batch: their
 profiles share four (a, x) modes, so v is one matrix product of every
 sample's time factors with the modes, and f one product per level, with
@@ -25,9 +25,8 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import legvander
 from numpy.polynomial.polynomial import polyval
 
-from .coeffs import (CarlemanWeights, DegenerateCoefficient, PowerLaw,
-                     Tabulated, build_carleman_weights, classify_degeneracy,
-                     eval_theta)
+from .coeffs import (CarlemanWeights, DegenerateCoefficient,
+                     build_carleman_weights, eval_theta)
 from .discretize import (
     Field3,
     Grid,
@@ -60,8 +59,6 @@ __all__ = [
     "caccioppoli_audit",
     "window_nodes",
     "observability_ratio",
-    "reflect_coefficient",
-    "reflect_field",
     # re-exported, no longer called here: the benchmark's tracer tests
     # (perfbench/test_perfbench.py) reach it through this module
     "weighted_norm",
@@ -201,6 +198,7 @@ def hardy_ratio(k, theta: float, case: str, test_functions, *,
                 n_quad: int = 400_001) -> InequalityReport:
     """Ratios of int k/(1-x)^2 w^2 over int k |w'|^2 per test function.
 
+    ``k`` is a ``PowerLaw`` or a ``Tabulated`` (else ValueError).
     ``test_functions`` is a non-empty list of (w, w') pairs of
     ``numpy.polynomial.Polynomial`` in x, such as
     :func:`random_hardy_test_functions` returns; w' is taken as given.
@@ -253,6 +251,9 @@ def _hardy(k, theta: float, case: str, test_functions, n_quad: int,
     ``_WeightedQuadrature.end_cells``, and where it must vanish, which
     is checked against its L^2(0,1) norm.
     """
+    if not isinstance(k, DegenerateCoefficient):
+        raise ValueError(f"k must be a PowerLaw or a Tabulated coefficient, "
+                         f"got {type(k).__name__}")
     if case not in _HARDY_CASES:
         raise ValueError(f"unknown case {case!r}; expected one of {_HARDY_CASES}")
     if case in ("HP1", "HP1p"):
@@ -265,13 +266,12 @@ def _hardy(k, theta: float, case: str, test_functions, n_quad: int,
         vanish_at = 1.0 - end
     bound = 4.0 / (1.0 - theta) ** 2
     nodes = np.linspace(0.0, 1.0, n_quad)
-    k_fn = k.k if hasattr(k, "k") else k
-    kv = np.asarray(k_fn(nodes), dtype=float)
+    kv = np.asarray(k.k(nodes), dtype=float)
 
     def weight_lhs(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return k_fn(x) / (end - x) ** 2
+            return k.k(x) / (end - x) ** 2
 
     with np.errstate(divide="ignore", invalid="ignore"):
         lhs_quad = _WeightedQuadrature(nodes, kv / (end - nodes) ** 2,
@@ -621,7 +621,7 @@ def _weight(levels: _Levels, n: int, s: np.ndarray, theta_power: float,
     e^{geom}, one (Na+1, Nx+1) block per s of the (S, 1, 1) sweep ``s``:
     ``levels.rule_at(n, x_rule)`` times exp(p log Theta + 2s Theta
     profile_x + log_geom_x).  0 at the Theta poles (profile_x < 0), +inf
-    where log_geom_x is (x^2/k at a degenerate end; see ``_sample_rows``).
+    where log_geom_x is ((x-end)^2/k where k = 0; see ``_sample_rows``).
     x_rule may be a window's trapezoid rule, or nonzero at one x node to
     integrate over (t, a) there; the weight is then taken only on the x
     columns where x_rule is nonzero, each entry as on the full block, and
@@ -657,36 +657,16 @@ def _carleman_lhs(levels: _Levels, n: int, sweep, profile_x, log_geom_vx,
 
 
 def _degenerate_lhs(weights: CarlemanWeights) -> tuple:
-    """The x profiles of int_Q (s Theta k v_x^2 + s^3 Theta^3 (x^2/k) v^2)
-    e^{2s phi} in ``_carleman_lhs``'s order: phi's profile, log k and
-    log x^2/k."""
-    xs = weights.grid.x_nodes
+    """The x profiles of int_Q (s Theta k v_x^2 + s^3 Theta^3 (r^2/k) v^2)
+    e^{2s phi}, r = x - ``weights.end``, in ``_carleman_lhs``'s order:
+    phi's profile, log k and log r^2/k."""
+    xs, end = weights.grid.x_nodes, weights.end
     log_k = np.asarray(weights.coef.log_k(xs), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_x2_over_k = 2.0 * np.log(xs) - log_k  # +inf where k = 0, x > 0
-    # 0/0 at x = 0, where x^2/k -> 0: k vanishes slower than x^2
-    log_x2_over_k[xs == 0.0] = -np.inf
+        log_x2_over_k = 2.0 * np.log(np.abs(xs - end)) - log_k  # +inf: k = 0
+    # 0/0 at x = end, where r^2/k -> 0: k vanishes slower than r^2
+    log_x2_over_k[xs == end] = -np.inf
     return weights.phi_profile(), log_k, log_x2_over_k
-
-
-def reflect_coefficient(coef: DegenerateCoefficient) -> DegenerateCoefficient:
-    """The coefficient of the x -> 1-x reflected problem."""
-    if isinstance(coef, PowerLaw):
-        return PowerLaw(coef.alpha1, coef.alpha0)
-    return Tabulated(x=1.0 - coef.x[::-1], k_values=coef.k_values[::-1],
-                     kprime_values=-coef.kprime_values[::-1])
-
-
-def reflect_field(f: Field3) -> Field3:
-    return Field3(f.grid, f.values[:, :, ::-1].copy())
-
-
-def _reflect(samples, weights: CarlemanWeights):
-    """Samples and weights of the x -> 1-x reflected problem."""
-    return ([(reflect_field(v), reflect_field(f)) for v, f in samples],
-            build_carleman_weights(weights.grid,
-                                   reflect_coefficient(weights.coef),
-                                   s_sweep=weights.s_sweep))
 
 
 def _check_samples(samples) -> None:
@@ -793,14 +773,36 @@ def carleman_audit_deg0(samples, weights: CarlemanWeights) -> InequalityReport:
 
     LHS: int_Q (s Theta k v_x^2 + s^3 Theta^3 (x^2/k) v^2) e^{2s phi};
     RHS: int_Q f^2 e^{2s phi} + s int int Theta [k v_x^2 e^{2s phi}](x=1).
+    ``weights.end`` must be 0 (ValueError otherwise).
     """
+    return _carleman_degenerate(samples, weights, 0.0)
+
+
+def carleman_audit_deg1(samples, weights: CarlemanWeights) -> InequalityReport:
+    """Mirror audit (degeneracy at x = 1 alone, boundary observation at
+    x = 0): :func:`carleman_audit_deg0`'s kernel with x^2 replaced by
+    (1-x)^2 and p by int_x^1 (1-y)/k(y) dy, taken where the degeneracy
+    is, so the two agree to round-off on mirror-symmetric inputs.
+    ``weights.end`` must be 1 (ValueError otherwise).
+    """
+    return _carleman_degenerate(samples, weights, 1.0)
+
+
+def _carleman_degenerate(samples, weights: CarlemanWeights,
+                         end: float) -> InequalityReport:
+    """The degenerate audit at ``end``, observed at x = 1 - end."""
+    name = f"carleman_deg{end:g}"
+    if weights.end != end:
+        raise ValueError(f"{name} needs weights built for k degenerate at "
+                         f"x = {end:g}; these are for x = {weights.end:g}")
     _check_samples(samples)
     grid, sweep = weights.grid, weights.s_sweep
     levels, s = _Levels(grid), _column(sweep)
     lhs = _degenerate_lhs(weights)
     prof = lhs[0]
+    observed = 0 if end else -1  # the x node at 1 - end
     edge = np.zeros_like(grid.x_nodes)
-    edge[-1] = weights.coef.k(grid.x_nodes[-1])
+    edge[observed] = weights.coef.k(grid.x_nodes[observed])
 
     def forms(n):
         if levels.pole_level(n):
@@ -810,18 +812,8 @@ def carleman_audit_deg0(samples, weights: CarlemanWeights) -> InequalityReport:
                  "vx": s * _weight(levels, n, s, 1.0, prof, x_rule=edge)})
 
     rows = _sample_rows(samples, grid, sweep, forms)
-    return InequalityReport("carleman_deg0", tuple(rows), weights.s_sweep,
+    return InequalityReport(name, tuple(rows), weights.s_sweep,
                             {"kappa": weights.kappa})
-
-
-def carleman_audit_deg1(samples, weights: CarlemanWeights) -> InequalityReport:
-    """Mirror audit (degeneracy at x = 1, boundary observation at x = 0).
-
-    Implemented literally as the reflection x -> 1-x of the deg0 audit,
-    so the two audits agree to round-off on mirror-symmetric inputs.
-    """
-    report = carleman_audit_deg0(*_reflect(samples, weights))
-    return replace(report, name="carleman_deg1")
 
 
 def carleman_audit_nondeg(samples, weights: CarlemanWeights) -> InequalityReport:
@@ -830,7 +822,9 @@ def carleman_audit_nondeg(samples, weights: CarlemanWeights) -> InequalityReport
 
     LHS: int_Q (s^3 phi^3 z^2 + s phi z_x^2) e^{2s Phi} with
     phi = Theta e^{kappa sigma}; RHS: int_Q f^2 e^{2s Phi} minus the
-    signed boundary bracket -s kappa [k e^{2s Phi} phi z_x^2] from 0 to 1.
+    signed boundary bracket -s kappa [k e^{2s Phi} phi z_x^2] from 0 to 1,
+    or from 1 to 0 for weights with ``end`` 1, whose sigma grows from the
+    grid's left end: the mirror estimate.
     """
     _check_samples(samples)
     weights.require_nondeg()
@@ -838,8 +832,9 @@ def carleman_audit_nondeg(samples, weights: CarlemanWeights) -> InequalityReport
     levels, s = _Levels(grid), _column(sweep)
     psi = weights.Psi
     kappa_sigma = weights.kappa * weights.sigma
-    bracket = np.zeros_like(grid.x_nodes)  # [k ...] from 0 to 1
-    bracket[[0, -1]] = weights.coef.k(grid.x_nodes[[0, -1]]) * [-1.0, 1.0]
+    bracket = np.zeros_like(grid.x_nodes)  # [k ...] from 0 to 1, or 1 to 0
+    bracket[[0, -1]] = weights.coef.k(grid.x_nodes[[0, -1]]) * (
+        [1.0, -1.0] if weights.end else [-1.0, 1.0])
 
     def forms(n):
         if levels.pole_level(n):
@@ -860,11 +855,12 @@ def carleman_local_audit(samples, omega: tuple[float, float],
     """Omega-local estimate: degenerate LHS against source plus window terms,
     for every s of ``weights.s_sweep``.
 
-    LHS is the degenerate-audit left side; RHS combines int_Q f^2 e^{2s Phi}
-    (Phi from non-degenerate weights built away from the degeneracy and
-    continued by a constant across it) with the unweighted window integral
-    of v^2.  A coefficient degenerate at x = 1 is handled by reflecting
-    the whole setup onto the x = 0 machinery.
+    LHS is the degenerate-audit left side at ``weights.end``; RHS combines
+    int_Q f^2 e^{2s Phi} (Phi from non-degenerate weights built from the
+    cut to the other end and continued by a constant across the cut) with
+    the unweighted window integral of v^2.  The cut is the node that
+    ``glue_two_sided``'s default cut snaps to: lo/2 for end 0, (1 + hi)/2
+    for end 1.  Two-sided k raises ValueError.
     """
     _check_samples(samples)
     grid = weights.grid
@@ -873,29 +869,23 @@ def carleman_local_audit(samples, omega: tuple[float, float],
     if not 0.0 < lo < hi < 1.0:
         raise ValueError("window must be strictly interior to (0,1)")
     window = _window_rule(grid, omega, "omega")
-    report_cls = classify_degeneracy(coef)
-    if report_cls.degenerate_at_zero and report_cls.degenerate_at_one:
+    end = weights.end
+    # k vanishes at 1 - end only when both ends degenerate (end is then 0)
+    if coef.k(1.0 - end) <= 0.0:
         raise ValueError("local audit needs one-sided degeneracy; "
                          "use the gluing construction for two-sided k")
-    if report_cls.degenerate_at_one:
-        reflected_samples, reflected_weights = _reflect(samples, weights)
-        reflected = carleman_local_audit(
-            reflected_samples, (1.0 - hi, 1.0 - lo), reflected_weights)
-        return replace(reflected, name="carleman_local_deg1",
-                       meta={**reflected.meta, "omega": [lo, hi]})
 
-    xs = grid.x_nodes
-
-    # nondegenerate profile on (alpha_bar, 1), constant left of alpha_bar,
-    # with alpha_bar = lo/2 on the node glue_two_sided's default snaps to
-    i0 = min(_nearest_x_node(grid, 0.5 * lo), grid.Nx - 2)
-    sub = replace(grid, Nx=grid.Nx - i0,
-                  x_span=(float(xs[i0]), float(xs[-1])))
+    xs = grid.x_nodes  # the sub grid has at least two cells
+    if end:
+        first, last = 0, max(_nearest_x_node(grid, 0.5 * (1.0 + hi)), 2)
+    else:
+        first = min(_nearest_x_node(grid, 0.5 * lo), grid.Nx - 2)
+        last = grid.Nx
+    sub = replace(grid, Nx=last - first,
+                  x_span=(float(xs[first]), float(xs[last])))
     sub_weights = build_carleman_weights(sub, coef)
     sub_weights.require_nondeg()
-    psi_ext = np.empty_like(xs)
-    psi_ext[i0:] = sub_weights.Psi
-    psi_ext[:i0] = sub_weights.Psi[0]
+    psi_ext = np.pad(sub_weights.Psi, (first, grid.Nx - last), mode="edge")
 
     sweep = weights.s_sweep
     levels, s = _Levels(grid), _column(sweep)
@@ -909,7 +899,7 @@ def carleman_local_audit(samples, omega: tuple[float, float],
                  "v": levels.rule_at(n, window)})
 
     rows = _sample_rows(samples, grid, sweep, forms)
-    return InequalityReport("carleman_local_deg0", tuple(rows),
+    return InequalityReport(f"carleman_local_deg{end:g}", tuple(rows),
                             weights.s_sweep,
                             {"kappa": weights.kappa, "omega": [lo, hi]})
 

@@ -489,14 +489,13 @@ def _hardy_audit(scenario: Scenario, *, count: int, n_quad: int) -> list:
 
 def _carleman_audit(scenario: Scenario, *, count: int,
                     s_sweep: tuple[float, ...]) -> list:
-    """Carleman estimate observed at the end opposite a one-sided
-    degeneracy (x = 1 for two-sided k), plus the omega-local estimate when
-    exactly one end degenerates."""
+    """Carleman estimate for k singular at ``weights.end`` (x = 1 when only
+    that end degenerates, x = 0 otherwise), observed at the other end, plus
+    the omega-local estimate when exactly one end degenerates."""
     spec = scenario.spec
     samples = manufactured_family(spec, count, scenario.seed)
     weights = build_carleman_weights(spec.grid, spec.k, s_sweep=s_sweep)
-    deg = classify_degeneracy(spec.k)
-    if deg.degenerate_at_one and not deg.degenerate_at_zero:
+    if weights.end:
         reports = [("carleman_deg1", carleman_audit_deg1(samples, weights))]
     else:
         reports = [("carleman_deg0", carleman_audit_deg0(samples, weights))]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -154,9 +156,51 @@ class TestCarlemanWeights:
         approx = build_carleman_weights(grid, tab).p
         np.testing.assert_allclose(approx, exact, rtol=2e-4, atol=2e-6)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_primitive_from_one_for_k_degenerate_at_one(self, alpha):
+        # k = (1-x)^alpha: p = int_x^1 (1-y)/k(y) dy, 0 at x = 1
+        grid = make_grid()
+        w = build_carleman_weights(grid, PowerLaw(0.0, alpha))
+        assert w.end == 1.0
+        xs = grid.x_nodes
+        np.testing.assert_allclose(w.p, (1.0 - xs) ** (2.0 - alpha)
+                                   / (2.0 - alpha))
+        assert w.p[-1] == 0.0
+
+    def test_quadrature_primitive_from_one_matches_closed_form(self):
+        grid = make_grid()
+        exact = build_carleman_weights(grid, PowerLaw(0.0, 0.5)).p
+        # same integrand through the quadrature path (tabulated k)
+        xs_tab = np.linspace(0.0, 1.0, 4001)
+        with np.errstate(divide="ignore"):
+            kp_tab = np.where(xs_tab < 1, -0.5 * (1.0 - xs_tab) ** -0.5, 0.0)
+        tab = Tabulated(xs_tab, (1.0 - xs_tab) ** 0.5, kp_tab)
+        approx = build_carleman_weights(grid, tab)
+        assert approx.end == 1.0
+        np.testing.assert_allclose(approx.p, exact, rtol=2e-4, atol=2e-6)
+
+    def test_end_is_one_only_for_k_degenerate_at_one_alone(self):
+        grid = make_grid()
+        ends = [build_carleman_weights(grid, coef).end
+                for coef in (PowerLaw(0.5), PowerLaw(0.0, 0.5),
+                             PowerLaw(0.5, 0.5), PowerLaw(0.0))]
+        assert ends == [0.0, 1.0, 0.0, 0.0]
+
+    def test_sigma_vanishes_at_the_end_opposite_the_degeneracy(self):
+        # on (0, 3/4), away from the degenerate end x = 1, k = (1-x)^0.5
+        # is positive and sigma grows from 0 at x = 0
+        grid = dataclasses.replace(make_grid(), x_span=(0.0, 0.75))
+        w = build_carleman_weights(grid, PowerLaw(0.0, 0.5))
+        assert w.end == 1.0
+        assert w.sigma[0] == 0.0
+        assert np.all(np.diff(w.sigma) > 0.0)
+        assert w.sigma[-1] == w.sigma_max
+        assert np.all(w.Psi < 0.0)
+
     def test_phi_profile_strictly_negative(self):
         grid = make_grid()
-        for coef in (PowerLaw(0.5), PowerLaw(1.5), PowerLaw(0.5, 0.5)):
+        for coef in (PowerLaw(0.5), PowerLaw(1.5), PowerLaw(0.5, 0.5),
+                     PowerLaw(0.0, 0.5)):
             w = build_carleman_weights(grid, coef)
             assert np.all(w.phi_profile() < 0.0)
 

@@ -385,6 +385,28 @@ class TestGlueTwoSided:
             one_sided.omega, build(one_sided.grid, one_sided.k))
         assert starts == [xs[7]]
 
+    def test_default_right_cut_is_the_local_audits_node(self, monkeypatch):
+        # the mirror of the left cut for k degenerate at x = 1 alone:
+        # (1 + hi)/2 = 0.85 lies between the nodes 40/48 and 41/48,
+        # nearer to 41
+        spec = make_spec(Nt=4, Nx=48, k=PowerLaw(0.5, 0.5))
+        xs = spec.grid.x_nodes
+        assert glue_two_sided(spec, CONFIG).diagnostics["beta_bar"] == xs[41]
+        spans = []
+        build = inequalities.build_carleman_weights
+
+        def spy(grid, coef, **kwargs):
+            spans.append(grid.x_span)
+            return build(grid, coef, **kwargs)
+
+        monkeypatch.setattr(inequalities, "build_carleman_weights", spy)
+        one_sided = make_spec(Nt=4, Nx=48, k=PowerLaw(0.0, 0.5))
+        report = inequalities.carleman_local_audit(
+            inequalities.manufactured_family(one_sided, 1, seed=0),
+            one_sided.omega, build(one_sided.grid, one_sided.k))
+        assert report.name == "carleman_local_deg1"
+        assert spans == [(0.0, xs[41])]
+
     def test_one_sided_coefficient_rejected(self):
         spec = make_spec(k=PowerLaw(0.5, 0.0))
         with pytest.raises(ValueError, match="both endpoints"):

@@ -19,7 +19,7 @@ from degenpop.inequalities import (_HARDY_BLOCK, CutoffFamily, ReportRow,
                                    hardy_ratio_at_zero, manufactured_adjoint,
                                    manufactured_family, observability_ratio,
                                    random_adjoint_profiles,
-                                   random_hardy_test_functions, reflect_field)
+                                   random_hardy_test_functions)
 from degenpop.scenarios import preset
 from degenpop.solver import ProblemSpec, solve_adjoint
 
@@ -78,7 +78,7 @@ class TestHardyOracles:
         # the ratio at 4/0.99^2 = 4.08, while w = x gives 2.01 B(3, 0.01)
         # = 198, of which the quadrature of the left weight's
         # (1-x)^{-0.99} singularity resolves 54.7
-        k = lambda x: (1.0 - np.asarray(x, dtype=float)) ** 1.01
+        k = PowerLaw(0.0, 1.01)
         w = (Polynomial([0.0, 1.0]), Polynomial([1.0]))
         with pytest.raises(ArithmeticError, match="certified bound"):
             hardy_ratio(k, 1.99, "HP2p", [w], n_quad=100_001)
@@ -88,6 +88,9 @@ class TestHardyOracles:
 
     def test_validation_errors(self):
         ok = (Polynomial([1.0, -1.0]), Polynomial([-1.0]))
+        with pytest.raises(ValueError, match="k must be a PowerLaw or a "
+                           "Tabulated coefficient, got function"):
+            hardy_ratio(lambda x: 1.0 - x, 0.5, "HP1", [ok])
         with pytest.raises(ValueError, match="unknown case"):
             hardy_ratio(PowerLaw(0.0, 0.5), 0.5, "HP3", [ok])
         with pytest.raises(ValueError, match=r"theta must lie in \(0,1\)"):
@@ -360,17 +363,19 @@ class TestHardyOnce:
                   + [flat], n_quad=1001)
 
     @pytest.mark.parametrize("at_zero", [False, True])
-    def test_k_is_evaluated_on_the_nodes_once(self, at_zero):
+    def test_k_is_evaluated_on_the_nodes_once(self, monkeypatch, at_zero):
         calls = []
+        real = PowerLaw.k
 
-        def k(x):
+        def k(self, x):
             calls.append(np.ndim(x))
-            return np.asarray(x, dtype=float) ** 0.5
+            return real(self, x)
 
+        monkeypatch.setattr(PowerLaw, "k", k)
         ratio = hardy_ratio_at_zero if at_zero else hardy_ratio
         vanish_at = 0.0 if at_zero else 1.0
         fns = random_hardy_test_functions(vanish_at, 5, seed=0)
-        ratio(k, 0.5, "HP1", fns, n_quad=1001)
+        ratio(PowerLaw(0.5), 0.5, "HP1", fns, n_quad=1001)
         assert calls.count(1) == 1  # the rest sample the singular end cell
         assert set(calls) == {0, 1}
 
@@ -586,18 +591,37 @@ class TestCarlemanAudits:
             base.empirical_constant, rel=1e-8)
 
     def test_deg1_is_exact_mirror_of_deg0(self):
+        # deg1 is audited where k degenerates, not by reflecting onto
+        # deg0, so on the mirror problem its sums run in another order
+        # and the sides agree to round-off (4.0e-16 at most here)
         spec = small_spec(k=PowerLaw(0.5, 0.0))
         samples = self._samples(spec)
         weights0 = build_carleman_weights(spec.grid, spec.k, s_sweep=S_SMALL)
         deg0 = carleman_audit_deg0(samples, weights0)
-        mirrored = [(reflect_field(v), reflect_field(f)) for v, f in samples]
+        mirrored = [(Field3(spec.grid, v.values[:, :, ::-1]),
+                     Field3(spec.grid, f.values[:, :, ::-1]))
+                    for v, f in samples]
         weights1 = build_carleman_weights(spec.grid, PowerLaw(0.0, 0.5),
                                           s_sweep=S_SMALL)
         deg1 = carleman_audit_deg1(mirrored, weights1)
         assert deg1.name == "carleman_deg1"
-        assert deg1.empirical_constant == deg0.empirical_constant
+        assert [(r.sample_id, r.s) for r in deg1.rows] == \
+            [(r.sample_id, r.s) for r in deg0.rows]
         for r0, r1 in zip(deg0.rows, deg1.rows):
-            assert r0.lhs == r1.lhs and r0.rhs == r1.rhs
+            assert r1.lhs == pytest.approx(r0.lhs, rel=1e-13, abs=0.0)
+            assert r1.rhs == pytest.approx(r0.rhs, rel=1e-13, abs=0.0)
+
+    def test_degenerate_audits_need_weights_for_their_end(self):
+        spec = small_spec(k=PowerLaw(0.5, 0.0))
+        samples = self._samples(spec)
+        for k, audit, end in ((PowerLaw(0.0, 0.5), carleman_audit_deg0, 0),
+                              (PowerLaw(0.5, 0.0), carleman_audit_deg1, 1),
+                              (PowerLaw(0.5, 0.5), carleman_audit_deg1, 1)):
+            weights = build_carleman_weights(spec.grid, k, s_sweep=S_SMALL)
+            with pytest.raises(ValueError, match=f"carleman_deg{end} needs "
+                               f"weights built for k degenerate at x = {end}; "
+                               f"these are for x = {1 - end}"):
+                audit(samples, weights)
 
     def test_nondeg_audit_runs(self):
         nodes = np.linspace(0.0, 1.0, 101)
@@ -608,6 +632,29 @@ class TestCarlemanAudits:
         report = carleman_audit_nondeg(self._samples(spec), weights)
         assert report.empirical_constant is not None
         assert report.empirical_constant > 0.0
+
+    def test_nondeg_audit_mirrors_for_weights_at_one(self):
+        # on (0, 3/4) k = (1-x)^0.5 is positive, and its weights (end 1)
+        # anchor sigma at x = 0: the audit is the mirror of the one for
+        # k = x^0.5 on (1/4, 1), to round-off
+        grid = small_spec().grid
+        left = dataclasses.replace(grid, x_span=(0.0, 0.75))
+        right = dataclasses.replace(grid, x_span=(0.25, 1.0))
+        t, a, x = np.meshgrid(left.t_nodes, left.a_nodes,
+                              left.x_nodes / 0.75, indexing="ij")
+        v = np.sin(math.pi * x) * np.sin(math.pi * a / grid.A) * (1.0 + t)
+        f = v * (2.0 - x)
+        reports = []
+        for g, k, flip in ((left, PowerLaw(0.0, 0.5), slice(None)),
+                           (right, PowerLaw(0.5, 0.0), slice(None, None, -1))):
+            weights = build_carleman_weights(g, k, s_sweep=S_SMALL)
+            assert weights.end == (1.0 if g is left else 0.0)
+            reports.append(carleman_audit_nondeg(
+                [(Field3(g, v[:, :, flip]), Field3(g, f[:, :, flip]))],
+                weights))
+        for r0, r1 in zip(*(report.rows for report in reports)):
+            assert r0.lhs == pytest.approx(r1.lhs, rel=1e-12, abs=0.0)
+            assert r0.rhs == pytest.approx(r1.rhs, rel=1e-12, abs=0.0)
 
     def test_nondeg_rejects_degenerate_coefficient(self):
         spec = small_spec(k=PowerLaw(0.5, 0.0))
