@@ -199,11 +199,15 @@ def _thomas_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
 # distinct 48x47 levels (mortality depending on t) costs 50-60 us a level
 # up to 13 MB of inverses and 117-126 us from 19 MB to 78 MB, still below
 # the sweep's 228 us, so the cap sits inside that range.  Building an
-# inverse costs about 1.6 ms a 48x47 level, which about eight CG
-# iterations repay: on the presets' 24 levels with mortality depending on
-# t (19.4 MB), the delayed HUM solve of `degenpop run` takes 665 against
-# 1131 ms on default_degenerate, builds included, but a lone forward
-# march 63 against 17 ms.  No benchmark workload crosses either limit.
+# inverse costs about 1.6 ms a 48x47 level, and HUM no longer marches
+# hundreds of times to repay it: preconditioned by its cohort blocks, CG
+# takes one or two steps.  On default_degenerate, builds included (best
+# of 7), dense against sweep: the delayed HUM solve of `degenpop run`
+# takes 24 against 42 ms and the whole `run` 82 against 169 ms (its
+# observability ensemble marches 20 times); with mortality depending on t
+# (24 distinct levels, 19.4 MB) the delayed solve takes 98 against 51 ms
+# and a lone forward march 56 against 16 ms.  No benchmark workload
+# crosses either limit.
 _DENSE_MAX_UNKNOWNS = 8000
 _DENSE_MAX_BYTES = 64 * 2 ** 20
 
@@ -328,6 +332,18 @@ class _Propagator:
         if transpose:
             return (rhs[:, None, :] @ operand)[:, 0]
         return (operand @ rhs[:, :, None])[:, :, 0]
+
+    def solve_cohorts(self, level: int, rows: np.ndarray,
+                      blocks: np.ndarray) -> np.ndarray:
+        """blocks[c] @ D^{-1} at ``level`` for age row rows[c] (1..Na), each
+        block (K, Nx-1): the adjoint's transposed solve of K row vectors
+        per age row, all rows in one batch, from the same operands as
+        :meth:`solve_diffusion`."""
+        operand = self._operands[level - 1]
+        if self.dense:
+            return blocks @ operand[rows - 1]
+        return _thomas_solve([[f[rows - 1] for f in part] for part in operand],
+                             blocks)
 
     def apply_diffusion(self, level: int, rows: np.ndarray) -> np.ndarray:
         """Apply D at ``level`` to interior-x data for rows 1..Na."""

@@ -183,6 +183,19 @@ class TestExitCodes:
             assert f"numerical failure: {march} march: overflow" in err
             assert "at time level" in err
 
+    def test_gramian_block_that_does_not_factor_maps_to_3(self, tmp_path,
+                                                          capsys):
+        # epsilon far below the round-off of the Gramian's cohort blocks
+        path = tiny_variant(tmp_path, {"hum.epsilon": 1e-300, "grid.Nx": 24})
+        for command in ("hum", "run", "glue"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("numerical failure: Gramian block of the "
+                                  "cohort of age ")
+            assert "epsilon = 1e-300" in err
+            assert "Traceback" not in err
+
     def test_window_without_grid_nodes_maps_to_2(self, tmp_path, capsys):
         # on Nx = 10 the nodes nearest [0.31, 0.32] are 0.3 and 0.4
         path = tiny_variant(tmp_path, {"model.omega": [0.31, 0.32]})

@@ -179,10 +179,11 @@ class TestHUMControl:
         assert forward_defect(spec, sol.y.state, sol.f) < 1e-10
 
     def test_iteration_cap_warns(self):
+        # one preconditioned step lands at round-off, short of 1e-30
         spec = make_spec()
         with pytest.warns(UserWarning, match="iteration cap"):
             hum_control(spec, HUMConfig(delta=1.25, epsilon=1e-6,
-                                        cg_tol=1e-14, cg_max_iter=3))
+                                        cg_tol=1e-30, cg_max_iter=1))
 
     def test_csv_and_summary(self, tmp_path):
         spec = make_spec()
@@ -211,6 +212,9 @@ class _Diagonal:
     def inner(self, u, v):
         return float(np.sum(u * v))
 
+    def preconditioner(self, epsilon):
+        return lambda r: r
+
 
 class TestConjugateGradientBreakdown:
     def test_lost_curvature(self):
@@ -230,6 +234,105 @@ class TestConjugateGradientBreakdown:
         residuals = info.value.residuals
         assert min(residuals[-21:]) >= min(residuals[:-21]) \
             > 1e-12 * residuals[0]
+
+
+def hum_problems(monkeypatch, solve, *args):
+    """The (spec, config) of every hum_control call that ``solve`` makes."""
+    seen = []
+    hum = control.hum_control
+
+    def spy(spec, config):
+        seen.append((spec, config))
+        return hum(spec, config)
+
+    monkeypatch.setattr(control, "hum_control", spy)
+    solve(*args)
+    return seen
+
+
+class TestCohortGramian:
+    """Lambda is one exact (Nx-1)^2 block per target row, and the
+    preconditioned CG it factors solves HUM in one step."""
+
+    @staticmethod
+    def check_blocks(spec, delta):
+        rows = _target_rows(spec.grid, delta)
+        blocks = control._cohort_gramian(spec, rows)
+        op = _Gramian(spec, rows)
+        n = spec.grid.Nx - 1
+        # unit datum i on every target row at once gives column i of every
+        # block, and would pick up any coupling between the rows
+        cols = np.stack([op.apply(np.tile(unit, (rows.size, 1)))
+                         for unit in np.eye(n)], axis=-1)
+        top = np.max(np.abs(blocks))
+        assert blocks.shape == (rows.size, n, n)
+        assert np.max(np.abs(cols - blocks)) <= 1e-14 * top
+        assert np.max(np.abs(blocks - blocks.transpose(0, 2, 1))) \
+            <= 1e-14 * top
+        eigenvalues = np.linalg.eigvalsh(blocks)
+        assert eigenvalues.min() >= -1e-14 * eigenvalues.max()
+
+    @pytest.mark.parametrize("name", ["default_degenerate", "tirathaba_28C",
+                                      "tirathaba_20C", "nilaparvata"])
+    def test_blocks_of_every_preset_delay_window(self, name, monkeypatch):
+        scenario = preset(name)
+        [(window, config)] = hum_problems(
+            monkeypatch, compose_delay_control, scenario.spec, scenario.hum)
+        assert window.grid.Nt < scenario.spec.grid.Nt
+        self.check_blocks(window, config.delta)
+
+    def test_blocks_of_plain_hum(self):
+        scenario = preset("default_degenerate")
+        self.check_blocks(scenario.spec, scenario.hum.delta)
+
+    def test_blocks_of_a_glue_subproblem(self, monkeypatch):
+        spec = make_spec(k=PowerLaw(0.5, 0.5))
+        problems = hum_problems(monkeypatch, glue_two_sided, spec, CONFIG,
+                                3.0 / 16.0, 14.0 / 16.0)
+        assert len(problems) == 2
+        window, config = problems[1]
+        assert window.grid.x_span[0] > 0.0
+        self.check_blocks(window, config.delta)
+
+    def test_blocks_on_the_thomas_path(self, monkeypatch):
+        monkeypatch.setattr(solver, "_DENSE_MAX_UNKNOWNS", 0)
+        spec = make_spec()
+        rates = dataclasses.replace(
+            spec.rates,
+            mu=lambda t, a, x: 0.2 + 0.1 * a + 2.0 * t * (1.0 + np.sin(5 * x)))
+        spec = dataclasses.replace(spec, rates=rates)
+        assert not spec._propagator.dense
+        self.check_blocks(spec, CONFIG.delta)
+
+    @pytest.mark.parametrize("name", ["default_degenerate", "tirathaba_28C"])
+    def test_cg_is_the_direct_solve(self, name, monkeypatch):
+        scenario = preset(name)
+        [(window, config)] = hum_problems(
+            monkeypatch, compose_delay_control, scenario.spec, scenario.hum)
+        rows = _target_rows(window.grid, config.delta)
+        op = _Gramian(window, rows)
+        b = op.restrict(solve_forward(window).final_level())
+        xi, residuals, _ = control._conjugate_gradient(
+            op, b, config.epsilon, config.cg_tol, config.cg_max_iter)
+        m = control._cohort_gramian(window, rows) \
+            + config.epsilon * np.eye(window.grid.Nx - 1)
+        direct = -np.linalg.solve(m, b[:, :, None])[:, :, 0]
+        assert np.linalg.norm(xi - direct) <= 1e-10 * np.linalg.norm(direct)
+        assert len(residuals) - 1 <= 2
+        sol = hum_control(window, config)
+        assert abs(sol.diagnostics["duality_gap"]) \
+            <= 1e-12 * max(1.0, sol.j_star)
+
+    @pytest.mark.parametrize("seed", [0, 8, 83])
+    def test_every_preset_takes_at_most_two_steps(self, seed):
+        # the data `degenpop run --seed` solves from
+        for name in ("default_degenerate", "tirathaba_28C", "tirathaba_20C",
+                     "nilaparvata"):
+            scenario = preset(name)
+            spec = dataclasses.replace(scenario.spec, y0=random_final_data(
+                scenario.spec.grid, seed=seed, stream=0))
+            sol = compose_delay_control(spec, scenario.hum)
+            assert 1 <= sol.cg_iterations <= 2
 
 
 class TestDelayComposition:
@@ -436,20 +539,32 @@ class TestPropagatorBuilds:
         monkeypatch.setattr(solver._Propagator, "__init__", counting)
         return seen
 
-    def test_hum_builds_once(self, builds):
+    @pytest.fixture
+    def marched(self, monkeypatch):
+        """The problem of every march control makes, in order."""
+        seen = []
+        for name in ("solve_adjoint", "solve_forward"):
+            def counting(spec, *args, _march=getattr(control, name),
+                         **kwargs):
+                seen.append(spec)
+                return _march(spec, *args, **kwargs)
+            monkeypatch.setattr(control, name, counting)
+        return seen
+
+    def test_hum_builds_once(self, builds, marched):
         spec = make_spec()
-        sol = hum_control(spec, CONFIG)
-        assert sol.cg_iterations > 1
+        hum_control(spec, CONFIG)
+        assert sum(s is spec for s in marched) >= 3
         assert len(builds) == 1 and builds[0] is spec
 
-    def test_delay_builds_once_per_window(self, builds):
+    def test_delay_builds_once_per_window(self, builds, marched):
         spec = make_spec()
-        sol = compose_delay_control(spec, CONFIG)
-        assert sol.cg_iterations > 1
+        compose_delay_control(spec, CONFIG)
         # the problem, whose own march is the free phase, and the control
         # window: two problems, one build each
         assert len(builds) == len({id(b) for b in builds}) == 2
         assert builds[0] is spec
+        assert sum(s is builds[1] for s in marched) >= 3
 
     def test_glue_builds_once_per_problem(self, builds):
         spec = make_spec(k=PowerLaw(0.5, 0.5))
