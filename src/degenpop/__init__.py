@@ -10,13 +10,13 @@ gluing.
 from .coeffs import (CarlemanWeights, DegeneracyReport, HypothesisReport,
                      PowerLaw, Tabulated, VitalRates, build_carleman_weights,
                      classify_degeneracy, eval_theta, validate_hypotheses)
-from .control import (ControlError, ControlSolution, HUMConfig,
+from .control import (ControlError, ControlSolution, CutoffFamily, HUMConfig,
                       compose_delay_control, forward_defect, glue_two_sided,
                       hum_control, scheme_consistency_error)
 from .discretize import (Field2, Field3, Grid, random_final_data,
                          read_field_csv, sine_mode_data, spawn_rng,
                          weighted_norm, write_field_csv, write_json)
-from .inequalities import (CutoffFamily, InequalityReport, caccioppoli_audit,
+from .inequalities import (InequalityReport, caccioppoli_audit,
                            carleman_audit_deg0, carleman_audit_deg1,
                            carleman_audit_nondeg, carleman_local_audit,
                            hardy_ratio, hardy_ratio_at_zero,

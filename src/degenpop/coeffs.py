@@ -112,6 +112,9 @@ class Tabulated:
             raise ValueError("sample abscissae must be strictly increasing")
         if kv.shape != x.shape or kp.shape != x.shape:
             raise ValueError("k and k' samples must match the abscissae")
+        if np.any(kv < 0.0):
+            raise ValueError("tabulated k_values must be non-negative, "
+                             f"got {kv[kv < 0.0].tolist()}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "k_values", kv)
         object.__setattr__(self, "kprime_values", kp)

@@ -400,7 +400,7 @@ def random_final_data(grid: Grid, seed: int, stream: int = 0) -> Field2:
 
 def _write_csv(path, header, rows) -> None:
     """CSV artifact: the header row, then ``rows``, each a sequence of
-    cells its caller has formatted."""
+    plain numbers (a float as its shortest repr, None as an empty cell)."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
@@ -414,7 +414,7 @@ def write_field_csv(fld: Field2 | Field3, path) -> None:
                         indexing="ij")
     columns = [g.reshape(-1) for g in grids] + [fld.values.reshape(-1)]
     _write_csv(path, list(axes) + ["value"],
-               ([repr(float(v)) for v in row] for row in zip(*columns)))
+               np.column_stack(columns).tolist())
 
 
 def write_json(path, payload: dict) -> None:
@@ -434,9 +434,14 @@ def read_field_csv(path, grid: Grid):
     if axes not in (("t", "a", "x"), ("a", "x")):
         raise ValueError(
             f"snapshot axes must be (t, a, x) or (a, x), got {axes}")
-    shape = tuple(len(grid.axis_nodes(ax)) for ax in axes)
+    nodes = [grid.axis_nodes(ax) for ax in axes]
+    shape = tuple(len(n) for n in nodes)
     if data.shape[0] != int(np.prod(shape)):
         raise ValueError("snapshot row count does not match grid")
+    coords = np.meshgrid(*nodes, indexing="ij")
+    for ax, column, node in zip(axes, data.T, coords):
+        if not np.allclose(column, node.reshape(-1), rtol=1e-12, atol=1e-12):
+            raise ValueError(f"snapshot {ax} nodes do not match the grid's")
     values = data[:, -1].reshape(shape)
     if len(axes) == 3:
         return Field3(grid, values)

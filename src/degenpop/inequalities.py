@@ -45,7 +45,6 @@ from .solver import ProblemSpec, _switch_level, lattice_inner, solve_adjoint
 __all__ = [
     "InequalityReport",
     "ReportRow",
-    "CutoffFamily",
     "hardy_ratio",
     "hardy_ratio_at_zero",
     "random_hardy_test_functions",
@@ -111,8 +110,7 @@ class InequalityReport:
 
     def write_csv(self, path) -> None:
         _write_csv(path, ["sample_id", "s", "lhs", "rhs", "ratio"],
-                   ([r.sample_id, repr(r.s), repr(r.lhs), repr(r.rhs),
-                     "" if r.ratio is None else repr(r.ratio)]
+                   ([r.sample_id, r.s, r.lhs, r.rhs, r.ratio]
                     for r in self.rows))
 
     def summary(self) -> dict:
@@ -127,56 +125,6 @@ class InequalityReport:
 
     def write_summary(self, path) -> None:
         write_json(path, self.summary())
-
-
-# ---------------------------------------------------------------------------
-# cut-off functions
-
-
-def _ramp(x, lo, hi):
-    """C^2 quintic rise from 0 at lo to 1 at hi, clamped outside."""
-    x = np.asarray(x, dtype=float)
-    u = np.clip((x - lo) / (hi - lo), 0.0, 1.0)
-    return 6.0 * u ** 5 - 15.0 * u ** 4 + 10.0 * u ** 3
-
-
-@dataclass(frozen=True)
-class CutoffFamily:
-    """The three C^2 cut-offs of the two-sided gluing construction.
-
-    xi is 1 left of q1 = (2*alpha+rho)/3 and 0 right of the midpoint m of
-    [q1, q2]; eta mirrors it (0 left of m, 1 right of q2 = (alpha+2*rho)/3);
-    phi_cut = 1 - xi - eta is the interior bump.  All derivatives are
-    supported strictly inside omega = (alpha, rho).
-    """
-
-    alpha: float
-    rho: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < self.rho < 1.0:
-            raise ValueError("cut-off window must satisfy 0 < alpha < rho < 1")
-
-    @property
-    def q1(self) -> float:
-        return (2.0 * self.alpha + self.rho) / 3.0
-
-    @property
-    def q2(self) -> float:
-        return (self.alpha + 2.0 * self.rho) / 3.0
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.q1 + self.q2)
-
-    def xi(self, x):
-        return 1.0 - _ramp(x, self.q1, self.mid)
-
-    def eta(self, x):
-        return _ramp(x, self.mid, self.q2)
-
-    def phi_cut(self, x):
-        return 1.0 - self.xi(x) - self.eta(x)
 
 
 # ---------------------------------------------------------------------------

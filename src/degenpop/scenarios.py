@@ -416,14 +416,11 @@ def scenario_from_config(cfg: dict, *, name: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ConfigError(f'key "grid": {exc}') from None
 
-    hum_kinds = {"epsilon": (int, float), "cg_tol": (int, float),
-                 "cg_max_iter": int}
-    _reject_unknown(hum_c, hum_kinds, "hum")
+    _reject_unknown(hum_c, {"epsilon"}, "hum")
     try:
-        # HUMConfig's defaults fill the keys the configuration leaves out
+        # HUMConfig's default fills an epsilon the configuration leaves out
         hum = HUMConfig(delta=delta, **{
-            key: _want(hum_c, key, "hum", kind)
-            for key, kind in hum_kinds.items() if key in hum_c})
+            key: _want(hum_c, key, "hum", (int, float)) for key in hum_c})
     except ValueError as exc:
         raise ConfigError(f'key "hum": {exc}') from None
 

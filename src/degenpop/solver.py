@@ -201,7 +201,7 @@ def _thomas_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
 # the sweep's 228 us, so the cap sits inside that range.  Building an
 # inverse costs about 1.6 ms a 48x47 level, and HUM no longer marches
 # hundreds of times to repay it: preconditioned by its cohort blocks, CG
-# takes one or two steps.  On default_degenerate, builds included (best
+# takes one step.  On default_degenerate, builds included (best
 # of 7), dense against sweep: the delayed HUM solve of `degenpop run`
 # takes 24 against 42 ms and the whole `run` 82 against 169 ms (its
 # observability ensemble marches 20 times); with mortality depending on t
@@ -398,7 +398,7 @@ class Trajectory:
     def write_energy_csv(self, path) -> None:
         dt = self.grid.dt
         _write_csv(path, ["step", "t", "l2norm", "flux"],
-                   ([n, repr(n * dt), repr(float(norm)), repr(float(flux))]
+                   ([n, n * dt, float(norm), float(flux)]
                     for n, (norm, flux) in enumerate(zip(self.norms,
                                                          self.fluxes))))
 

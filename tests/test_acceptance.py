@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from degenpop import control
 from degenpop.coeffs import (DEFAULT_S_SWEEP, PowerLaw, VitalRates,
                              build_carleman_weights)
 from degenpop.control import HUMConfig, compose_delay_control, glue_two_sided, hum_control
@@ -80,7 +81,7 @@ TINY_CONFIG = {
               "mu": {"form": "constant", "value": 0.2},
               "omega": [0.3, 0.7]},
     "grid": {"Nt": 8, "Na": 16, "Nx": 10},
-    "hum": {"epsilon": 1e-4, "cg_max_iter": 200},
+    "hum": {"epsilon": 1e-4},
     "audits": ["carleman", "observability"],
     "seed": 3,
 }
@@ -226,7 +227,7 @@ def test_5_penalized_hum_certificate(capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = hum_control(spec, config)
-        assert sol.cg_iterations <= 300
+        assert sol.cg_iterations <= control._CG_MAX_STEPS
         assert sol.final_residual <= sol.certificate * (1.0 + 1e-9)
         y0_norm = lattice_norm(spec.y0.values, spec.grid)
         assert sol.final_residual <= 1e-2 * y0_norm

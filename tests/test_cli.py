@@ -4,7 +4,7 @@ import json
 import pytest
 
 import degenpop.cli as cli
-from degenpop.control import ControlError
+from degenpop.control import ControlError, _Gramian
 
 TINY = {
     "model": {
@@ -15,7 +15,7 @@ TINY = {
         "omega": [0.3, 0.7],
     },
     "grid": {"Nt": 8, "Na": 16, "Nx": 10},
-    "hum": {"epsilon": 1e-4, "cg_max_iter": 200},
+    "hum": {"epsilon": 1e-4},
 }
 
 
@@ -195,6 +195,36 @@ class TestExitCodes:
                                   "cohort of age ")
             assert "epsilon = 1e-300" in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value", [("cg_tol", 1e-8),
+                                           ("cg_max_iter", 300)])
+    def test_cg_keys_map_to_2(self, tmp_path, capsys, key, value):
+        path = tiny_variant(tmp_path, {f"hum.{key}": value})
+        for command in ("validate", "hum", "run"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == 2
+            assert f'unknown key "hum.{key}"' in capsys.readouterr().err
+
+    def test_negative_tabulated_k_maps_to_2(self, tmp_path, capsys):
+        # the audits read log(k): a negative sample gave nonsense, exit 0
+        path = tiny_variant(tmp_path, {"model.k": {
+            "form": "table", "x": [0, 0.5, 1], "k": [-1e-9, 0.5, 1]}})
+        for command in ("validate", "hardy-audit", "carleman-audit", "run"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == 2
+            assert 'key "model.k": tabulated k_values must be non-negative' \
+                in capsys.readouterr().err
+
+    def test_cg_short_of_the_tolerance_maps_to_3(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # unpreconditioned, CG needs far more than its step cap on the preset
+        monkeypatch.setattr(_Gramian, "preconditioner",
+                            lambda self, epsilon: lambda r: r)
+        assert cli.main(["hum", "--preset", "default_degenerate",
+                         "--out", str(tmp_path / "hum")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: CG did not converge in 20 steps at "
+            "epsilon = 1e-06: relative residual ")
 
     def test_window_without_grid_nodes_maps_to_2(self, tmp_path, capsys):
         # on Nx = 10 the nodes nearest [0.31, 0.32] are 0.3 and 0.4

@@ -74,6 +74,14 @@ class TestTabulated:
         with pytest.raises(ValueError, match=f"tabulated {name} must be finite"):
             Tabulated(*samples)
 
+    def test_negative_k_samples_rejected(self):
+        # a sample below zero made the audits' weights log(negative)
+        xs = np.array([0.0, 0.5, 1.0])
+        with pytest.raises(ValueError, match=r"tabulated k_values must be "
+                                             r"non-negative, got \[-1e-09\]"):
+            Tabulated(xs, np.array([-1e-9, 0.5, 1.0]), np.ones(3))
+        Tabulated(xs, np.array([0.0, 0.5, 0.0]), np.ones(3))  # zero is fine
+
     def test_interpolates(self):
         xs = np.linspace(0.0, 1.0, 11)
         tab = Tabulated(xs, xs ** 2, 2 * xs)

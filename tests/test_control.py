@@ -6,9 +6,9 @@ import pytest
 
 from degenpop import control, discretize, inequalities, solver
 from degenpop.coeffs import PowerLaw, VitalRates
-from degenpop.control import (HUMConfig, _Gramian, _target_rows,
-                              compose_delay_control, forward_defect,
-                              glue_two_sided, hum_control,
+from degenpop.control import (CutoffFamily, HUMConfig, _Gramian,
+                              _target_rows, compose_delay_control,
+                              forward_defect, glue_two_sided, hum_control,
                               scheme_consistency_error)
 from degenpop.discretize import Field2, Field3, Grid, random_final_data
 from degenpop.scenarios import preset
@@ -38,12 +38,13 @@ class TestHUMConfig:
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="epsilon"):
                 HUMConfig(delta=1.25, epsilon=bad)
-            with pytest.raises(ValueError, match="cg_tol"):
-                HUMConfig(delta=1.25, cg_tol=bad)
-        with pytest.raises(ValueError, match="cg_max_iter"):
-            HUMConfig(delta=1.25, cg_max_iter=0)
         with pytest.raises(TypeError):
             HUMConfig()
+
+    def test_fields_are_epsilon_and_delta(self):
+        # CG's stop rule is the module's, not a configuration knob
+        assert [f.name for f in dataclasses.fields(HUMConfig)] \
+            == ["epsilon", "delta"]
 
     def test_delta_range_checked_at_solve(self):
         spec = make_spec()
@@ -157,8 +158,7 @@ class TestHUMControl:
         residuals = []
         norms = []
         for eps in (1e-3, 1e-4, 1e-5):
-            sol = hum_control(spec, HUMConfig(delta=1.25, epsilon=eps,
-                                              cg_max_iter=400))
+            sol = hum_control(spec, HUMConfig(delta=1.25, epsilon=eps))
             residuals.append(sol.final_residual)
             norms.append(sol.control_norm)
         assert residuals[0] >= residuals[1] >= residuals[2]
@@ -178,12 +178,17 @@ class TestHUMControl:
         np.testing.assert_array_equal(sol.y.state.values, redo.state.values)
         assert forward_defect(spec, sol.y.state, sol.f) < 1e-10
 
-    def test_iteration_cap_warns(self):
-        # one preconditioned step lands at round-off, short of 1e-30
-        spec = make_spec()
-        with pytest.warns(UserWarning, match="iteration cap"):
-            hum_control(spec, HUMConfig(delta=1.25, epsilon=1e-6,
-                                        cg_tol=1e-30, cg_max_iter=1))
+    def test_cg_short_of_the_tolerance_at_the_step_cap_raises(
+            self, monkeypatch):
+        # unpreconditioned, CG needs far more than _CG_MAX_STEPS steps on
+        # the preset; the solve stops there instead of returning a control
+        monkeypatch.setattr(_Gramian, "preconditioner",
+                            lambda self, epsilon: lambda r: r)
+        scenario = preset("default_degenerate")
+        with pytest.raises(control.ControlError,
+                           match=r"CG did not converge in 20 steps at "
+                                 r"epsilon = 1e-06: relative residual "):
+            hum_control(scenario.spec, scenario.hum)
 
     def test_csv_and_summary(self, tmp_path):
         spec = make_spec()
@@ -198,6 +203,30 @@ class TestHUMControl:
         payload = json.loads((tmp_path / "summary.json").read_text())
         assert payload["final_residual"] == sol.final_residual
         assert payload["cg_iterations"] == sol.cg_iterations
+
+
+class TestCutoffFamily:
+    def test_window_validated(self):
+        with pytest.raises(ValueError):
+            CutoffFamily(0.7, 0.3)
+        with pytest.raises(ValueError):
+            CutoffFamily(0.0, 0.5)
+
+    def test_partition_of_unity(self):
+        cut = CutoffFamily(0.3, 0.7)
+        x = np.linspace(0.0, 1.0, 1001)
+        total = cut.xi(x) + cut.eta(x) + cut.phi_cut(x)
+        np.testing.assert_allclose(total, 1.0, atol=1e-15)
+
+    def test_plateaus_exact(self):
+        cut = CutoffFamily(0.3, 0.7)
+        left = np.linspace(0.0, cut.q1, 50)
+        right = np.linspace(cut.q2, 1.0, 50)
+        mid = np.linspace(cut.mid, 1.0, 50)
+        assert np.all(cut.xi(left) == 1.0)
+        assert np.all(cut.xi(mid) == 0.0)
+        assert np.all(cut.eta(right) == 1.0)
+        assert np.all(cut.eta(np.linspace(0.0, cut.mid, 50)) == 0.0)
 
 
 class _Diagonal:
@@ -219,21 +248,31 @@ class _Diagonal:
 class TestConjugateGradientBreakdown:
     def test_lost_curvature(self):
         with pytest.raises(control.ControlError,
-                           match="lost positive definiteness") as info:
-            control._conjugate_gradient(_Diagonal(-2.0), np.ones(4), 1e-6,
-                                        1e-8, 300)
-        assert info.value.residuals == (2.0,)
+                           match="lost positive definiteness"):
+            control._conjugate_gradient(_Diagonal(-2.0), np.ones(4), 1e-6)
 
-    def test_stagnation(self):
-        # eigenvalues 1 down to 2^-120 and no penalty: the residual stalls
-        # on a round-off floor far above the tolerance while the functional
-        # stops moving
+    def test_no_convergence_within_the_step_cap(self):
+        # eigenvalues 1 down to 2^-120 and no penalty: CG is nowhere near
+        # the tolerance after _CG_MAX_STEPS steps
         op = _Diagonal(0.5 ** (8 * np.arange(16)))
-        with pytest.raises(control.ControlError, match="stagnated") as info:
-            control._conjugate_gradient(op, np.ones(16), 0.0, 1e-12, 1000)
-        residuals = info.value.residuals
-        assert min(residuals[-21:]) >= min(residuals[:-21]) \
-            > 1e-12 * residuals[0]
+        with pytest.raises(control.ControlError) as info:
+            control._conjugate_gradient(op, np.ones(16), 0.0)
+        message = str(info.value)
+        assert message.startswith(
+            f"CG did not converge in {control._CG_MAX_STEPS} steps at "
+            "epsilon = 0.0: relative residual ")
+        reached = float(message.split("relative residual ")[1].split(";")[0])
+        assert reached > control._CG_TOL
+
+    def test_converging_on_the_last_step_returns(self):
+        # n distinct eigenvalues: plain CG meets the tolerance at step n
+        n = control._CG_MAX_STEPS
+        op = _Diagonal(1.0 + np.arange(n))
+        xi, residuals, _ = control._conjugate_gradient(op, np.ones(n), 0.0)
+        assert len(residuals) - 1 == n
+        assert residuals[-1] <= control._CG_TOL * residuals[0]
+        np.testing.assert_allclose(xi, -1.0 / (1.0 + np.arange(n)),
+                                   rtol=1e-7)
 
 
 def hum_problems(monkeypatch, solve, *args):
@@ -312,8 +351,7 @@ class TestCohortGramian:
         rows = _target_rows(window.grid, config.delta)
         op = _Gramian(window, rows)
         b = op.restrict(solve_forward(window).final_level())
-        xi, residuals, _ = control._conjugate_gradient(
-            op, b, config.epsilon, config.cg_tol, config.cg_max_iter)
+        xi, residuals, _ = control._conjugate_gradient(op, b, config.epsilon)
         m = control._cohort_gramian(window, rows) \
             + config.epsilon * np.eye(window.grid.Nx - 1)
         direct = -np.linalg.solve(m, b[:, :, None])[:, :, 0]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,3 +181,18 @@ class TestSnapshotIO:
         back = read_field_csv(path, g)
         np.testing.assert_array_equal(back.values, fld.values)
         assert back.axes == ("a", "x")
+
+    def test_snapshot_of_another_grid_rejected(self, tmp_path):
+        # same node counts, other nodes: the row count alone let it through
+        written = Grid(T=1.0, A=2.0, Nt=4, Na=8, Nx=6)
+        other = Grid(T=2.0, A=4.0, Nt=4, Na=8, Nx=6, x_span=(0.0, 0.5))
+        path = tmp_path / "snap.csv"
+        for fld, first in ((Field3.zeros(written), "t"),
+                           (Field2.zeros(written), "a")):
+            write_field_csv(fld, path)
+            with pytest.raises(ValueError, match=f"snapshot {first} nodes "
+                                                 "do not match the grid's"):
+                read_field_csv(path, other)
+            with pytest.raises(ValueError, match="snapshot x nodes"):
+                read_field_csv(path, dataclasses.replace(
+                    written, x_span=(0.0, 0.5)))

@@ -11,7 +11,7 @@ from degenpop.coeffs import (DEFAULT_S_SWEEP, PowerLaw, Tabulated,
                              VitalRates, build_carleman_weights)
 from degenpop.discretize import (Field2, Field3, Grid, axis_weights,
                                  random_final_data, spawn_rng, weighted_norm)
-from degenpop.inequalities import (_HARDY_BLOCK, CutoffFamily, ReportRow,
+from degenpop.inequalities import (_HARDY_BLOCK, ReportRow,
                                    caccioppoli_audit,
                                    carleman_audit_deg0, carleman_audit_deg1,
                                    carleman_audit_nondeg,
@@ -1068,30 +1068,6 @@ class TestCaccioppoli:
             caccioppoli_audit(samples, (0.35, 0.65), (0.25, 0.75),
                               lambda x: np.asarray(x, dtype=float) - 0.5,
                               s=1.0)
-
-
-class TestCutoffFamily:
-    def test_window_validated(self):
-        with pytest.raises(ValueError):
-            CutoffFamily(0.7, 0.3)
-        with pytest.raises(ValueError):
-            CutoffFamily(0.0, 0.5)
-
-    def test_partition_of_unity(self):
-        cut = CutoffFamily(0.3, 0.7)
-        x = np.linspace(0.0, 1.0, 1001)
-        total = cut.xi(x) + cut.eta(x) + cut.phi_cut(x)
-        np.testing.assert_allclose(total, 1.0, atol=1e-15)
-
-    def test_plateaus_exact(self):
-        cut = CutoffFamily(0.3, 0.7)
-        left = np.linspace(0.0, cut.q1, 50)
-        right = np.linspace(cut.q2, 1.0, 50)
-        mid = np.linspace(cut.mid, 1.0, 50)
-        assert np.all(cut.xi(left) == 1.0)
-        assert np.all(cut.xi(mid) == 0.0)
-        assert np.all(cut.eta(right) == 1.0)
-        assert np.all(cut.eta(np.linspace(0.0, cut.mid, 50)) == 0.0)
 
 
 class TestObservability:

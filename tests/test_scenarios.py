@@ -23,7 +23,7 @@ BASE_CONFIG = {
         "omega": [0.3, 0.7],
     },
     "grid": {"Nt": 8, "Na": 16, "Nx": 10},
-    "hum": {"epsilon": 1e-4, "cg_max_iter": 200},
+    "hum": {"epsilon": 1e-4},
 }
 
 
@@ -231,6 +231,23 @@ class TestScenarioFromConfig:
         cfg = config()
         cfg["model"]["kk"] = 1
         with pytest.raises(ConfigError, match='unknown key "model.kk"'):
+            scenario_from_config(cfg)
+
+    @pytest.mark.parametrize("key,value", [("cg_tol", 1e-8),
+                                           ("cg_max_iter", 300)])
+    def test_cg_keys_rejected(self, key, value):
+        # CG's stop rule is fixed in control, not configured
+        cfg = config()
+        cfg["hum"][key] = value
+        with pytest.raises(ConfigError, match=f'unknown key "hum.{key}"'):
+            scenario_from_config(cfg)
+
+    def test_negative_tabulated_k_rejected(self):
+        cfg = config()
+        cfg["model"]["k"] = {"form": "table", "x": [0.0, 0.5, 1.0],
+                             "k": [-1e-9, 0.5, 1.0]}
+        with pytest.raises(ConfigError, match='key "model.k": tabulated '
+                                              'k_values must be non-negative'):
             scenario_from_config(cfg)
 
     def test_bad_types_rejected(self):
