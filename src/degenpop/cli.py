@@ -9,6 +9,7 @@ memory runs out, 3 when a numerical stage breaks down.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -192,7 +193,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it as it was, so every call of :func:`main` shares it."""
     parser = argparse.ArgumentParser(
         prog="degenpop",
         description="Degenerate age/space structured population models: "

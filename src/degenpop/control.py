@@ -22,8 +22,8 @@ from .coeffs import classify_degeneracy
 from .discretize import (Field2, Field3, Grid, _nearest_x_node, _write_csv,
                          window_mask, write_json)
 from .solver import (ProblemSpec, Trajectory, _exp_or_inf, _renewal_growth,
-                     _switch_level, control_norm, lattice_inner, lattice_norm,
-                     observation, solve_adjoint, solve_forward)
+                     _share_levels, _switch_level, control_norm, lattice_inner,
+                     lattice_norm, observation, solve_adjoint, solve_forward)
 
 __all__ = [
     "HUMConfig",
@@ -314,14 +314,18 @@ def _time_window(spec: ProblemSpec, start: int, steps: int,
     The window keeps the age lattice of ``spec``, hence its step dt = da
     (its grid spans steps * dt from t = 0), starts from ``y0_values`` and
     reads mortality on the clock of ``spec``, so window level n is level
-    start + n of the whole horizon.
+    start + n of the whole horizon.  Its propagator is a view of those
+    levels of ``spec``'s (``solver._share_levels``): nothing is built or
+    factored again.
     """
     dt = spec.grid.dt
     grid = replace(spec.grid, T=steps * dt, Nt=steps)
     mu = spec.rates.mu
     rates = replace(spec.rates, mu=lambda t, a, x: mu(start * dt + t, a, x))
-    return ProblemSpec(k=spec.k, rates=rates, grid=grid, omega=spec.omega,
-                       y0=Field2(grid, y0_values))
+    window = ProblemSpec(k=spec.k, rates=rates, grid=grid, omega=spec.omega,
+                         y0=Field2(grid, y0_values))
+    _share_levels(window, spec, start)
+    return window
 
 
 def compose_delay_control(spec: ProblemSpec, config: HUMConfig) -> ControlSolution:

@@ -14,6 +14,7 @@ special-casing callers.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -112,10 +113,9 @@ class Grid:
         return np.linspace(lo, hi, self.Nx + 1)
 
     def axis_nodes(self, name: str) -> np.ndarray:
-        try:
-            return {"t": self.t_nodes, "a": self.a_nodes, "x": self.x_nodes}[name]
-        except KeyError:
-            raise ValueError(f"unknown axis {name!r}") from None
+        if name not in ("t", "a", "x"):
+            raise ValueError(f"unknown axis {name!r}")
+        return getattr(self, f"{name}_nodes")
 
 
 def _nearest_x_node(grid: Grid, x: float) -> int:
@@ -372,13 +372,14 @@ def sine_mode_data(grid: Grid, coeffs: np.ndarray) -> Field2:
     a = grid.a_nodes
     lo, hi = grid.x_span
     xhat = (grid.x_nodes - lo) / (hi - lo)
+    sx = [np.sin((n + 1) * np.pi * xhat) for n in range(c.shape[1])]
     vals = np.zeros((a.size, xhat.size))
     for m in range(c.shape[0]):
         sa = np.sin((m + 1) * np.pi * a / grid.A)
         for n in range(c.shape[1]):
             if c[m, n] == 0.0:
                 continue
-            vals += c[m, n] * np.outer(sa, np.sin((n + 1) * np.pi * xhat))
+            vals += c[m, n] * np.outer(sa, sx[n])
     vals *= ((grid.A - a) / grid.A)[:, None]
     vals[-1, :] = 0.0
     return Field2(grid, vals)
@@ -400,21 +401,27 @@ def random_final_data(grid: Grid, seed: int, stream: int = 0) -> Field2:
 
 def _write_csv(path, header, rows) -> None:
     """CSV artifact: the header row, then ``rows``, each a sequence of
-    plain numbers (a float as its shortest repr, None as an empty cell)."""
+    plain numbers or strings, a line at a time.  A cell is ``str(cell)``
+    (a float's shortest repr), None an empty cell, and every line ends in
+    CRLF: byte for byte what ``csv.writer`` writes for such rows, no cell
+    of which holds a comma, a quote or a line break."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in itertools.chain([header], rows):
+            handle.write(",".join(["" if cell is None else str(cell)
+                                   for cell in row]))
+            handle.write("\r\n")
 
 
 def write_field_csv(fld: Field2 | Field3, path) -> None:
-    """CSV snapshot: header row, one row per node, row-major order."""
-    axes = fld.axes
-    grids = np.meshgrid(*[fld.grid.axis_nodes(ax) for ax in axes],
-                        indexing="ij")
-    columns = [g.reshape(-1) for g in grids] + [fld.values.reshape(-1)]
-    _write_csv(path, list(axes) + ["value"],
-               np.column_stack(columns).tolist())
+    """CSV snapshot: header row, one row per node, row-major order.  Each
+    axis's nodes are formatted once, and each value once."""
+    *outer, inner = [[str(node) for node in fld.grid.axis_nodes(ax).tolist()]
+                     for ax in fld.axes]
+    lines = fld.values.reshape(-1, len(inner))
+    _write_csv(path, list(fld.axes) + ["value"],
+               (prefix + (x, v)
+                for prefix, line in zip(itertools.product(*outer), lines)
+                for x, v in zip(inner, map(str, line.tolist()))))
 
 
 def write_json(path, payload: dict) -> None:

@@ -40,7 +40,8 @@ from .discretize import (
     window_mask,
     write_json,
 )
-from .solver import ProblemSpec, _switch_level, lattice_inner, solve_adjoint
+from .solver import (ProblemSpec, _adjoint_levels, _switch_level,
+                     lattice_inner, solve_adjoint)
 
 __all__ = [
     "InequalityReport",
@@ -59,8 +60,9 @@ __all__ = [
     "window_nodes",
     "observability_ratio",
     # re-exported, no longer called here: the benchmark's tracer tests
-    # (perfbench/test_perfbench.py) reach it through this module
+    # (perfbench/test_perfbench.py) reach them through this module
     "weighted_norm",
+    "solve_adjoint",
 ]
 
 
@@ -902,32 +904,38 @@ def observability_ratio(spec: ProblemSpec, ensemble,
     is evaluated, with T - a_bar the lattice level of
     ``solver._switch_level``.  The window term integrates over
     ``spec.omega`` (another window: ``dataclasses.replace(spec, omega=w)``);
-    each call solves its adjoints afresh.
+    each call solves its adjoints afresh, the whole ensemble as one march
+    (``solver._adjoint_levels``) whose levels are read as they come.
     """
     if not ensemble:
         raise ValueError("empty ensemble")
     grid = spec.grid
     if not grid.T < delta < grid.A:
         raise ValueError("delta must lie in (T, A)")
-    lo, hi = spec.omega
-    sel = window_mask(grid.x_nodes, lo, hi)
-    n_star = _switch_level(grid, spec.rates.a_bar)
-    t_weights = axis_weights(grid.Nt + 1, grid.dt)
-    early = grid.a_nodes <= delta
-    rows = []
     for idx, v_T in enumerate(ensemble):
         if v_T.grid != grid:
             raise ValueError("ensemble grid does not match the problem grid")
         tail = float(np.max(np.abs(v_T.values[-1])))
         if tail > 1e-12 * max(float(np.max(np.abs(v_T.values))), 1e-300):
             raise ValueError(f"ensemble member {idx} has v_T(A,.) != 0")
-        traj = solve_adjoint(spec, v_T)
-        vals = traj.state.values
-        lhs = lattice_inner(vals[n_star], vals[n_star], grid)
-        window = float(np.sum(
-            t_weights[:, None, None] * vals[:, :, sel] ** 2)) * grid.da * grid.dx
-        final = v_T.values[early]
-        final_term = lattice_inner(final, final, grid)
-        rows.append(_make_row(idx, 0.0, lhs, final_term + window))
+    lo, hi = spec.omega
+    sel = window_mask(grid.x_nodes, lo, hi)
+    n_star = _switch_level(grid, spec.rates.a_bar)
+    t_weights = axis_weights(grid.Nt + 1, grid.dt)
+    early = grid.a_nodes <= delta
+    window = np.zeros(len(ensemble))
+    final = np.stack([v_T.values for v_T in ensemble], axis=1)
+    for n, level in _adjoint_levels(spec, final):
+        inside = level[:, :, sel]
+        window += t_weights[n] * np.einsum("akx,akx->k", inside, inside)
+        if n == n_star:
+            lhs = [lattice_inner(v, v, grid) for v in level.transpose(1, 0, 2)]
+    window *= grid.da * grid.dx
+    rows = []
+    for idx, v_T in enumerate(ensemble):
+        early_rows = v_T.values[early]
+        final_term = lattice_inner(early_rows, early_rows, grid)
+        rows.append(_make_row(idx, 0.0, lhs[idx],
+                              final_term + float(window[idx])))
     return InequalityReport("observability", tuple(rows), (),
                             {"delta": delta, "omega": [lo, hi]})

@@ -71,6 +71,22 @@ class ProblemSpec:
         return _Propagator(self)
 
 
+def _share_levels(window: ProblemSpec, spec: ProblemSpec, start: int) -> None:
+    """Give ``window``, the problem on time levels start..start+Nt of
+    ``spec``, a view of ``spec``'s propagator on levels start+1..start+Nt
+    as its own: it shares every array and the stored operands of those
+    levels, so a problem and its windows build and factor each level
+    once, and the window reads ``spec``'s mortality at exactly ``spec``'s
+    levels."""
+    prop = spec._propagator
+    levels = slice(start, start + window.grid.Nt)
+    view = object.__new__(_Propagator)
+    view.__dict__.update(vars(prop), grid=window.grid,
+                         _diag=prop._diag[levels],
+                         _operands=prop._operands[levels])
+    window.__dict__["_propagator"] = view
+
+
 def _switch_level(grid: Grid, a_bar: float) -> int:
     """The time level of T - a_bar, the switch from silence to control.
 
@@ -202,12 +218,13 @@ def _thomas_solve(factors: tuple, rhs: np.ndarray) -> np.ndarray:
 # inverse costs about 1.6 ms a 48x47 level, and HUM no longer marches
 # hundreds of times to repay it: preconditioned by its cohort blocks, CG
 # takes one step.  On default_degenerate, builds included (best
-# of 7), dense against sweep: the delayed HUM solve of `degenpop run`
-# takes 24 against 42 ms and the whole `run` 82 against 169 ms (its
-# observability ensemble marches 20 times); with mortality depending on t
-# (24 distinct levels, 19.4 MB) the delayed solve takes 98 against 51 ms
-# and a lone forward march 56 against 16 ms.  No benchmark workload
-# crosses either limit.
+# of 7, two sessions), dense against sweep: the delayed HUM solve of
+# `degenpop run` takes 14-18 against 32-45 ms and the whole `run` 58-68
+# against 98-131 ms (its control window views the problem's levels, and
+# its observability ensemble is one march of 20 right sides); with
+# mortality depending on t (24 distinct levels, 19.4 MB) the delayed
+# solve takes 46-48 against 45-49 ms and a lone forward march 36-52
+# against 13-15 ms.  No benchmark workload crosses either limit.
 _DENSE_MAX_UNKNOWNS = 8000
 _DENSE_MAX_BYTES = 64 * 2 ** 20
 
@@ -242,7 +259,9 @@ class _Propagator:
     from these pieces and nothing else, which keeps the adjoint the exact
     transpose of the forward step.  Levels are time levels 1..Nt; the
     implicit solve acts on age rows 1..Na and interior x nodes.  Build it
-    through ``ProblemSpec._propagator``, which keeps one per problem.
+    through ``ProblemSpec._propagator``, which keeps one per problem; a
+    time window of a problem holds a view of the problem's
+    (:func:`_share_levels`).
     """
 
     def __init__(self, spec: ProblemSpec):
@@ -304,17 +323,19 @@ class _Propagator:
 
     def adjoint_rhs(self, new: np.ndarray,
                     source: np.ndarray | None) -> np.ndarray:
-        """Transposed right side: new level plus w_j c beta_j v(a=0), minus
-        dt * source when given (rows 1..Na)."""
-        q = new[1:, 1:-1] + self._coupling * new[0][None, 1:-1]
+        """Transposed right sides of K data, new level (Na+1, K, Nx+1) plus
+        w_j c beta_j v(a=0), minus dt * source (Na+1, Nx+1) when given:
+        (Na, K, Nx-1), rows 1..Na."""
+        q = new[1:, :, 1:-1] + self._coupling[:, None] * new[0][None, :, 1:-1]
         if source is not None:
-            q -= self.grid.dt * source[1:, 1:-1]
+            q -= self.grid.dt * source[1:, None, 1:-1]
         return q
 
     def solve_diffusion(self, level: int, rhs: np.ndarray, *,
                         transpose: bool = False) -> np.ndarray:
         """Apply D^{-1} at ``level``, or its transpose for the adjoint, to
-        interior-x data ``rhs`` for rows 1..Na.
+        interior-x data ``rhs`` for rows 1..Na: (Na, N), or for the
+        transpose also (Na, K, N), K row vectors per age row.
 
         Within ``_DENSE_MAX_UNKNOWNS`` and ``_DENSE_MAX_BYTES`` this is
         one np.matmul with the stored inverses, and the transpose
@@ -330,7 +351,8 @@ class _Propagator:
         if not self.dense:
             return _thomas_solve(operand, rhs)
         if transpose:
-            return (rhs[:, None, :] @ operand)[:, 0]
+            rows = rhs.reshape(len(rhs), -1, rhs.shape[-1])
+            return (rows @ operand).reshape(rhs.shape)
         return (operand @ rhs[:, :, None])[:, :, 0]
 
     def solve_cohorts(self, level: int, rows: np.ndarray,
@@ -460,27 +482,48 @@ def solve_adjoint(spec: ProblemSpec, v_T: Field2, *,
     renewal closing factor.  The state is the only field stored; the
     control sample of the duality identity is :func:`observation`.
     Levels run on the problem's own clock, as in :func:`solve_forward`.
+    This is the one-datum case of :func:`_adjoint_levels`.
     """
     if v_T.grid != spec.grid:
         raise ValueError("final data grid does not match the problem grid")
     if source is not None and source.grid != spec.grid:
         raise ValueError("source grid does not match the problem grid")
+    state = Field3.zeros(spec.grid)
+    values = state.values
+    for n, level in _adjoint_levels(spec, v_T.values[:, None], source):
+        values[n] = level[:, 0]
+    return Trajectory(state=state, k_faces=spec._propagator.k_faces)
+
+
+def _adjoint_levels(spec: ProblemSpec, final: np.ndarray,
+                    source: Field3 | None = None):
+    """Yield (n, v^n) for n = Nt down to 0: the adjoint march of
+    :func:`solve_adjoint` from K final data at once.
+
+    ``final`` is (Na+1, K, Nx+1), datum k in ``final[:, k]``, and so is
+    each level yielded, a fresh array.  Every age row solves its K right
+    sides together with the level's one operand: on the Thomas path each
+    datum's bits are its own march's; the dense path's matmul may sum in
+    another order for K > 1.  ``source``, when given, drives every datum.
+    The march holds two levels, never a trajectory; a step that
+    overflows raises FloatingPointError naming its level.
+    """
     prop = spec._propagator
     grid = spec.grid
-    state = Field3.zeros(grid)
-    values = state.values
-    values[grid.Nt] = v_T.values
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for n in range(grid.Nt - 1, -1, -1):
-                src = None if source is None else source.values[n + 1]
-                values[n][:-1, 1:-1] = prop.solve_diffusion(
-                    n + 1, prop.adjoint_rhs(values[n + 1], src),
-                    transpose=True)
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"adjoint march: {exc} at time level "
-                                 f"{n} (Nt = {grid.Nt})") from None
-    return Trajectory(state=state, k_faces=prop.k_faces)
+    new = final
+    yield grid.Nt, new
+    for n in range(grid.Nt - 1, -1, -1):
+        src = None if source is None else source.values[n + 1]
+        level = np.zeros(final.shape)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                level[:-1, :, 1:-1] = prop.solve_diffusion(
+                    n + 1, prop.adjoint_rhs(new, src), transpose=True)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"adjoint march: {exc} at time level "
+                                     f"{n} (Nt = {grid.Nt})") from None
+        yield n, level
+        new = level
 
 
 def observation(spec: ProblemSpec, adjoint: Trajectory) -> Field3:

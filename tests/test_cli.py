@@ -60,6 +60,38 @@ class TestParsing:
         with pytest.raises(SystemExit):
             cli.main(["simulate", "--config", str(tiny_config)])
 
+    def test_parser_built_once_gives_what_fresh_ones_give(self, tmp_path,
+                                                         capsys):
+        # an op that fails parsing (exit 2) after argparse has read a
+        # non-default --preset, then a valid op on the default preset: the
+        # one parser of the process answers both as two fresh parsers do
+        def session(name, fresh):
+            argvs = (["simulate", "--preset", "tirathaba_28C", "--seed", "-1",
+                      "--out", str(tmp_path / name / "failed")],
+                     ["simulate", "--out", str(tmp_path / name / "sim")])
+            outcomes = []
+            for argv in argvs:
+                if fresh:
+                    cli._build_parser.cache_clear()
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                outcomes.append((code, captured.out, captured.err))
+            files = {p.relative_to(tmp_path / name): p.read_bytes()
+                     for p in (tmp_path / name).rglob("*") if p.is_file()}
+            return outcomes, files
+
+        shared = session("shared", fresh=False)
+        assert cli._build_parser() is cli._build_parser()
+        fresh = session("fresh", fresh=True)
+        assert shared == fresh
+        (failed, _, err), (passed, _, _) = shared[0]
+        assert failed == 2 and "argument --seed" in err and passed == 0
+        assert sorted(map(str, shared[1])) == ["sim/energy.csv",
+                                               "sim/final_state.csv"]
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path):

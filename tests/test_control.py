@@ -598,15 +598,46 @@ class TestPropagatorBuilds:
     def test_delay_builds_once_per_window(self, builds, marched):
         spec = make_spec()
         compose_delay_control(spec, CONFIG)
-        # the problem, whose own march is the free phase, and the control
-        # window: two problems, one build each
-        assert len(builds) == len({id(b) for b in builds}) == 2
-        assert builds[0] is spec
-        assert sum(s is builds[1] for s in marched) >= 3
+        # the problem, whose own march is the free phase, builds; the
+        # control window views the problem's levels and builds nothing
+        assert len(builds) == 1 and builds[0] is spec
+        window = marched[-1]
+        assert window is not spec
+        assert sum(s is window for s in marched) >= 3
+
+    @pytest.mark.parametrize("seasonal", [False, True])
+    def test_window_views_the_problems_levels(self, monkeypatch, seasonal):
+        spec = make_spec(a_bar=0.5)
+        if seasonal:  # every level its own operand
+            spec = dataclasses.replace(spec, rates=dataclasses.replace(
+                spec.rates, mu=lambda t, a, x: 0.2 + 2.0 * t + 0.0 * a * x))
+        windows = []
+        time_window = control._time_window
+
+        def spy(*args):
+            windows.append(time_window(*args))
+            return windows[-1]
+
+        monkeypatch.setattr(control, "_time_window", spy)
+        compose_delay_control(spec, CONFIG)
+        [window] = windows
+        prop, view = spec._propagator, window._propagator
+        start = spec.grid.Nt - window.grid.Nt
+        assert view is not prop and view.grid is window.grid
+        assert len(view._operands) == len(view._diag) == window.grid.Nt
+        for mine, parents in ((view._operands, prop._operands[start:]),
+                              (view._diag, prop._diag[start:])):
+            assert all(a is b for a, b in zip(mine, parents))
+        assert len({id(op) for op in view._operands}) \
+            == (window.grid.Nt if seasonal else 1)
+        for name in ("k_faces", "beta", "_coupling", "omega_mask", "offdiag",
+                     "_renewal_c", "_age_weights", "dense"):
+            assert getattr(view, name) is getattr(prop, name)
 
     def test_glue_builds_once_per_problem(self, builds):
         spec = make_spec(k=PowerLaw(0.5, 0.5))
         glue_two_sided(spec, CONFIG, 3.0 / 16.0, 14.0 / 16.0)
-        # the whole problem, and each side's problem and control window
-        assert len(builds) == len({id(spec) for spec in builds}) == 5
+        # the whole problem and each side's problem; each side's control
+        # window views its side's levels
+        assert len(builds) == len({id(spec) for spec in builds}) == 3
         assert sum(b is spec for b in builds) == 1

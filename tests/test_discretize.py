@@ -1,14 +1,17 @@
+import csv
 import dataclasses
+import io
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate as sp_integrate
 
-from degenpop.discretize import (Field2, Field3, Grid, axis_weights,
-                                 random_final_data, read_field_csv,
-                                 sine_mode_data, spawn_rng, weighted_norm,
-                                 write_field_csv)
+from degenpop.discretize import (Field2, Field3, Grid, _write_csv,
+                                 axis_weights, random_final_data,
+                                 read_field_csv, sine_mode_data, spawn_rng,
+                                 weighted_norm, write_field_csv)
 
 
 def make_grid(Nt=6, Nx=8):
@@ -41,6 +44,13 @@ class TestGrid:
         g = Grid(T=3 * 0.2, A=2.0, Nt=3, Na=10, Nx=4)
         assert g.T / g.Nt != g.da
         assert g.dt == g.da == 0.2
+
+    def test_axis_nodes_are_the_linspaces(self):
+        g = Grid(T=1.0, A=2.0, Nt=4, Na=8, Nx=5, x_span=(0.25, 0.75))
+        for name, want in (("t", np.linspace(0.0, 1.0, 5)),
+                           ("a", np.linspace(0.0, 2.0, 9)),
+                           ("x", np.linspace(0.25, 0.75, 6))):
+            assert np.array_equal(g.axis_nodes(name), want)
 
     def test_unknown_axis(self):
         with pytest.raises(ValueError):
@@ -151,6 +161,26 @@ class TestFields:
         np.testing.assert_allclose(f.values[:, 0], 0.0, atol=1e-15)
         np.testing.assert_allclose(f.values[:, -1], 0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("x_span", [(0.0, 1.0), (0.2, 0.7)])
+    def test_sine_modes_are_the_double_series(self, x_span):
+        g = Grid(T=1.0, A=2.0, Nt=6, Na=12, Nx=9, x_span=x_span)
+        c = spawn_rng(3).standard_normal((4, 3))
+        c[1, 2] = c[3, 0] = 0.0
+        # the series term by term, each x sine evaluated per (m, n)
+        a = g.a_nodes
+        lo, hi = x_span
+        xhat = (g.x_nodes - lo) / (hi - lo)
+        want = np.zeros((a.size, xhat.size))
+        for m in range(4):
+            sa = np.sin((m + 1) * np.pi * a / g.A)
+            for n in range(3):
+                if c[m, n] != 0.0:
+                    want += c[m, n] * np.outer(
+                        sa, np.sin((n + 1) * np.pi * xhat))
+        want *= ((g.A - a) / g.A)[:, None]
+        want[-1, :] = 0.0
+        assert np.array_equal(sine_mode_data(g, c).values, want)
+
 
 class TestRandomness:
     def test_spawn_rng_reproducible(self):
@@ -196,3 +226,40 @@ class TestSnapshotIO:
             with pytest.raises(ValueError, match="snapshot x nodes"):
                 read_field_csv(path, dataclasses.replace(
                     written, x_span=(0.0, 0.5)))
+
+    @staticmethod
+    def csv_module_bytes(header, rows) -> bytes:
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        writer.writerow(header)
+        writer.writerows(rows)
+        return text.getvalue().encode()
+
+    def test_cells_as_the_csv_module_writes_them(self, tmp_path):
+        header = ["step", "t", "value", "note"]
+        rows = [[0, 0.1, 1 / 3, None], [-7, -0.0, 1e-300, 2 ** 70],
+                [3, math.inf, -math.inf, math.nan], [None, None, 0.0, 1e300]]
+        path = tmp_path / "cells.csv"
+        _write_csv(path, header, iter(rows))
+        assert path.read_bytes() == self.csv_module_bytes(header, rows)
+
+    def test_snapshots_as_the_csv_module_writes_them(self, tmp_path):
+        g = Grid(T=0.6, A=1.2, Nt=3, Na=6, Nx=7, x_span=(0.1, 0.8))
+        rng = spawn_rng(9)
+        for fld in (Field2(g, rng.standard_normal((g.Na + 1, g.Nx + 1))),
+                    Field3(g, rng.standard_normal((g.Nt + 1, g.Na + 1,
+                                                   g.Nx + 1)))):
+            fld.values[0, 0] = -0.0
+            path = tmp_path / f"{type(fld).__name__}.csv"
+            write_field_csv(fld, path)
+            # the snapshot before one format per number: every node's
+            # coordinates beside its value, through the csv module
+            nodes = np.meshgrid(*[g.axis_nodes(ax) for ax in fld.axes],
+                                indexing="ij")
+            rows = np.column_stack([n.reshape(-1) for n in nodes]
+                                   + [fld.values.reshape(-1)]).tolist()
+            assert path.read_bytes() == self.csv_module_bytes(
+                list(fld.axes) + ["value"], rows)
+            back = read_field_csv(path, g)
+            assert type(back) is type(fld)
+            np.testing.assert_array_equal(back.values, fld.values)

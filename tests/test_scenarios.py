@@ -406,8 +406,8 @@ class TestRunScenario:
         assert second == fresh
 
     def test_run_builds_two_propagators(self, tmp_path, monkeypatch):
-        # the problem, whose own march is the free phase, and the control
-        # window of the delayed control
+        # the problem, whose own march is the free phase; the control
+        # window of the delayed control views its levels
         builds = []
         build = solver._Propagator.__init__
 
@@ -418,7 +418,7 @@ class TestRunScenario:
         monkeypatch.setattr(solver._Propagator, "__init__", counting)
         scenario = preset("tirathaba_28C")
         run_scenario(scenario, tmp_path / "out")
-        assert len(builds) == 2 and builds[0] is scenario.spec
+        assert len(builds) == 1 and builds[0] is scenario.spec
 
     def test_audits_write_reports(self, tmp_path):
         cfg = config(audits=["caccioppoli"])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -578,3 +579,96 @@ class TestMarchOutputsScannedOnce:
         assert (grid.Nt + 1, grid.Na + 1, grid.Nx + 1) not in scanned
         assert np.isfinite(forward.state.values).all()
         assert np.isfinite(observation(spec, adjoint).values).all()
+
+
+class TestBatchedAdjoint:
+    """solver._adjoint_levels marches K final data as one (Na, K, N) batch
+    of right sides; solve_adjoint is its K = 1 case."""
+
+    @staticmethod
+    def one_datum_march(spec, v_T, source=None):
+        """The adjoint march of one datum as (Na, N) right sides, written
+        out step by step: what solve_adjoint ran before the batch."""
+        prop = spec._propagator
+        grid = spec.grid
+        values = np.zeros((grid.Nt + 1, grid.Na + 1, grid.Nx + 1))
+        values[grid.Nt] = v_T.values
+        for n in range(grid.Nt - 1, -1, -1):
+            new = values[n + 1]
+            q = new[1:, 1:-1] + prop._coupling * new[0][None, 1:-1]
+            if source is not None:
+                q -= grid.dt * source.values[n + 1][1:, 1:-1]
+            operand = prop._operands[n]
+            values[n][:-1, 1:-1] = _thomas_solve(operand, q) \
+                if not prop.dense else (q[:, None, :] @ operand)[:, 0]
+        return values
+
+    @staticmethod
+    def batch(spec, data):
+        final = np.stack([v.values for v in data], axis=1)
+        levels = dict(solver._adjoint_levels(spec, final))
+        assert sorted(levels) == list(range(spec.grid.Nt + 1))
+        return np.stack([levels[n] for n in sorted(levels)], axis=0)
+
+    @pytest.mark.parametrize("mu", [mu_mild, mu_seasonal])
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_one_datum_is_the_unbatched_march(self, monkeypatch, mu, dense):
+        if not dense:
+            monkeypatch.setattr(solver, "_DENSE_MAX_UNKNOWNS", 0)
+        spec = make_spec(mu=mu)
+        assert spec._propagator.dense is dense
+        grid = spec.grid
+        v_T = random_final_data(grid, seed=4, stream=1)
+        source = Field3(grid, spawn_rng(5).standard_normal(
+            (grid.Nt + 1, grid.Na + 1, grid.Nx + 1)))
+        for src in (None, source):
+            want = self.one_datum_march(spec, v_T, src)
+            got = solve_adjoint(spec, v_T, source=src).state.values
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(self.batch(spec, [v_T])[:, :, 0],
+                                      self.one_datum_march(spec, v_T))
+
+    @pytest.mark.parametrize("mu", [mu_mild, mu_seasonal])
+    def test_members_are_their_own_marches(self, monkeypatch, mu):
+        data = [random_final_data(make_spec().grid, seed=s, stream=1)
+                for s in range(5)]
+        spec = make_spec(mu=mu)
+        assert spec._propagator.dense
+        batch = self.batch(spec, data)
+        for k, v_T in enumerate(data):  # the matmul may sum in another order
+            own = solve_adjoint(spec, v_T).state.values
+            assert np.max(np.abs(batch[:, :, k] - own)) \
+                <= 1e-14 * np.max(np.abs(own))
+        monkeypatch.setattr(solver, "_DENSE_MAX_UNKNOWNS", 0)
+        spec = make_spec(mu=mu)
+        assert not spec._propagator.dense
+        batch = self.batch(spec, data)
+        for k, v_T in enumerate(data):  # the sweep is elementwise
+            np.testing.assert_array_equal(
+                batch[:, :, k], solve_adjoint(spec, v_T).state.values)
+
+    def test_march_holds_two_levels(self):
+        spec = make_spec()
+        grid = spec.grid
+        final = np.stack([random_final_data(grid, seed=s, stream=1).values
+                          for s in range(3)], axis=1)
+        levels = solver._adjoint_levels(spec, final)
+        n, level = next(levels)
+        assert n == grid.Nt and level is final
+        alive = []
+        for n, level in levels:  # each level a fresh array
+            assert level.shape == final.shape and level.base is None
+            alive.append(weakref.ref(level))
+            del level
+            # this level, and the one before that the next step reads
+            assert sum(ref() is not None for ref in alive) <= 2
+        assert n == 0 and len(alive) == grid.Nt
+
+    def test_overflow_names_the_level(self):
+        # beta = 1e300 on fertile ages: the renewal coupling overflows once
+        # v(a = 0), zero in v_T, has grown large enough
+        spec = make_spec(beta=lambda a, x: 1e300 * beta_ramp(a, x))
+        v_T = random_final_data(spec.grid, seed=0, stream=1)
+        with pytest.raises(FloatingPointError, match=r"adjoint march: "
+                           r"overflow .* at time level 1 \(Nt = 8\)"):
+            solve_adjoint(spec, v_T)
