@@ -411,14 +411,14 @@ class HypothesisReport:
 
 def validate_hypotheses(coef: DegenerateCoefficient, rates: VitalRates,
                         T: float, A: float, omega: tuple[float, float],
-                        delta: float | None = None) -> HypothesisReport:
+                        delta: float) -> HypothesisReport:
     """Check every structural hypothesis and report, without raising.
 
-    Covers the horizon ordering, fertility onset, control window geometry,
-    coefficient positivity, the certified slope bounds M and theta side
-    conditions, rate sign conditions and the vanishing of beta before the
-    onset age, sampling k at the interior nodes of an 800-cell lattice
-    of [0, 1].
+    Covers the horizon ordering, fertility onset, the age cutoff
+    ``delta`` of HUM's target rows, control window geometry, coefficient
+    positivity, the certified slope bounds M and theta side conditions,
+    rate sign conditions and the vanishing of beta before the onset age,
+    sampling k at the interior nodes of an 800-cell lattice of [0, 1].
     """
     checks: list[HypothesisCheck] = []
 
@@ -428,9 +428,8 @@ def validate_hypotheses(coef: DegenerateCoefficient, rates: VitalRates,
     add("horizon", T < A, f"T = {T:.6g}, A = {A:.6g} (need T < A)")
     add("fertility onset", 0.0 < rates.a_bar <= T,
         f"a_bar = {rates.a_bar!r} (need 0 < a_bar <= T)")
-    if delta is not None:
-        add("age cutoff", T < delta < A,
-            f"delta = {delta:.6g} (need T < delta < A)")
+    add("age cutoff", T < delta < A,
+        f"delta = {delta:.6g} (need T < delta < A)")
     lo, hi = omega
     add("control window", 0.0 < lo < hi < 1.0,
         f"omega = ({lo:.6g}, {hi:.6g}) (need 0 < lo < hi < 1)")

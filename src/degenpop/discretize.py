@@ -14,6 +14,7 @@ special-casing callers.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -48,7 +49,8 @@ class Grid:
     to 1e-12, and the step ``dt`` is ``da``, so grids that share the age
     lattice share the step however T was rounded.  ``x_span`` defaults to
     (0, 1); subinterval grids are used by the two-sided gluing
-    construction and keep the parent spacing.
+    construction and keep the parent spacing.  Each axis's nodes are
+    built on first read and shared by every caller, read-only.
     """
 
     T: float
@@ -99,23 +101,28 @@ class Grid:
         lo, hi = self.x_span
         return (hi - lo) / self.Nx
 
-    @property
+    @functools.cached_property
     def t_nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.Nt + 1)
+        return _read_only(np.linspace(0.0, self.T, self.Nt + 1))
 
-    @property
+    @functools.cached_property
     def a_nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.A, self.Na + 1)
+        return _read_only(np.linspace(0.0, self.A, self.Na + 1))
 
-    @property
+    @functools.cached_property
     def x_nodes(self) -> np.ndarray:
         lo, hi = self.x_span
-        return np.linspace(lo, hi, self.Nx + 1)
+        return _read_only(np.linspace(lo, hi, self.Nx + 1))
 
     def axis_nodes(self, name: str) -> np.ndarray:
         if name not in ("t", "a", "x"):
             raise ValueError(f"unknown axis {name!r}")
         return getattr(self, f"{name}_nodes")
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 def _nearest_x_node(grid: Grid, x: float) -> int:

@@ -149,22 +149,21 @@ def hardy_ratio(k, theta: float, case: str, test_functions, *,
     """Ratios of int k/(1-x)^2 w^2 over int k |w'|^2 per test function.
 
     ``k`` is a ``PowerLaw`` or a ``Tabulated`` (else ValueError).
-    ``test_functions`` is a non-empty list of (w, w') pairs of
-    ``numpy.polynomial.Polynomial`` in x, such as
-    :func:`random_hardy_test_functions` returns; w' is taken as given.
-    ``case`` follows the proposition's naming: HP1/HP1p need w(1) = 0 and
-    theta in (0,1); HP2/HP2p need w(0) = 0 and theta in (1,2).  For the
-    primed cases, where k/(1-x)^theta is monotone on all of (0,1), the
-    ratio is checked against the closed bound 4/(1-theta)^2 and an
-    arithmetic error is raised on violation (that bound is exact theory,
-    so exceeding it means a quadrature or input bug).  A zero right side
-    under a nonzero left one gives an infinite ratio.  A pair that is not
-    two such polynomials, a test function that does not vanish where the
-    case needs it, or one whose left or right side is not finite (a
-    non-finite coefficient makes it so) raises ValueError naming its
-    index, and so does an empty family.  :func:`hardy_ratio_at_zero` is
-    the same audit with the singular end at x = 0; both are calls of one
-    kernel.
+    ``test_functions`` is a non-empty list of real
+    ``numpy.polynomial.Polynomial`` w in x (default domain and window),
+    such as :func:`random_hardy_test_functions` returns; w' is w's
+    derivative.  ``case`` follows the proposition's naming: HP1/HP1p need
+    w(1) = 0 and theta in (0,1); HP2/HP2p need w(0) = 0 and theta in
+    (1,2).  For the primed cases, where k/(1-x)^theta is monotone on all
+    of (0,1), the ratio is checked against the closed bound
+    4/(1-theta)^2 and an arithmetic error is raised on violation (that
+    bound is exact theory, so exceeding it means a quadrature or input
+    bug).  A test function that is not such a polynomial, that does not
+    vanish where the case needs it, or whose left or right side is not
+    finite (a non-finite coefficient makes it so) raises ValueError
+    naming its index, and so does an empty family.
+    :func:`hardy_ratio_at_zero` is the same audit with the singular end
+    at x = 0; both are calls of one kernel.
     """
     return _hardy(k, theta, case, test_functions, n_quad, 1.0, "hardy")
 
@@ -174,10 +173,7 @@ def hardy_ratio_at_zero(k, theta: float, case: str, test_functions, *,
     """Ratios of int k/x^2 w^2 over int k |w'|^2 per test function.
 
     :func:`hardy_ratio` with the singular end at x = 0, by the same
-    kernel: HP1 cases need w(0) = 0, HP2 cases w(1) = 0.  Nothing is
-    reflected, so the rows match :func:`hardy_ratio` on the problem
-    reflected to x = 1 only to round-off: 1 - (1 - x) rounds the end
-    cell's finest points, by up to 2.1e-7 relative in HP2 rows (README).
+    kernel: HP1 cases need w(0) = 0, HP2 cases w(1) = 0.
     """
     return _hardy(k, theta, case, test_functions, n_quad, 0.0,
                   "hardy_at_zero")
@@ -197,9 +193,9 @@ def _hardy(k, theta: float, case: str, test_functions, n_quad: int,
     1 and (x - end) P_j(2x - 1), with P_j the Legendre polynomials, so
     that w(end) is the first coefficient (0 for an HP1 function); on the
     right P_j(2x - 1).  No test function is evaluated on the node
-    blocks: w is evaluated at the end cell's two nodes, for
-    ``_WeightedQuadrature.end_cells``, and where it must vanish, which
-    is checked against its L^2(0,1) norm.
+    blocks: w is evaluated at ``_WeightedQuadrature.end_nodes``, for its
+    end cells, and where it must vanish, which is checked against its
+    L^2(0,1) norm.
     """
     if not isinstance(k, DegenerateCoefficient):
         raise ValueError(f"k must be a PowerLaw or a Tabulated coefficient, "
@@ -229,18 +225,12 @@ def _hardy(k, theta: float, case: str, test_functions, n_quad: int,
     rhs_weights = axis_weights(n_quad, float(nodes[1] - nodes[0]))
     rhs_weights *= kv
     del kv  # node-sized arrays held from here: nodes and the two weights
-    w, wp = _hardy_coefficients(test_functions)
-    if not len(w):
-        raise ValueError("empty test function family")
-    lhs_forms, rhs_forms = _hardy_forms(w, wp, end, nodes, lhs_quad.weights,
+    w = _hardy_coefficients(test_functions)
+    lhs_forms, rhs_forms = _hardy_forms(w, end, nodes, lhs_quad.weights,
                                         rhs_weights)
     scales = _l2_norms(w)
-    # w at the end cell's two nodes, as lhs_quad.end_nodes orders them
-    # (the other end has no end cell unless k is non-finite there, and
-    # then no right side is finite), then at the other end
-    at = polyval(nodes[[0, 1, -1]] if end == 0.0 else nodes[[-1, -2, 0]],
-                 w.T)
-    at_vanish = at[:, 0] if vanish_at == end else at[:, 2]
+    at_ends = polyval(nodes[lhs_quad.end_nodes], w.T)
+    at_vanish = polyval(vanish_at, w.T)
 
     rows = []
     for idx in range(len(w)):
@@ -248,7 +238,7 @@ def _hardy(k, theta: float, case: str, test_functions, n_quad: int,
         if scale > 0.0 and edge > 1e-9 * scale:
             raise ValueError(
                 f"test function {idx} does not vanish at x = {vanish_at:g}")
-        lhs = float(lhs_forms[idx]) + lhs_quad.end_cells(at[idx, :2])
+        lhs = float(lhs_forms[idx]) + lhs_quad.end_cells(at_ends[idx])
         rhs = float(rhs_forms[idx])
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
             raise ValueError(f"test function {idx} gives a non-finite side: "
@@ -262,28 +252,23 @@ def _hardy(k, theta: float, case: str, test_functions, n_quad: int,
                             {"case": case, "theta": theta, "bound": bound})
 
 
-def _hardy_coefficients(test_functions) -> tuple[np.ndarray, np.ndarray]:
-    """The power-series coefficients in x of every (w, w') pair, one row
-    per pair, zero-padded to the family's longest; ValueError names the
-    first pair that is not two ``numpy.polynomial.Polynomial`` in x."""
-    pairs = []
-    for idx, pair in enumerate(test_functions):
-        polys = tuple(pair) if isinstance(pair, (tuple, list)) else ()
-        if len(polys) != 2 or not all(
-                isinstance(p, Polynomial) and np.isrealobj(p.coef)
-                and p.mapparms() == (0.0, 1.0) for p in polys):
-            raise ValueError(f"test function {idx} is not a (w, w') pair of "
+def _hardy_coefficients(test_functions) -> np.ndarray:
+    """The power-series coefficients in x of every test function, one row
+    each, zero-padded to the family's longest and to at least two;
+    ValueError names the first that is not a real
+    ``numpy.polynomial.Polynomial`` in x, or an empty family."""
+    for idx, w in enumerate(test_functions):
+        if not (isinstance(w, Polynomial) and np.isrealobj(w.coef)
+                and w.mapparms() == (0.0, 1.0)):
+            raise ValueError(f"test function {idx} is not a "
                              f"numpy.polynomial.Polynomial in x")
-        pairs.append(polys)
-
-    def stacked(polys):
-        out = np.zeros((len(polys), max((p.coef.size for p in polys),
-                                        default=1)))
-        for row, p in zip(out, polys):
-            row[:p.coef.size] = p.coef
-        return out
-
-    return stacked([w for w, _ in pairs]), stacked([wp for _, wp in pairs])
+    if not test_functions:
+        raise ValueError("empty test function family")
+    out = np.zeros((len(test_functions),
+                    max(2, *(w.coef.size for w in test_functions))))
+    for row, w in zip(out, test_functions):
+        row[:w.coef.size] = w.coef
+    return out
 
 
 def _shifted_legendre_of_monomials(size: int) -> np.ndarray:
@@ -304,27 +289,29 @@ def _l2_norms(coef: np.ndarray) -> np.ndarray:
     return np.sqrt(legendre ** 2 @ (1.0 / np.arange(1, 2 * size, 2)))
 
 
-def _hardy_forms(w: np.ndarray, wp: np.ndarray, end: float,
-                 nodes: np.ndarray, lhs_weights: np.ndarray,
+def _hardy_forms(w: np.ndarray, end: float, nodes: np.ndarray,
+                 lhs_weights: np.ndarray,
                  rhs_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each test function's node sums of lhs_weights * w^2 and of
-    rhs_weights * w'^2, from rows of power-series coefficients.
+    rhs_weights * w'^2, from rows of power-series coefficients of w, two
+    or more.
 
     Each side is a quadratic form: coefficients, Gram matrix,
     coefficients.  On the left they are w(end) and the coefficients of
     q = (w - w(end)) / (x - end) in the P_j(2x - 1), as w = w(end) +
     (x - end) q; on the right, those of w' in the P_j(2x - 1).
     """
-    n = max(w.shape[1] - 1, wp.shape[1])  # the P_j(2x - 1) span q and w'
+    n = w.shape[1] - 1  # the P_j(2x - 1) span q and w'
+    wp = w[:, 1:] * np.arange(1, n + 1)
     to_legendre = _shifted_legendre_of_monomials(n)
     # q and w(end) by synthetic division at end, the family at once
     q = np.zeros((len(w), n))
     at_end = w[:, -1]
-    for j in range(w.shape[1] - 2, -1, -1):
+    for j in range(n - 1, -1, -1):
         q[:, j] = at_end
         at_end = w[:, j] + end * at_end
     lhs_coef = np.hstack([at_end[:, None], q @ to_legendre])
-    rhs_coef = wp @ to_legendre[:wp.shape[1]]
+    rhs_coef = wp @ to_legendre
     gram_lhs, gram_rhs = _hardy_grams(nodes, end, lhs_weights, rhs_weights,
                                       n - 1)
     return (np.einsum("ki,ij,kj->k", lhs_coef, gram_lhs, lhs_coef),
@@ -358,13 +345,12 @@ def _hardy_grams(nodes: np.ndarray, end: float, lhs_weights: np.ndarray,
 def random_hardy_test_functions(vanish_at: float, count: int, seed: int):
     """Random degree-7 polynomials that vanish at ``vanish_at`` (0 or 1):
     an edge factor, 1 - x or x, times a degree-6 polynomial with standard
-    normal coefficients.  Returns (w, w') pairs of
-    ``numpy.polynomial.Polynomial``."""
+    normal coefficients.  Returns ``numpy.polynomial.Polynomial``."""
     if vanish_at not in (0.0, 1.0):
         raise ValueError(f"vanish_at must be 0 or 1, got {vanish_at!r}")
     # one draw of (count, 7) is the stream of count draws of 7
     q = spawn_rng(seed, stream=11).standard_normal((max(count, 0), 7))
-    # the coefficients Polynomial's product and deriv give, bit for bit
+    # the coefficients Polynomial's product gives, bit for bit
     w = np.empty((len(q), 8))
     if vanish_at == 1.0:  # (1 - x) q
         w[:, 0] = q[:, 0]
@@ -373,8 +359,7 @@ def random_hardy_test_functions(vanish_at: float, count: int, seed: int):
     else:  # x q
         w[:, 0] = 0.0
         w[:, 1:] = q
-    wp = w[:, 1:] * np.arange(1, 8)
-    return [(Polynomial(a), Polynomial(b)) for a, b in zip(w, wp)]
+    return [Polynomial(a) for a in w]
 
 
 # ---------------------------------------------------------------------------
@@ -855,12 +840,14 @@ def carleman_local_audit(samples, omega: tuple[float, float],
 
 
 def caccioppoli_audit(samples, omega_prime: tuple[float, float],
-                      omega: tuple[float, float], psi,
+                      omega: tuple[float, float],
                       s: float) -> InequalityReport:
     """Interior gradient bound: weighted v_x^2 on omega' by v^2 on omega.
 
-    ``psi`` is a callable giving the strictly negative spatial profile Psi
-    at the x nodes.  Every sample must live on the first sample's grid.
+    LHS: int int_{omega'} e^{2s Theta Psi} v_x^2; RHS: int int_omega v^2
+    + int_Q e^{2s Theta Psi} f^2, with the negative spatial profile
+    Psi(x) = -(1 + 4x(1 - x)).  Every sample must live on the first
+    sample's grid.
     """
     _check_samples(samples)
     lo_p, hi_p = omega_prime
@@ -870,9 +857,8 @@ def caccioppoli_audit(samples, omega_prime: tuple[float, float],
     if not (math.isfinite(s) and s > 0.0):
         raise ValueError(f"s must be finite and positive, got {s!r}")
     grid = samples[0][0].grid
-    psi_x = np.asarray(psi(grid.x_nodes), dtype=float)
-    if np.any(psi_x >= 0.0):
-        raise ValueError("Psi must be strictly negative on [0,1]")
+    xs = grid.x_nodes
+    psi_x = -(1.0 + 4.0 * xs * (1.0 - xs))
     window = _window_rule(grid, omega, "omega")
     x_inner = _window_rule(grid, omega_prime, "omega'")
     levels, s_col = _Levels(grid), _column((s,))

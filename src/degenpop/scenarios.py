@@ -230,8 +230,7 @@ class Scenario:
     def hypothesis_report(self):
         grid = self.spec.grid
         return validate_hypotheses(self.spec.k, self.spec.rates, grid.T,
-                                   grid.A, self.spec.omega,
-                                   delta=self.hum.delta)
+                                   grid.A, self.spec.omega, self.hum.delta)
 
 
 _HALF = {"form": "constant", "value": 0.5}
@@ -508,10 +507,8 @@ def _caccioppoli_audit(scenario: Scenario, *, count: int, s: float) -> list:
     spec = scenario.spec
     samples = manufactured_family(spec, count, scenario.seed)
     windows = _AUDIT_WINDOWS["caccioppoli"](spec)
-    psi = lambda x: -(1.0 + 4.0 * np.asarray(x, dtype=float)
-                      * (1.0 - np.asarray(x, dtype=float)))
     return [("caccioppoli", caccioppoli_audit(
-        samples, windows["omega'"], windows["omega"], psi, s=s))]
+        samples, windows["omega'"], windows["omega"], s=s))]
 
 
 def _observability_audit(scenario: Scenario, *, count: int) -> list:

@@ -270,7 +270,8 @@ class TestHypotheses:
 
     def test_bad_window_fails_with_detail(self):
         report = validate_hypotheses(PowerLaw(0.5), self._rates(),
-                                     T=1.0, A=2.0, omega=(0.0, 0.7))
+                                     T=1.0, A=2.0, omega=(0.0, 0.7),
+                                     delta=1.25)
         assert not report.passed
         names = [c.name for c in report.failures()]
         assert "control window" in names
@@ -279,13 +280,25 @@ class TestHypotheses:
         rates = VitalRates(beta=lambda a, x: 1.0 + 0.0 * a + 0.0 * x,
                            mu=lambda t, a, x: 0.0 * a + 0.0 * x, a_bar=0.5)
         report = validate_hypotheses(PowerLaw(0.5), rates,
-                                     T=1.0, A=2.0, omega=(0.3, 0.7))
+                                     T=1.0, A=2.0, omega=(0.3, 0.7),
+                                     delta=1.25)
         failed = {c.name for c in report.failures()}
         assert "fertility support" in failed
 
+    @pytest.mark.parametrize("delta,passed", [(1.25, True), (0.5, False),
+                                              (2.0, False)])
+    def test_age_cutoff_is_always_checked(self, delta, passed):
+        report = validate_hypotheses(PowerLaw(0.5, 0.5), self._rates(),
+                                     T=1.0, A=2.0, omega=(0.3, 0.7),
+                                     delta=delta)
+        cutoff, = [c for c in report.checks if c.name == "age cutoff"]
+        assert cutoff.passed is passed
+        assert cutoff.detail == f"delta = {delta:.6g} (need T < delta < A)"
+
     def test_report_lines_render(self):
         report = validate_hypotheses(PowerLaw(0.5), self._rates(),
-                                     T=1.0, A=2.0, omega=(0.3, 0.7))
+                                     T=1.0, A=2.0, omega=(0.3, 0.7),
+                                     delta=1.25)
         lines = report.lines()
         assert all(line.startswith("[") for line in lines)
 

@@ -52,6 +52,21 @@ class TestGrid:
                            ("x", np.linspace(0.25, 0.75, 6))):
             assert np.array_equal(g.axis_nodes(name), want)
 
+    def test_nodes_are_built_once_and_read_only(self):
+        g = Grid(T=1.0, A=2.0, Nt=4, Na=8, Nx=5, x_span=(0.25, 0.75))
+        for name, want in (("t", np.linspace(0.0, 1.0, 5)),
+                           ("a", np.linspace(0.0, 2.0, 9)),
+                           ("x", np.linspace(0.25, 0.75, 6))):
+            nodes = g.axis_nodes(name)
+            assert nodes.tobytes() == want.tobytes()
+            assert g.axis_nodes(name) is nodes
+            assert not nodes.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                nodes[0] = 1.0
+        # the cached nodes are no field: equality and hash ignore them
+        fresh = dataclasses.replace(g)
+        assert fresh == g and hash(fresh) == hash(g)
+
     def test_unknown_axis(self):
         with pytest.raises(ValueError):
             make_grid().axis_nodes("z")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -382,6 +383,26 @@ class TestRunScenario:
         assert summary["scenario"] == "tiny"
         assert summary["final_residual"] <= summary["certificate"]
         assert summary["growth"] in ("growing", "decaying", "steady")
+
+    def test_rates_that_are_not_age_only_have_no_r0(self, tmp_path):
+        # no config form makes mu depend on t; R0 and the growth label are
+        # then undefined, and the run writes null for both
+        base = scenario_from_config(config(), name="tiny")
+        rates = VitalRates(beta=base.spec.rates.beta,
+                           mu=lambda t, a, x: 0.2 + 0.1 * t + 0.0 * a * x,
+                           a_bar=base.spec.rates.a_bar)
+        with pytest.raises(ValueError, match="mu varies in space or time"):
+            net_reproduction_rate(rates, base.spec.grid.A)
+        scenario = Scenario(name="aging", hum=base.hum,
+                            spec=dataclasses.replace(base.spec, rates=rates))
+        manifest = run_scenario(scenario, tmp_path / "out")
+        assert set(manifest["artifacts"]) == {
+            "hypotheses.txt", "energy.csv", "final_state.csv",
+            "control_cg.csv", "control_summary.json", "summary.json"}
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["r0"] is None and summary["growth"] is None
+        assert '"r0": null' in (tmp_path / "out" / "summary.json").read_text()
+        assert summary["final_residual"] <= summary["certificate"]
 
     def test_reruns_byte_identical(self, tmp_path):
         first = run_scenario(scenario_from_config(config(), name="tiny"),
