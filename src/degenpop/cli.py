@@ -231,8 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--count", type=_count, default=100,
                    help="number of random test functions")
-    p.set_defaults(handler=_cmd_audit, audit="hardy", audit_params=lambda a: {
-        "count": a.count, "n_quad": 400_001})
+    p.set_defaults(handler=_cmd_audit, audit="hardy",
+                   audit_params=lambda a: {"count": a.count})
 
     p = sub.add_parser("carleman-audit",
                        help="weighted Carleman inequality report")

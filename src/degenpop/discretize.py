@@ -6,9 +6,8 @@ age a in [0, A] and space x in an interval (default (0, 1)).  Fields store
 nodal values.  Quadrature is composite trapezoid; in ``weighted_norm`` an
 end cell whose weight is singular at the boundary node is split
 geometrically toward that node and each sub-cell integrated by Simpson's
-rule with the exact weight, so that integrable singularities (Hardy
-weights, degenerate diffusion factors) can be integrated without
-special-casing callers.
+rule with the exact weight, up to a sliver next to the node that holds
+most of the cell as the singularity nears |x - x_s|^-1.
 """
 
 from __future__ import annotations
@@ -232,82 +231,50 @@ def axis_weights(n_nodes: int, h: float) -> np.ndarray:
 def weighted_norm(values: np.ndarray, x: np.ndarray, weight) -> float:
     """Integral of weight(x) * values**2 over the equispaced nodes ``x``.
 
-    ``weight`` is a callable of x (broadcasting numpy-style).  An end
-    cell where the nodal weight is non-finite is integrated on a
-    geometric subdivision toward the endpoint (Simpson per sub-cell,
-    field interpolated linearly), which resolves any integrable power
-    singularity of the weight; a non-finite weight at an interior node
-    raises ValueError.  Returns the squared weighted L2 norm.
+    ``weight`` is a callable of x (broadcasting numpy-style).  Each cell
+    is a trapezoid, except an end cell where the nodal weight is not
+    finite: that cell is an ``_EndCell``, integrated on a geometric
+    subdivision toward the endpoint (Simpson per sub-cell, field
+    interpolated linearly), which leaves out a sliver next to the end.
+    For a weight |x - x_s|^-gamma the sliver's share of the cell grows
+    toward all of it as gamma -> 1, so the result is close only for
+    gamma well below 1.  A non-finite weight at an interior node raises
+    ValueError.  Returns the squared weighted L2 norm.
     """
     x = np.asarray(x, dtype=float)
-    w = np.broadcast_to(np.asarray(weight(x), dtype=float), x.shape)
-    return _WeightedQuadrature(x, w, weight).norm(values)
-
-
-class _WeightedQuadrature:
-    """The half of ``weighted_norm`` that depends on the nodes and the
-    weight alone, built once for any number of fields on the same nodes.
-
-    The integral of weight * f**2 is
-    ``weights @ f**2 + end_cells(f[end_nodes])``.  ``weights`` holds one
-    weight per node: the trapezoid weight times the nodal weight, with
-    the cell next to a non-finite end folded out (the end node weighs 0,
-    its neighbour keeps the half of its other cell).
-    Each such end cell is an ``_EndCell``, the weight sampled on a
-    geometric subdivision toward the end, which ``end_cells`` integrates
-    from the field at the cell's two nodes.  A caller may sum the first
-    term over blocks of nodes.  ``nodal`` is ``weight`` at ``x``, which a
-    caller that already evaluated it passes in; ``weight`` itself is
-    called only at the subdivision points.
-    """
-
-    def __init__(self, x: np.ndarray, nodal: np.ndarray, weight) -> None:
-        if x.ndim != 1 or x.size < 2:
-            raise ValueError("nodes must be a 1-D array of at least two")
-        finite = np.isfinite(nodal)
-        if not finite[1:-1].all():
-            bad = 1 + int(np.argmin(finite[1:-1]))
-            raise ValueError(f"weight is not finite at the interior node "
-                             f"x = {float(x[bad])!r}; only an end node may "
-                             f"be singular")
-        h = float(x[1] - x[0])
-        # built in place: this is one of the node-sized arrays a Hardy
-        # report holds
-        self.weights = np.where(finite, nodal, 0.0)
-        self.weights *= h
-        self.weights[[0, -1]] *= 0.5
-        # (end node, its neighbour, direction into the cell)
-        ends = [(index, inward, orient)
-                for index, inward, orient in ((0, 1, 1.0), (-1, -2, -1.0))
-                if not finite[index]]
-        if x.size == 2:
-            # one cell, the end at x[-1] integrates it if both are singular
-            ends = ends[-1:]
-        for _, inward, _ in ends:
-            if finite[inward]:  # take off its half of the end cell
-                self.weights[inward] -= 0.5 * h * nodal[inward]
-        self.ends = tuple(_EndCell(weight, x[index], orient, h)
-                          for index, _, orient in ends)
-        self.end_nodes = np.array([i for index, inward, _ in ends
-                                   for i in (index, inward)], dtype=int)
-
-    def end_cells(self, at_ends: np.ndarray) -> float:
-        """The end cells' integral; ``at_ends`` is the field at
-        ``end_nodes``, (end node, neighbour) per end."""
-        total = 0.0
-        for end, (f_end, f_inward) in zip(self.ends,
-                                          np.reshape(at_ends, (-1, 2))):
-            total += end.integral(f_end, f_inward)
-        return float(total)
-
-    def norm(self, values: np.ndarray) -> float:
-        """Integral of weight * values**2 for the nodal field ``values``."""
-        f = np.asarray(values, dtype=float)
-        if f.shape != self.weights.shape:
-            raise ValueError("values and nodes must be 1-D arrays of one "
-                             "length")
-        return (float(self.weights @ (f * f))
-                + self.end_cells(f[self.end_nodes]))
+    nodal = np.broadcast_to(np.asarray(weight(x), dtype=float), x.shape)
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError("nodes must be a 1-D array of at least two")
+    finite = np.isfinite(nodal)
+    if not finite[1:-1].all():
+        bad = 1 + int(np.argmin(finite[1:-1]))
+        raise ValueError(f"weight is not finite at the interior node "
+                         f"x = {float(x[bad])!r}; only an end node may "
+                         f"be singular")
+    f = np.asarray(values, dtype=float)
+    if f.shape != x.shape:
+        raise ValueError("values and nodes must be 1-D arrays of one length")
+    h = float(x[1] - x[0])
+    # trapezoid weights times the nodal weight, the cell next to a
+    # non-finite end folded out: the end node weighs 0, its neighbour
+    # keeps the half of its other cell
+    weights = np.where(finite, nodal, 0.0)
+    weights *= h
+    weights[[0, -1]] *= 0.5
+    # (end node, its neighbour, direction into the cell)
+    ends = [(index, inward, orient)
+            for index, inward, orient in ((0, 1, 1.0), (-1, -2, -1.0))
+            if not finite[index]]
+    if x.size == 2:
+        # one cell, the end at x[-1] integrates it if both are singular
+        ends = ends[-1:]
+    cells = 0.0
+    for index, inward, orient in ends:
+        if finite[inward]:  # take off its half of the end cell
+            weights[inward] -= 0.5 * h * nodal[inward]
+        cells += _EndCell(weight, x[index], orient, h).integral(f[index],
+                                                                f[inward])
+    return float(weights @ (f * f)) + float(cells)
 
 
 class _EndCell:
@@ -321,11 +288,9 @@ class _EndCell:
     out.  For a |x - x_s|^(-gamma) weight its mass is d^(1-gamma) /
     (1-gamma), a share (d/h)^(1-gamma) of the cell's: at 400 001 nodes
     d/h = 2^-30, a share of 1.7e-7 at gamma = 0.25 but 5.5e-3 at
-    gamma = 0.75, tending to 1 as gamma -> 1.  The Hardy HP2 weight
-    k/x^2 ~ x^(theta-2) at its singular end has gamma = 2 - theta, so as
-    theta -> 1 the sliver is most of the cell (README).  The weight is
-    sampled once, here, at the sub-cell ends and midpoints; ``integral``
-    adds the field.
+    gamma = 0.75, tending to 1 as gamma -> 1.  The weight is sampled
+    once, here, at the sub-cell ends and midpoints; ``integral`` adds the
+    field.
     """
 
     def __init__(self, weight, x_s: float, orient: float, h: float) -> None:

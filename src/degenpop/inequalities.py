@@ -22,17 +22,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from numpy.polynomial.legendre import legvander
 from numpy.polynomial.polynomial import polyval
 
-from .coeffs import (CarlemanWeights, DegenerateCoefficient,
+from .coeffs import (CarlemanWeights, DegenerateCoefficient, PowerLaw,
                      build_carleman_weights, eval_theta)
 from .discretize import (
     Field3,
     Grid,
     _nearest_x_node,
     _check_values,
-    _WeightedQuadrature,
     _write_csv,
     axis_weights,
     spawn_rng,
@@ -133,19 +131,14 @@ class InequalityReport:
 # Hardy-Poincare ratios
 
 _HARDY_CASES = ("HP1", "HP1p", "HP2", "HP2p")
-# Nodes per block of the Hardy Gram pass.  A block holds the basis, 7
-# doubles per node for degree-7 test functions, and a weighted copy.
-# Medians of 11 timings of one report, 100 functions on 400 001 nodes
-# (2-vCPU Xeon, 2 MiB L2 per core, numpy 2.4, 2 BLAS threads), at x = 1
-# and at x = 0: 4096 nodes 0.065 / 0.065 s, 8192 0.059 / 0.060, 16 384
-# 0.061 / 0.060, 32 768 0.071 / 0.070, 65 536 0.080 / 0.084.  8192 also
-# halves the worst round-off against np.longdouble sums: 1.3e-14, against
-# 2.7e-14 at 32 768 (six theta, both ends, up to 400 001 nodes).
-_HARDY_BLOCK = 8192
+# The most Gauss nodes per rule: a rule of n nodes is one eigh of an n x n
+# matrix, 8 MB at 1000, where a trapezoid-sized count such as 100 001
+# would ask for 80 GB.
+_MAX_GAUSS_NODES = 1000
 
 
 def hardy_ratio(k, theta: float, case: str, test_functions, *,
-                n_quad: int = 400_001) -> InequalityReport:
+                n_quad: int = 8) -> InequalityReport:
     """Ratios of int k/(1-x)^2 w^2 over int k |w'|^2 per test function.
 
     ``k`` is a ``PowerLaw`` or a ``Tabulated`` (else ValueError).
@@ -161,15 +154,18 @@ def hardy_ratio(k, theta: float, case: str, test_functions, *,
     bug).  A test function that is not such a polynomial, that does not
     vanish where the case needs it, or whose left or right side is not
     finite (a non-finite coefficient makes it so) raises ValueError
-    naming its index, and so does an empty family.
-    :func:`hardy_ratio_at_zero` is the same audit with the singular end
-    at x = 0; both are calls of one kernel.
+    naming its index, and so does an empty family.  Both sides are Gauss
+    sums of ``n_quad`` nodes per panel, exact up to round-off; ValueError
+    names ``n_quad`` below the family's degree plus one, and the end of
+    an HP2 left side that diverges (k's exponent at x = 1 at most 1, or
+    any ``Tabulated`` k).  :func:`hardy_ratio_at_zero` is the same audit
+    with the singular end at x = 0; both are calls of one kernel.
     """
     return _hardy(k, theta, case, test_functions, n_quad, 1.0, "hardy")
 
 
 def hardy_ratio_at_zero(k, theta: float, case: str, test_functions, *,
-                        n_quad: int = 400_001) -> InequalityReport:
+                        n_quad: int = 8) -> InequalityReport:
     """Ratios of int k/x^2 w^2 over int k |w'|^2 per test function.
 
     :func:`hardy_ratio` with the singular end at x = 0, by the same
@@ -184,18 +180,15 @@ def _hardy(k, theta: float, case: str, test_functions, n_quad: int,
     """The Hardy audit with the left weight k/(end - x)^2, singular at
     ``end`` (1.0 or 0.0), reported as ``name``.
 
-    k is evaluated on the nodes once, and both sides' per-node weights
-    (``_WeightedQuadrature``; the right side's are the trapezoid weights
-    times k) are built once for the whole family.  One pass over blocks
-    of ``_HARDY_BLOCK`` nodes then sums each side's Gram matrix of a
-    polynomial basis against its weights, and each row is a quadratic
-    form in the function's coefficients in that basis: on the left
-    1 and (x - end) P_j(2x - 1), with P_j the Legendre polynomials, so
-    that w(end) is the first coefficient (0 for an HP1 function); on the
-    right P_j(2x - 1).  No test function is evaluated on the node
-    blocks: w is evaluated at ``_WeightedQuadrature.end_nodes``, for its
-    end cells, and where it must vanish, which is checked against its
-    L^2(0,1) norm.
+    Each side is the sum of weight_i p(x_i)^2 over a Gauss rule for its
+    weight (``_k_rule``): on the right p = w' against k; on an HP1 left
+    side p = q against k, with w = w(end) + (x - end) q; on an HP2 left
+    side p = w against k/(end - x)^2.  The rules have ``n_quad`` nodes per
+    panel, so they are exact for p^2 of degree 2 n_quad - 1 or less:
+    ``n_quad`` must be the family's degree plus one or more.  HP1 drops
+    the remainder w(end): the vanishing check bounds it by 1e-9 ||w||,
+    with ||w|| the same sum on a Legendre rule, and for theta < 1 a
+    nonzero w(end) makes the true left side infinite.
     """
     if not isinstance(k, DegenerateCoefficient):
         raise ValueError(f"k must be a PowerLaw or a Tabulated coefficient, "
@@ -211,25 +204,24 @@ def _hardy(k, theta: float, case: str, test_functions, n_quad: int,
             raise ValueError("theta must lie in (1,2) for HP2 cases")
         vanish_at = 1.0 - end
     bound = 4.0 / (1.0 - theta) ** 2
-    nodes = np.linspace(0.0, 1.0, n_quad)
-    kv = np.asarray(k.k(nodes), dtype=float)
-
-    def weight_lhs(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return k.k(x) / (end - x) ** 2
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lhs_quad = _WeightedQuadrature(nodes, kv / (end - nodes) ** 2,
-                                       weight_lhs)
-    rhs_weights = axis_weights(n_quad, float(nodes[1] - nodes[0]))
-    rhs_weights *= kv
-    del kv  # node-sized arrays held from here: nodes and the two weights
     w = _hardy_coefficients(test_functions)
-    lhs_forms, rhs_forms = _hardy_forms(w, end, nodes, lhs_quad.weights,
-                                        rhs_weights)
-    scales = _l2_norms(w)
-    at_ends = polyval(nodes[lhs_quad.end_nodes], w.T)
+    size = w.shape[1]
+    if n_quad < size:
+        raise ValueError(f"n_quad = {n_quad} Gauss nodes are too few for "
+                         f"degree-{size - 1} test functions: they need "
+                         f"{size}")
+    if n_quad > _MAX_GAUSS_NODES:
+        raise ValueError(f"n_quad = {n_quad} Gauss nodes per rule are more "
+                         f"than {_MAX_GAUSS_NODES}; {size} integrate "
+                         f"degree-{size - 1} test functions exactly")
+    k_rule = _k_rule(k, n_quad)
+    if vanish_at == end:  # HP1
+        lhs_sums = _rule_sums(k_rule, _quotient(w, end))
+    else:
+        lhs_sums = _rule_sums(_k_rule(k, n_quad, end), w)
+    rhs_sums = _rule_sums(k_rule, w[:, 1:] * np.arange(1, size))
+    scales = np.sqrt(_rule_sums(_gauss_legendre(n_quad, np.array([0.0, 1.0])),
+                                w))
     at_vanish = polyval(vanish_at, w.T)
 
     rows = []
@@ -238,8 +230,7 @@ def _hardy(k, theta: float, case: str, test_functions, n_quad: int,
         if scale > 0.0 and edge > 1e-9 * scale:
             raise ValueError(
                 f"test function {idx} does not vanish at x = {vanish_at:g}")
-        lhs = float(lhs_forms[idx]) + lhs_quad.end_cells(at_ends[idx])
-        rhs = float(rhs_forms[idx])
+        lhs, rhs = float(lhs_sums[idx]), float(rhs_sums[idx])
         if not (math.isfinite(lhs) and math.isfinite(rhs)):
             raise ValueError(f"test function {idx} gives a non-finite side: "
                              f"lhs {lhs!r}, rhs {rhs!r}")
@@ -271,75 +262,90 @@ def _hardy_coefficients(test_functions) -> np.ndarray:
     return out
 
 
-def _shifted_legendre_of_monomials(size: int) -> np.ndarray:
-    """(size, size) matrix whose row j holds the coefficients of x^j in
-    the shifted Legendre polynomials P_i(2x - 1), i < size."""
-    out = np.zeros((size, size))
-    for j in range(size):
-        out[j, :j + 1] = np.polynomial.Legendre.cast(
-            Polynomial.basis(j), domain=[0.0, 1.0]).coef
-    return out
+def _quotient(w: np.ndarray, end: float) -> np.ndarray:
+    """The coefficients of q = (w - w(end)) / (x - end) for each row of
+    power-series coefficients of w, by synthetic division at ``end``; the
+    remainder w(end) is dropped."""
+    q = np.zeros((len(w), w.shape[1] - 1))
+    carry = w[:, -1]
+    for j in range(q.shape[1] - 1, -1, -1):
+        q[:, j] = carry
+        carry = w[:, j] + end * carry
+    return q
 
 
-def _l2_norms(coef: np.ndarray) -> np.ndarray:
-    """||w||_{L^2(0,1)} of each row of power-series coefficients: the sum
-    of c_j^2 / (2j + 1) over its coefficients c_j in the P_j(2x - 1)."""
-    size = coef.shape[1]
-    legendre = coef @ _shifted_legendre_of_monomials(size)
-    return np.sqrt(legendre ** 2 @ (1.0 / np.arange(1, 2 * size, 2)))
+def _rule_sums(rule: tuple[np.ndarray, np.ndarray],
+               coef: np.ndarray) -> np.ndarray:
+    """sum_i weight_i p(x_i)^2 over the (nodes, weights) ``rule`` for
+    each row of power-series coefficients of p."""
+    nodes, weights = rule
+    return polyval(nodes, coef.T) ** 2 @ weights
 
 
-def _hardy_forms(w: np.ndarray, end: float, nodes: np.ndarray,
-                 lhs_weights: np.ndarray,
-                 rhs_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each test function's node sums of lhs_weights * w^2 and of
-    rhs_weights * w'^2, from rows of power-series coefficients of w, two
-    or more.
+def _k_rule(k, n_quad: int,
+            end: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights for int_0^1 k p, or with ``end`` for
+    int_0^1 k/(end - x)^2 p, exact for polynomials p of degree
+    2 n_quad - 1 or less: for a ``PowerLaw`` k = (1 - x)^a x^b, one
+    ``_gauss_jacobi`` rule, the exponent at ``end`` lowered by 2; for a
+    ``Tabulated`` k, one ``_gauss_legendre`` rule per table interval
+    inside (0, 1), times k at the nodes.  ValueError names ``end`` where
+    the integral diverges."""
+    if isinstance(k, PowerLaw):
+        a, b = k.alpha1, k.alpha0
+        if end is None:
+            return _gauss_jacobi(n_quad, a, b)
+        power = a if end else b
+        if power > 1.0:
+            return _gauss_jacobi(n_quad, *((a - 2.0, b) if end
+                                           else (a, b - 2.0)))
+        reason = f"k's exponent there is {power:g}, not above 1"
+    elif end is None:
+        inside = k.x[(k.x > 0.0) & (k.x < 1.0)]
+        nodes, weights = _gauss_legendre(
+            n_quad, np.concatenate([[0.0], inside, [1.0]]))
+        return nodes, weights * k.k(nodes)
+    else:
+        reason = (f"a tabulated k is piecewise linear, so k/(x - {end:g})^2 "
+                  f"is not integrable there")
+    raise ValueError(f"HP2 left side diverges at x = {end:g}: {reason}")
 
-    Each side is a quadratic form: coefficients, Gram matrix,
-    coefficients.  On the left they are w(end) and the coefficients of
-    q = (w - w(end)) / (x - end) in the P_j(2x - 1), as w = w(end) +
-    (x - end) q; on the right, those of w' in the P_j(2x - 1).
-    """
-    n = w.shape[1] - 1  # the P_j(2x - 1) span q and w'
-    wp = w[:, 1:] * np.arange(1, n + 1)
-    to_legendre = _shifted_legendre_of_monomials(n)
-    # q and w(end) by synthetic division at end, the family at once
-    q = np.zeros((len(w), n))
-    at_end = w[:, -1]
-    for j in range(n - 1, -1, -1):
-        q[:, j] = at_end
-        at_end = w[:, j] + end * at_end
-    lhs_coef = np.hstack([at_end[:, None], q @ to_legendre])
-    rhs_coef = wp @ to_legendre
-    gram_lhs, gram_rhs = _hardy_grams(nodes, end, lhs_weights, rhs_weights,
-                                      n - 1)
-    return (np.einsum("ki,ij,kj->k", lhs_coef, gram_lhs, lhs_coef),
-            np.einsum("ki,ij,kj->k", rhs_coef, gram_rhs, rhs_coef))
+
+def _gauss_jacobi(n: int, a: float,
+                  b: float) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss rule on [0, 1] for the weight (1 - x)^a x^b,
+    a, b > -1, by Golub-Welsch: the nodes are the eigenvalues of the
+    Jacobi matrix of the monic Jacobi polynomials P_j^(a,b)(2x - 1), and
+    each weight is B(a + 1, b + 1) times the square of the first
+    component of its unit eigenvector."""
+    s = a + b
+    j = np.arange(1.0, n)
+    t = 2.0 * j + s
+    diag = np.concatenate([[(b - a) / (s + 2.0)],
+                           (b * b - a * a) / (t * (t + 2.0))])
+    j, t = j[1:], t[1:]
+    # the squared off-diagonal at j = 1 with the factor 1 + s cancelled,
+    # which is 0/0 in the general term when s = -1
+    off = np.sqrt(np.concatenate([
+        [4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + s) ** 2 * (3.0 + s))],
+        4.0 * j * (j + a) * (j + b) * (j + s)
+        / (t * t * (t + 1.0) * (t - 1.0))])[:n - 1])
+    # the recurrence on [-1, 1], mapped to [0, 1] by x = (1 + y) / 2; eigh
+    # reads the lower triangle
+    nodes, vectors = np.linalg.eigh(np.diag(0.5 * (1.0 + diag))
+                                    + np.diag(0.5 * off, -1))
+    mass = math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(s + 2.0)
+    return nodes, mass * vectors[0] ** 2
 
 
-def _hardy_grams(nodes: np.ndarray, end: float, lhs_weights: np.ndarray,
-                 rhs_weights: np.ndarray,
-                 deg: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrices of the Hardy bases over the nodes, summed over blocks
-    of ``_HARDY_BLOCK`` nodes: on the left 1 and (x - end) P_j(2x - 1)
-    against ``lhs_weights``, on the right P_j(2x - 1) against
-    ``rhs_weights``, j <= deg."""
-    gram_lhs = np.zeros((deg + 2, deg + 2))
-    gram_rhs = np.zeros((deg + 1, deg + 1))
-    for lo in range(0, nodes.size, _HARDY_BLOCK):
-        b = slice(lo, lo + _HARDY_BLOCK)
-        x = nodes[b]
-        basis = legvander(2.0 * x - 1.0, deg).T  # (deg + 1, block)
-        d = x - end
-        weighted = lhs_weights[b] * d
-        gram_lhs[0, 0] += lhs_weights[b].sum()
-        gram_lhs[0, 1:] += basis @ weighted
-        weighted *= d
-        gram_lhs[1:, 1:] += basis @ (basis * weighted).T
-        gram_rhs += basis @ (basis * rhs_weights[b]).T
-    gram_lhs[1:, 0] = gram_lhs[0, 1:]
-    return gram_lhs, gram_rhs
+def _gauss_legendre(n: int,
+                    cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on each interval between consecutive
+    ``cuts``, their nodes and weights concatenated in order."""
+    y, weights = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * np.diff(cuts)[:, None]
+    return ((cuts[:-1, None] + half * (1.0 + y)).ravel(),
+            (half * weights).ravel())
 
 
 def random_hardy_test_functions(vanish_at: float, count: int, seed: int):

@@ -469,7 +469,7 @@ def _hardy_ends(k) -> list:
             if degenerate and theta is not None and abs(theta - 1.0) > 1e-9]
 
 
-def _hardy_audit(scenario: Scenario, *, count: int, n_quad: int) -> list:
+def _hardy_audit(scenario: Scenario, *, count: int) -> list:
     """Hardy ratios at each degenerate endpoint with exponent theta != 1."""
     k, seed = scenario.spec.k, scenario.seed
     reports = []
@@ -479,7 +479,7 @@ def _hardy_audit(scenario: Scenario, *, count: int, n_quad: int) -> list:
         # other end
         vanish_at = end if case == "HP1" else 1.0 - end
         fns = random_hardy_test_functions(vanish_at, count, seed)
-        reports.append((stem, ratio(k, theta, case, fns, n_quad=n_quad)))
+        reports.append((stem, ratio(k, theta, case, fns)))
     return reports
 
 
@@ -554,10 +554,10 @@ _AUDIT_WINDOWS = {
                               else {}),
 }
 
-# run_scenario's fixed audit sizes; the Hardy ones are smaller than the
-# CLI's so that a whole pipeline stays within seconds
+# run_scenario's fixed audit sizes; the Hardy family is smaller than the
+# CLI's default of 100
 _RUN_AUDIT_PARAMS = {
-    "hardy": {"count": 40, "n_quad": 100_001},
+    "hardy": {"count": 40},
     "carleman": {"count": 3, "s_sweep": DEFAULT_S_SWEEP},
     "caccioppoli": {"count": 3, "s": DEFAULT_S_SWEEP[0]},
     "observability": {"count": 20},

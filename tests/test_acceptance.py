@@ -164,8 +164,7 @@ def test_3_hardy_poincare(capsys):
                                               seed=41)
             # the primed cases raise if any ratio crosses 4/(1-theta)^2;
             # a returned report is itself the certificate
-            report = hardy_ratio(PowerLaw(0.0, theta), theta, case, fns,
-                                 n_quad=100_001)
+            report = hardy_ratio(PowerLaw(0.0, theta), theta, case, fns)
             bound = 4.0 / (1.0 - theta) ** 2
             assert report.empirical_constant <= bound * (1.0 + 1e-9)
 

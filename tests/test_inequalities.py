@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from numpy.polynomial import Polynomial
 import degenpop.inequalities as inequalities
 from degenpop.coeffs import (DEFAULT_S_SWEEP, PowerLaw, Tabulated,
                              VitalRates, build_carleman_weights)
-from degenpop.discretize import (Field2, Field3, Grid, axis_weights,
-                                 random_final_data, spawn_rng, weighted_norm)
-from degenpop.inequalities import (_HARDY_BLOCK, ReportRow,
+from degenpop.discretize import (Field2, Field3, Grid, random_final_data,
+                                 spawn_rng, weighted_norm)
+from degenpop.inequalities import (ReportRow,
                                    caccioppoli_audit,
                                    carleman_audit_deg0, carleman_audit_deg1,
                                    carleman_audit_nondeg,
@@ -67,22 +68,21 @@ class TestHardyOracles:
         alpha1 = theta
         fns = random_hardy_test_functions(1.0 if theta < 1.0 else 0.0, 25,
                                           seed=7)
-        report = hardy_ratio(PowerLaw(0.0, alpha1), theta, case, fns,
-                             n_quad=100_001)
+        report = hardy_ratio(PowerLaw(0.0, alpha1), theta, case, fns)
         bound = 4.0 / (1.0 - theta) ** 2
         assert report.empirical_constant <= bound * (1.0 + 1e-9)
 
     def test_mislabeled_theta_trips_certified_bound(self):
         # k really behaves like (1-x)^{1.01}; claiming theta = 1.99 caps
         # the ratio at 4/0.99^2 = 4.08, while w = x gives 2.01 B(3, 0.01)
-        # = 198, of which the quadrature of the left weight's
-        # (1-x)^{-0.99} singularity resolves 54.7
+        # = 198, which the Gauss-Jacobi rule for the left weight
+        # (1-x)^{-0.99} gives to round-off
         k = PowerLaw(0.0, 1.01)
         w = Polynomial([0.0, 1.0])
         with pytest.raises(ArithmeticError, match="certified bound"):
-            hardy_ratio(k, 1.99, "HP2p", [w], n_quad=100_001)
+            hardy_ratio(k, 1.99, "HP2p", [w])
         # the unprimed case reports the ratio without raising
-        report = hardy_ratio(k, 1.99, "HP2", [w], n_quad=100_001)
+        report = hardy_ratio(k, 1.99, "HP2", [w])
         assert report.empirical_constant > 10.0 * report.meta["bound"]
 
     def test_validation_errors(self):
@@ -117,12 +117,11 @@ class TestHardyOracles:
         for ratio in (hardy_ratio, hardy_ratio_at_zero):
             with pytest.raises(ValueError, match="^test function 1 is not a "
                                "numpy.polynomial.Polynomial in x$"):
-                ratio(PowerLaw(0.5, 0.5), 0.5, "HP1", [ok, bad], n_quad=1001)
+                ratio(PowerLaw(0.5, 0.5), 0.5, "HP1", [ok, bad])
 
     def test_report_plumbing(self, tmp_path):
         fns = random_hardy_test_functions(1.0, 5, seed=3)
-        report = hardy_ratio(PowerLaw(0.0, 0.5), 0.5, "HP1p", fns,
-                             n_quad=50_001)
+        report = hardy_ratio(PowerLaw(0.0, 0.5), 0.5, "HP1p", fns)
         assert len(report.ratios()) == 5
         path = tmp_path / "hardy.csv"
         report.write_csv(path)
@@ -135,12 +134,9 @@ class TestHardyOracles:
         report.write_summary(tmp_path / "hardy.json")
 
 
-# Reference for the Hardy audit: hardy_ratio's loop as it was when every
-# test function re-evaluated the weight and rebuilt both quadratures, with
-# that version's weighted_norm and polynomial test functions.
-
-
 def _reference_weighted_norm(values, x, weight):
+    # weighted_norm as it was when every Hardy test function re-evaluated
+    # the weight and rebuilt the quadrature: a loop over the cells
     f = np.asarray(values, dtype=float)
     x = np.asarray(x, dtype=float)
     w = np.broadcast_to(np.asarray(weight(x), dtype=float), f.shape)
@@ -179,23 +175,28 @@ def _reference_singular_cell(weight, x_s, orient, h, f_sing, f_reg):
     return total
 
 
-def _reference_hardy_rows(k, pairs, n_quad, end):
-    # the left weight k/(end - x)^2 is singular at end, 1.0 or 0.0
-    nodes = np.linspace(0.0, 1.0, n_quad)
-    kv = np.asarray(k(nodes), dtype=float)
+def _reference_hardy_rows(k, fns, end, case, dtype):
+    # each test function's sides summed node by node, in dtype, over the
+    # audit's Gauss rules, with w' and q = (w - w(end)) / (x - end) from
+    # Polynomial's own derivative and division, and Horner's rule in dtype
+    rhs_rule = inequalities._k_rule(k, 8)
+    hp1 = case.startswith("HP1")
+    lhs_rule = rhs_rule if hp1 else inequalities._k_rule(k, 8, end)
 
-    def weight_lhs(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return k(x) / (end - x) ** 2
+    def side(rule, p):
+        x, weights = (np.asarray(a).astype(dtype) for a in rule)
+        values = np.zeros_like(x)
+        for c in p.coef.astype(dtype)[::-1]:
+            values = values * x + c
+        total = dtype(0.0)
+        for term in weights * values ** 2:
+            total += term
+        return float(total)
 
     rows = []
-    for idx, (w, wp) in enumerate(pairs):
-        wv = np.asarray(w(nodes), dtype=float)
-        wpv = np.asarray(wp(nodes), dtype=float)
-        lhs = _reference_weighted_norm(wv, nodes, weight_lhs)
-        rhs = axis_weights(n_quad, float(nodes[1] - nodes[0])) \
-            @ (kv * wpv ** 2)
+    for idx, w in enumerate(fns):
+        p = (w - w(end)) // Polynomial([-end, 1.0]) if hp1 else w
+        lhs, rhs = side(lhs_rule, p), side(rhs_rule, w.deriv())
         rows.append(ReportRow(idx, 0.0, lhs, rhs, lhs / rhs))
     return tuple(rows)
 
@@ -212,23 +213,22 @@ def _reference_family(vanish_at, count, seed):
     return pairs
 
 
-# the Gram form sums other terms than the references' per-node squares:
-# rows stay within 1.3e-14 relative of np.longdouble per-node sums, where
-# the per-node double sums stayed within 9.1e-16; the Carleman-type level
+# Hardy rows stay within 1.2e-15 relative of per-function sums over the
+# same Gauss nodes, in double or in np.longdouble; the Carleman-type level
 # kernel's sums move by at most 7.9e-16 from the per-(sample, s) loop's
 ROUND_OFF = 1e-13
 
 
-def _assert_rows_close(got, want):
+def _assert_rows_close(got, want, rel=ROUND_OFF):
     assert [(r.sample_id, r.s) for r in got] == \
         [(r.sample_id, r.s) for r in want]
     for g, r in zip(got, want):
         for side in ("lhs", "rhs", "ratio"):
-            assert getattr(g, side) == _close(getattr(r, side)), side
+            assert getattr(g, side) == _close(getattr(r, side), rel), side
 
 
-def _close(value):
-    return pytest.approx(value, rel=ROUND_OFF, abs=0.0)
+def _close(value, rel=ROUND_OFF):
+    return pytest.approx(value, rel=rel, abs=0.0)
 
 
 def _one_end(at_zero, theta):
@@ -239,9 +239,94 @@ def _one_end(at_zero, theta):
     return hardy_ratio, PowerLaw(0.0, theta), 1.0
 
 
-class TestHardyOnce:
-    N_QUAD = 20_001
+def _table(end):
+    """A piecewise-linear k over three intervals of (0, 1), 0 at ``end``;
+    its last knot lies beyond the other end."""
+    x = np.array([0.0, 0.25, 0.625, 1.5])
+    k = np.array([0.0, 0.5, 0.75, 1.25])
+    if end:
+        x, k = 1.0 - x[::-1], k[::-1]
+    return Tabulated(x, k, np.zeros_like(x))
 
+
+# exact rational arithmetic on power-series coefficients, as Fractions
+
+def _times(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _exact_quotient(c, end):
+    """(w - w(end)) / (x - end) by synthetic division; w(end) dropped."""
+    q, carry = [], Fraction(0)
+    for coef in c[:0:-1]:
+        carry = coef + end * carry
+        q.append(carry)
+    return q[::-1]
+
+
+def _exact_power_rows(fns, theta, case, end):
+    # k = |x - end|^theta: in y = |x - end| each side is int_0^1 y^e p^2,
+    # the sum of c_j / (j + e + 1) over the coefficients c_j of p^2
+    theta = Fraction(theta)
+    rows = []
+    for idx, w in enumerate(fns):
+        c = [Fraction(v) for v in w.coef]
+        if end:  # w in y = 1 - x
+            c = [sum(cj * math.comb(j, m) * (-1) ** m
+                     for j, cj in enumerate(c) if j >= m)
+                 for m in range(len(c))]
+        p, e = (c[1:], theta) if case.startswith("HP1") else (c, theta - 2)
+        wp = [j * cj for j, cj in enumerate(c)][1:]
+
+        def moment(p, e):
+            return float(sum(cj / (j + e + 1)
+                             for j, cj in enumerate(_times(p, p))))
+
+        lhs, rhs = moment(p, e), moment(wp, theta)
+        rows.append(ReportRow(idx, 0.0, lhs, rhs, lhs / rhs))
+    return tuple(rows)
+
+
+def _exact_table_rows(table, fns, end):
+    # int_0^1 k p^2 over the pieces where the table's k is linear
+    xs = [Fraction(float(v)) for v in table.x]
+    ks = [Fraction(float(v)) for v in table.k_values]
+    cuts = [Fraction(0)] + [v for v in xs if 0 < v < 1] + [Fraction(1)]
+
+    def k_at(x):
+        i = max(i for i in range(len(xs) - 1) if xs[i] <= x)
+        return ks[i] + (ks[i + 1] - ks[i]) / (xs[i + 1] - xs[i]) * (x - xs[i])
+
+    def side(p):
+        total = Fraction(0)
+        for lo, hi in zip(cuts, cuts[1:]):
+            slope = (k_at(hi) - k_at(lo)) / (hi - lo)
+            terms = _times([k_at(lo) - slope * lo, slope], _times(p, p))
+            total += sum(cj * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1)
+                         for j, cj in enumerate(terms))
+        return float(total)
+
+    rows = []
+    for idx, w in enumerate(fns):
+        c = [Fraction(v) for v in w.coef]
+        wp = [j * cj for j, cj in enumerate(c)][1:]
+        lhs = side(_exact_quotient(c, Fraction(end)))
+        rhs = side(wp)
+        rows.append(ReportRow(idx, 0.0, lhs, rhs, lhs / rhs))
+    return tuple(rows)
+
+
+# the Gauss sums stay within 7e-15 relative of these closed forms, where
+# a 20 001-node trapezoid rule with subdivided end cells was off by up to
+# 3.8e-5 (HP1) and 2.5e-3 (HP2)
+EXACT = 1e-12
+
+
+class TestHardyOnce:
     @pytest.mark.parametrize("theta,case", [(0.5, "HP1"), (0.5, "HP1p"),
                                             (1.5, "HP2"), (1.5, "HP2p")])
     @pytest.mark.parametrize("at_zero", [False, True])
@@ -249,11 +334,8 @@ class TestHardyOnce:
         ratio, k, end = _one_end(at_zero, theta)
         vanish_at = end if case.startswith("HP1") else 1.0 - end
         fns = random_hardy_test_functions(vanish_at, 6, seed=5)
-        ref = _reference_family(vanish_at, 6, seed=5)
-        for w, (rw, _) in zip(fns, ref):
-            assert w.coef.tobytes() == rw.coef.tobytes()
-        got = ratio(k, theta, case, fns, n_quad=self.N_QUAD)
-        want = _reference_hardy_rows(k.k, ref, self.N_QUAD, end)
+        got = ratio(k, theta, case, fns)
+        want = _reference_hardy_rows(k, fns, end, case, float)
         _assert_rows_close(got.rows, want)
 
     @pytest.mark.parametrize("vanish_at", [0.0, 1.0])
@@ -295,58 +377,27 @@ class TestHardyOnce:
         got = weighted_norm(values, nodes, weight=weight)
         assert got == _close(_reference_weighted_norm(values, nodes, weight))
 
-    @pytest.mark.parametrize("n_quad", [1001, _HARDY_BLOCK, _HARDY_BLOCK + 1,
-                                        2 * _HARDY_BLOCK + 1])
-    @pytest.mark.parametrize("at_zero", [False, True])
-    def test_block_seams_match_the_reference(self, n_quad, at_zero):
-        # one block, a full one, a last block of one node (the end cell's
-        # two nodes in different blocks) and three blocks
-        ratio, k, end = _one_end(at_zero, 0.5)
-        fns = random_hardy_test_functions(end, 3, seed=8)
-        ref = _reference_family(end, 3, seed=8)
-        got = ratio(k, 0.5, "HP1", fns, n_quad=n_quad)
-        want = _reference_hardy_rows(k.k, ref, n_quad, end)
-        _assert_rows_close(got.rows, want)
-
-    def test_memory_does_not_grow_with_the_family(self):
-        n_quad = 400_001
-
-        def peak(at_zero, count):
-            ratio, k, end = _one_end(at_zero, 0.5)
-            fns = random_hardy_test_functions(end, count, seed=0)
-            tracemalloc.start()
-            try:
-                ratio(k, 0.5, "HP1", fns, n_quad=n_quad)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        for at_zero in (False, True):
-            few, many = peak(at_zero, 5), peak(at_zero, 100)
-            assert many <= 6 * 8 * n_quad  # six node-sized float arrays
-            assert abs(many - few) <= 8 * _HARDY_BLOCK
-
     @pytest.mark.parametrize("at_zero", [False, True])
     def test_node_passes_do_not_grow_with_the_family(self, monkeypatch,
                                                       at_zero):
-        # one pass over the node blocks per report, whatever the family's
-        # size; no test function is called: w is read off its
-        # coefficients
-        n_quad = 2 * _HARDY_BLOCK + 1
+        # one polyval of the whole family per side and one for the norms,
+        # on the rules' 8 nodes, and one at the vanishing end, whatever
+        # the family's size; no test function is called: w is read off
+        # its coefficients
         passes = []
 
-        def counted(x, deg):
+        def counted(x, c, tensor=True):
             passes.append(np.size(x))
-            return np.polynomial.legendre.legvander(x, deg)
+            return np.polynomial.polynomial.polyval(x, c, tensor)
 
-        monkeypatch.setattr(inequalities, "legvander", counted)
+        monkeypatch.setattr(inequalities, "polyval", counted)
         ratio, k, end = _one_end(at_zero, 0.5)
         for count in (5, 100):
             passes.clear()
             fns = [_Counted(w.coef)
                    for w in random_hardy_test_functions(end, count, seed=0)]
-            ratio(k, 0.5, "HP1", fns, n_quad=n_quad)
-            assert len(passes) == 3 and sum(passes) == n_quad
+            ratio(k, 0.5, "HP1", fns)
+            assert passes == [8, 8, 8, 1]
             assert all(w.points == [] for w in fns)
 
     @pytest.mark.parametrize("at_zero,case,theta,vanish_at", [
@@ -360,32 +411,34 @@ class TestHardyOnce:
                                              f"vanish at x = {vanish_at}$"):
             ratio(k, theta, case,
                   random_hardy_test_functions(float(vanish_at), 1, seed=0)
-                  + [flat], n_quad=1001)
+                  + [flat])
 
     @pytest.mark.parametrize("at_zero", [False, True])
     def test_k_is_evaluated_on_the_nodes_once(self, monkeypatch, at_zero):
+        # a Tabulated k once per report, at the 8 nodes of each of its
+        # three intervals; a PowerLaw k never: its rule is built from the
+        # exponents
         calls = []
-        real = PowerLaw.k
+        for cls in (PowerLaw, Tabulated):
+            real = cls.k
 
-        def k(self, x):
-            calls.append(np.ndim(x))
-            return real(self, x)
+            def k(self, x, real=real):
+                calls.append((type(self), np.size(x)))
+                return real(self, x)
 
-        monkeypatch.setattr(PowerLaw, "k", k)
-        ratio = hardy_ratio_at_zero if at_zero else hardy_ratio
-        vanish_at = 0.0 if at_zero else 1.0
-        fns = random_hardy_test_functions(vanish_at, 5, seed=0)
-        ratio(PowerLaw(0.5), 0.5, "HP1", fns, n_quad=1001)
-        assert calls.count(1) == 1  # the rest sample the singular end cell
-        assert set(calls) == {0, 1}
+            monkeypatch.setattr(cls, "k", k)
+        ratio, power_law, end = _one_end(at_zero, 0.5)
+        fns = random_hardy_test_functions(end, 5, seed=0)
+        ratio(_table(end), 0.5, "HP1", fns)
+        ratio(power_law, 0.5, "HP1", fns)
+        assert calls == [(Tabulated, 24)]
 
     def test_non_finite_test_function_names_its_index(self):
         # a non-finite coefficient makes a side non-finite
         ok = Polynomial([1.0, -1.0])
         gap = Polynomial([1.0, np.nan])
         with pytest.raises(ValueError, match="test function 1 .*non-finite"):
-            hardy_ratio(PowerLaw(0.0, 0.5), 0.5, "HP1", [ok, gap],
-                        n_quad=1001)
+            hardy_ratio(PowerLaw(0.0, 0.5), 0.5, "HP1", [ok, gap])
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
                         reason="np.longdouble is double here")
@@ -396,11 +449,84 @@ class TestHardyOnce:
         case = "HP1" if theta < 1.0 else "HP2"
         vanish_at = end if case == "HP1" else 1.0 - end
         fns = random_hardy_test_functions(vanish_at, 10, seed=5)
-        got = ratio(k, theta, case, fns, n_quad=self.N_QUAD)
-        want = _longdouble_hardy_rows(k.k, _reference_family(vanish_at, 10,
-                                                             seed=5),
-                                      self.N_QUAD, end)
+        got = ratio(k, theta, case, fns)
+        want = _reference_hardy_rows(k, fns, end, case, np.longdouble)
         _assert_rows_close(got.rows, want)
+
+    @pytest.mark.parametrize("theta", [0.25, 0.5, 0.75, 1.25, 1.5, 1.75])
+    @pytest.mark.parametrize("at_zero", [False, True])
+    def test_rows_match_the_closed_form(self, theta, at_zero):
+        # k = (1 - x)^theta at x = 1, x^theta at x = 0
+        ratio, k, end = _one_end(at_zero, theta)
+        case = "HP1" if theta < 1.0 else "HP2"
+        vanish_at = end if case == "HP1" else 1.0 - end
+        fns = random_hardy_test_functions(vanish_at, 10, seed=5)
+        got = ratio(k, theta, case, fns)
+        _assert_rows_close(got.rows, _exact_power_rows(fns, theta, case, end),
+                           rel=EXACT)
+
+    @pytest.mark.parametrize("at_zero", [False, True])
+    def test_tabulated_rows_match_the_piecewise_integral(self, at_zero):
+        ratio, _, end = _one_end(at_zero, 0.5)
+        table = _table(end)
+        fns = random_hardy_test_functions(end, 6, seed=5)
+        got = ratio(table, 0.5, "HP1", fns)
+        _assert_rows_close(got.rows, _exact_table_rows(table, fns, end),
+                           rel=EXACT)
+
+    @pytest.mark.parametrize("a,b", [(0.5, 0.5), (0.0, 0.5), (-0.5, 0.5),
+                                     (1.5, 0.0), (-0.99, 0.0), (-0.5, -0.5)])
+    def test_gauss_jacobi_rule_is_scipys(self, a, b):
+        # a + b = -1 and a + b = 0 are the recurrence's edge cases
+        special = pytest.importorskip("scipy.special")
+        for n in (1, 2, 8):
+            nodes, weights = inequalities._gauss_jacobi(n, a, b)
+            # scipy's rule is on [-1, 1], for the weight (1 - y)^a (1 + y)^b
+            y, v = special.roots_jacobi(n, a, b)
+            assert np.max(np.abs(nodes - 0.5 * (1.0 + y))) <= 1e-15
+            np.testing.assert_allclose(weights, v / 2.0 ** (a + b + 1.0),
+                                       rtol=1e-12, atol=0.0)
+
+    def test_too_few_nodes_for_the_family_named(self):
+        fns = random_hardy_test_functions(1.0, 3, seed=0)  # degree 7
+        for n_quad in (1, 7):
+            with pytest.raises(ValueError, match=f"^n_quad = {n_quad} .*: "
+                                                 f"they need 8$"):
+                hardy_ratio(PowerLaw(0.0, 0.5), 0.5, "HP1", fns,
+                            n_quad=n_quad)
+
+    def test_trapezoid_sized_n_quad_refused(self):
+        # refused before any rule is built: 100 001 Gauss nodes would be
+        # one eigh of a 100 001 x 100 001 matrix
+        fns = random_hardy_test_functions(1.0, 3, seed=0)
+        with pytest.raises(ValueError, match="^n_quad = 100001 Gauss nodes "
+                                             "per rule are more than 1000; "
+                                             "8 integrate"):
+            hardy_ratio(PowerLaw(0.0, 0.5), 0.5, "HP1", fns, n_quad=100_001)
+        assert len(hardy_ratio(PowerLaw(0.0, 0.5), 0.5, "HP1", fns,
+                               n_quad=1000).rows) == 3
+
+    @pytest.mark.parametrize("power", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("at_zero", [False, True])
+    def test_hp2_left_side_diverges_at_a_weak_end(self, power, at_zero):
+        # k/(x - end)^2 ~ |x - end|^(power - 2) is not integrable
+        ratio, _, end = _one_end(at_zero, 1.5)
+        k = PowerLaw(power, 0.0) if at_zero else PowerLaw(0.0, power)
+        fns = random_hardy_test_functions(1.0 - end, 3, seed=0)
+        for case in ("HP2", "HP2p"):
+            with pytest.raises(ValueError, match=(
+                    f"^HP2 left side diverges at x = {end:g}: k's exponent "
+                    f"there is {power:g}, not above 1$")):
+                ratio(k, 1.5, case, fns)
+
+    @pytest.mark.parametrize("at_zero", [False, True])
+    def test_hp2_left_side_diverges_for_a_tabulated_k(self, at_zero):
+        # piecewise linear: k/(x - end)^2 >= c/|x - end| next to end
+        ratio, _, end = _one_end(at_zero, 1.5)
+        fns = random_hardy_test_functions(1.0 - end, 3, seed=0)
+        with pytest.raises(ValueError, match=f"^HP2 left side diverges at "
+                                             f"x = {end:g}: a tabulated k"):
+            ratio(_table(end), 1.5, "HP2", fns)
 
 
 class _Counted(Polynomial):
@@ -413,45 +539,6 @@ class _Counted(Polynomial):
     def __call__(self, x):
         self.points.append(np.size(x))
         return super().__call__(x)
-
-
-def _longdouble_hardy_rows(k, pairs, n_quad, end):
-    # both sides summed node by node in np.longdouble, with w and w' by
-    # Horner's rule in it and the double per-node weights of the
-    # reference; the end cell, singular for every k passed here, as
-    # _reference_weighted_norm has it
-    nodes = np.linspace(0.0, 1.0, n_quad)
-    h = float(nodes[1] - nodes[0])
-    kv = np.asarray(k(nodes), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nodal = kv / (end - nodes) ** 2
-    singular, inward, orient = (0, 1, 1.0) if end == 0.0 else (-1, -2, -1.0)
-    lhs_weights = axis_weights(n_quad, h).astype(np.longdouble)
-    lhs_weights[singular] = 0.0
-    lhs_weights[inward] -= 0.5 * h  # that half is in the end cell
-    lhs_weights *= np.where(np.isfinite(nodal), nodal, 0.0)
-    rhs_weights = axis_weights(n_quad, h).astype(np.longdouble) * kv
-    x = nodes.astype(np.longdouble)
-
-    def horner(coef):
-        out = np.zeros_like(x)
-        for c in coef.astype(np.longdouble)[::-1]:
-            out = out * x + c
-        return out
-
-    def weight(y):
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return k(y) / (end - y) ** 2
-
-    rows = []
-    for idx, (w, wp) in enumerate(pairs):
-        cell = _reference_singular_cell(weight, nodes[singular], orient, h,
-                                        w(nodes[singular]), w(nodes[inward]))
-        lhs = float(np.sum(lhs_weights * horner(w.coef) ** 2)) + cell
-        rhs = float(np.sum(rhs_weights * horner(wp.coef) ** 2))
-        rows.append(ReportRow(idx, 0.0, lhs, rhs, lhs / rhs))
-    return tuple(rows)
 
 
 class TestManufacturedAdjoint:

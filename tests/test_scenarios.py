@@ -343,8 +343,7 @@ class TestHardyAudit:
         cfg = config()
         cfg["model"]["k"] = {"form": "power", "alpha0": alpha0,
                              "alpha1": alpha1}
-        reports = AUDITS["hardy"](scenario_from_config(cfg), count=3,
-                                  n_quad=2001)
+        reports = AUDITS["hardy"](scenario_from_config(cfg), count=3)
         case = lambda alpha: "HP1" if alpha < 1.0 else "HP2"
         assert [(stem, r.meta["case"], len(r.ratios()))
                 for stem, r in reports] == [
