@@ -24,6 +24,7 @@ __all__ = [
     "Tabulated",
     "DegenerateCoefficient",
     "DegeneracyReport",
+    "EndDegeneracy",
     "classify_degeneracy",
     "VitalRates",
     "CarlemanWeights",
@@ -67,15 +68,14 @@ class PowerLaw:
                              * np.power(1.0 - x, self.alpha1 - 1.0))
         return left - right
 
-    def slope_ratio_at_zero(self, x):
-        """x k'(x) / k(x), computed without the removable singularity."""
+    def slope_ratio(self, x, end: float):
+        """(x - end) k'(x) / k(x) for end 0.0 or 1.0, computed without the
+        removable singularity: the exponent at ``end`` less the other
+        exponent times |x - end| / |x - other end|."""
         x = np.asarray(x, dtype=float)
-        return self.alpha0 - self.alpha1 * x / (1.0 - x)
-
-    def slope_ratio_at_one(self, x):
-        """(x - 1) k'(x) / k(x)."""
-        x = np.asarray(x, dtype=float)
-        return self.alpha1 - self.alpha0 * (1.0 - x) / x
+        near, far = (self.alpha1, self.alpha0) if end else (self.alpha0,
+                                                           self.alpha1)
+        return near - far * np.abs(x - end) / np.abs(x - (1.0 - end))
 
     def face_values(self, x_nodes: np.ndarray) -> np.ndarray:
         """Exact k at the cell midpoints (conservative face diffusivities)."""
@@ -125,17 +125,11 @@ class Tabulated:
     def kprime(self, x):
         return np.interp(np.asarray(x, dtype=float), self.x, self.kprime_values)
 
-    def slope_ratio_at_zero(self, x):
+    def slope_ratio(self, x, end: float):
+        """(x - end) k'(x) / k(x) for end 0.0 or 1.0."""
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = x * self.kprime(x) / self.k(x)
-        return out
-
-    def slope_ratio_at_one(self, x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (x - 1.0) * self.kprime(x) / self.k(x)
-        return out
+            return (x - end) * self.kprime(x) / self.k(x)
 
     def face_values(self, x_nodes: np.ndarray) -> np.ndarray:
         """Arithmetic mean of the nodal values (tabulated coefficients)."""
@@ -151,43 +145,39 @@ DegenerateCoefficient = PowerLaw | Tabulated
 
 
 @dataclass(frozen=True)
+class EndDegeneracy:
+    """Certified degeneracy of k at one end: the slope bound M, weak for
+    M < 1 and strong for 1 <= M < 2, and the monotonicity exponent theta."""
+
+    M: float
+    theta: float
+
+
+@dataclass(frozen=True)
 class DegeneracyReport:
-    weak_at_zero: bool
-    strong_at_zero: bool
-    weak_at_one: bool
-    strong_at_one: bool
-    nondegenerate: bool
-    M1: float | None
-    M2: float | None
-    theta0: float | None
-    theta1: float | None
+    """Each degenerate end of k, 0.0 then 1.0, with its certified record;
+    empty when k is degenerate at neither end."""
 
-    @property
-    def degenerate_at_zero(self) -> bool:
-        return self.weak_at_zero or self.strong_at_zero
-
-    @property
-    def degenerate_at_one(self) -> bool:
-        return self.weak_at_one or self.strong_at_one
+    ends: dict[float, EndDegeneracy]
 
 
-def _theta_certificate(slope_ratio, side: str) -> float:
-    """Largest sampled-valid monotonicity exponent near an endpoint.
+def _theta_certificate(coef: DegenerateCoefficient, end: float) -> float:
+    """Largest sampled-valid monotonicity exponent near ``end``.
 
-    k/x**theta nondecreasing near 0 is equivalent to theta <= x k'/k on a
-    neighborhood; the mirrored condition at 1 reads theta <= (x-1) k'/k.
+    k/|x - end|**theta nondecreasing in the distance |x - end| near
+    ``end`` is equivalent to theta <= (x - end) k'/k on a neighborhood.
     The infimum over a neighborhood shrinking from width 0.05 certifies a
     valid theta.
     """
     nb = 0.05
     for _ in range(40):
         pts = np.linspace(nb * 1e-3, nb, 64)
-        xs = pts if side == "zero" else 1.0 - pts
-        val = float(np.min(slope_ratio(xs)))
+        val = float(np.min(coef.slope_ratio(np.abs(end - pts), end)))
         if val > 0.0:
             return val
         nb /= 2.0
-    raise ValueError(f"could not certify a monotonicity exponent near {side}")
+    raise ValueError(f"could not certify a monotonicity exponent near "
+                     f"{'one' if end else 'zero'}")
 
 
 def classify_degeneracy(coef: DegenerateCoefficient) -> DegeneracyReport:
@@ -200,33 +190,25 @@ def classify_degeneracy(coef: DegenerateCoefficient) -> DegeneracyReport:
     somewhere in the open interval.
     """
     if isinstance(coef, PowerLaw):
-        deg0 = coef.alpha0 > 0.0
-        deg1 = coef.alpha1 > 0.0
-        m1 = coef.alpha0 if deg0 else None
-        m2 = coef.alpha1 if deg1 else None
+        exponents = {0.0: coef.alpha0, 1.0: coef.alpha1}
+        bounds = {end: m for end, m in exponents.items() if m > 0.0}
     else:
         xs = np.linspace(0.0, 1.0, 2001)[1:-1]
         kv = coef.k(xs)
         if np.any(kv <= 0.0):
             bad = xs[int(np.argmin(kv))]
             raise ValueError(f"coefficient nonpositive on the interior (x={bad:.6g})")
-        deg0 = coef.k(0.0) <= 0.0
-        deg1 = coef.k(1.0) <= 0.0
-        m1 = float(np.max(coef.slope_ratio_at_zero(xs[xs < 0.5]))) if deg0 else None
-        m2 = float(np.max(coef.slope_ratio_at_one(xs[xs > 0.5]))) if deg1 else None
-    for name, m in (("M1", m1), ("M2", m2)):
-        if m is not None and m >= 2.0:
-            raise ValueError(f"certified {name} = {m:.6g} is >= 2 (outside the admissible range)")
-    theta0 = _theta_certificate(coef.slope_ratio_at_zero, "zero") if deg0 else None
-    theta1 = _theta_certificate(coef.slope_ratio_at_one, "one") if deg1 else None
-    return DegeneracyReport(
-        weak_at_zero=bool(deg0 and m1 < 1.0),
-        strong_at_zero=bool(deg0 and m1 >= 1.0),
-        weak_at_one=bool(deg1 and m2 < 1.0),
-        strong_at_one=bool(deg1 and m2 >= 1.0),
-        nondegenerate=not (deg0 or deg1),
-        M1=m1, M2=m2, theta0=theta0, theta1=theta1,
-    )
+        # M is the largest slope ratio on the half of the lattice next to
+        # the end
+        bounds = {end: float(np.max(coef.slope_ratio(
+                  xs[np.abs(xs - end) < 0.5], end)))
+              for end in (0.0, 1.0) if coef.k(end) <= 0.0}
+    for end, m in bounds.items():
+        if m >= 2.0:
+            raise ValueError(f"certified M{int(end) + 1} = {m:.6g} is >= 2 "
+                             f"(outside the admissible range)")
+    return DegeneracyReport({end: EndDegeneracy(m, _theta_certificate(
+        coef, end)) for end, m in bounds.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +304,9 @@ class CarlemanWeights:
                                        for s in self.s_sweep):
             raise ValueError(f"s_sweep must hold one or more finite positive "
                              f"values, got {self.s_sweep!r}")
-        deg = classify_degeneracy(self.coef)
-        two_sided = deg.degenerate_at_zero and deg.degenerate_at_one
-        self.end = 1.0 if deg.degenerate_at_one and not two_sided else 0.0
+        ends = classify_degeneracy(self.coef).ends
+        two_sided = len(ends) == 2
+        self.end = 1.0 if list(ends) == [1.0] else 0.0
         xs = self.grid.x_nodes
         ahead = slice(None, None, -1 if self.end else 1)  # nodes from end
         if isinstance(self.coef, PowerLaw) and not two_sided \
@@ -447,21 +429,15 @@ def validate_hypotheses(coef: DegenerateCoefficient, rates: VitalRates,
         add("degeneracy class", False, str(exc))
         report = None
     if report is not None:
-        if report.degenerate_at_zero:
-            margin = coef.slope_ratio_at_zero(xs) <= report.M1 + 1e-9
-            add("slope bound at 0", bool(np.all(margin)),
-                f"x k'/k <= M1 = {report.M1:.6g} on sampled interior")
-            add("monotonicity exponent at 0", report.theta0 is not None
-                and report.theta0 > 0.0,
-                f"theta0 = {report.theta0:.6g} certified near 0")
-        if report.degenerate_at_one:
-            margin = coef.slope_ratio_at_one(xs) <= report.M2 + 1e-9
-            add("slope bound at 1", bool(np.all(margin)),
-                f"(x-1) k'/k <= M2 = {report.M2:.6g} on sampled interior")
-            add("monotonicity exponent at 1", report.theta1 is not None
-                and report.theta1 > 0.0,
-                f"theta1 = {report.theta1:.6g} certified near 1")
-        if report.nondegenerate:
+        for end, deg in report.ends.items():
+            i = int(end)
+            margin = coef.slope_ratio(xs, end) <= deg.M + 1e-9
+            add(f"slope bound at {i}", bool(np.all(margin)),
+                f"{('x', '(x-1)')[i]} k'/k <= M{i + 1} = {deg.M:.6g} on "
+                f"sampled interior")
+            add(f"monotonicity exponent at {i}", deg.theta > 0.0,
+                f"theta{i} = {deg.theta:.6g} certified near {i}")
+        if not report.ends:
             add("degeneracy class", False,
                 "k is bounded away from zero at both ends; no degenerate endpoint")
 

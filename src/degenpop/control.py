@@ -537,8 +537,7 @@ def glue_two_sided(spec: ProblemSpec, config: HUMConfig,
     grid = spec.grid
     if spec.y0 is None:
         raise ValueError("glue_two_sided needs spec.y0")
-    report = classify_degeneracy(spec.k)
-    if not (report.degenerate_at_zero and report.degenerate_at_one):
+    if len(classify_degeneracy(spec.k).ends) != 2:
         raise ValueError("gluing requires degeneracy at both endpoints")
     lo, hi = spec.omega
     a_cut = lo / 2 if alpha_bar is None else alpha_bar

@@ -3,11 +3,7 @@ artifacts.
 
 Everything downstream works on a closed tensor grid over time t in [0, T],
 age a in [0, A] and space x in an interval (default (0, 1)).  Fields store
-nodal values.  Quadrature is composite trapezoid; in ``weighted_norm`` an
-end cell whose weight is singular at the boundary node is split
-geometrically toward that node and each sub-cell integrated by Simpson's
-rule with the exact weight, up to a sliver next to the node that holds
-most of the cell as the singularity nears |x - x_s|^-1.
+nodal values.  Quadrature is composite trapezoid.
 """
 
 from __future__ import annotations
@@ -229,16 +225,11 @@ def axis_weights(n_nodes: int, h: float) -> np.ndarray:
 
 
 def weighted_norm(values: np.ndarray, x: np.ndarray, weight) -> float:
-    """Integral of weight(x) * values**2 over the equispaced nodes ``x``.
+    """Integral of weight(x) * values**2 over the equispaced nodes ``x``
+    by the composite trapezoid rule.
 
-    ``weight`` is a callable of x (broadcasting numpy-style).  Each cell
-    is a trapezoid, except an end cell where the nodal weight is not
-    finite: that cell is an ``_EndCell``, integrated on a geometric
-    subdivision toward the endpoint (Simpson per sub-cell, field
-    interpolated linearly), which leaves out a sliver next to the end.
-    For a weight |x - x_s|^-gamma the sliver's share of the cell grows
-    toward all of it as gamma -> 1, so the result is close only for
-    gamma well below 1.  A non-finite weight at an interior node raises
+    ``weight`` is a callable of x (broadcasting numpy-style).  A weight
+    that is not finite at a node, an end node included, raises
     ValueError.  Returns the squared weighted L2 norm.
     """
     x = np.asarray(x, dtype=float)
@@ -246,82 +237,14 @@ def weighted_norm(values: np.ndarray, x: np.ndarray, weight) -> float:
     if x.ndim != 1 or x.size < 2:
         raise ValueError("nodes must be a 1-D array of at least two")
     finite = np.isfinite(nodal)
-    if not finite[1:-1].all():
-        bad = 1 + int(np.argmin(finite[1:-1]))
-        raise ValueError(f"weight is not finite at the interior node "
-                         f"x = {float(x[bad])!r}; only an end node may "
-                         f"be singular")
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"weight is not finite at x = {float(x[bad])!r}")
     f = np.asarray(values, dtype=float)
     if f.shape != x.shape:
         raise ValueError("values and nodes must be 1-D arrays of one length")
-    h = float(x[1] - x[0])
-    # trapezoid weights times the nodal weight, the cell next to a
-    # non-finite end folded out: the end node weighs 0, its neighbour
-    # keeps the half of its other cell
-    weights = np.where(finite, nodal, 0.0)
-    weights *= h
-    weights[[0, -1]] *= 0.5
-    # (end node, its neighbour, direction into the cell)
-    ends = [(index, inward, orient)
-            for index, inward, orient in ((0, 1, 1.0), (-1, -2, -1.0))
-            if not finite[index]]
-    if x.size == 2:
-        # one cell, the end at x[-1] integrates it if both are singular
-        ends = ends[-1:]
-    cells = 0.0
-    for index, inward, orient in ends:
-        if finite[inward]:  # take off its half of the end cell
-            weights[inward] -= 0.5 * h * nodal[inward]
-        cells += _EndCell(weight, x[index], orient, h).integral(f[index],
-                                                                f[inward])
-    return float(weights @ (f * f)) + float(cells)
-
-
-class _EndCell:
-    """End cell of ``weighted_norm`` with the weight singular at x_s.
-
-    The cell (x_s toward x_s + orient * h) is split geometrically toward
-    x_s, halving down to the last distance d above delta = 8 eps
-    max(1, |x_s|), and each sub-cell integrated by Simpson with the exact
-    weight and the field interpolated linearly between the two cell nodes.
-    The sliver (x_s, x_s + orient * d), d in (delta, 2 delta], is left
-    out.  For a |x - x_s|^(-gamma) weight its mass is d^(1-gamma) /
-    (1-gamma), a share (d/h)^(1-gamma) of the cell's: at 400 001 nodes
-    d/h = 2^-30, a share of 1.7e-7 at gamma = 0.25 but 5.5e-3 at
-    gamma = 0.75, tending to 1 as gamma -> 1.  The weight is sampled
-    once, here, at the sub-cell ends and midpoints; ``integral`` adds the
-    field.
-    """
-
-    def __init__(self, weight, x_s: float, orient: float, h: float) -> None:
-        dist = h * 0.5 ** np.arange(61)
-        keep = dist > 8.0 * np.finfo(float).eps * max(1.0, abs(x_s))
-        dist = dist[keep]
-        mid = 0.5 * (dist[:-1] + dist[1:])
-
-        def sample(d: np.ndarray) -> np.ndarray:
-            # one 0-d call per point: a ufunc's vectorized loop may round
-            # differently from its scalar one
-            wv = [float(weight(np.asarray(x_s + orient * p))) for p in d]
-            return np.array([v if np.isfinite(v) else 0.0 for v in wv])
-
-        self.ratio, self.mid_ratio = dist / h, mid / h
-        self.weight, self.mid_weight = sample(dist), sample(mid)
-        self.width = (dist[:-1] - dist[1:]) / 6.0
-
-    def integral(self, f_sing: float, f_reg: float) -> float:
-        if self.ratio.size < 2:
-            return 0.0
-        slope = f_reg - f_sing
-        fv = f_sing + self.ratio * slope
-        g = self.weight * fv * fv
-        fv = f_sing + self.mid_ratio * slope
-        g_mid = self.mid_weight * fv * fv
-        total = 0.0
-        # Simpson per sub-cell, summed in order from the regular node
-        for term in self.width * (g[:-1] + 4.0 * g_mid + g[1:]):
-            total = total + term
-        return total
+    weights = axis_weights(x.size, float(x[1] - x[0])) * nodal
+    return float(weights @ (f * f))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +330,9 @@ def read_field_csv(path, grid: Grid):
     """Read a snapshot written by :func:`write_field_csv` back onto ``grid``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"snapshot {path} is empty")
         axes = tuple(header[:-1])
         data = np.array([[float(v) for v in row] for row in reader])
     if axes not in (("t", "a", "x"), ("a", "x")):

@@ -459,14 +459,12 @@ def _sha256(path: Path) -> str:
 def _hardy_ends(k) -> list:
     """(stem, ratio function, end, theta) of each end the Hardy audit
     covers: each degenerate end with exponent theta != 1."""
-    deg = classify_degeneracy(k)
-    return [(stem, ratio, end, float(theta))
-            for stem, ratio, end, degenerate, theta in (
-                ("hardy_at_one", hardy_ratio, 1.0, deg.degenerate_at_one,
-                 deg.theta1),
-                ("hardy_at_zero", hardy_ratio_at_zero, 0.0,
-                 deg.degenerate_at_zero, deg.theta0))
-            if degenerate and theta is not None and abs(theta - 1.0) > 1e-9]
+    ends = classify_degeneracy(k).ends
+    return [(stem, ratio, end, float(ends[end].theta))
+            for stem, ratio, end in (
+                ("hardy_at_one", hardy_ratio, 1.0),
+                ("hardy_at_zero", hardy_ratio_at_zero, 0.0))
+            if end in ends and abs(ends[end].theta - 1.0) > 1e-9]
 
 
 def _hardy_audit(scenario: Scenario, *, count: int) -> list:
@@ -538,8 +536,7 @@ def _middle_half(window: tuple[float, float]) -> tuple[float, float]:
 
 
 def _one_sided(k) -> bool:
-    deg = classify_degeneracy(k)
-    return deg.degenerate_at_zero != deg.degenerate_at_one
+    return len(classify_degeneracy(k).ends) == 1
 
 
 # audit -> fn(spec) -> {name: x window} it integrates over, each of which

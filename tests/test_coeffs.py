@@ -53,10 +53,9 @@ class TestPowerLaw:
     def test_slope_ratios(self):
         k = PowerLaw(0.5, 0.25)
         xs = np.array([0.2, 0.7])
-        np.testing.assert_allclose(k.slope_ratio_at_zero(xs),
-                                   xs * k.kprime(xs) / k.k(xs))
-        np.testing.assert_allclose(k.slope_ratio_at_one(xs),
-                                   (xs - 1) * k.kprime(xs) / k.k(xs))
+        for end in (0.0, 1.0):
+            np.testing.assert_allclose(k.slope_ratio(xs, end),
+                                       (xs - end) * k.kprime(xs) / k.k(xs))
 
 
 class TestTabulated:
@@ -96,28 +95,53 @@ class TestTabulated:
 
 class TestClassification:
     def test_one_sided_weak(self):
-        rep = classify_degeneracy(PowerLaw(0.5))
-        assert rep.weak_at_zero and not rep.strong_at_zero
-        assert not rep.degenerate_at_one
-        assert rep.M1 == 0.5
-        assert rep.theta0 == pytest.approx(0.5)
+        ends = classify_degeneracy(PowerLaw(0.5)).ends
+        assert list(ends) == [0.0]
+        assert ends[0.0].M == 0.5  # weak: M < 1
+        assert ends[0.0].theta == pytest.approx(0.5)
 
     def test_one_sided_strong(self):
-        rep = classify_degeneracy(PowerLaw(1.5))
-        assert rep.strong_at_zero
-        assert rep.theta0 == pytest.approx(1.5)
+        ends = classify_degeneracy(PowerLaw(1.5)).ends
+        assert list(ends) == [0.0] and ends[0.0].M >= 1.0
+        assert ends[0.0].theta == pytest.approx(1.5)
 
     def test_two_sided_exponent_is_conservative(self):
-        # for a two-sided coefficient the certified theta0 sits slightly
+        # for a two-sided coefficient the certified theta at 0 sits slightly
         # below alpha0 because k/x^theta is not globally monotone
-        rep = classify_degeneracy(PowerLaw(1.5, 1.2))
-        assert rep.strong_at_zero and rep.strong_at_one
-        assert rep.theta0 is not None and 0.0 < rep.theta0 <= 1.5
+        ends = classify_degeneracy(PowerLaw(1.5, 1.2)).ends
+        assert list(ends) == [0.0, 1.0]
+        assert ends[0.0].M >= 1.0 and ends[1.0].M >= 1.0
+        assert 0.0 < ends[0.0].theta <= 1.5
 
     def test_nondegenerate(self):
         xs = np.linspace(0.0, 1.0, 21)
         rep = classify_degeneracy(Tabulated(xs, 1.0 + xs, np.ones(21)))
-        assert rep.nondegenerate
+        assert rep.ends == {}
+
+    @pytest.mark.parametrize("a, b", [(0.5, 0.0), (1.5, 0.0), (0.5, 0.5),
+                                      (1.5, 1.2), (0.3, 1.7)])
+    def test_mirrored_power_law_swaps_the_ends(self, a, b):
+        self._assert_swapped(PowerLaw(a, b), PowerLaw(b, a))
+
+    def test_mirrored_table_swaps_the_ends(self):
+        # k = x^1.5 (1-x)^1.2 tabulated, and the same table read from
+        # x = 1: x -> 1 - x, k' -> -k'
+        xs = np.linspace(0.0, 1.0, 41)
+        kv = xs ** 1.5 * (1.0 - xs) ** 1.2
+        kp = 1.5 * xs ** 0.5 * (1.0 - xs) ** 1.2 \
+            - 1.2 * xs ** 1.5 * (1.0 - xs) ** 0.2
+        self._assert_swapped(Tabulated(xs, kv, kp),
+                             Tabulated(1.0 - xs[::-1], kv[::-1], -kp[::-1]))
+
+    @staticmethod
+    def _assert_swapped(coef, mirrored):
+        ends = classify_degeneracy(coef).ends
+        swapped = classify_degeneracy(mirrored).ends
+        assert sorted(swapped) == sorted(1.0 - end for end in ends)
+        for end, deg in ends.items():
+            other = swapped[1.0 - end]
+            assert other.M == pytest.approx(deg.M, rel=1e-12)
+            assert other.theta == pytest.approx(deg.theta, rel=1e-12)
 
     def test_excluded_slope_rejected(self):
         with pytest.raises(ValueError, match=">= 2"):
@@ -294,6 +318,43 @@ class TestHypotheses:
         cutoff, = [c for c in report.checks if c.name == "age cutoff"]
         assert cutoff.passed is passed
         assert cutoff.detail == f"delta = {delta:.6g} (need T < delta < A)"
+
+    # the lines validate prints, up to and after the degeneracy checks
+    _HEAD = ["[ok] horizon: T = 1, A = 2 (need T < A)",
+             "[ok] fertility onset: a_bar = 0.5 (need 0 < a_bar <= T)",
+             "[ok] age cutoff: delta = 1.25 (need T < delta < A)",
+             "[ok] control window: omega = (0.3, 0.7) "
+             "(need 0 < lo < hi < 1)",
+             "[ok] interior positivity: k > 0 on (0, 1)"]
+    _TAIL = ["[ok] fertility sign: beta >= 0 on samples",
+             "[ok] fertility support: beta vanishes for a <= a_bar = 0.5",
+             "[ok] mortality sign: mu >= 0 on samples"]
+
+    @pytest.mark.parametrize("coef, lines", [
+        (PowerLaw(0.5), [
+            "[ok] slope bound at 0: x k'/k <= M1 = 0.5 on sampled interior",
+            "[ok] monotonicity exponent at 0: theta0 = 0.5 certified near 0"]),
+        (PowerLaw(0.0, 1.5), [
+            "[ok] slope bound at 1: (x-1) k'/k <= M2 = 1.5 on sampled "
+            "interior",
+            "[ok] monotonicity exponent at 1: theta1 = 1.5 certified near 1"]),
+        (PowerLaw(1.5, 1.2), [
+            "[ok] slope bound at 0: x k'/k <= M1 = 1.5 on sampled interior",
+            "[ok] monotonicity exponent at 0: theta0 = 1.43684 certified "
+            "near 0",
+            "[ok] slope bound at 1: (x-1) k'/k <= M2 = 1.2 on sampled "
+            "interior",
+            "[ok] monotonicity exponent at 1: theta1 = 1.12105 certified "
+            "near 1"]),
+        (Tabulated(np.linspace(0.0, 1.0, 21), np.linspace(1.0, 2.0, 21),
+                   np.ones(21)), [
+            "[FAIL] degeneracy class: k is bounded away from zero at both "
+            "ends; no degenerate endpoint"]),
+    ], ids=["at 0", "at 1", "both", "neither"])
+    def test_report_lines_are_the_printed_text(self, coef, lines):
+        report = validate_hypotheses(coef, self._rates(), T=1.0, A=2.0,
+                                     omega=(0.3, 0.7), delta=1.25)
+        assert report.lines() == self._HEAD + lines + self._TAIL
 
     def test_report_lines_render(self):
         report = validate_hypotheses(PowerLaw(0.5), self._rates(),

@@ -104,9 +104,11 @@ class TestQuadrature:
         val = weighted_norm(nodes, nodes, np.ones_like)
         assert val == pytest.approx(1.0 / 3.0, rel=1e-8)
 
-    def test_weighted_norm_singular_endpoint(self):
-        # int_0^1 x^(-1/2) dx = 2.  The weight blows up at the left edge,
-        # so the regular cells next to it converge at O(sqrt(h)) only.
+    def test_weighted_norm_converges_at_sqrt_h_on_an_integrable_singularity(
+            self):
+        # int_0^1 x^(-1/2) dx = 2.  The nodal weight at x = 0 is 0, since
+        # inf ** -0.5 == 0, so the trapezoid misses O(sqrt(h)) of the
+        # integral next to the singularity and converges at that rate.
         nodes = np.linspace(0.0, 1.0, 100_001)
         val = weighted_norm(np.ones_like(nodes), nodes,
                             weight=lambda x: np.where(x > 0, x, np.inf) ** -0.5)
@@ -118,12 +120,38 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_weighted_norm_rejects_interior_non_finite_weight(self, bad):
-        # only an end node takes the singular-cell path; an interior one
-        # used to be zeroed, giving 0.9 for the integral of 1 over [0, 1]
+        # an interior one used to be zeroed, giving 0.9 for the integral of
+        # 1 over [0, 1]
         nodes = np.linspace(0.0, 1.0, 11)
         weight = lambda x: np.where(np.isclose(x, 0.5), bad, 1.0)
         with pytest.raises(ValueError, match="x = 0.5"):
             weighted_norm(np.ones_like(nodes), nodes, weight=weight)
+
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_weighted_norm_rejects_non_finite_end_weight(self, end, bad):
+        # a trapezoid has no end-cell rule: a weight singular at an end
+        # node is refused, as at an interior one
+        nodes = np.linspace(0.0, 1.0, 11)
+        weight = lambda x: np.where(x == end, bad, 1.0)
+        with pytest.raises(ValueError, match=f"x = {end!r}"):
+            weighted_norm(np.ones_like(nodes), nodes, weight=weight)
+
+    def test_weighted_norm_is_the_trapezoid_bitwise(self):
+        # trapezoid weights times the nodal weight, the end nodes' halved
+        # after the product: (h/2) w is (w h)/2 to the last bit
+        rng = spawn_rng(11)
+        for _ in range(64):
+            n = int(rng.integers(2, 400))
+            lo = rng.uniform(-2.0, 1.0)
+            nodes = np.linspace(lo, lo + rng.uniform(0.01, 5.0), n)
+            values = rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5)
+            p = rng.uniform(-2.0, 2.0)
+            weight = lambda x: np.exp(p * x) * (1.0 + np.abs(x)) ** p
+            expected = weight(nodes) * (nodes[1] - nodes[0])
+            expected[[0, -1]] *= 0.5
+            got = weighted_norm(values, nodes, weight)
+            assert got == float(expected @ (values * values))
 
     def test_axis_weights_sum(self):
         w = axis_weights(11, 0.1)
@@ -241,6 +269,13 @@ class TestSnapshotIO:
             with pytest.raises(ValueError, match="snapshot x nodes"):
                 read_field_csv(path, dataclasses.replace(
                     written, x_span=(0.0, 0.5)))
+
+    def test_empty_snapshot_named(self, tmp_path):
+        # the header read raised a bare StopIteration
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="empty.csv is empty"):
+            read_field_csv(path, make_grid(3, 4))
 
     @staticmethod
     def csv_module_bytes(header, rows) -> bytes:

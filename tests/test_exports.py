@@ -3,8 +3,8 @@
 benchmark derives a per-layer metric from is still a callable whose
 signature has every parameter the benchmark's annotators read, every
 default of the package's functions is overridden by some caller in the
-package, every ``**kwargs`` is filled by one, and the benchmark's own
-tests pass."""
+package, every ``**kwargs`` is filled by one, every method and private
+name is read by the package, and the benchmark's own tests pass."""
 
 import ast
 import importlib
@@ -263,8 +263,10 @@ def test_every_kwargs_is_filled():
 
 # functions in a module's __all__ that no package code calls, kept on purpose
 KEPT_PUBLIC = {
-    "weighted_norm": "the benchmark's tracer tests (perfbench/"
-                     "test_perfbench.py) trace it through inequalities",
+    "weighted_norm": "the benchmark's tracer test (perfbench/"
+                     "test_perfbench.py) asserts that inequalities re-"
+                     "exports it; it goes with the benchmark's "
+                     "weighted_norm metrics",
     "read_field_csv": "reads back the CSV snapshots that simulate, adjoint "
                       "and run write",
     "carleman_audit_nondeg": "the paper's Carleman estimate for a "
@@ -311,6 +313,46 @@ def test_every_public_function_is_used():
               if inspect.isfunction(_resolve(f"{module}.{name}"))}
     assert sorted(public - loaded - set(KEPT_PUBLIC)) == []
     assert set(KEPT_PUBLIC) <= public - loaded  # no stale entry
+
+
+# methods and private names that no package code reads, kept on purpose
+KEPT_UNREAD = {
+    "Grid.aligned": "the benchmark's tests (perfbench/test_perfbench.py) "
+                    "build their small grid with it",
+}
+
+
+def _defined_names():
+    """(path, qualified name, name reads use) of every method but the
+    dunders, which Python calls itself, and of every private module-level
+    function, class and constant of the package."""
+    for path in SOURCES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                yield from ((path, f"{node.name}.{fn.name}", fn.name)
+                            for fn in node.body
+                            if isinstance(fn, ast.FunctionDef)
+                            and not fn.name.startswith("__"))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets
+                         if isinstance(target, ast.Name)]
+            else:
+                continue
+            yield from ((path, name, name) for name in names
+                        if name.startswith("_") and not name.startswith("__"))
+
+
+def test_every_private_name_and_method_is_read():
+    # dead code: a method or private helper no package code reads is
+    # generality nothing uses, even when a test still calls it.  Names are
+    # matched, not resolved, so one read keeps every definition of a name.
+    loaded = _loaded_names()
+    unread = {qualified for _, qualified, name in _defined_names()
+              if name not in loaded}
+    assert sorted(unread - set(KEPT_UNREAD)) == []
+    assert set(KEPT_UNREAD) <= unread  # no stale entry
 
 
 def test_benchmark_tests_pass():

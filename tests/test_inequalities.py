@@ -139,40 +139,9 @@ def _reference_weighted_norm(values, x, weight):
     # the weight and rebuilt the quadrature: a loop over the cells
     f = np.asarray(values, dtype=float)
     x = np.asarray(x, dtype=float)
-    w = np.broadcast_to(np.asarray(weight(x), dtype=float), f.shape)
+    g = np.broadcast_to(np.asarray(weight(x), dtype=float), f.shape) * f * f
     h = float(x[1] - x[0])
-    g = np.where(np.isfinite(w), w, 0.0) * f * f
-    cells = 0.5 * h * (g[:-1] + g[1:])
-    if not np.isfinite(w[0]):
-        cells[0] = _reference_singular_cell(weight, x[0], 1.0, h, f[0], f[1])
-    if not np.isfinite(w[-1]):
-        cells[-1] = _reference_singular_cell(weight, x[-1], -1.0, h,
-                                             f[-1], f[-2])
-    return float(cells.sum())
-
-
-def _reference_singular_cell(weight, x_s, orient, h, f_sing, f_reg):
-    dist = h * 0.5 ** np.arange(61)
-    keep = dist > 8.0 * np.finfo(float).eps * max(1.0, abs(x_s))
-    dist = dist[keep]
-    if dist.size < 2:
-        return 0.0
-
-    def g_at(d):
-        wv = float(weight(np.asarray(x_s + orient * d)))
-        wv = wv if np.isfinite(wv) else 0.0
-        fv = f_sing + (d / h) * (f_reg - f_sing)
-        return wv * fv * fv
-
-    total = 0.0
-    g_hi = g_at(dist[0])
-    for j in range(dist.size - 1):
-        d_hi, d_lo = dist[j], dist[j + 1]
-        g_mid = g_at(0.5 * (d_hi + d_lo))
-        g_lo = g_at(d_lo)
-        total = total + (d_hi - d_lo) / 6.0 * (g_hi + 4.0 * g_mid + g_lo)
-        g_hi = g_lo
-    return total
+    return float((0.5 * h * (g[:-1] + g[1:])).sum())
 
 
 def _reference_hardy_rows(k, fns, end, case, dtype):
@@ -358,7 +327,9 @@ class TestHardyOnce:
     @pytest.mark.parametrize("ends", [(), (0,), (-1,), (0, -1)])
     @pytest.mark.parametrize("support", ["all", "end cells"])
     def test_weighted_norm_matches_the_reference(self, ends, support):
-        # a field on the end cells alone shows their last bits in the sum
+        # a field on the end cells alone shows their last bits in the sum;
+        # at each end in ``ends`` the weight is |x - end|^-gamma, steep next
+        # to the end and 0 at its node, since inf ** -gamma == 0
         nodes = np.linspace(0.0, 1.0, 2001)
         values = spawn_rng(2).standard_normal(nodes.size)
         if support == "end cells":
@@ -366,12 +337,11 @@ class TestHardyOnce:
 
         def weight(x):
             x = np.asarray(x, dtype=float)
-            with np.errstate(divide="ignore"):
-                w = 1.0 + x
-                if 0 in ends:
-                    w = w * x ** -0.5
-                if -1 in ends:
-                    w = w * (1.0 - x) ** -0.75
+            w = 1.0 + x
+            if 0 in ends:
+                w = w * np.where(x > 0.0, x, np.inf) ** -0.5
+            if -1 in ends:
+                w = w * np.where(x < 1.0, 1.0 - x, np.inf) ** -0.75
             return w
 
         got = weighted_norm(values, nodes, weight=weight)
