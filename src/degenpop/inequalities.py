@@ -9,15 +9,16 @@ f^2, and one matrix product of every sample's squares with those blocks.
 The weight is exactly 0 at the Theta poles, so the levels t = 0 and
 t = T, poles on every node, add only window terms; it is +inf only where
 (x-end)^2/k is, and there a sample must vanish, or the audit raises.  The
-manufactured samples of these audits are built as one batch: their
-profiles share four (a, x) modes, so v is one matrix product of every
-sample's time factors with the modes, and f one product per level, with
-D applied once per mode and distinct level.
+manufactured samples of these audits are read one level at a time: their
+profiles share four (a, x) modes, so each level of every sample's v and
+f is one matrix product of the time factors with the modes, and with D
+applied to them once per mode and distinct level.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -443,54 +444,85 @@ def random_adjoint_profiles(T: float, A: float, count: int, seed: int):
 
 def manufactured_family(spec: ProblemSpec, count: int, seed: int):
     """The (v, f) pairs of ``manufactured_adjoint`` for the profiles of
-    ``random_adjoint_profiles(T, A, count, seed)``, in their order, built
-    as one batch.
+    ``random_adjoint_profiles(T, A, count, seed)``, in their order, as one
+    family that the audits read one time level at a time.
 
     Every profile is sum_{m,n<2} c_mn(t) M_mn(a, x) over the same four
     modes M_mn = sin((m+1) pi x) sin((n+1) pi a/A); only the time factors
-    c_mn(t) = coeff (1 + 0.3 cos((m+n+1) pi t/T + phase)) differ.  So v is
-    one matrix product of every sample's time factors with the modes, and
-    by linearity f^{n+1} = (v^{n+1} - D_{n+1} v^n) / dt is one product
-    per level, of the time factors at n + 1 and n with the modes and with
-    D applied to them: D is applied once per mode and distinct level,
-    whatever ``count``.  The pairs match the per-profile ones to
-    round-off.  Each is a view into two stacked arrays, (count, Nt+1,
-    Na+1, Nx+1), each scanned once for finiteness.
+    c_mn(t) = coeff (1 + 0.3 cos((m+n+1) pi t/T + phase)) differ.  So level
+    n of every sample is two matrix products: v^n of the time factors at
+    n with the modes, and by linearity f^n = (v^n - D_n v^{n-1}) / dt of
+    the time factors at n and n - 1 with the modes and with D applied to
+    them.  D is applied here, once per mode and distinct level, whatever
+    ``count``; the products are taken when a level is read, so no array
+    over every sample and level is held.  The pairs match the per-profile
+    ones to round-off.  The family is a sequence of (Field3, Field3)
+    pairs: indexing or iterating builds the samples from the same level
+    products, bit for bit.
     """
-    grid = spec.grid
-    coeffs, phases = _adjoint_draws(count, seed)
-    count = len(coeffs)
-    modes = _adjoint_modes(grid)
-    m, n = np.divmod(np.arange(4), 2)  # the profile's term order
-    angle = (m + n + 1) * math.pi * grid.t_nodes[:, None] / grid.T
-    times = coeffs.reshape(count, 1, 4) * (
-        1.0 + 0.3 * np.cos(angle + phases.reshape(count, 1, 4)))
-    shape = (count,) + Field3._shape(grid)
-    rows, level_size = count * (grid.Nt + 1), modes[0].size
-    v = np.empty(shape)
-    np.matmul(times.reshape(rows, 4), modes.reshape(4, level_size),
-              out=v.reshape(rows, level_size))
+    return _Family(spec, count, seed)
 
-    prop = spec._propagator
-    f = np.zeros(shape)  # level 0 stays 0
-    # level n of every sample: [c(t^n), c(t^{n-1})] @ [M; -D_n applied to
-    # M's rows 0..Na-1, placed on rows 1..Na], written in place; the
-    # operands are 0 off rows 1..Na and the interior x nodes
-    pairs = np.concatenate([times[:, 1:], times[:, :-1]], axis=2)
-    operands = np.zeros((8,) + modes.shape[1:])
-    operands[:4] = modes
-    for level in range(1, grid.Nt + 1):
-        if not prop.repeats_level(level):
-            for mode, out in zip(modes, operands[4:]):
-                np.negative(prop.apply_diffusion(level, mode[:-1, 1:-1]),
-                            out=out[1:, 1:-1])
-        np.matmul(pairs[:, level - 1], operands.reshape(8, level_size),
-                  out=f[:, level].reshape(count, level_size))
-    f /= grid.dt
-    for values in (v, f):
-        _check_values(values, shape, "Field3 values")
-    return [(Field3._checked_already(grid, v_s),
-             Field3._checked_already(grid, f_s)) for v_s, f_s in zip(v, f)]
+
+class _Family(Sequence):
+    """The time factors, modes and D-applied modes of
+    :func:`manufactured_family`, each level's products taken on request
+    by :meth:`fill`."""
+
+    def __init__(self, spec: ProblemSpec, count: int, seed: int) -> None:
+        grid = self.grid = spec.grid
+        coeffs, phases = _adjoint_draws(count, seed)
+        count = len(coeffs)
+        modes = _adjoint_modes(grid)
+        m, n = np.divmod(np.arange(4), 2)  # the profile's term order
+        angle = (m + n + 1) * math.pi * grid.t_nodes[:, None] / grid.T
+        times = coeffs.reshape(count, 1, 4) * (
+            1.0 + 0.3 * np.cos(angle + phases.reshape(count, 1, 4)))
+        self.times, self.modes = times, modes.reshape(4, -1)
+        # level n of every sample's f: [c(t^n), c(t^{n-1})] @ [M; -D_n
+        # applied to M's rows 0..Na-1, placed on rows 1..Na]; the operands
+        # are 0 off rows 1..Na and the interior x nodes, and a level that
+        # repeats D shares the one before's
+        self.pairs = np.concatenate([times[:, 1:], times[:, :-1]], axis=2)
+        prop = spec._propagator
+        self.operands = []
+        for level in range(1, grid.Nt + 1):
+            if not prop.repeats_level(level):
+                operands = np.zeros((8,) + modes.shape[1:])
+                operands[:4] = modes
+                for mode, out in zip(modes, operands[4:]):
+                    np.negative(prop.apply_diffusion(level, mode[:-1, 1:-1]),
+                                out=out[1:, 1:-1])
+                operands = operands.reshape(8, -1)
+            self.operands.append(operands)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def fill(self, n: int, v: np.ndarray, f: np.ndarray) -> None:
+        """Every sample's v and f at time level n into ``v`` and ``f``,
+        (count, Na+1, Nx+1) each; ValueError if either is not finite."""
+        size = self.modes.shape[1]
+        np.matmul(self.times[:, n], self.modes, out=v.reshape(-1, size))
+        if n:
+            np.matmul(self.pairs[:, n - 1], self.operands[n - 1],
+                      out=f.reshape(-1, size))
+            f /= self.grid.dt
+        else:
+            f[...] = 0.0
+        for values in (v, f):
+            _check_values(values, values.shape, "Field3 values")
+
+    def __getitem__(self, idx):
+        return list(self)[idx]
+
+    def __iter__(self):
+        """The pairs, every level filled by :meth:`fill`."""
+        grid = self.grid
+        v, f = np.empty((2, len(self)) + Field3._shape(grid))
+        for n in range(grid.Nt + 1):
+            self.fill(n, v[:, n], f[:, n])
+        return ((Field3._checked_already(grid, v_s),
+                 Field3._checked_already(grid, f_s)) for v_s, f_s in zip(v, f))
 
 
 def _adjoint_modes(grid: Grid) -> np.ndarray:
@@ -556,6 +588,11 @@ def _window_rule(grid: Grid, window: tuple[float, float],
     return rule
 
 
+# the log of the smallest normal float: exp of anything less is 0 or
+# subnormal
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
+
 def _weight(levels: _Levels, n: int, s: np.ndarray, theta_power: float,
             profile_x, log_geom_x=0.0, x_rule=None) -> np.ndarray:
     """Quadrature weights at time level n of Theta^p e^{2s Theta profile}
@@ -574,7 +611,11 @@ def _weight(levels: _Levels, n: int, s: np.ndarray, theta_power: float,
         w = 2.0 * s * levels.theta[n] * profile_x[cols]
         w += theta_power * levels.log_theta[n]
         w += np.broadcast_to(log_geom_x, rule.shape)[cols]
-        np.exp(w, out=w)
+        # below _LOG_TINY exp is 0 or subnormal, and numpy takes a slow
+        # path to get there; a subnormal entry would slow the products too
+        small = w < _LOG_TINY
+        np.exp(w, out=w, where=~small)
+    w[small] = 0.0
     w[:, levels.poles[n]] = 0.0
     w *= levels.rule_at(n, rule[cols])
     if cols.size == rule.size:
@@ -610,12 +651,40 @@ def _degenerate_lhs(weights: CarlemanWeights) -> tuple:
     return weights.phi_profile(), log_k, log_x2_over_k
 
 
-def _check_samples(samples) -> None:
+def _check_samples(samples, grid: Grid | None = None) -> Grid:
+    """The grid of ``samples``: ``grid``, or by default the first
+    sample's.  ValueError for an empty list, a sample on another grid and
+    samples that are all zero, read level by level as the audits read
+    them."""
     if not samples:
         raise ValueError("empty sample list")
-    if all(float(np.max(np.abs(v.values))) == 0.0
-           and float(np.max(np.abs(f.values))) == 0.0 for v, f in samples):
-        raise ValueError("all samples are zero; no informative ratios")
+    grids = ([samples.grid] if isinstance(samples, _Family)
+             else [field.grid for pair in samples for field in pair])
+    grid = grids[0] if grid is None else grid
+    if any(other != grid for other in grids):
+        raise ValueError("sample grid does not match the weight grid")
+    fill = _level_fill(samples)
+    v, f = np.empty((2, len(samples), grid.Na + 1, grid.Nx + 1))
+    for n in range(grid.Nt + 1):
+        fill(n, v, f)
+        if v.any() or f.any():
+            return grid
+    raise ValueError("all samples are zero; no informative ratios")
+
+
+def _level_fill(samples):
+    """``fill(n, v, f)``, which writes every sample's v and f at time
+    level n into the (samples, Na+1, Nx+1) arrays ``v`` and ``f``: a
+    family's two products, or a copy of each pair's level."""
+    if isinstance(samples, _Family):
+        return samples.fill
+
+    def fill(n, v, f):
+        for idx, (v_s, f_s) in enumerate(samples):
+            v[idx] = v_s.values[n]
+            f[idx] = f_s.values[n]
+
+    return fill
 
 
 def window_nodes(xs: np.ndarray, window: tuple[float, float],
@@ -641,30 +710,29 @@ def _sample_rows(samples, grid: Grid, sweep, forms) -> list[ReportRow]:
     ``forms(n)`` gives the weights of the left and the right side at time
     level n, each a dict from "v", "vx" or "f" to an (S, Na+1, Nx+1)
     array, one block per s of ``sweep``, or to an (Na+1, Nx+1) array for
-    a weight that does not depend on s.  Level by level, every sample's
-    squares of v, v_x (the nodal x-gradient of v) and f fill a (samples,
-    Na+1, Nx+1) block each, and a side gains one product of such a block
-    with its weights' blocks per term.  A level where both dicts are
-    empty (a Theta pole level, where every weight is 0, of an audit with
-    no window term) is skipped.  A +inf weight counts 0 where the field
-    vanishes; where a sample does not, ValueError names the lowest such
-    sample.
+    a weight that does not depend on s.  Level by level, one call of
+    ``_level_fill`` writes every sample's v and f into a (samples, Na+1,
+    Nx+1) block each, from a ``manufactured_family``'s products or from
+    any other list of pairs, checked by ``_check_samples`` against
+    ``grid``; v_x (the nodal x-gradient of v) fills a third, the three are
+    squared, and a side gains one product of such a block with its
+    weights' blocks per term.  A level where both dicts are empty (a Theta
+    pole level, where every weight is 0, of an audit with no window term)
+    is skipped.  A +inf weight counts 0 where the field vanishes; where a
+    sample does not, ValueError names the lowest such sample.
     """
-    if any(v.grid != grid or f.grid != grid for v, f in samples):
-        raise ValueError("sample grid does not match the weight grid")
     count, size = len(samples), (grid.Na + 1) * (grid.Nx + 1)
     squares = {key: np.empty((count, grid.Na + 1, grid.Nx + 1))
                for key in ("v", "vx", "f")}
     flat = {key: block.reshape(count, size) for key, block in squares.items()}
     sides = (np.zeros((count, len(sweep))), np.zeros((count, len(sweep))))
     hits = {}  # key -> the samples nonzero where that weight is infinite
+    fill = _level_fill(samples)
     for n in range(grid.Nt + 1):
         level = forms(n)
         if not any(level):
             continue  # no term: every weight is 0 at a Theta pole level
-        for idx, (v, f) in enumerate(samples):
-            squares["v"][idx] = v.values[n]
-            squares["f"][idx] = f.values[n]
+        fill(n, squares["v"], squares["f"])
         _x_gradient(squares["v"], grid.dx, out=squares["vx"])
         for block in squares.values():
             np.square(block, out=block)
@@ -736,8 +804,7 @@ def _carleman_degenerate(samples, weights: CarlemanWeights,
     if weights.end != end:
         raise ValueError(f"{name} needs weights built for k degenerate at "
                          f"x = {end:g}; these are for x = {weights.end:g}")
-    _check_samples(samples)
-    grid, sweep = weights.grid, weights.s_sweep
+    grid, sweep = _check_samples(samples, weights.grid), weights.s_sweep
     levels, s = _Levels(grid), _column(sweep)
     lhs = _degenerate_lhs(weights)
     prof = lhs[0]
@@ -767,9 +834,8 @@ def carleman_audit_nondeg(samples, weights: CarlemanWeights) -> InequalityReport
     or from 1 to 0 for weights with ``end`` 1, whose sigma grows from the
     grid's left end: the mirror estimate.
     """
-    _check_samples(samples)
+    grid, sweep = _check_samples(samples, weights.grid), weights.s_sweep
     weights.require_nondeg()
-    grid, sweep = weights.grid, weights.s_sweep
     levels, s = _Levels(grid), _column(sweep)
     psi = weights.Psi
     kappa_sigma = weights.kappa * weights.sigma
@@ -803,8 +869,7 @@ def carleman_local_audit(samples, omega: tuple[float, float],
     ``glue_two_sided``'s default cut snaps to: lo/2 for end 0, (1 + hi)/2
     for end 1.  Two-sided k raises ValueError.
     """
-    _check_samples(samples)
-    grid = weights.grid
+    grid = _check_samples(samples, weights.grid)
     coef = weights.coef
     lo, hi = omega
     if not 0.0 < lo < hi < 1.0:
@@ -855,14 +920,13 @@ def caccioppoli_audit(samples, omega_prime: tuple[float, float],
     Psi(x) = -(1 + 4x(1 - x)).  Every sample must live on the first
     sample's grid.
     """
-    _check_samples(samples)
+    grid = _check_samples(samples)
     lo_p, hi_p = omega_prime
     lo, hi = omega
     if not (0.0 < lo < lo_p < hi_p < hi < 1.0):
         raise ValueError("need omega' strictly inside omega strictly inside (0,1)")
     if not (math.isfinite(s) and s > 0.0):
         raise ValueError(f"s must be finite and positive, got {s!r}")
-    grid = samples[0][0].grid
     xs = grid.x_nodes
     psi_x = -(1.0 + 4.0 * xs * (1.0 - xs))
     window = _window_rule(grid, omega, "omega")

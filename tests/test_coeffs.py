@@ -356,6 +356,36 @@ class TestHypotheses:
                                      omega=(0.3, 0.7), delta=1.25)
         assert report.lines() == self._HEAD + lines + self._TAIL
 
+    def test_slope_bound_read_where_m_is_certified(self):
+        # k = (1-x)^1.5 on 41 nodes with k' by np.gradient, as a config
+        # table without kprime gives it: M2 = 1.49983 is certified on the
+        # half next to x = 1, and the ratio is 1.50005 at x = 0.00125, on
+        # the other half, where no bound at 1 is claimed
+        xs = np.linspace(0.0, 1.0, 41)
+        kv = (1.0 - xs) ** 1.5
+        coef = Tabulated(xs, kv, np.gradient(kv, xs, edge_order=2))
+        far = np.linspace(0.0, 1.0, 801)[1:400]
+        assert np.max(coef.slope_ratio(far, 1.0)) > \
+            classify_degeneracy(coef).ends[1.0].M + 1e-9
+        report = validate_hypotheses(coef, self._rates(), T=1.0, A=2.0,
+                                     omega=(0.3, 0.7), delta=1.25)
+        assert report.passed, report.lines()
+
+    def test_slope_bound_broken_next_to_its_end_fails(self):
+        # k = x with a spike of k' at x = 241/800, a node of validate's
+        # lattice between two nodes of classify_degeneracy's: M1 = 1 is
+        # certified, and x k'/k = 1.5 there breaks it
+        xs = np.concatenate([np.linspace(0.0, 1.0, 11), [0.301, 0.30125,
+                                                         0.3015]])
+        order = np.argsort(xs)
+        kprime = np.where(xs == 0.30125, 1.5, 1.0)
+        coef = Tabulated(xs[order], xs[order], kprime[order])
+        assert classify_degeneracy(coef).ends[0.0].M == pytest.approx(1.0)
+        report = validate_hypotheses(coef, self._rates(), T=1.0, A=2.0,
+                                     omega=(0.3, 0.7), delta=1.25)
+        failed = [c.name for c in report.failures()]
+        assert failed == ["slope bound at 0"]
+
     def test_report_lines_render(self):
         report = validate_hypotheses(PowerLaw(0.5), self._rates(),
                                      T=1.0, A=2.0, omega=(0.3, 0.7),

@@ -511,6 +511,14 @@ class _Counted(Polynomial):
         return super().__call__(x)
 
 
+def _t_dependent(k=None):
+    """``small_spec(k=k)`` with mortality depending on t: D differs at
+    every level."""
+    spec = small_spec(k=k)
+    return dataclasses.replace(spec, rates=dataclasses.replace(
+        spec.rates, mu=lambda t, a, x: 0.1 + t + 0.0 * a * x))
+
+
 class TestManufacturedAdjoint:
     def test_reproduction_under_solve_adjoint(self):
         # the pair is beta-free, so it reproduces on a problem with beta = 0
@@ -542,11 +550,14 @@ class TestManufacturedAdjoint:
         for v, f in samples:
             assert v.grid == spec.grid and f.grid == spec.grid
 
-    @pytest.mark.parametrize("name", ["small", "default_degenerate"])
+    @pytest.mark.parametrize("name", ["small", "default_degenerate",
+                                      "small mu(t)"])
     def test_family_is_the_per_profile_pairs(self, name):
         # the batch sums in another order than the per-profile path: v
-        # moves by under 7e-16 of max |v|, f by under 1e-13 of max |f|
-        spec = small_spec() if name == "small" else preset(name).spec
+        # moves by under 7e-16 of max |v|, f by under 1e-13 of max |f|;
+        # with mortality depending on t, each level has its own D
+        spec = (preset(name).spec if name == "default_degenerate"
+                else small_spec() if name == "small" else _t_dependent())
         grid = spec.grid
         for count, seed in [(30, 0), (3, 11), (1, 5)]:
             family = manufactured_family(spec, count, seed)
@@ -786,6 +797,7 @@ class TestCarlemanAudits:
         report = carleman_audit_deg0(samples, weights)
         assert all(math.isfinite(r.lhs) and math.isfinite(r.rhs)
                    for r in report.rows)
+        samples = list(samples)  # a family is read-only; a list is not
         v, f = samples[1]
         vals = v.values.copy()
         vals[:, :, -1] = 1.0
@@ -909,7 +921,8 @@ class TestWeightsOncePerS:
     @pytest.mark.parametrize("x_rule", ["edge", "bracket", "inner"])
     def test_column_weights_are_the_full_blocks(self, x_rule):
         # a weight with an x rule takes exp only where the rule is nonzero
-        # and is the full-grid block bit for bit, 0s included
+        # and is the full-grid block bit for bit, 0s included; exp is 0
+        # below the log of the smallest normal float
         spec = preset("default_degenerate").spec
         grid, xs = spec.grid, spec.grid.x_nodes
         levels = inequalities._Levels(grid)
@@ -928,7 +941,9 @@ class TestWeightsOncePerS:
                     full = 2.0 * s * levels.theta[n] * profile
                     full += levels.log_theta[n]
                     full += log_geom
+                    small = full < math.log(np.finfo(float).tiny)
                     np.exp(full, out=full)
+                full[small] = 0.0
                 full[:, levels.poles[n]] = 0.0
                 full *= levels.rule_at(n, rule)
                 got = inequalities._weight(levels, n, s, 1.0, profile,
@@ -958,6 +973,68 @@ class TestWeightsOncePerS:
         one, six = peak((0.5,)), peak(DEFAULT_S_SWEEP)
         assert six - one <= 5 * 8 * level  # at most 8 level blocks per s
         assert six <= 3 * q_sized
+
+
+class TestFamilyStream:
+    """The audits read a ``manufactured_family`` one time level at a
+    time, by its two products per level; the rows are bitwise those on
+    the family's pairs as a list, whose levels the audits copy.  Mortality
+    depends on t, so every level has its own D, and the deg and nondeg
+    audits skip the pole levels: a reader that kept the last level's
+    operands would go stale."""
+
+    @pytest.mark.parametrize("case", TestPinnedConstants.CASES)
+    def test_carleman_rows_are_the_pairs_rows(self, case):
+        k, audit, args, _ = TestPinnedConstants.CASES[case]
+        spec = _t_dependent(k)
+        prop = spec._propagator
+        assert not any(prop.repeats_level(n)
+                       for n in range(1, spec.grid.Nt + 1))
+        family = manufactured_family(spec, 4, seed=3)
+        weights = build_carleman_weights(spec.grid, k, s_sweep=S_SMALL)
+        streamed = audit(family, *args, weights).rows
+        assert streamed == audit(list(family), *args, weights).rows
+        assert any(row.ratio for row in streamed)
+
+    def test_caccioppoli_rows_are_the_pairs_rows(self):
+        spec = _t_dependent(PowerLaw(0.5, 0.0))
+        family = manufactured_family(spec, 4, seed=3)
+
+        def rows(samples):
+            return caccioppoli_audit(samples, (0.35, 0.65), (0.25, 0.75),
+                                     s=1.0).rows
+
+        streamed = rows(family)
+        assert streamed == rows(list(family))
+        assert any(row.ratio for row in streamed)
+
+    def test_family_is_not_held(self):
+        # the Carleman audit of 30 samples on the preset holds less than
+        # one (30, Nt+1, Na+1, Nx+1) stack, 14.4 MB, where the two stacks
+        # of v and f would take twice that
+        spec = preset("default_degenerate").spec
+        grid = spec.grid
+        stack = 8 * 30 * (grid.Nt + 1) * (grid.Na + 1) * (grid.Nx + 1)
+        weights = build_carleman_weights(grid, spec.k)
+        spec._propagator  # built once per problem, not per family
+        tracemalloc.start()
+        try:
+            carleman_audit_deg0(manufactured_family(spec, 30, 0), weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < stack
+
+    def test_sequence_of_pairs(self):
+        spec = _t_dependent()
+        family = manufactured_family(spec, 3, seed=2)
+        pairs = list(family)
+        for idx in (0, 2, -1):
+            for got, want in zip(family[idx], pairs[idx]):
+                assert got.grid == spec.grid
+                assert got.values.tobytes() == want.values.tobytes()
+        with pytest.raises(IndexError):
+            family[3]
 
 
 def _reference_sample_rows(samples, grid, sweep, forms):
@@ -1051,6 +1128,7 @@ class TestLevelKernel:
         got, want = self._both(monkeypatch,
                                lambda: carleman_audit_deg0(samples, weights))
         self._assert_close(got, want)
+        samples = list(samples)  # a family is read-only; a list is not
         for idx in (2, 1):
             v, f = samples[idx]
             vals = v.values.copy()
