@@ -15,7 +15,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .coeffs import DEFAULT_S_SWEEP
 from .control import ControlSolution, glue_two_sided, hum_control
 from .discretize import Field2, random_final_data, write_field_csv, write_json
 from .scenarios import (AUDITS, ConfigError, Scenario, _HypothesisError,
@@ -47,8 +46,6 @@ def _out_dir(args) -> Path:
 
 
 def _sweep(args) -> tuple[float, ...]:
-    if args.s_sweep is None:
-        return DEFAULT_S_SWEEP
     try:
         values = tuple(float(tok) for tok in args.s_sweep.split(","))
     except ValueError:
@@ -125,7 +122,13 @@ def _cmd_adjoint(args) -> int:
 
 def _cmd_audit(args) -> int:
     scenario = _load(args)
-    reports = AUDITS[args.audit](scenario, **args.audit_params(args))
+    # only the options given: the runners' defaults are the audit sizes
+    params = {} if args.count is None else {"count": args.count}
+    if args.audit == "carleman" and args.s_sweep is not None:
+        params["s_sweep"] = _sweep(args)
+    if args.audit == "caccioppoli" and args.s_sweep is not None:
+        params["s"] = _sweep(args)[0]
+    reports = AUDITS[args.audit](scenario, **params)
     if not reports:
         raise ConfigError(f"{args.audit} audit: nothing to audit for this "
                           f"coefficient")
@@ -229,36 +232,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hardy-audit", help="Hardy-Poincare ratio report")
     common(p)
-    p.add_argument("--count", type=_count, default=100,
+    p.add_argument("--count", type=_count,
                    help="number of random test functions")
-    p.set_defaults(handler=_cmd_audit, audit="hardy",
-                   audit_params=lambda a: {"count": a.count})
+    p.set_defaults(handler=_cmd_audit, audit="hardy")
 
     p = sub.add_parser("carleman-audit",
                        help="weighted Carleman inequality report")
     common(p)
-    p.add_argument("--count", type=_count, default=3,
+    p.add_argument("--count", type=_count,
                    help="number of manufactured samples")
     p.add_argument("--s-sweep", help="comma separated s values")
-    p.set_defaults(handler=_cmd_audit, audit="carleman",
-                   audit_params=lambda a: {"count": a.count,
-                                           "s_sweep": _sweep(a)})
+    p.set_defaults(handler=_cmd_audit, audit="carleman")
 
     p = sub.add_parser("caccioppoli-audit",
                        help="interior gradient bound report")
     common(p)
-    p.add_argument("--count", type=_count, default=3,
+    p.add_argument("--count", type=_count,
                    help="number of manufactured samples")
     p.add_argument("--s-sweep", help="comma separated s values (first used)")
-    p.set_defaults(handler=_cmd_audit, audit="caccioppoli",
-                   audit_params=lambda a: {"count": a.count,
-                                           "s": _sweep(a)[0]})
+    p.set_defaults(handler=_cmd_audit, audit="caccioppoli")
 
     p = sub.add_parser("observability", help="empirical observability ratios")
     common(p)
-    p.add_argument("--count", type=_count, default=20, help="ensemble size")
-    p.set_defaults(handler=_cmd_audit, audit="observability",
-                   audit_params=lambda a: {"count": a.count})
+    p.add_argument("--count", type=_count, help="ensemble size")
+    p.set_defaults(handler=_cmd_audit, audit="observability")
 
     p = sub.add_parser("hum", help="penalized HUM control solve")
     common(p)

@@ -437,7 +437,7 @@ def validate_hypotheses(coef: DegenerateCoefficient, rates: VitalRates,
             margin = coef.slope_ratio(near, end) <= deg.M + 1e-9
             add(f"slope bound at {i}", bool(np.all(margin)),
                 f"{('x', '(x-1)')[i]} k'/k <= M{i + 1} = {deg.M:.6g} on "
-                f"sampled interior")
+                f"the sampled half next to {i}")
             add(f"monotonicity exponent at {i}", deg.theta > 0.0,
                 f"theta{i} = {deg.theta:.6g} certified near {i}")
         if not report.ends:

@@ -338,7 +338,8 @@ def compose_delay_control(spec: ProblemSpec, config: HUMConfig) -> ControlSoluti
     to T - dt when a_bar is below half a step.  The reported
     intermediate bound is the discrete renewal-growth estimate
     ||u(T_tilde)||^2 <= exp(C*T)*||y0||^2 with C = A * max(beta)^2,
-    None where it overflows.
+    None where it overflows.  The diagnostics keep the window solve's
+    ``duality_gap`` beside these.
     """
     grid = spec.grid
     n_ctrl = max(grid.Nt - _switch_level(grid, spec.rates.a_bar), 1)
@@ -364,7 +365,8 @@ def compose_delay_control(spec: ProblemSpec, config: HUMConfig) -> ControlSoluti
     traj = Trajectory(state=free.state, k_faces=inner.y.k_faces, control=f)
 
     return replace(inner, f=f, y=traj,
-                   diagnostics={"t_tilde": t_tilde, "switch_norm": switch_norm,
+                   diagnostics={**inner.diagnostics, "t_tilde": t_tilde,
+                                "switch_norm": switch_norm,
                                 "switch_bound": switch_bound,
                                 "growth_constant": growth})
 

@@ -607,17 +607,20 @@ def _weight(levels: _Levels, n: int, s: np.ndarray, theta_power: float,
     """
     rule = levels.x_rule if x_rule is None else x_rule
     cols = np.flatnonzero(rule)
+    trapezoid = levels.rule_at(n, rule[cols])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = 2.0 * s * levels.theta[n] * profile_x[cols]
         w += theta_power * levels.log_theta[n]
         w += np.broadcast_to(log_geom_x, rule.shape)[cols]
-        # below _LOG_TINY exp is 0 or subnormal, and numpy takes a slow
-        # path to get there; a subnormal entry would slow the products too
-        small = w < _LOG_TINY
+        # an entry whose product with the (possibly signed) rule would
+        # fall below tiny, with a factor e to spare for rounding, is 0:
+        # numpy takes a slow path to exp into the subnormals, and a
+        # subnormal entry would slow the products too
+        small = w < _LOG_TINY + 1.0 - np.log(np.abs(trapezoid))
         np.exp(w, out=w, where=~small)
     w[small] = 0.0
     w[:, levels.poles[n]] = 0.0
-    w *= levels.rule_at(n, rule[cols])
+    w *= trapezoid
     if cols.size == rule.size:
         return w
     block = np.zeros(w.shape[:-1] + rule.shape)

@@ -22,7 +22,7 @@ from .coeffs import (DEFAULT_S_SWEEP, PowerLaw, Tabulated, VitalRates,
 from .control import HUMConfig, compose_delay_control
 from .discretize import (Field2, Grid, random_final_data, write_field_csv,
                          write_json)
-from .inequalities import (caccioppoli_audit, carleman_audit_deg0,
+from .inequalities import (_k_rule, caccioppoli_audit, carleman_audit_deg0,
                            carleman_audit_deg1, carleman_local_audit,
                            hardy_ratio, hardy_ratio_at_zero,
                            manufactured_family, observability_ratio,
@@ -193,9 +193,10 @@ class Scenario:
     Construction validates every structural hypothesis (horizons,
     degeneracy class, rate signs, window geometry), the audit list (known
     names, each once), the x windows of the listed audits (two nodes
-    each) and, for a listed Hardy audit, an end to audit, and refuses
-    invalid setups, so any Scenario in hand is runnable.  ``r0_target``
-    is an optional literature reference value attached as a label.
+    each) and, for a listed Hardy audit, an end to audit and an
+    integrable left side at each HP2 end, and refuses invalid setups, so
+    any Scenario in hand is runnable.  ``r0_target`` is an optional
+    literature reference value attached as a label.
     """
 
     name: str
@@ -217,15 +218,25 @@ class Scenario:
         if not report.passed:
             raise _HypothesisError(report)
         # a listed audit's x windows need two nodes for their trapezoid
-        # rules, and a listed Hardy audit needs an end to audit
+        # rules, and a listed Hardy audit needs an end it can audit
         for i, audit in enumerate(self.audits):
             windows = _AUDIT_WINDOWS.get(audit, lambda spec: {})(self.spec)
             for name, window in windows.items():
                 window_nodes(self.spec.grid.x_nodes, window, name)
-            if audit == "hardy" and not _hardy_ends(self.spec.k):
+            if audit != "hardy":
+                continue
+            ends = _hardy_ends(self.spec.k)
+            if not ends:
                 raise ConfigError(f'key "audits[{i}]": the hardy audit has '
                                   f'nothing to audit: no degenerate end of '
                                   f'k has theta != 1')
+            for *_, end, theta in ends:
+                if theta > 1.0:  # HP2: the left side's rule must exist
+                    try:
+                        _k_rule(self.spec.k, 1, end)
+                    except ValueError as exc:
+                        raise ConfigError(f'key "audits[{i}]": the hardy '
+                                          f'audit cannot run: {exc}') from None
 
     def hypothesis_report(self):
         grid = self.spec.grid
@@ -467,7 +478,7 @@ def _hardy_ends(k) -> list:
             if end in ends and abs(ends[end].theta - 1.0) > 1e-9]
 
 
-def _hardy_audit(scenario: Scenario, *, count: int) -> list:
+def _hardy_audit(scenario: Scenario, *, count: int = 100) -> list:
     """Hardy ratios at each degenerate endpoint with exponent theta != 1."""
     k, seed = scenario.spec.k, scenario.seed
     reports = []
@@ -481,8 +492,8 @@ def _hardy_audit(scenario: Scenario, *, count: int) -> list:
     return reports
 
 
-def _carleman_audit(scenario: Scenario, *, count: int,
-                    s_sweep: tuple[float, ...]) -> list:
+def _carleman_audit(scenario: Scenario, *, count: int = 3,
+                    s_sweep: tuple[float, ...] = DEFAULT_S_SWEEP) -> list:
     """Carleman estimate for k singular at ``weights.end`` (x = 1 when only
     that end degenerates, x = 0 otherwise), observed at the other end, plus
     the omega-local estimate when exactly one end degenerates."""
@@ -500,7 +511,8 @@ def _carleman_audit(scenario: Scenario, *, count: int,
     return reports
 
 
-def _caccioppoli_audit(scenario: Scenario, *, count: int, s: float) -> list:
+def _caccioppoli_audit(scenario: Scenario, *, count: int = 3,
+                       s: float = DEFAULT_S_SWEEP[0]) -> list:
     """Interior gradient bound on the middle half of omega."""
     spec = scenario.spec
     samples = manufactured_family(spec, count, scenario.seed)
@@ -509,7 +521,7 @@ def _caccioppoli_audit(scenario: Scenario, *, count: int, s: float) -> list:
         samples, windows["omega'"], windows["omega"], s=s))]
 
 
-def _observability_audit(scenario: Scenario, *, count: int) -> list:
+def _observability_audit(scenario: Scenario, *, count: int = 20) -> list:
     """Observability ratios over ``count`` random final data."""
     grid = scenario.spec.grid
     ensemble = [random_final_data(grid, seed=scenario.seed, stream=i + 1)
@@ -519,7 +531,8 @@ def _observability_audit(scenario: Scenario, *, count: int) -> list:
 
 
 # name -> fn(scenario, **params) -> [(stem, InequalityReport)], shared by
-# the CLI's audit subcommands and run_scenario; callers pass every parameter
+# the CLI's audit subcommands and run_scenario; each runner's keyword
+# defaults are the audit's one set of default sizes
 AUDITS = {
     "hardy": _hardy_audit,
     "carleman": _carleman_audit,
@@ -551,15 +564,6 @@ _AUDIT_WINDOWS = {
                               else {}),
 }
 
-# run_scenario's fixed audit sizes; the Hardy family is smaller than the
-# CLI's default of 100
-_RUN_AUDIT_PARAMS = {
-    "hardy": {"count": 40},
-    "carleman": {"count": 3, "s_sweep": DEFAULT_S_SWEEP},
-    "caccioppoli": {"count": 3, "s": DEFAULT_S_SWEEP[0]},
-    "observability": {"count": 20},
-}
-
 
 def run_scenario(scenario: Scenario, out_dir) -> dict:
     """Run the full pipeline and write a hashed artifact bundle.
@@ -588,7 +592,7 @@ def run_scenario(scenario: Scenario, out_dir) -> dict:
                     artifact("final_state.csv"))
 
     for audit in scenario.audits:
-        for stem, report in AUDITS[audit](scenario, **_RUN_AUDIT_PARAMS[audit]):
+        for stem, report in AUDITS[audit](scenario):
             # one artifact name per audit, whichever end Carleman observes
             stem = "audit_carleman" if stem.startswith("carleman_deg") \
                 else f"audit_{stem}"

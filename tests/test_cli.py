@@ -290,6 +290,24 @@ class TestExitCodes:
                          "--out", str(tmp_path / "unlisted")]) == 2
         assert "hardy audit: nothing to audit" in capsys.readouterr().err
 
+    def test_hardy_audit_with_divergent_left_side_maps_to_2(self, tmp_path,
+                                                            capsys):
+        # np.gradient gives k' = +-2 at the ends, so theta = 1.8 is
+        # certified at both and the audit at x = 1 is HP2, whose left side
+        # k/(x - 1)^2 a piecewise-linear table makes infinite; validate
+        # used to pass it, and run and hardy-audit exit 2 on it
+        path = tiny_variant(tmp_path, {
+            "model.k": {"form": "table", "x": [0, 0.5, 1], "k": [0, 0.5, 0]},
+            "audits": ["hardy"]})
+        for command in ("validate", "run", "hardy-audit"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == 2
+            assert capsys.readouterr().err == (
+                'error: key "audits[0]": the hardy audit cannot run: HP2 '
+                'left side diverges at x = 1: a tabulated k is piecewise '
+                'linear, so k/(x - 1)^2 is not integrable there\n')
+        assert not (tmp_path / "run").exists()
+
     def test_out_of_memory_maps_to_2(self, tiny_config, tmp_path, capsys,
                                      monkeypatch):
         def exhausted(*args, **kwargs):
@@ -463,6 +481,14 @@ class TestCommands:
             "<= T)" in printed
         assert "beta vanishes for a <= a_bar = 1.0000001" in printed
 
+    def test_run_reports_the_duality_gap(self, tmp_path):
+        out = tmp_path / "run"
+        assert cli.main(["run", "--preset", "default_degenerate",
+                         "--out", str(out)]) == 0
+        payload = json.loads((out / "control_summary.json").read_text())
+        assert abs(payload["duality_gap"]) \
+            <= 1e-12 * max(1.0, payload["j_star"])
+
     def test_overflowing_switch_bound_is_null(self, tmp_path):
         # exp(A * max(beta)^2 * T / 2) = exp(160000) overflows a float
         path = tiny_variant(tmp_path, {"model.beta.height": 400.0})
@@ -543,10 +569,11 @@ class TestAuditParity:
         cfg = json.loads(json.dumps(TINY))
         cfg["model"]["k"] = {"form": "power", "alpha0": alpha0,
                              "alpha1": alpha1}
-        cfg["audits"] = ["carleman", "caccioppoli", "observability"]
+        cfg["audits"] = ["hardy", "carleman", "caccioppoli", "observability"]
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps(cfg))
-        commands = ("carleman-audit", "caccioppoli-audit", "observability")
+        commands = ("hardy-audit", "carleman-audit", "caccioppoli-audit",
+                    "observability")
         for command in (*commands, "run"):
             assert cli.main([command, "--config", str(path),
                              "--out", str(tmp_path / command)]) == 0
@@ -559,6 +586,10 @@ class TestAuditParity:
         if (alpha0 == 0.0) != (alpha1 == 0.0):
             pairs[("carleman-audit", "carleman_local")] = \
                 "audit_carleman_local"
+        for stem, alpha in (("hardy_at_one", alpha1),
+                            ("hardy_at_zero", alpha0)):
+            if alpha:
+                pairs[("hardy-audit", stem)] = f"audit_{stem}"
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
         assert {n for n in manifest["artifacts"] if n.startswith("audit_")} \
             == {stem + ext for stem in pairs.values() for ext in (".csv", ".json")}

@@ -332,18 +332,20 @@ class TestHypotheses:
 
     @pytest.mark.parametrize("coef, lines", [
         (PowerLaw(0.5), [
-            "[ok] slope bound at 0: x k'/k <= M1 = 0.5 on sampled interior",
+            "[ok] slope bound at 0: x k'/k <= M1 = 0.5 on the sampled "
+            "half next to 0",
             "[ok] monotonicity exponent at 0: theta0 = 0.5 certified near 0"]),
         (PowerLaw(0.0, 1.5), [
-            "[ok] slope bound at 1: (x-1) k'/k <= M2 = 1.5 on sampled "
-            "interior",
+            "[ok] slope bound at 1: (x-1) k'/k <= M2 = 1.5 on the sampled "
+            "half next to 1",
             "[ok] monotonicity exponent at 1: theta1 = 1.5 certified near 1"]),
         (PowerLaw(1.5, 1.2), [
-            "[ok] slope bound at 0: x k'/k <= M1 = 1.5 on sampled interior",
+            "[ok] slope bound at 0: x k'/k <= M1 = 1.5 on the sampled "
+            "half next to 0",
             "[ok] monotonicity exponent at 0: theta0 = 1.43684 certified "
             "near 0",
-            "[ok] slope bound at 1: (x-1) k'/k <= M2 = 1.2 on sampled "
-            "interior",
+            "[ok] slope bound at 1: (x-1) k'/k <= M2 = 1.2 on the sampled "
+            "half next to 1",
             "[ok] monotonicity exponent at 1: theta1 = 1.12105 certified "
             "near 1"]),
         (Tabulated(np.linspace(0.0, 1.0, 21), np.linspace(1.0, 2.0, 21),

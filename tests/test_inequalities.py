@@ -21,7 +21,7 @@ from degenpop.inequalities import (ReportRow,
                                    manufactured_family, observability_ratio,
                                    random_adjoint_profiles,
                                    random_hardy_test_functions)
-from degenpop.scenarios import preset
+from degenpop.scenarios import AUDITS, preset
 from degenpop.solver import ProblemSpec, solve_adjoint
 
 S_SMALL = (0.05, 0.2, 1.0)
@@ -921,8 +921,9 @@ class TestWeightsOncePerS:
     @pytest.mark.parametrize("x_rule", ["edge", "bracket", "inner"])
     def test_column_weights_are_the_full_blocks(self, x_rule):
         # a weight with an x rule takes exp only where the rule is nonzero
-        # and is the full-grid block bit for bit, 0s included; exp is 0
-        # below the log of the smallest normal float
+        # and is the full-grid block bit for bit, 0s included; an entry is
+        # 0 where its product with the rule would fall below e times the
+        # smallest normal float
         spec = preset("default_degenerate").spec
         grid, xs = spec.grid, spec.grid.x_nodes
         levels = inequalities._Levels(grid)
@@ -937,18 +938,39 @@ class TestWeightsOncePerS:
         profile = -(1.0 + 4.0 * xs * (1.0 - xs))
         for log_geom in (0.0, 0.3 * xs):
             for n in (0, 1, grid.Nt // 2, grid.Nt):
+                trapezoid = levels.rule_at(n, rule)
                 with np.errstate(divide="ignore", invalid="ignore"):
                     full = 2.0 * s * levels.theta[n] * profile
                     full += levels.log_theta[n]
                     full += log_geom
-                    small = full < math.log(np.finfo(float).tiny)
+                    small = full < math.log(np.finfo(float).tiny) + 1.0 \
+                        - np.log(np.abs(trapezoid))
                     np.exp(full, out=full)
                 full[small] = 0.0
                 full[:, levels.poles[n]] = 0.0
-                full *= levels.rule_at(n, rule)
+                full *= trapezoid
                 got = inequalities._weight(levels, n, s, 1.0, profile,
                                            log_geom, rule)
                 assert got.tobytes() == full.tobytes()
+
+    def test_preset_weights_hold_no_subnormal(self, monkeypatch):
+        # an entry whose product with its rule would be subnormal is 0;
+        # cut before the rule was multiplied in, 881 entries of these
+        # audits' weights were subnormal
+        subnormal = []
+        real = inequalities._weight
+
+        def scanning(*args, **kwargs):
+            block = real(*args, **kwargs)
+            subnormal.append(int(np.count_nonzero(
+                (block != 0.0) & (np.abs(block) < np.finfo(float).tiny))))
+            return block
+
+        monkeypatch.setattr(inequalities, "_weight", scanning)
+        scenario = preset("default_degenerate")
+        for audit in ("carleman", "caccioppoli"):
+            AUDITS[audit](scenario, count=1)
+        assert len(subnormal) > 0 and sum(subnormal) == 0
 
     def test_memory_is_per_level_blocks(self):
         # a level's weight blocks for the whole sweep and the samples'
