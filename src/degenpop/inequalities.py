@@ -5,14 +5,15 @@ discrete solutions and reports the worst ratio as an empirical constant.
 Each side of a Carleman-type audit is a quadratic form, summed one time
 level at a time: at each level, one weight block (quadrature weights
 times the Carleman weight) per s of the sweep for each of v^2, v_x^2 and
-f^2, and one matrix product of every sample's squares with those blocks.
+f^2, and one matrix product of those blocks with the samples' squares.
 The weight is exactly 0 at the Theta poles, so the levels t = 0 and
 t = T, poles on every node, add only window terms; it is +inf only where
 (x-end)^2/k is, and there a sample must vanish, or the audit raises.  The
-manufactured samples of these audits are read one level at a time: their
-profiles share four (a, x) modes, so each level of every sample's v and
-f is one matrix product of the time factors with the modes, and with D
-applied to them once per mode and distinct level.
+manufactured samples of these audits share four (a, x) modes and differ
+only in their time factors, so their squares at a level are quadratic
+forms in those factors: the audits take the weight's products with the
+pair products of the modes, of their x-gradients and of D applied to
+them, and never build a sample's field.
 """
 
 from __future__ import annotations
@@ -445,28 +446,50 @@ def random_adjoint_profiles(T: float, A: float, count: int, seed: int):
 def manufactured_family(spec: ProblemSpec, count: int, seed: int):
     """The (v, f) pairs of ``manufactured_adjoint`` for the profiles of
     ``random_adjoint_profiles(T, A, count, seed)``, in their order, as one
-    family that the audits read one time level at a time.
+    family that the audits read as quadratic forms in its time factors.
 
     Every profile is sum_{m,n<2} c_mn(t) M_mn(a, x) over the same four
     modes M_mn = sin((m+1) pi x) sin((n+1) pi a/A); only the time factors
     c_mn(t) = coeff (1 + 0.3 cos((m+n+1) pi t/T + phase)) differ.  So level
-    n of every sample is two matrix products: v^n of the time factors at
-    n with the modes, and by linearity f^n = (v^n - D_n v^{n-1}) / dt of
-    the time factors at n and n - 1 with the modes and with D applied to
-    them.  D is applied here, once per mode and distinct level, whatever
-    ``count``; the products are taken when a level is read, so no array
-    over every sample and level is held.  The pairs match the per-profile
-    ones to round-off.  The family is a sequence of (Field3, Field3)
-    pairs: indexing or iterating builds the samples from the same level
-    products, bit for bit.
+    n of every sample's v is the time factors at n times the modes, and
+    by linearity f^n = (v^n - D_n v^{n-1}) / dt is the time factors at n
+    and n - 1 times the modes and D applied to them.  D is applied here,
+    once per mode and distinct level, whatever ``count``.  The Carleman
+    and Caccioppoli audits never build a sample's field: a weighted
+    integral of v^2, v_x^2 or f^2 at a level is a quadratic form in that
+    level's time factors, whose matrix is the pair products of the modes,
+    of their x-gradients or of the level's eight operands against the
+    weight (``_sample_rows``).  The pairs match the per-profile ones to
+    round-off.  The family is a sequence of (Field3, Field3) pairs:
+    indexing or iterating builds the samples, one matrix product per level
+    and field.
     """
     return _Family(spec, count, seed)
 
 
+# the pairs (k, l), k <= l, of up to eight basis functions, ordered by l
+# then k: the pairs of the first b functions are the first b (b + 1) / 2
+_PAIR_K, _PAIR_L = np.array([(k, l) for l in range(8)
+                             for k in range(l + 1)]).T
+
+
+def _pair_products(basis: np.ndarray, out: np.ndarray,
+                   start: int = 0) -> np.ndarray:
+    """B_k B_l of the rows of ``basis``, doubled for k < l, into the rows
+    of ``out`` in ``_PAIR_K``/``_PAIR_L`` order from row ``start`` on,
+    one row at a time: a broadcast product would take numpy's buffers."""
+    for row in range(start, len(out)):
+        k, l = _PAIR_K[row], _PAIR_L[row]
+        np.multiply(basis[k], basis[l], out=out[row])
+        if k < l:
+            out[row] *= 2.0
+    return out
+
+
 class _Family(Sequence):
     """The time factors, modes and D-applied modes of
-    :func:`manufactured_family`, each level's products taken on request
-    by :meth:`fill`."""
+    :func:`manufactured_family`: each level's products taken on request
+    by :meth:`fill`, and the audits' quadratic forms by :meth:`reader`."""
 
     def __init__(self, spec: ProblemSpec, count: int, seed: int) -> None:
         grid = self.grid = spec.grid
@@ -493,14 +516,18 @@ class _Family(Sequence):
                     np.negative(prop.apply_diffusion(level, mode[:-1, 1:-1]),
                                 out=out[1:, 1:-1])
                 operands = operands.reshape(8, -1)
+                _check_values(operands, operands.shape, "D-applied modes")
             self.operands.append(operands)
+        # every level's fields and forms are sums of products of these
+        _check_values(times, times.shape, "time factors")
+        _check_values(self.modes, self.modes.shape, "modes")
 
     def __len__(self) -> int:
         return len(self.times)
 
     def fill(self, n: int, v: np.ndarray, f: np.ndarray) -> None:
         """Every sample's v and f at time level n into ``v`` and ``f``,
-        (count, Na+1, Nx+1) each; ValueError if either is not finite."""
+        (count, Na+1, Nx+1) each."""
         size = self.modes.shape[1]
         np.matmul(self.times[:, n], self.modes, out=v.reshape(-1, size))
         if n:
@@ -509,8 +536,42 @@ class _Family(Sequence):
             f /= self.grid.dt
         else:
             f[...] = 0.0
-        for values in (v, f):
-            _check_values(values, values.shape, "Field3 values")
+
+    def reader(self):
+        """``read(n)``, the quadratic forms of v^2, v_x^2 and f^2 at time
+        level n for ``_sample_rows``: for each, the products of each
+        sample's time factors at n, C_k C_l, and the pair products of the
+        basis, B_k B_l (doubled for k < l).  The v and v_x bases are the
+        modes and their ``_x_gradient``, both with the time factors at n;
+        the f basis is the level's operands, with ``pairs[:, n-1] / dt``.
+        The modes' products are built here, once per reader; the operands'
+        first ten are the modes', and their other 26 are built once per
+        distinct D level, over the last level's."""
+        grid, count = self.grid, len(self)
+        shape = (4, grid.Na + 1, grid.Nx + 1)
+        gradients = np.empty(shape)
+        _x_gradient(self.modes.reshape(shape), grid.dx, out=gradients)
+        # f's products; v's are their first ten, the modes' pairs
+        f_products = np.empty((36, self.modes.shape[1]))
+        v_products = _pair_products(self.modes, f_products[:10])
+        vx_products = _pair_products(gradients.reshape(4, -1),
+                                     np.empty((10, self.modes.shape[1])))
+        held = None  # the operands whose products f_products holds
+
+        def read(n):
+            nonlocal held
+            operands = self.operands[max(n - 1, 0)]
+            if held is not operands:
+                held = operands
+                _pair_products(operands, f_products, 10)
+            c = self.times[:, n]
+            c = c[:, _PAIR_K[:10]] * c[:, _PAIR_L[:10]]
+            f = (self.pairs[:, n - 1] / grid.dt if n
+                 else np.zeros((count, 8)))
+            return {"v": (c, v_products), "vx": (c, vx_products),
+                    "f": (f[:, _PAIR_K] * f[:, _PAIR_L], f_products)}
+
+        return read
 
     def __getitem__(self, idx):
         return list(self)[idx]
@@ -562,6 +623,27 @@ class _Levels:
         self.rule = (axis_weights(grid.Nt + 1, grid.dt)[:, None, None]
                      * axis_weights(grid.Na + 1, grid.da)[None, :, None])
         self.x_rule = axis_weights(grid.Nx + 1, grid.dx)
+        self._exponent = self._cut = None  # one level's, for its next call
+
+    def exponent(self, n: int, s: np.ndarray,
+                 profile_x: np.ndarray) -> np.ndarray:
+        """2 s Theta profile_x at level n, one (Na+1, Nx+1) block per s of
+        the (S, 1, 1) sweep ``s``, built once for the calls of a level
+        with the same sweep and ``profile_x`` array."""
+        held = self._exponent
+        if not (held and held[0] == n and held[1] is profile_x
+                and np.array_equal(held[2], s)):
+            with np.errstate(invalid="ignore", over="ignore"):
+                held = (n, profile_x, s, 2.0 * s * self.theta[n] * profile_x)
+            self._exponent = held
+        return held[3]
+
+    def cut(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``_cut`` of level n's full trapezoid weights, built once per
+        level."""
+        if self._cut is None or self._cut[0] != n:
+            self._cut = (n, *_cut(self.rule_at(n)))
+        return self._cut[1:]
 
     def pole_level(self, n: int) -> bool:
         """Whether Theta is +inf on all of level n (t = 0 and t = T), where
@@ -593,6 +675,13 @@ def _window_rule(grid: Grid, window: tuple[float, float],
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
+def _cut(trapezoid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``trapezoid`` and the log below which a weight entry's product with
+    it would fall under e times the smallest normal float."""
+    with np.errstate(divide="ignore"):
+        return trapezoid, _LOG_TINY + 1.0 - np.log(np.abs(trapezoid))
+
+
 def _weight(levels: _Levels, n: int, s: np.ndarray, theta_power: float,
             profile_x, log_geom_x=0.0, x_rule=None) -> np.ndarray:
     """Quadrature weights at time level n of Theta^p e^{2s Theta profile}
@@ -603,28 +692,32 @@ def _weight(levels: _Levels, n: int, s: np.ndarray, theta_power: float,
     x_rule may be a window's trapezoid rule, or nonzero at one x node to
     integrate over (t, a) there; the weight is then taken only on the x
     columns where x_rule is nonzero, each entry as on the full block, and
-    is 0 on the others.
+    is 0 on the others.  2s Theta profile_x and the full rule's cut are
+    ``levels``' for the level (:meth:`_Levels.exponent`, :meth:`_Levels.cut`).
     """
-    rule = levels.x_rule if x_rule is None else x_rule
-    cols = np.flatnonzero(rule)
-    trapezoid = levels.rule_at(n, rule[cols])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = 2.0 * s * levels.theta[n] * profile_x[cols]
-        w += theta_power * levels.log_theta[n]
-        w += np.broadcast_to(log_geom_x, rule.shape)[cols]
+    if x_rule is None:
+        cols = slice(None)
+        trapezoid, cut = levels.cut(n)
+    else:
+        cols = np.flatnonzero(x_rule)
+        trapezoid, cut = _cut(levels.rule_at(n, x_rule[cols]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        w = levels.exponent(n, s, profile_x)[..., cols] \
+            + theta_power * levels.log_theta[n]
+        w += np.broadcast_to(log_geom_x, levels.x_rule.shape)[cols]
         # an entry whose product with the (possibly signed) rule would
         # fall below tiny, with a factor e to spare for rounding, is 0:
         # numpy takes a slow path to exp into the subnormals, and a
         # subnormal entry would slow the products too
-        small = w < _LOG_TINY + 1.0 - np.log(np.abs(trapezoid))
-        np.exp(w, out=w, where=~small)
-    w[small] = 0.0
-    w[:, levels.poles[n]] = 0.0
-    w *= trapezoid
-    if cols.size == rule.size:
-        return w
-    block = np.zeros(w.shape[:-1] + rule.shape)
-    block[..., cols] = w
+        small = w < cut
+        out = np.zeros(w.shape)
+        np.exp(w, out=out, where=~small)
+    out[:, levels.poles[n]] = 0.0
+    out *= trapezoid
+    if x_rule is None:
+        return out
+    block = np.zeros(out.shape[:-1] + levels.x_rule.shape)
+    block[..., cols] = out
     return block
 
 
@@ -713,42 +806,44 @@ def _sample_rows(samples, grid: Grid, sweep, forms) -> list[ReportRow]:
     ``forms(n)`` gives the weights of the left and the right side at time
     level n, each a dict from "v", "vx" or "f" to an (S, Na+1, Nx+1)
     array, one block per s of ``sweep``, or to an (Na+1, Nx+1) array for
-    a weight that does not depend on s.  Level by level, one call of
-    ``_level_fill`` writes every sample's v and f into a (samples, Na+1,
-    Nx+1) block each, from a ``manufactured_family``'s products or from
-    any other list of pairs, checked by ``_check_samples`` against
-    ``grid``; v_x (the nodal x-gradient of v) fills a third, the three are
-    squared, and a side gains one product of such a block with its
-    weights' blocks per term.  A level where both dicts are empty (a Theta
-    pole level, where every weight is 0, of an audit with no window term)
-    is skipped.  A +inf weight counts 0 where the field vanishes; where a
-    sample does not, ValueError names the lowest such sample.
+    a weight that does not depend on s.  Each side is a sum of quadratic
+    forms: level by level, ``_level_reader`` gives for each key the
+    coefficients C (samples, pairs) and the products B (pairs, (Na+1)
+    (Nx+1)) for which sum_p C_cp B_p is sample c's squared field (v, its
+    nodal x-gradient v_x, or f), and a side gains C @ (B @ w^T) per term.
+    A ``manufactured_family`` gives the pair products of its bases
+    (:meth:`_Family.reader`), so a level costs its weights and pairs x
+    nodes x s products whatever the count; that sum moves a row from the
+    squares' by 9.3e-15 relative on the 30 samples of seed 0 on
+    ``default_degenerate``, and by up to 1.5e-11 where a sample's field
+    nearly cancels in its weight's support (seeds 0-11).  Any other list
+    of pairs, checked by ``_check_samples`` against ``grid``, gives its
+    squared fields with identity coefficients.  A level where both dicts
+    are empty (a Theta pole level, where every weight is 0, of an audit
+    with no window term) is skipped.  A +inf weight counts 0 where the
+    squared field, read from C and B on the infinite entries, vanishes;
+    where a sample's does not, ValueError names the lowest such sample.
     """
     count, size = len(samples), (grid.Na + 1) * (grid.Nx + 1)
-    squares = {key: np.empty((count, grid.Na + 1, grid.Nx + 1))
-               for key in ("v", "vx", "f")}
-    flat = {key: block.reshape(count, size) for key, block in squares.items()}
     sides = (np.zeros((count, len(sweep))), np.zeros((count, len(sweep))))
     hits = {}  # key -> the samples nonzero where that weight is infinite
-    fill = _level_fill(samples)
+    read = _level_reader(samples, grid)
     for n in range(grid.Nt + 1):
         level = forms(n)
         if not any(level):
             continue  # no term: every weight is 0 at a Theta pole level
-        fill(n, squares["v"], squares["f"])
-        _x_gradient(squares["v"], grid.dx, out=squares["vx"])
-        for block in squares.values():
-            np.square(block, out=block)
+        terms = read(n)
         for side, weights in zip(sides, level):
             for key, w in weights.items():
+                coef, products = terms[key]
                 w = w.reshape(-1, size)
                 inf = np.isinf(w)
                 if inf.any():
                     w[inf] = 0.0
                     hit = hits.setdefault(key, np.zeros(count, dtype=bool))
-                    hit |= flat[key][:, inf.any(axis=0)].any(axis=1)
-                side += flat[key] @ w.T
-        del level, weights, w, inf  # before the next level's are built
+                    hit |= (coef @ products[:, inf.any(axis=0)]).any(axis=1)
+                side += coef @ (products @ w.T)
+        del level, weights, w, inf, terms  # before the next level's
     offending = [(idx, key) for key, hit in hits.items()
                  for idx in np.flatnonzero(hit)]
     if offending:
@@ -758,6 +853,30 @@ def _sample_rows(samples, grid: Grid, sweep, forms) -> list[ReportRow]:
     lhs, rhs = sides
     return [_make_row(idx, s, lhs[idx, j], rhs[idx, j])
             for idx in range(count) for j, s in enumerate(sweep)]
+
+
+def _level_reader(samples, grid: Grid):
+    """``read(n)`` for ``_sample_rows``: a family's quadratic forms, or,
+    for a list of pairs, every sample's squared v, v_x and f at time level
+    n, each (samples, (Na+1)(Nx+1)), with identity coefficients."""
+    if isinstance(samples, _Family):
+        return samples.reader()
+    count = len(samples)
+    squares = {key: np.empty((count, grid.Na + 1, grid.Nx + 1))
+               for key in ("v", "vx", "f")}
+    identity = np.eye(count)
+    terms = {key: (identity, block.reshape(count, -1))
+             for key, block in squares.items()}
+    fill = _level_fill(samples)
+
+    def read(n):
+        fill(n, squares["v"], squares["f"])
+        _x_gradient(squares["v"], grid.dx, out=squares["vx"])
+        for block in squares.values():
+            np.square(block, out=block)
+        return terms
+
+    return read
 
 
 def _x_gradient(values: np.ndarray, dx: float, out: np.ndarray) -> None:

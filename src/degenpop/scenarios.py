@@ -571,15 +571,27 @@ def run_scenario(scenario: Scenario, out_dir) -> dict:
     Stages in order: hypothesis validation, free forward solve, requested
     audits, delay-composed control.  Every artifact file is listed in
     manifest.json with its sha256; reruns of the same scenario and seed
-    produce byte-identical artifacts.
+    produce byte-identical artifacts.  A run that raises removes every
+    file it wrote, and only those, before the exception propagates.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    spec, grid = scenario.spec, scenario.spec.grid
     written = []
+    try:
+        return _write_bundle(scenario, out, written)
+    except BaseException:
+        for name in written:
+            (out / name).unlink(missing_ok=True)
+        raise
+
+
+def _write_bundle(scenario: Scenario, out: Path, written: list) -> dict:
+    """:func:`run_scenario`'s stages into ``out``, each file's name put on
+    ``written`` before the file is written."""
+    spec, grid = scenario.spec, scenario.spec.grid
 
     def artifact(name: str) -> Path:
-        """The path of artifact ``name``, listed in the manifest."""
+        """The path of artifact ``name``, put on ``written``."""
         written.append(name)
         return out / name
 
@@ -627,5 +639,5 @@ def run_scenario(scenario: Scenario, out_dir) -> dict:
         "seed": scenario.seed,
         "artifacts": {name: _sha256(out / name) for name in sorted(written)},
     }
-    write_json(out / "manifest.json", manifest)
+    write_json(artifact("manifest.json"), manifest)
     return manifest

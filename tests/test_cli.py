@@ -228,6 +228,18 @@ class TestExitCodes:
             assert "epsilon = 1e-300" in err
             assert "Traceback" not in err
 
+    def test_failed_run_removes_what_it_wrote(self, tmp_path):
+        # the control stage fails after the hypotheses, the free solve and
+        # the audits are written; a file the run did not write stays
+        path = tiny_variant(tmp_path, {"hum.epsilon": 1e-300, "grid.Nx": 24})
+        out = tmp_path / "bundle"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(out)]) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept\n"
+
     @pytest.mark.parametrize("key,value", [("cg_tol", 1e-8),
                                            ("cg_max_iter", 300)])
     def test_cg_keys_map_to_2(self, tmp_path, capsys, key, value):

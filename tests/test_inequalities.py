@@ -973,17 +973,17 @@ class TestWeightsOncePerS:
         assert len(subnormal) > 0 and sum(subnormal) == 0
 
     def test_memory_is_per_level_blocks(self):
-        # a level's weight blocks for the whole sweep and the samples'
-        # squares at one level, never a weight over Q per s (the per-s
-        # weights over Q peaked at 9.9 Q-sized arrays here); at one s the
-        # peak is _check_samples' |v|, one Q-sized array
+        # a level's weight blocks for the whole sweep and the family's
+        # basis products, 46 level blocks whatever the count, never a
+        # weight over Q per s (the per-s weights over Q peaked at 9.9
+        # Q-sized arrays here) and no block per sample (the squares took
+        # three per sample and level)
         spec = small_spec(Nt=24)
         grid = spec.grid
-        samples = manufactured_family(spec, 3, seed=11)
         level = 8 * (grid.Na + 1) * (grid.Nx + 1)
-        q_sized = (grid.Nt + 1) * level
 
-        def peak(sweep):
+        def peak(sweep, count):
+            samples = manufactured_family(spec, count, seed=11)
             weights = build_carleman_weights(grid, spec.k, s_sweep=sweep)
             tracemalloc.start()
             try:
@@ -992,18 +992,21 @@ class TestWeightsOncePerS:
             finally:
                 tracemalloc.stop()
 
-        one, six = peak((0.5,)), peak(DEFAULT_S_SWEEP)
+        one, six = peak((0.5,), 3), peak(DEFAULT_S_SWEEP, 3)
         assert six - one <= 5 * 8 * level  # at most 8 level blocks per s
-        assert six <= 3 * q_sized
+        # the products and at most 20 other blocks at one s: _Levels'
+        # (t, a) arrays, a level's weights and numpy's buffers
+        assert one <= (46 + 20) * level
+        assert peak(DEFAULT_S_SWEEP, 30) - six < level
 
 
 class TestFamilyStream:
     """The audits read a ``manufactured_family`` one time level at a
-    time, by its two products per level; the rows are bitwise those on
-    the family's pairs as a list, whose levels the audits copy.  Mortality
-    depends on t, so every level has its own D, and the deg and nondeg
-    audits skip the pole levels: a reader that kept the last level's
-    operands would go stale."""
+    time, as quadratic forms in its time factors; the rows are those on
+    the family's pairs as a list, whose levels the audits copy and square,
+    to round-off.  Mortality depends on t, so every level has its own D,
+    and the deg and nondeg audits skip the pole levels: a reader that kept
+    the last level's operands would go stale."""
 
     @pytest.mark.parametrize("case", TestPinnedConstants.CASES)
     def test_carleman_rows_are_the_pairs_rows(self, case):
@@ -1015,7 +1018,7 @@ class TestFamilyStream:
         family = manufactured_family(spec, 4, seed=3)
         weights = build_carleman_weights(spec.grid, k, s_sweep=S_SMALL)
         streamed = audit(family, *args, weights).rows
-        assert streamed == audit(list(family), *args, weights).rows
+        _assert_rows_close(streamed, audit(list(family), *args, weights).rows)
         assert any(row.ratio for row in streamed)
 
     def test_caccioppoli_rows_are_the_pairs_rows(self):
@@ -1027,7 +1030,7 @@ class TestFamilyStream:
                                      s=1.0).rows
 
         streamed = rows(family)
-        assert streamed == rows(list(family))
+        _assert_rows_close(streamed, rows(list(family)))
         assert any(row.ratio for row in streamed)
 
     def test_family_is_not_held(self):
@@ -1111,13 +1114,14 @@ class TestLevelKernel:
         monkeypatch.undo()
         return got, want
 
-    def _assert_close(self, got, want):
+    def _assert_close(self, got, want, rel=ROUND_OFF):
         assert [(r.sample_id, r.s, r.ratio is None) for r in got.rows] == \
             [(r.sample_id, r.s, r.ratio is None) for r in want.rows]
         for g, r in zip(got.rows, want.rows):
             for side in ("lhs", "rhs", "ratio"):
                 if getattr(r, side) is not None:
-                    assert getattr(g, side) == _close(getattr(r, side)), side
+                    assert getattr(g, side) == _close(getattr(r, side),
+                                                      rel), side
 
     @pytest.mark.parametrize("case", TestPinnedConstants.CASES)
     def test_carleman_audits(self, monkeypatch, case):
@@ -1139,6 +1143,43 @@ class TestLevelKernel:
         samples = manufactured_family(spec, 3, seed=11)
         got, want = self._both(monkeypatch, lambda: caccioppoli_audit(
             samples, (0.35, 0.65), (0.25, 0.75), s=1.0))
+        self._assert_close(got, want)
+
+    # A family's sides are quadratic forms over pair products of its
+    # bases.  Where a sample's field, in the region its weight picks out,
+    # is a near cancellation of its basis terms, the forms' round-off
+    # grows as the square of that ratio and the squares' as the ratio: on
+    # the preset's 30 samples the rows move from the reference's by
+    # 9.3e-15 at seed 0 and by at most 1.5e-11 (seed 6) over seeds 0-11
+    @pytest.mark.parametrize("seed,rel", [(0, ROUND_OFF), (6, 1e-10)])
+    def test_family_on_the_preset(self, monkeypatch, seed, rel):
+        spec = preset("default_degenerate").spec
+        samples = manufactured_family(spec, 30, seed)
+        weights = build_carleman_weights(spec.grid, spec.k)
+        for run in (lambda: carleman_audit_deg0(samples, weights),
+                    lambda: caccioppoli_audit(samples, (0.35, 0.65),
+                                              (0.25, 0.75),
+                                              s=DEFAULT_S_SWEEP[0])):
+            got, want = self._both(monkeypatch, run)
+            self._assert_close(got, want, rel)
+
+    @pytest.mark.parametrize("case", list(TestPinnedConstants.CASES)
+                             + ["caccioppoli"])
+    def test_family_with_a_d_per_level(self, monkeypatch, case):
+        # mortality depends on t, so every level has its own f products
+        if case == "caccioppoli":
+            spec = _t_dependent()
+            samples = manufactured_family(spec, 4, seed=3)
+            run = lambda: caccioppoli_audit(samples, (0.35, 0.65),
+                                            (0.25, 0.75), s=1.0)
+        else:
+            k, audit, args, _ = TestPinnedConstants.CASES[case]
+            spec = _t_dependent(k)
+            samples = manufactured_family(spec, 4, seed=3)
+            weights = build_carleman_weights(spec.grid, k, s_sweep=S_SMALL)
+            run = lambda: audit(samples, *args, weights)
+        got, want = self._both(monkeypatch, run)
+        assert any(r.ratio for r in want.rows)
         self._assert_close(got, want)
 
     def test_infinite_weight(self, monkeypatch):
