@@ -488,8 +488,9 @@ def _pair_products(basis: np.ndarray, out: np.ndarray,
 
 class _Family(Sequence):
     """The time factors, modes and D-applied modes of
-    :func:`manufactured_family`: each level's products taken on request
-    by :meth:`fill`, and the audits' quadratic forms by :meth:`reader`."""
+    :func:`manufactured_family`, read by the audits as quadratic forms
+    (:meth:`reader`); the samples' fields are built only when the family
+    is indexed or iterated."""
 
     def __init__(self, spec: ProblemSpec, count: int, seed: int) -> None:
         grid = self.grid = spec.grid
@@ -525,32 +526,19 @@ class _Family(Sequence):
     def __len__(self) -> int:
         return len(self.times)
 
-    def fill(self, n: int, v: np.ndarray, f: np.ndarray) -> None:
-        """Every sample's v and f at time level n into ``v`` and ``f``,
-        (count, Na+1, Nx+1) each."""
-        size = self.modes.shape[1]
-        np.matmul(self.times[:, n], self.modes, out=v.reshape(-1, size))
-        if n:
-            np.matmul(self.pairs[:, n - 1], self.operands[n - 1],
-                      out=f.reshape(-1, size))
-            f /= self.grid.dt
-        else:
-            f[...] = 0.0
-
     def reader(self):
         """``read(n)``, the quadratic forms of v^2, v_x^2 and f^2 at time
         level n for ``_sample_rows``: for each, the products of each
         sample's time factors at n, C_k C_l, and the pair products of the
         basis, B_k B_l (doubled for k < l).  The v and v_x bases are the
-        modes and their ``_x_gradient``, both with the time factors at n;
+        modes and their nodal x-gradients, both with the time factors at n;
         the f basis is the level's operands, with ``pairs[:, n-1] / dt``.
         The modes' products are built here, once per reader; the operands'
         first ten are the modes', and their other 26 are built once per
         distinct D level, over the last level's."""
         grid, count = self.grid, len(self)
-        shape = (4, grid.Na + 1, grid.Nx + 1)
-        gradients = np.empty(shape)
-        _x_gradient(self.modes.reshape(shape), grid.dx, out=gradients)
+        gradients = np.gradient(self.modes.reshape(4, grid.Na + 1, -1),
+                                grid.dx, axis=-1, edge_order=2)
         # f's products; v's are their first ten, the modes' pairs
         f_products = np.empty((36, self.modes.shape[1]))
         v_products = _pair_products(self.modes, f_products[:10])
@@ -577,11 +565,19 @@ class _Family(Sequence):
         return list(self)[idx]
 
     def __iter__(self):
-        """The pairs, every level filled by :meth:`fill`."""
-        grid = self.grid
-        v, f = np.empty((2, len(self)) + Field3._shape(grid))
+        """The pairs: level n of the samples' v is ``times[:, n] @ modes``,
+        and from level 1 their f is ``pairs[:, n-1] @ operands[n-1] / dt``
+        (f is 0 at level 0)."""
+        grid, size = self.grid, self.modes.shape[1]
+        v, f = np.zeros((2, len(self)) + Field3._shape(grid))
         for n in range(grid.Nt + 1):
-            self.fill(n, v[:, n], f[:, n])
+            np.matmul(self.times[:, n], self.modes,
+                      out=v[:, n].reshape(-1, size))
+            if n:
+                level = f[:, n].reshape(-1, size)
+                np.matmul(self.pairs[:, n - 1], self.operands[n - 1],
+                          out=level)
+                level /= grid.dt
         return ((Field3._checked_already(grid, v_s),
                  Field3._checked_already(grid, f_s)) for v_s, f_s in zip(v, f))
 
@@ -750,37 +746,25 @@ def _degenerate_lhs(weights: CarlemanWeights) -> tuple:
 def _check_samples(samples, grid: Grid | None = None) -> Grid:
     """The grid of ``samples``: ``grid``, or by default the first
     sample's.  ValueError for an empty list, a sample on another grid and
-    samples that are all zero, read level by level as the audits read
-    them."""
+    samples that are all zero.  No level is built: a list's fields are
+    asked for a nonzero entry, and a family's time factors on its nonzero
+    modes, since its v and f are those factors times the modes and times
+    D applied to them, and D is invertible."""
     if not samples:
         raise ValueError("empty sample list")
-    grids = ([samples.grid] if isinstance(samples, _Family)
-             else [field.grid for pair in samples for field in pair])
+    if isinstance(samples, _Family):
+        grids = [samples.grid]
+        nonzero = samples.times[..., samples.modes.any(axis=1)].any()
+    else:
+        grids = [field.grid for pair in samples for field in pair]
+        nonzero = any(field.values.any() for pair in samples
+                      for field in pair)
     grid = grids[0] if grid is None else grid
     if any(other != grid for other in grids):
         raise ValueError("sample grid does not match the weight grid")
-    fill = _level_fill(samples)
-    v, f = np.empty((2, len(samples), grid.Na + 1, grid.Nx + 1))
-    for n in range(grid.Nt + 1):
-        fill(n, v, f)
-        if v.any() or f.any():
-            return grid
-    raise ValueError("all samples are zero; no informative ratios")
-
-
-def _level_fill(samples):
-    """``fill(n, v, f)``, which writes every sample's v and f at time
-    level n into the (samples, Na+1, Nx+1) arrays ``v`` and ``f``: a
-    family's two products, or a copy of each pair's level."""
-    if isinstance(samples, _Family):
-        return samples.fill
-
-    def fill(n, v, f):
-        for idx, (v_s, f_s) in enumerate(samples):
-            v[idx] = v_s.values[n]
-            f[idx] = f_s.values[n]
-
-    return fill
+    if not nonzero:
+        raise ValueError("all samples are zero; no informative ratios")
+    return grid
 
 
 def window_nodes(xs: np.ndarray, window: tuple[float, float],
@@ -858,40 +842,21 @@ def _sample_rows(samples, grid: Grid, sweep, forms) -> list[ReportRow]:
 def _level_reader(samples, grid: Grid):
     """``read(n)`` for ``_sample_rows``: a family's quadratic forms, or,
     for a list of pairs, every sample's squared v, v_x and f at time level
-    n, each (samples, (Na+1)(Nx+1)), with identity coefficients."""
+    n, each (samples, (Na+1)(Nx+1)), stacked from the pairs' levels, with
+    identity coefficients."""
     if isinstance(samples, _Family):
         return samples.reader()
-    count = len(samples)
-    squares = {key: np.empty((count, grid.Na + 1, grid.Nx + 1))
-               for key in ("v", "vx", "f")}
-    identity = np.eye(count)
-    terms = {key: (identity, block.reshape(count, -1))
-             for key, block in squares.items()}
-    fill = _level_fill(samples)
+    identity = np.eye(len(samples))
 
     def read(n):
-        fill(n, squares["v"], squares["f"])
-        _x_gradient(squares["v"], grid.dx, out=squares["vx"])
-        for block in squares.values():
-            np.square(block, out=block)
-        return terms
+        v = np.stack([v_s.values[n] for v_s, _ in samples])
+        f = np.stack([f_s.values[n] for _, f_s in samples])
+        vx = np.gradient(v, grid.dx, axis=-1, edge_order=2)
+        return {key: (identity,
+                      np.square(block, out=block).reshape(len(samples), -1))
+                for key, block in (("v", v), ("vx", vx), ("f", f))}
 
     return read
-
-
-def _x_gradient(values: np.ndarray, dx: float, out: np.ndarray) -> None:
-    """``np.gradient(values, dx, axis=-1, edge_order=2)`` into ``out``, both
-    C-contiguous, bit for bit: central differences inside, 3-point
-    one-sided ones at the ends.  The central differences run over the
-    flattened array, a fifth of np.gradient's time on a level's block;
-    the ends then overwrite those taken across two rows."""
-    flat, grad = values.reshape(-1), out.reshape(-1)
-    np.subtract(flat[2:], flat[:-2], out=grad[1:-1])
-    grad[1:-1] /= 2.0 * dx
-    out[..., 0] = (-1.5 / dx * values[..., 0] + 2.0 / dx * values[..., 1]
-                   + -0.5 / dx * values[..., 2])
-    out[..., -1] = (0.5 / dx * values[..., -3] + -2.0 / dx * values[..., -2]
-                    + 1.5 / dx * values[..., -1])
 
 
 # ---------------------------------------------------------------------------

@@ -569,52 +569,18 @@ def run_scenario(scenario: Scenario, out_dir) -> dict:
     """Run the full pipeline and write a hashed artifact bundle.
 
     Stages in order: hypothesis validation, free forward solve, requested
-    audits, delay-composed control.  Every artifact file is listed in
-    manifest.json with its sha256; reruns of the same scenario and seed
-    produce byte-identical artifacts.  A run that raises removes every
-    file it wrote, and only those, before the exception propagates.
+    audits, delay-composed control.  Every stage runs before any file is
+    written, so a run that raises writes nothing.  Then an earlier
+    manifest.json is removed, the artifacts are written, and the manifest,
+    which lists every other artifact with its sha256, is written last.
+    Reruns of the same scenario and seed produce byte-identical artifacts.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    try:
-        return _write_bundle(scenario, out, written)
-    except BaseException:
-        for name in written:
-            (out / name).unlink(missing_ok=True)
-        raise
-
-
-def _write_bundle(scenario: Scenario, out: Path, written: list) -> dict:
-    """:func:`run_scenario`'s stages into ``out``, each file's name put on
-    ``written`` before the file is written."""
     spec, grid = scenario.spec, scenario.spec.grid
-
-    def artifact(name: str) -> Path:
-        """The path of artifact ``name``, put on ``written``."""
-        written.append(name)
-        return out / name
-
-    report = scenario.hypothesis_report()
-    artifact("hypotheses.txt").write_text("\n".join(report.lines()) + "\n")
-
+    hypotheses = scenario.hypothesis_report()
     free = solve_forward(spec)
-    free.write_energy_csv(artifact("energy.csv"))
-    write_field_csv(Field2(grid, free.final_level()),
-                    artifact("final_state.csv"))
-
-    for audit in scenario.audits:
-        for stem, report in AUDITS[audit](scenario):
-            # one artifact name per audit, whichever end Carleman observes
-            stem = "audit_carleman" if stem.startswith("carleman_deg") \
-                else f"audit_{stem}"
-            report.write_csv(artifact(f"{stem}.csv"))
-            report.write_summary(artifact(f"{stem}.json"))
-
+    audits = [(stem, report) for audit in scenario.audits
+              for stem, report in AUDITS[audit](scenario)]
     control = compose_delay_control(spec, scenario.hum)
-    control.write_cg_csv(artifact("control_cg.csv"))
-    control.write_summary(artifact("control_summary.json"))
-
     try:
         r0 = net_reproduction_rate(spec.rates, grid.A)
         growth = classify_growth(r0)
@@ -632,12 +598,34 @@ def _write_bundle(scenario: Scenario, out: Path, written: list) -> dict:
         "final_residual": control.final_residual,
         "certificate": control.certificate,
     }
-    write_json(artifact("summary.json"), summary)
 
+    # artifact name -> its writer, called with the artifact's path
+    writers = {
+        "hypotheses.txt": lambda path: path.write_text(
+            "\n".join(hypotheses.lines()) + "\n"),
+        "energy.csv": free.write_energy_csv,
+        "final_state.csv": lambda path: write_field_csv(
+            Field2(grid, free.final_level()), path),
+    }
+    for stem, report in audits:
+        # one artifact name per audit, whichever end Carleman observes
+        stem = "audit_carleman" if stem.startswith("carleman_deg") \
+            else f"audit_{stem}"
+        writers[f"{stem}.csv"] = report.write_csv
+        writers[f"{stem}.json"] = report.write_summary
+    writers["control_cg.csv"] = control.write_cg_csv
+    writers["control_summary.json"] = control.write_summary
+    writers["summary.json"] = lambda path: write_json(path, summary)
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
+    for name, write in writers.items():
+        write(out / name)
     manifest = {
         "scenario": scenario.name,
         "seed": scenario.seed,
-        "artifacts": {name: _sha256(out / name) for name in sorted(written)},
+        "artifacts": {name: _sha256(out / name) for name in sorted(writers)},
     }
-    write_json(artifact("manifest.json"), manifest)
+    write_json(out / "manifest.json", manifest)
     return manifest

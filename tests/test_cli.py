@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -230,7 +231,8 @@ class TestExitCodes:
 
     def test_failed_run_removes_what_it_wrote(self, tmp_path):
         # the control stage fails after the hypotheses, the free solve and
-        # the audits are written; a file the run did not write stays
+        # the audits have run, before any file is written; a file the run
+        # did not write stays
         path = tiny_variant(tmp_path, {"hum.epsilon": 1e-300, "grid.Nx": 24})
         out = tmp_path / "bundle"
         out.mkdir()
@@ -239,6 +241,23 @@ class TestExitCodes:
                          "--out", str(out)]) == 3
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
         assert (out / "notes.txt").read_text() == "kept\n"
+
+    def test_failed_rerun_keeps_the_earlier_bundle(self, tmp_path,
+                                                   tiny_config):
+        # a rerun that fails in the control stage leaves the first run's
+        # bundle as it was, every file its manifest lists with its hash
+        out = tmp_path / "bundle"
+        assert cli.main(["run", "--config", str(tiny_config),
+                         "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        path = tiny_variant(tmp_path, {"hum.epsilon": 1e-300, "grid.Nx": 24})
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(out)]) == 3
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        listed = json.loads(before["manifest.json"])["artifacts"]
+        assert sorted(listed) == sorted(set(before) - {"manifest.json"})
+        for name, digest in listed.items():
+            assert hashlib.sha256(before[name]).hexdigest() == digest
 
     @pytest.mark.parametrize("key,value", [("cg_tol", 1e-8),
                                            ("cg_max_iter", 300)])

@@ -781,6 +781,29 @@ class TestCarlemanAudits:
         with pytest.raises(ValueError, match="zero"):
             carleman_audit_deg0(zeros, weights)
 
+    def test_family_of_vanishing_modes_is_zero(self):
+        # the only ages are 0 and A, where every mode vanishes, so every
+        # sample is zero whatever its time factors
+        spec = dataclasses.replace(small_spec(), grid=Grid(
+            T=2.0, A=2.0, Nt=1, Na=1, Nx=12))
+        family = manufactured_family(spec, 3, seed=0)
+        assert family.times.all()
+        assert not any(field.values.any() for pair in family
+                       for field in pair)
+        with pytest.raises(ValueError, match="all samples are zero"):
+            caccioppoli_audit(family, (0.35, 0.65), (0.25, 0.75), s=1.0)
+
+    def test_list_nonzero_only_at_t0_runs_excluded(self):
+        # a nonzero entry anywhere passes the check; level 0 is a Theta
+        # pole level, so every row is an excluded 0/0
+        spec = small_spec()
+        weights = build_carleman_weights(spec.grid, spec.k, s_sweep=S_SMALL)
+        v = Field3.zeros(spec.grid)
+        v.values[0, 3, 5] = 1.0
+        report = carleman_audit_deg0([(v, Field3.zeros(spec.grid))], weights)
+        assert len(report.rows) == len(S_SMALL)
+        assert all(r.ratio is None for r in report.rows)
+
     def test_grid_mismatch_rejected(self):
         spec = small_spec()
         other = small_spec(Nt=4, Nx=8)
@@ -999,6 +1022,26 @@ class TestWeightsOncePerS:
         assert one <= (46 + 20) * level
         assert peak(DEFAULT_S_SWEEP, 30) - six < level
 
+    def test_caccioppoli_memory_does_not_grow_with_the_count(self):
+        # no block per sample: the 30-sample audit's peak is within one
+        # level block of the 3-sample one's (the samples' v and f at a
+        # level took 2 x count blocks)
+        spec = preset("default_degenerate").spec
+        grid = spec.grid
+        block = 8 * (grid.Na + 1) * (grid.Nx + 1)
+
+        def peak(count):
+            samples = manufactured_family(spec, count, seed=0)
+            tracemalloc.start()
+            try:
+                caccioppoli_audit(samples, (0.35, 0.65), (0.25, 0.75),
+                                  s=DEFAULT_S_SWEEP[0])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(30) - peak(3) < block
+
 
 class TestFamilyStream:
     """The audits read a ``manufactured_family`` one time level at a
@@ -1032,6 +1075,28 @@ class TestFamilyStream:
         streamed = rows(family)
         _assert_rows_close(streamed, rows(list(family)))
         assert any(row.ratio for row in streamed)
+
+    def test_reader_forms_are_the_squared_fields(self):
+        # at every level, C @ B of each term is the squared field of the
+        # pairs; mortality depends on t, so a reader that kept an earlier
+        # level's f products would miss here
+        spec = _t_dependent()
+        grid = spec.grid
+        assert not any(spec._propagator.repeats_level(n)
+                       for n in range(1, grid.Nt + 1))
+        family = manufactured_family(spec, 4, seed=3)
+        v = np.stack([v_s.values for v_s, _ in family])
+        f = np.stack([f_s.values for _, f_s in family])
+        vx = np.gradient(v, grid.dx, axis=-1, edge_order=2)
+        read = family.reader()
+        for n in range(grid.Nt + 1):
+            terms = read(n)
+            for key, field in (("v", v), ("vx", vx), ("f", f)):
+                coef, products = terms[key]
+                want = field[:, n].reshape(len(family), -1) ** 2
+                np.testing.assert_allclose(
+                    coef @ products, want, rtol=0.0,
+                    atol=1e-13 * np.max(want), err_msg=f"{key} at {n}")
 
     def test_family_is_not_held(self):
         # the Carleman audit of 30 samples on the preset holds less than
@@ -1204,14 +1269,6 @@ class TestLevelKernel:
                             _reference_sample_rows)
         with pytest.raises(ValueError, match=message):
             carleman_audit_deg0(samples, weights)
-
-    @pytest.mark.parametrize("shape", [(3, 5, 9), (1, 1, 3), (2, 4)])
-    def test_x_gradient_is_np_gradient(self, shape):
-        values = spawn_rng(4).standard_normal(shape)
-        out = np.empty_like(values)
-        inequalities._x_gradient(values, 0.125, out=out)
-        want = np.gradient(values, 0.125, axis=-1, edge_order=2)
-        assert out.tobytes() == want.tobytes()
 
 
 class TestCaccioppoli:
