@@ -273,13 +273,40 @@ def _cumulative_integral(fn, nodes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gauss_legendre(n: int,
+                    cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on each interval between consecutive
+    ``cuts``, their nodes and weights concatenated in order."""
+    y, weights = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * np.diff(cuts)[:, None]
+    return ((cuts[:-1, None] + half * (1.0 + y)).ravel(),
+            (half * weights).ravel())
+
+
+def _table_primitive(coef: Tabulated, end: float,
+                     xs: np.ndarray) -> np.ndarray:
+    """int of |y - end|/k(y) from the node of ``xs`` nearest ``end`` to
+    each node, for a tabulated k: one 16-node Gauss-Legendre rule per
+    piece between the table's and the grid's nodes, where k is linear, so
+    the integrand is constant next to a vanishing ``end`` and analytic
+    elsewhere (at a vanishing far end the integral diverges)."""
+    cuts = np.union1d(xs, coef.x[(coef.x > xs[0]) & (coef.x < xs[-1])])
+    nodes, weights = _gauss_legendre(16, cuts)
+    pieces = (weights * np.abs(nodes - end) / coef.k(nodes)).reshape(
+        -1, 16).sum(axis=1)
+    ahead = slice(None, None, -1 if end else 1)  # pieces from end
+    total = np.concatenate([[0.0], np.cumsum(pieces[ahead])])[ahead]
+    return total[np.searchsorted(cuts, xs)]
+
+
 @dataclass
 class CarlemanWeights:
     """Cached spatial profiles for the weighted audit integrals.
 
     end is the singular end of the degenerate audits, worked out by
     classify_degeneracy: x = 1 when only that end degenerates, else x = 0.
-    p is the primitive of (y - end)/k(y) from the grid's node nearest end;
+    p is the primitive of (y - end)/k(y) from the grid's node nearest end,
+    exact to round-off for a tabulated k (``_table_primitive``);
     sigma (0 at the grid's other end) and Psi are the non-degenerate
     profiles built from frak_d = sup|k'| over the x nodes and are only
     available when k is strictly positive on the grid span.  s_sweep is
@@ -314,6 +341,8 @@ class CarlemanWeights:
             alpha = self.coef.alpha1 if self.end else self.coef.alpha0
             self.p = np.power(np.abs(xs - self.end),
                               2.0 - alpha) / (2.0 - alpha)
+        elif isinstance(self.coef, Tabulated):
+            self.p = _table_primitive(self.coef, self.end, xs)
         else:
             ratio = lambda y: _safe_ratio(y, self.coef, self.end)
             self.p = _cumulative_integral(ratio, xs[ahead])[ahead]

@@ -27,7 +27,7 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial.polynomial import polyval
 
 from .coeffs import (CarlemanWeights, DegenerateCoefficient, PowerLaw,
-                     build_carleman_weights, eval_theta)
+                     _gauss_legendre, build_carleman_weights, eval_theta)
 from .discretize import (
     Field3,
     Grid,
@@ -340,16 +340,6 @@ def _gauss_jacobi(n: int, a: float,
     return nodes, mass * vectors[0] ** 2
 
 
-def _gauss_legendre(n: int,
-                    cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The n-node Gauss-Legendre rule on each interval between consecutive
-    ``cuts``, their nodes and weights concatenated in order."""
-    y, weights = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * np.diff(cuts)[:, None]
-    return ((cuts[:-1, None] + half * (1.0 + y)).ravel(),
-            (half * weights).ravel())
-
-
 def random_hardy_test_functions(vanish_at: float, count: int, seed: int):
     """Random degree-7 polynomials that vanish at ``vanish_at`` (0 or 1):
     an edge factor, 1 - x or x, times a degree-6 polynomial with standard
@@ -607,8 +597,8 @@ def _adjoint_modes(grid: Grid) -> np.ndarray:
 
 class _Levels:
     """The (t, a) factors of every Carleman-type weight on ``grid``, built
-    once per audit and read one time level at a time: Theta, log Theta,
-    the Theta poles and the t and a trapezoid weights."""
+    once per audit by ``_sample_rows`` and read one time level at a time:
+    Theta, log Theta, the Theta poles and the t and a trapezoid weights."""
 
     def __init__(self, grid: Grid) -> None:
         self.theta = eval_theta(grid.t_nodes[:, None, None],
@@ -619,27 +609,6 @@ class _Levels:
         self.rule = (axis_weights(grid.Nt + 1, grid.dt)[:, None, None]
                      * axis_weights(grid.Na + 1, grid.da)[None, :, None])
         self.x_rule = axis_weights(grid.Nx + 1, grid.dx)
-        self._exponent = self._cut = None  # one level's, for its next call
-
-    def exponent(self, n: int, s: np.ndarray,
-                 profile_x: np.ndarray) -> np.ndarray:
-        """2 s Theta profile_x at level n, one (Na+1, Nx+1) block per s of
-        the (S, 1, 1) sweep ``s``, built once for the calls of a level
-        with the same sweep and ``profile_x`` array."""
-        held = self._exponent
-        if not (held and held[0] == n and held[1] is profile_x
-                and np.array_equal(held[2], s)):
-            with np.errstate(invalid="ignore", over="ignore"):
-                held = (n, profile_x, s, 2.0 * s * self.theta[n] * profile_x)
-            self._exponent = held
-        return held[3]
-
-    def cut(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """``_cut`` of level n's full trapezoid weights, built once per
-        level."""
-        if self._cut is None or self._cut[0] != n:
-            self._cut = (n, *_cut(self.rule_at(n)))
-        return self._cut[1:]
 
     def pole_level(self, n: int) -> bool:
         """Whether Theta is +inf on all of level n (t = 0 and t = T), where
@@ -678,28 +647,27 @@ def _cut(trapezoid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return trapezoid, _LOG_TINY + 1.0 - np.log(np.abs(trapezoid))
 
 
-def _weight(levels: _Levels, n: int, s: np.ndarray, theta_power: float,
-            profile_x, log_geom_x=0.0, x_rule=None) -> np.ndarray:
+def _weight(levels: _Levels, n: int, exponent: np.ndarray,
+            theta_power: float, log_geom_x, x_rule, full) -> np.ndarray:
     """Quadrature weights at time level n of Theta^p e^{2s Theta profile}
-    e^{geom}, one (Na+1, Nx+1) block per s of the (S, 1, 1) sweep ``s``:
-    ``levels.rule_at(n, x_rule)`` times exp(p log Theta + 2s Theta
-    profile_x + log_geom_x).  0 at the Theta poles (profile_x < 0), +inf
-    where log_geom_x is ((x-end)^2/k where k = 0; see ``_sample_rows``).
-    x_rule may be a window's trapezoid rule, or nonzero at one x node to
-    integrate over (t, a) there; the weight is then taken only on the x
-    columns where x_rule is nonzero, each entry as on the full block, and
-    is 0 on the others.  2s Theta profile_x and the full rule's cut are
-    ``levels``' for the level (:meth:`_Levels.exponent`, :meth:`_Levels.cut`).
+    e^{geom}, one (Na+1, Nx+1) block per s of ``exponent``, level n's
+    (S, Na+1, Nx+1) 2s Theta profile_x: ``levels.rule_at(n, x_rule)``
+    times exp(p log Theta + exponent + log_geom_x).  0 at the Theta poles
+    (profile_x < 0), +inf where log_geom_x is ((x-end)^2/k where k = 0;
+    see ``_sample_rows``).  ``full`` is ``_cut`` of the level's full rule,
+    used when x_rule is None.  x_rule may be a window's trapezoid rule, or
+    nonzero at one x node to integrate over (t, a) there; the weight is
+    then taken only on the x columns where x_rule is nonzero, each entry
+    as on the full block, and is 0 on the others.
     """
     if x_rule is None:
         cols = slice(None)
-        trapezoid, cut = levels.cut(n)
+        trapezoid, cut = full
     else:
         cols = np.flatnonzero(x_rule)
         trapezoid, cut = _cut(levels.rule_at(n, x_rule[cols]))
     with np.errstate(invalid="ignore", over="ignore"):
-        w = levels.exponent(n, s, profile_x)[..., cols] \
-            + theta_power * levels.log_theta[n]
+        w = exponent[..., cols] + theta_power * levels.log_theta[n]
         w += np.broadcast_to(log_geom_x, levels.x_rule.shape)[cols]
         # an entry whose product with the (possibly signed) rule would
         # fall below tiny, with a factor e to spare for rounding, is 0:
@@ -717,17 +685,13 @@ def _weight(levels: _Levels, n: int, s: np.ndarray, theta_power: float,
     return block
 
 
-def _carleman_lhs(levels: _Levels, n: int, sweep, profile_x, log_geom_vx,
-                  log_geom_v) -> dict:
-    """Weights at level n of s int_Q Theta e^{geom_vx} v_x^2 e^{2s Theta
-    profile} + s^3 int_Q Theta^3 e^{geom_v} v^2 e^{2s Theta profile}, the
-    left side of every Carleman audit, for each s of ``sweep``."""
-    s = _column(sweep)
-    vx = _weight(levels, n, s, 1.0, profile_x, log_geom_vx)
-    vx *= s
-    v = _weight(levels, n, s, 3.0, profile_x, log_geom_v)
-    v *= _column([value ** 3 for value in sweep])  # Python's pow, per s
-    return {"vx": vx, "v": v}
+def _carleman_lhs(sweep, profile_x, log_geom_vx, log_geom_v) -> list:
+    """The terms of s int_Q Theta e^{geom_vx} v_x^2 e^{2s Theta profile}
+    + s^3 int_Q Theta^3 e^{geom_v} v^2 e^{2s Theta profile}, the left side
+    of every Carleman audit, for each s of ``sweep`` (``_sample_rows``)."""
+    cubes = _column([value ** 3 for value in sweep])  # Python's pow, per s
+    return [(0, "vx", _column(sweep), 1.0, profile_x, log_geom_vx, None),
+            (0, "v", cubes, 3.0, profile_x, log_geom_v, None)]
 
 
 def _degenerate_lhs(weights: CarlemanWeights) -> tuple:
@@ -784,50 +748,76 @@ def _make_row(idx: int, s: float, lhs: float, rhs: float) -> ReportRow:
     return ReportRow(idx, s, lhs, rhs, lhs / rhs if rhs != 0.0 else math.inf)
 
 
-def _sample_rows(samples, grid: Grid, sweep, forms) -> list[ReportRow]:
+def _sample_rows(samples, grid: Grid, sweep, terms) -> list[ReportRow]:
     """One report row per sample and s, ordered by sample, then by s.
 
-    ``forms(n)`` gives the weights of the left and the right side at time
-    level n, each a dict from "v", "vx" or "f" to an (S, Na+1, Nx+1)
-    array, one block per s of ``sweep``, or to an (Na+1, Nx+1) array for
-    a weight that does not depend on s.  Each side is a sum of quadratic
-    forms: level by level, ``_level_reader`` gives for each key the
-    coefficients C (samples, pairs) and the products B (pairs, (Na+1)
-    (Nx+1)) for which sum_p C_cp B_p is sample c's squared field (v, its
-    nodal x-gradient v_x, or f), and a side gains C @ (B @ w^T) per term.
-    A ``manufactured_family`` gives the pair products of its bases
-    (:meth:`_Family.reader`), so a level costs its weights and pairs x
-    nodes x s products whatever the count; that sum moves a row from the
-    squares' by 9.3e-15 relative on the 30 samples of seed 0 on
-    ``default_degenerate``, and by up to 1.5e-11 where a sample's field
-    nearly cancels in its weight's support (seeds 0-11).  Any other list
-    of pairs, checked by ``_check_samples`` against ``grid``, gives its
-    squared fields with identity coefficients.  A level where both dicts
-    are empty (a Theta pole level, where every weight is 0, of an audit
-    with no window term) is skipped.  A +inf weight counts 0 where the
-    squared field, read from C and B on the infinite entries, vanishes;
-    where a sample's does not, ValueError names the lowest such sample.
+    ``terms`` declares the inequality, each term a tuple (side, key,
+    scale, p, profile_x, log_geom_x, x_rule): ``scale`` (a number, or an
+    (S, 1, 1) column over ``sweep``) times the integral over Q of the
+    squared field ``key`` ("v", its nodal x-gradient "vx", or "f") against
+    a weight, added to the left (side 0) or right (side 1) side.  A
+    weighted term's weight is ``_weight``'s, Theta^p e^{2s Theta
+    profile_x} e^{log_geom_x} on the trapezoid rule, one block per s; at a
+    Theta pole level, where it is 0, it is skipped.  A plain term
+    (profile_x None) weighs by the trapezoid rule alone, at every level.
+    x_rule replaces the rule's x axis (None: the full one).  At each level
+    2s Theta profile_x is built once per profile and the full rule's
+    ``_cut`` once, and all of the level's weights are built before its
+    forms are read; a level with no term is skipped.
+
+    Each side is a sum of quadratic forms: level by level,
+    ``_level_reader`` gives for each key the coefficients C (samples,
+    pairs) and the products B (pairs, (Na+1)(Nx+1)) for which
+    sum_p C_cp B_p is sample c's squared field, and a side gains
+    C @ (B @ w^T) per term.  A ``manufactured_family`` gives the pair
+    products of its bases (:meth:`_Family.reader`), so a level costs its
+    weights and pairs x nodes x s products whatever the count; that sum
+    moves a row from the squares' by 9.3e-15 relative on the 30 samples of
+    seed 0 on ``default_degenerate``, and by up to 1.5e-11 where a
+    sample's field nearly cancels in its weight's support (seeds 0-11).
+    Any other list of pairs, checked by ``_check_samples`` against
+    ``grid``, gives its squared fields with identity coefficients.  A
+    +inf weight counts 0 where the squared field, read from C and B on the
+    infinite entries, vanishes; where a sample's does not, ValueError
+    names the lowest such sample.
     """
     count, size = len(samples), (grid.Na + 1) * (grid.Nx + 1)
+    levels, s = _Levels(grid), _column(sweep)
     sides = (np.zeros((count, len(sweep))), np.zeros((count, len(sweep))))
     hits = {}  # key -> the samples nonzero where that weight is infinite
     read = _level_reader(samples, grid)
     for n in range(grid.Nt + 1):
-        level = forms(n)
-        if not any(level):
-            continue  # no term: every weight is 0 at a Theta pole level
-        terms = read(n)
-        for side, weights in zip(sides, level):
-            for key, w in weights.items():
-                coef, products = terms[key]
-                w = w.reshape(-1, size)
-                inf = np.isinf(w)
-                if inf.any():
-                    w[inf] = 0.0
-                    hit = hits.setdefault(key, np.zeros(count, dtype=bool))
-                    hit |= (coef @ products[:, inf.any(axis=0)]).any(axis=1)
-                side += coef @ (products @ w.T)
-        del level, weights, w, inf, terms  # before the next level's
+        pole = levels.pole_level(n)
+        full = None if pole else _cut(levels.rule_at(n))
+        exponents = {}  # id(profile_x) -> its 2s Theta profile_x here
+        weights = []
+        for side, key, scale, p, profile_x, log_geom_x, x_rule in terms:
+            if profile_x is None:
+                w = levels.rule_at(n, x_rule)
+            elif pole:
+                continue  # every weight is 0 at a Theta pole level
+            else:
+                exponent = exponents.get(id(profile_x))
+                if exponent is None:
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        exponent = 2.0 * s * levels.theta[n] * profile_x
+                    exponents[id(profile_x)] = exponent
+                w = _weight(levels, n, exponent, p, log_geom_x, x_rule, full)
+            w *= scale
+            weights.append((sides[side], key, w.reshape(-1, size)))
+        del full, exponents  # before the forms are read
+        if not weights:
+            continue
+        forms = read(n)
+        for side, key, w in weights:
+            coef, products = forms[key]
+            inf = np.isinf(w)
+            if inf.any():
+                w[inf] = 0.0
+                hit = hits.setdefault(key, np.zeros(count, dtype=bool))
+                hit |= (coef @ products[:, inf.any(axis=0)]).any(axis=1)
+            side += coef @ (products @ w.T)
+        del weights, w, inf, forms  # before the next level's
     offending = [(idx, key) for key, hit in hits.items()
                  for idx in np.flatnonzero(hit)]
     if offending:
@@ -892,21 +882,15 @@ def _carleman_degenerate(samples, weights: CarlemanWeights,
         raise ValueError(f"{name} needs weights built for k degenerate at "
                          f"x = {end:g}; these are for x = {weights.end:g}")
     grid, sweep = _check_samples(samples, weights.grid), weights.s_sweep
-    levels, s = _Levels(grid), _column(sweep)
     lhs = _degenerate_lhs(weights)
     prof = lhs[0]
     observed = 0 if end else -1  # the x node at 1 - end
     edge = np.zeros_like(grid.x_nodes)
     edge[observed] = weights.coef.k(grid.x_nodes[observed])
-
-    def forms(n):
-        if levels.pole_level(n):
-            return {}, {}
-        return (_carleman_lhs(levels, n, sweep, *lhs),
-                {"f": _weight(levels, n, s, 0.0, prof),
-                 "vx": s * _weight(levels, n, s, 1.0, prof, x_rule=edge)})
-
-    rows = _sample_rows(samples, grid, sweep, forms)
+    terms = _carleman_lhs(sweep, *lhs) + [
+        (1, "f", 1.0, 0.0, prof, 0.0, None),
+        (1, "vx", _column(sweep), 1.0, prof, 0.0, edge)]
+    rows = _sample_rows(samples, grid, sweep, terms)
     return InequalityReport(name, tuple(rows), weights.s_sweep,
                             {"kappa": weights.kappa})
 
@@ -923,23 +907,16 @@ def carleman_audit_nondeg(samples, weights: CarlemanWeights) -> InequalityReport
     """
     grid, sweep = _check_samples(samples, weights.grid), weights.s_sweep
     weights.require_nondeg()
-    levels, s = _Levels(grid), _column(sweep)
     psi = weights.Psi
     kappa_sigma = weights.kappa * weights.sigma
     bracket = np.zeros_like(grid.x_nodes)  # [k ...] from 0 to 1, or 1 to 0
     bracket[[0, -1]] = weights.coef.k(grid.x_nodes[[0, -1]]) * (
         [1.0, -1.0] if weights.end else [-1.0, 1.0])
-
-    def forms(n):
-        if levels.pole_level(n):
-            return {}, {}
-        return (_carleman_lhs(levels, n, sweep, psi, kappa_sigma,
-                              3.0 * kappa_sigma),
-                {"f": _weight(levels, n, s, 0.0, psi),
-                 "vx": -s * weights.kappa * _weight(levels, n, s, 1.0, psi,
-                                                    kappa_sigma, bracket)})
-
-    rows = _sample_rows(samples, grid, sweep, forms)
+    terms = _carleman_lhs(sweep, psi, kappa_sigma, 3.0 * kappa_sigma) + [
+        (1, "f", 1.0, 0.0, psi, 0.0, None),
+        (1, "vx", -_column(sweep) * weights.kappa, 1.0, psi, kappa_sigma,
+         bracket)]
+    rows = _sample_rows(samples, grid, sweep, terms)
     return InequalityReport("carleman_nondeg", tuple(rows), weights.s_sweep,
                             {"kappa": weights.kappa, "frak_d": weights.frak_d})
 
@@ -981,17 +958,10 @@ def carleman_local_audit(samples, omega: tuple[float, float],
     psi_ext = np.pad(sub_weights.Psi, (first, grid.Nx - last), mode="edge")
 
     sweep = weights.s_sweep
-    levels, s = _Levels(grid), _column(sweep)
-    lhs = _degenerate_lhs(weights)
-
-    def forms(n):
-        if levels.pole_level(n):
-            return {}, {"v": levels.rule_at(n, window)}
-        return (_carleman_lhs(levels, n, sweep, *lhs),
-                {"f": _weight(levels, n, s, 0.0, psi_ext),
-                 "v": levels.rule_at(n, window)})
-
-    rows = _sample_rows(samples, grid, sweep, forms)
+    terms = _carleman_lhs(sweep, *_degenerate_lhs(weights)) + [
+        (1, "f", 1.0, 0.0, psi_ext, 0.0, None),
+        (1, "v", 1.0, 0.0, None, 0.0, window)]
+    rows = _sample_rows(samples, grid, sweep, terms)
     return InequalityReport(f"carleman_local_deg{end:g}", tuple(rows),
                             weights.s_sweep,
                             {"kappa": weights.kappa, "omega": [lo, hi]})
@@ -1018,16 +988,10 @@ def caccioppoli_audit(samples, omega_prime: tuple[float, float],
     psi_x = -(1.0 + 4.0 * xs * (1.0 - xs))
     window = _window_rule(grid, omega, "omega")
     x_inner = _window_rule(grid, omega_prime, "omega'")
-    levels, s_col = _Levels(grid), _column((s,))
-
-    def forms(n):
-        if levels.pole_level(n):
-            return {}, {"v": levels.rule_at(n, window)}
-        return ({"vx": _weight(levels, n, s_col, 0.0, psi_x, x_rule=x_inner)},
-                {"v": levels.rule_at(n, window),
-                 "f": _weight(levels, n, s_col, 0.0, psi_x)})
-
-    rows = _sample_rows(samples, grid, (s,), forms)
+    terms = [(0, "vx", 1.0, 0.0, psi_x, 0.0, x_inner),
+             (1, "v", 1.0, 0.0, None, 0.0, window),
+             (1, "f", 1.0, 0.0, psi_x, 0.0, None)]
+    rows = _sample_rows(samples, grid, (s,), terms)
     return InequalityReport("caccioppoli", tuple(rows), (s,),
                             {"omega": [lo, hi], "omega_prime": [lo_p, hi_p]})
 

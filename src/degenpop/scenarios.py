@@ -222,7 +222,11 @@ class Scenario:
         for i, audit in enumerate(self.audits):
             windows = _AUDIT_WINDOWS.get(audit, lambda spec: {})(self.spec)
             for name, window in windows.items():
-                window_nodes(self.spec.grid.x_nodes, window, name)
+                try:
+                    window_nodes(self.spec.grid.x_nodes, window, name)
+                except ValueError as exc:
+                    raise ConfigError(f'key "audits[{i}]": the {audit} audit '
+                                      f'cannot run: {exc}') from None
             if audit != "hardy":
                 continue
             ends = _hardy_ends(self.spec.k)

@@ -360,6 +360,19 @@ class TestExitCodes:
             assert "window omega = [0.31, 0.49]" in err
             assert "needs two x nodes" in err
 
+    def test_refused_window_names_its_audit_key(self, tmp_path, capsys):
+        # on Nx = 8 only the node 0.5 lies in omega' = [0.4, 0.6], the
+        # middle half of omega; the message names the listed audit's key
+        path = tiny_variant(tmp_path, {
+            "grid": {"Nt": 4, "Na": 8, "Nx": 8},
+            "audits": ["observability", "caccioppoli"]})
+        for command in ("validate", "caccioppoli-audit", "run"):
+            assert cli.main([command, "--config", str(path),
+                             "--out", str(tmp_path / command)]) == 2
+            assert capsys.readouterr().err.startswith(
+                'error: key "audits[1]": the caccioppoli audit cannot run: '
+                "window omega' = [0.4, 0.6] needs two x nodes")
+
     def test_local_carleman_window_of_one_node(self, tmp_path, capsys):
         # the omega-local Carleman estimate is audited for one-sided k only
         changes = {"model.omega": [0.31, 0.49], "audits": ["carleman"]}

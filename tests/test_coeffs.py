@@ -211,6 +211,34 @@ class TestCarlemanWeights:
         assert approx.end == 1.0
         np.testing.assert_allclose(approx.p, exact, rtol=2e-4, atol=2e-6)
 
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_tabulated_primitive_is_the_tables_integral(self, alpha, end):
+        # p of k = |x - end|^alpha tabulated on 4001 nodes is the table's
+        # own exact integral: the table is linear between its nodes, so
+        # int_a^b y/(k_a + m (y - a)) dy has a closed form, h/m next to
+        # k_a = 0.  The old quadrature was off by 1.3e-6 at alpha = 0.5 and
+        # by 7.9e-3 at alpha = 1.5, at either end
+        grid = make_grid()
+        xs_tab = np.linspace(0.0, 1.0, 4001)
+        dist = np.abs(xs_tab - end)
+        k_tab = dist ** alpha
+        tab = Tabulated(xs_tab, k_tab, np.gradient(k_tab, xs_tab))
+        w = build_carleman_weights(grid, tab)
+        assert w.end == end
+        # the integral from the end along the table, mirrored for end 1
+        ahead = slice(None, None, -1 if end else 1)
+        a, k_a = dist[ahead][:-1], k_tab[ahead][:-1]
+        h = np.diff(dist[ahead])
+        m = np.diff(k_tab[ahead]) / h
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log = np.log1p(m * h / k_a)
+            pieces = np.where(k_a == 0.0, h / m,
+                              a * log / m + k_a * (m * h / k_a - log) / m ** 2)
+        exact = np.concatenate([[0.0], np.cumsum(pieces)])[ahead]
+        # the 16-cell grid's nodes are every 250th table node
+        np.testing.assert_allclose(w.p, exact[::250], rtol=0.0, atol=1e-13)
+
     def test_end_is_one_only_for_k_degenerate_at_one_alone(self):
         grid = make_grid()
         ends = [build_carleman_weights(grid, coef).end

@@ -972,8 +972,10 @@ class TestWeightsOncePerS:
                 full[small] = 0.0
                 full[:, levels.poles[n]] = 0.0
                 full *= trapezoid
-                got = inequalities._weight(levels, n, s, 1.0, profile,
-                                           log_geom, rule)
+                with np.errstate(invalid="ignore"):
+                    exponent = 2.0 * s * levels.theta[n] * profile
+                got = inequalities._weight(levels, n, exponent, 1.0,
+                                           log_geom, rule, None)
                 assert got.tobytes() == full.tobytes()
 
     def test_preset_weights_hold_no_subnormal(self, monkeypatch):
@@ -1127,31 +1129,39 @@ class TestFamilyStream:
             family[3]
 
 
-def _reference_sample_rows(samples, grid, sweep, forms):
+def _reference_sample_rows(samples, grid, sweep, terms):
     """The per-(sample, s) loop that the level kernel replaced: per s, each
-    weight over Q, stacked from ``forms``' level blocks (0 at a level that
-    leaves the term out, as the Theta pole levels do), with its +inf
-    entries set to 0, and np.vdot of it with each sample's squares."""
-    levels = [forms(n) for n in range(grid.Nt + 1)]
-    zero = np.zeros((grid.Na + 1, grid.Nx + 1))
+    term's weight over Q, stacked from its level blocks (a weighted term's
+    2s Theta profile taken for that term alone, and its block 0 at the
+    Theta pole levels, where a plain term's is the trapezoid rule's), with
+    its +inf entries set to 0, and np.vdot of it with each sample's
+    squares."""
+    levels = inequalities._Levels(grid)
+    s = inequalities._column(sweep)
+    zero = np.zeros((len(sweep), grid.Na + 1, grid.Nx + 1))
 
-    def block(weights, key, j):
-        w = weights.get(key, zero)
-        return w if w.ndim == 2 else w[j]
+    def block(n, scale, p, profile_x, log_geom_x, x_rule):
+        if profile_x is None:
+            return zero + scale * levels.rule_at(n, x_rule)
+        if levels.pole_level(n):
+            return zero
+        with np.errstate(invalid="ignore", over="ignore"):
+            exponent = 2.0 * s * levels.theta[n] * profile_x
+        return scale * inequalities._weight(
+            levels, n, exponent, p, log_geom_x, x_rule,
+            inequalities._cut(levels.rule_at(n)))
 
+    weights = [(side, key, np.stack([block(n, *rest)
+                                     for n in range(grid.Nt + 1)], axis=1))
+               for side, key, *rest in terms]
     rows = [[] for _ in samples]
     for j, s in enumerate(sweep):
-        sides = [{key: np.stack([block(level[i], key, j) for level in levels])
-                  for key in dict.fromkeys(key for level in levels
-                                           for key in level[i])}
-                 for i in (0, 1)]
         infinite = []
-        for side in sides:
-            for key, w in side.items():
-                inf = np.isinf(w)
-                if inf.any():
-                    w[inf] = 0.0
-                    infinite.append((key, inf))
+        for _, key, w in weights:
+            inf = np.isinf(w[j])
+            if inf.any():
+                w[j][inf] = 0.0
+                infinite.append((key, inf))
         for idx, (v, f) in enumerate(samples):
             squares = {"v": v.values ** 2, "f": f.values ** 2,
                        "vx": np.gradient(v.values, grid.dx, axis=-1,
@@ -1160,8 +1170,9 @@ def _reference_sample_rows(samples, grid, sweep, forms):
                 if np.any(squares[key][inf]):
                     raise ValueError(f"sample {idx} is nonzero where its "
                                      f"{key} weight is infinite")
-            lhs, rhs = (sum(np.vdot(w, squares[key]) for key, w in side.items())
-                        for side in sides)
+            lhs, rhs = (sum(np.vdot(w[j], squares[key])
+                            for side, key, w in weights if side == i)
+                        for i in (0, 1))
             rows[idx].append(inequalities._make_row(idx, s, lhs, rhs))
     return [row for per_sample in rows for row in per_sample]
 
